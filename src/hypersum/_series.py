@@ -9,6 +9,10 @@ peak term magnitude rather than eps times the term count.
 Stop rule: three consecutive terms whose estimated tail is below
 rel_tol * |partial sum|.  A single-term test misfires when one term passes
 near a zero of a complex Pochhammer factor.
+
+For small n the decay k^(-d) is too slow to pay: predicted_terms gives the
+count such a series needs before it runs, and sum_direct adds the n terms of
+the partial sum itself when that count is larger than n.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DivergentSeriesError, InvalidParameterError
 
-__all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel"]
+__all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
+           "sum_direct", "predicted_terms"]
 
 _EPS = 2.0 ** -52
 # Safety factor on the first-omitted-term tail estimate.
@@ -73,6 +78,44 @@ def _tail_estimate(term_abs: float, k: int, decay: float) -> float:
     return term_abs * max(1.0, k / (decay - 1.0))
 
 
+def _estimate(tail: float, peak: float, drift: float) -> float:
+    # tail with a safety factor; compensated accumulation leaves ~eps * peak;
+    # recurrence drift on term k grows like eps * k, so drift = sum |t_k| * k
+    return _TAIL_SAFETY * tail + 4.0 * _EPS * peak + 8.0 * _EPS * drift
+
+
+def predicted_terms(decay: float, rel_tol: float) -> float:
+    """Terms a series decaying like k^(-decay) needs to reach rel_tol.
+
+    The tail after k terms is ~k^(1-decay) relative to the leading term, so
+    the count is rel_tol^(-1/(decay-1)).  Closed form, no summing; callers
+    scale it by the size of the parameters that delay the decay.
+    """
+    return rel_tol ** (-1.0 / (decay - 1.0))
+
+
+def sum_direct(a, b, c, n: int) -> SeriesResult:
+    """The first n terms of Sum_k (a)_k (b)_k / ((c)_k k!), i.e. S_n itself.
+
+    The sum is finite, so there is no tail; est_error is the roundoff part
+    of the series estimate.  Callers guarantee no (c)_k vanishes.
+    """
+    acc = _CompensatedSum()
+    t = 1.0 + 0.0j
+    acc.add(t)
+    peak = 1.0
+    drift = 0.0
+    for k in range(n - 1):
+        t = t * (a + k) * (b + k) / ((c + k) * (k + 1))
+        acc.add(t)
+        t_abs = abs(t)
+        if t_abs > peak:
+            peak = t_abs
+        drift += t_abs * (k + 1)
+    return SeriesResult(value=acc.total, terms_used=n,
+                        est_error=_estimate(0.0, peak, drift), hit_max=False)
+
+
 def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
          decay: float, start_k: int, first_term: complex) -> SeriesResult:
     """Shared accumulation loop; `step(k)` returns the term for index k+1."""
@@ -99,7 +142,6 @@ def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
         t_abs = abs(term)
         if t_abs > peak:
             peak = t_abs
-        # recurrence drift on term k grows like eps*k; weight by |term|
         drift += t_abs * (k - start_k)
         tail = _tail_estimate(t_abs, k, decay)
         if tail <= rel_tol * abs(acc.total):
@@ -109,9 +151,8 @@ def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
         else:
             below = 0
     value = acc.total
-    est = _TAIL_SAFETY * tail + 4.0 * _EPS * peak + 8.0 * _EPS * drift
     return SeriesResult(value=value, terms_used=k - start_k + 1,
-                        est_error=est, hit_max=hit_max)
+                        est_error=_estimate(tail, peak, drift), hit_max=hit_max)
 
 
 def _check_tol(rel_tol: float, max_terms: int) -> None:

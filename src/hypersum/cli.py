@@ -108,6 +108,7 @@ def _report_record(rep: engine.EvalReport) -> dict:
         "terms_used": rep.terms_used,
         "est_error": rep.est_error,
         "warnings": list(rep.warnings),
+        "path": rep.path,
     }
 
 

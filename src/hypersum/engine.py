@@ -4,9 +4,13 @@ Each eval_* routine implements one convergent rearrangement of the truncated
 Gauss series at unit argument, selected by the integer character of the
 parametric excess s = c - a - b; eval_auto routes on classify().  All series
 are truncated by a shared Tolerance and reported with a first-omitted-term
-error estimate.  The identity S_1 = 1 is returned directly in every branch:
-at n = 1 the expansions converge too slowly to be worth running and the
-value is exact anyway.
+error estimate.  The identity S_1 = 1 is returned directly in every branch.
+
+The series decay like k^-(n+1) or k^-(n+2), so at small n they need more
+terms than the n-term sum they replace.  eval_auto predicts the count before
+any series runs and, when it exceeds n, adds the n terms directly; the
+report's path field says which way it answered.  The explicit eval_*
+routines always run their expansion.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from ._series import sum_alt_kernel, sum_hyp3f2, sum_psi_kernel
+from ._series import (predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2,
+                      sum_psi_kernel)
 from .complexfn import digamma, gamma_ratio, is_near_pole
 from .errors import DomainError, InvalidParameterError, WrongBranchError
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
@@ -35,8 +40,6 @@ __all__ = [
     "eval_auto",
     "leading_term",
 ]
-
-_EPS = 2.0 ** -52
 
 # Relative accuracy floor of the double-precision gamma/digamma kernel in
 # the working strip (measured worst case ~5e-14); every reported est_error
@@ -68,11 +71,15 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """An evaluated partial sum.  path is "expansion" when the branch's
+    expansion answered and "direct_sum" when eval_auto added the n terms."""
+
     value: complex
     branch: ExcessClass
     terms_used: int
     est_error: float
     warnings: tuple = ()
+    path: str = "expansion"
 
 
 _DEFAULT_TOL = Tolerance()
@@ -91,6 +98,13 @@ def _require(cls: ExcessClass, kind: str, op: str) -> None:
             hint = " (degenerate case: route to eval_conjectured)"
         raise WrongBranchError(f"{op} needs excess class {kind}, "
                                f"got {cls.kind}{hint}")
+
+
+def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
+    cls = classify(p.a, p.b, p.c)
+    _require(cls, kind, op)
+    _check_n(n)
+    return cls
 
 
 def _unit_report(cls: ExcessClass, extra: tuple = ()) -> EvalReport:
@@ -117,9 +131,11 @@ def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
     zero (reciprocal-gamma pole) and the tail series terminates on its own;
     classification flags this with a gamma_pole warning rather than refusing.
     """
-    cls = classify(p.a, p.b, p.c)
-    _require(cls, GENERIC, "eval_generic")
-    _check_n(n)
+    return _generic(p, n, _checked(p, n, GENERIC, "eval_generic"), tol)
+
+
+def _generic(p: ParamSet, n: int, cls: ExcessClass,
+             tol: Tolerance) -> EvalReport:
     if n == 1:
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
@@ -149,11 +165,14 @@ def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
     form="alternative" splits off the psi(n+a+b) + c_0 head so the remaining
     bracket h_k - sigma_k tends to a constant.  The two agree to est_error.
     """
-    cls = classify(p.a, p.b, p.c)
-    _require(cls, LOGARITHMIC, "eval_log")
-    _check_n(n)
+    cls = _checked(p, n, LOGARITHMIC, "eval_log")
     if form not in ("psi_series", "alternative"):
         raise InvalidParameterError(f"unknown form {form!r}")
+    return _log(p, n, cls, tol, form)
+
+
+def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
+         form: str = "psi_series") -> EvalReport:
     if n == 1:
         return _unit_report(cls)
     a, b = p.a, p.b
@@ -180,9 +199,11 @@ def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
 
 def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
     """Excess s = +m: exact finite inverse factorial sum of m terms."""
-    cls = classify(p.a, p.b, p.c)
-    _require(cls, POSITIVE_INTEGER, "eval_pos_int")
-    _check_n(n)
+    return _pos_int(p, n, _checked(p, n, POSITIVE_INTEGER, "eval_pos_int"))
+
+
+def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
+             tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     if n == 1:
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
@@ -203,9 +224,11 @@ def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
 
 def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Excess s = -m, neither a nor b in {1..m}: finite sum plus psi-series."""
-    cls = classify(p.a, p.b, p.c)
-    _require(cls, NEGATIVE_INTEGER, "eval_neg_int")
-    _check_n(n)
+    return _neg_int(p, n, _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int"), tol)
+
+
+def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
+             tol: Tolerance) -> EvalReport:
     if n == 1:
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
@@ -240,9 +263,12 @@ def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
     the truncation self-enforcing; flagged conjectural, since this form rests
     on numerical evidence rather than proof.
     """
-    cls = classify(p.a, p.b, p.c)
-    _require(cls, DEGENERATE_NEG_INTEGER, "eval_conjectured")
-    _check_n(n)
+    return _conjectured(p, n, _checked(p, n, DEGENERATE_NEG_INTEGER,
+                                       "eval_conjectured"))
+
+
+def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
+                 tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     if n == 1:
         return _unit_report(cls, ("conjectural",))
     a, b, c = p.a, p.b, p.c
@@ -261,18 +287,42 @@ def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
                       cls.warnings + ("conjectural",))
 
 
+# The branch bodies behind eval_auto, on the classification it made once.
+_BRANCHES = {
+    GENERIC: _generic,
+    LOGARITHMIC: _log,
+    POSITIVE_INTEGER: _pos_int,
+    NEGATIVE_INTEGER: _neg_int,
+    DEGENERATE_NEG_INTEGER: _conjectured,
+}
+
+
 def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
-    """Route to the branch evaluator selected by the excess classification."""
+    """Evaluate by the branch the excess selects, or by the n terms themselves.
+
+    The generic tail series decays like k^-(n+1) and the psi kernel (log and
+    negative-integer branches) like k^-(n+2); large c-a, c-b (generic) or a, b
+    (psi kernel) delay the decay further.  When the count so predicted,
+    rel_tol^(-1/n) or rel_tol^(-1/(n+1)) times 1 + the largest of those
+    moduli, exceeds n, the n terms of S_n are added directly instead and the
+    report's path is "direct_sum".
+    """
     cls = classify(p.a, p.b, p.c)
-    if cls.kind == GENERIC:
-        return eval_generic(p, n, tol)
-    if cls.kind == LOGARITHMIC:
-        return eval_log(p, n, tol)
-    if cls.kind == POSITIVE_INTEGER:
-        return eval_pos_int(p, n)
-    if cls.kind == NEGATIVE_INTEGER:
-        return eval_neg_int(p, n, tol)
-    return eval_conjectured(p, n)
+    _check_n(n)
+    kind = cls.kind
+    if n >= 2 and kind in (GENERIC, LOGARITHMIC, NEGATIVE_INTEGER):
+        a, b, c = p.a, p.b, p.c
+        if kind == GENERIC:
+            need = (predicted_terms(n + 1, tol.rel_tol)
+                    * (1.0 + max(abs(c - a), abs(c - b))))
+        else:
+            need = (predicted_terms(n + 2, tol.rel_tol)
+                    * (1.0 + max(abs(a), abs(b))))
+        if need > n:
+            res = sum_direct(a, b, c, n)
+            return EvalReport(res.value, cls, res.terms_used, res.est_error,
+                              cls.warnings, "direct_sum")
+    return _BRANCHES[kind](p, n, cls, tol)
 
 
 def leading_term(p: ParamSet, n: int) -> complex:

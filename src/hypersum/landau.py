@@ -7,6 +7,11 @@ digamma-weighted one and a single-sum variant), the theorem-grade rearranged
 form with an a-priori remainder bound, and three fixed-depth asymptotic
 estimates.
 
+landau_watson and landau_ck run their series only where it needs fewer terms
+than the direct sum: the engine's rule (predicted count above the index) with
+the kernel-delay scale 1 + |1/2|.  At the default tolerance that sends
+indices up to 13 to the direct sum and runs the series from index 14.
+
 Indexing: landau_direct / landau_watson / landau_ck / the fixed asymptotics
 take the index of the constant itself.  landau_theorem3 and landau_asymptotic
 take the partial-sum index and estimate the constant one below it; the CLI
@@ -19,7 +24,7 @@ import math
 from fractions import Fraction
 
 from . import coeffs
-from ._series import _run, sum_psi_kernel
+from ._series import _run, predicted_terms, sum_psi_kernel
 from .complexfn import digamma, gamma_ratio
 from .engine import Tolerance
 from .errors import DomainError, InvalidParameterError
@@ -39,6 +44,8 @@ _MAX_DIRECT_N = 1_000_000
 _MAX_THEOREM_M = 30
 _PI = math.pi
 _LOG4 = 4.0 * math.log(2.0)
+# 1 + max(|a|, |b|) at a = b = 1/2: how far the parameters delay the decay.
+_DELAY_SCALE = 1.5
 
 
 def _check_index(n, name: str = "n", minimum: int = 0) -> int:
@@ -77,14 +84,13 @@ def landau_watson(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     """Digamma-weighted convergent series for G_n.
 
     Prefactor Gamma(n+3/2)^2/(pi Gamma(n+1) Gamma(n+2)) times the
-    four-digamma kernel at (1/2, 1/2, n+2).  For very small n the kernel
-    decays too slowly to meet tol within max_terms; the direct sum is
-    returned instead.
+    four-digamma kernel at (1/2, 1/2, n+2), whose terms decay like k^-(n+3).
+    Where that needs more terms than the index, the direct sum answers.
     """
     _check_index(n)
-    ker = sum_psi_kernel(0.5, 0.5, n + 2.0, tol.rel_tol, tol.max_terms)
-    if ker.hit_max:
+    if predicted_terms(n + 3.0, tol.rel_tol) * _DELAY_SCALE > n:
         return landau_direct(n)
+    ker = sum_psi_kernel(0.5, 0.5, n + 2.0, tol.rel_tol, tol.max_terms)
     pref = gamma_ratio([n + 1.5, n + 1.5], [n + 1.0, n + 2.0]).real / _PI
     return pref * ker.value.real
 
@@ -93,10 +99,12 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     """Single-sum convergent form: digamma head minus a weighted tail.
 
     (1/pi)(psi(n+3/2) + gamma + 4 log 2) minus (1/pi) sum_{k>=1}
-    (1/2)_k^2 / (k k! (n+3/2)_k).  Falls back to the direct sum when the
-    tail cannot meet tol within max_terms (small n).
+    (1/2)_k^2 / (k k! (n+3/2)_k), whose terms decay like k^-(n+5/2).  Where
+    that needs more terms than the index, the direct sum answers.
     """
     _check_index(n)
+    if predicted_terms(n + 2.5, tol.rel_tol) * _DELAY_SCALE > n:
+        return landau_direct(n)
     w = n + 1.5
     t = 0.25 / w
 
@@ -107,8 +115,6 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
 
     res = _run(abs(t), step, tol.rel_tol, tol.max_terms,
                decay=n + 2.5, start_k=1, first_term=t)
-    if res.hit_max:
-        return landau_direct(n)
     head = (digamma(w).real + _euler_gamma() + _LOG4) / _PI
     return head - res.value.real / _PI
 

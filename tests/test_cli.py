@@ -33,7 +33,7 @@ class TestEval:
                            "-n", "7")
         assert rc == 0
         assert set(rec) == {"value_re", "value_im", "branch", "terms_used",
-                            "est_error", "warnings"}
+                            "est_error", "warnings", "path"}
         assert rec["branch"] == "generic"
         assert abs(rec["value_re"] - 1.4583492161585467) < 1e-14
         assert rec["value_im"] == 0.0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from hypersum.errors import (
     InvalidParameterError,
     WrongBranchError,
 )
+from hypersum.oracle import compare, partial_sum_ref
 from hypersum.params import ParamSet
 
 
@@ -80,8 +82,6 @@ class TestGeneric:
     def test_est_error_covers(self):
         p = ParamSet(0.75, 0.25, 2.6)
         rep = eval_generic(p, 20)
-        from hypersum.oracle import compare, partial_sum_ref
-
         err = compare(rep.value, partial_sum_ref(0.75, 0.25, 2.6, 20))
         assert err.abs_err <= rep.est_error
 
@@ -156,17 +156,92 @@ class TestConjectured:
             eval_conjectured(ParamSet(3.0, 0.5, 1.5), 6)
 
 
+def _pole_distance(z):
+    return abs(z - min(round(z.real), 0))
+
+
+def _draw_triple(rng, branch, complex_draw):
+    """Admissible (a, b, c) on `branch`, or generic in the near-integer band
+    for branch "band"; the drawn parameters are complex when complex_draw."""
+    while True:
+        a, b = (complex(rng.uniform(-5.0, 5.0),
+                        rng.uniform(-5.0, 5.0) if complex_draw else 0.0)
+                for _ in range(2))
+        m = rng.randint(1, 4)
+        if branch == "generic":
+            c = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+                        if complex_draw else 0.0)
+        elif branch == "band":
+            c = (a + b + rng.randint(-3, 3)
+                 + 10.0 ** rng.uniform(-9.0, -4.0) * rng.choice((-1.0, 1.0)))
+        elif branch == "logarithmic":
+            c = a + b
+        elif branch == "positive_integer":
+            c = a + b + m
+        elif branch == "negative_integer":
+            c = a + b - m
+        else:
+            a = complex(rng.randint(1, m))
+            c = a + b - m
+        # on the degenerate line c - b = a - m is a pole by construction
+        near = (a, b, c, c - a) + (() if branch == "degenerate" else (c - b,))
+        if min(_pole_distance(z) for z in near) < 0.1:
+            continue
+        s = c - a - b
+        if branch == "generic" and abs(s - round(s.real)) < 1e-4:
+            continue
+        return a, b, c
+
+
 class TestAuto:
     def test_dispatch_matches_direct_calls(self):
         cases = (
-            (ParamSet(2.0, 0.5, 4.25), 7, eval_generic),
-            (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 20, eval_log),
-            (ParamSet(1.75, 0.25, 4.0), 9, eval_pos_int),
-            (ParamSet(1.5, -0.25, 0.25), 5, eval_neg_int),
-            (ParamSet(1.0, 0.5, -0.5), 10, eval_conjectured),
+            (ParamSet(2.0, 0.5, 4.25), 7, eval_generic, "direct_sum"),
+            (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 20, eval_log, "expansion"),
+            (ParamSet(1.75, 0.25, 4.0), 9, eval_pos_int, "expansion"),
+            (ParamSet(1.5, -0.25, 0.25), 5, eval_neg_int, "direct_sum"),
+            (ParamSet(1.0, 0.5, -0.5), 10, eval_conjectured, "expansion"),
+            (ParamSet(2.0, 0.5, 4.25), 40, eval_generic, "expansion"),
+            (ParamSet(1.5, -0.25, 0.25), 40, eval_neg_int, "expansion"),
         )
-        for p, n, fn in cases:
-            assert eval_auto(p, n).value == fn(p, n).value
+        for p, n, fn, path in cases:
+            auto, explicit = eval_auto(p, n), fn(p, n)
+            assert auto.path == path
+            if path == "expansion":
+                assert auto.value == explicit.value
+            else:
+                ref = partial_sum_ref(p.a, p.b, p.c, n)
+                assert compare(auto.value, ref).abs_err <= auto.est_error
+                assert (abs(auto.value - explicit.value)
+                        <= auto.est_error + explicit.est_error)
+
+    def test_terms_bounded_and_error_covered(self):
+        # The small-n rule keeps every answer near n terms (the predicted
+        # count is within 8x of the real one), whichever path it takes.
+        rng = random.Random(1)
+        kinds = {"band": "generic", "degenerate": "degenerate_negative_integer"}
+        for branch in ("generic", "band", "logarithmic", "positive_integer",
+                       "negative_integer", "degenerate"):
+            for n in (2, 3, 5, 8, 13, 20, 40, 100):
+                for complex_draw in (False, False, True, True):
+                    a, b, c = _draw_triple(rng, branch, complex_draw)
+                    rep = eval_auto(ParamSet(a, b, c), n)
+                    where = f"{branch} a={a} b={b} c={c} n={n} {rep.path}"
+                    assert rep.branch.kind == kinds.get(branch, branch), where
+                    bar = max(8 * n, (rep.branch.m or 0) + 1)
+                    assert rep.terms_used <= bar, where
+                    if n <= 40:
+                        err = compare(rep.value, partial_sum_ref(a, b, c, n))
+                        assert err.abs_err <= rep.est_error, where
+
+    def test_small_n_answers_by_direct_sum(self):
+        # eval_generic runs this tail series into the term cap (see
+        # test_capped_series_is_flagged_and_covered); two terms suffice
+        rep = eval_auto(ParamSet(1.0, 1.0, 2.5), 2)
+        assert abs(rep.value - 1.4) <= rep.est_error
+        assert rep.terms_used == 2
+        assert rep.path == "direct_sum"
+        assert not any("max_terms" in w for w in rep.warnings)
 
     def test_report_shape(self):
         rep = eval_auto(ParamSet(2.0, 0.5, 4.25), 7)
@@ -177,8 +252,6 @@ class TestAuto:
     def test_near_integer_excess_warning_propagates(self):
         rep = eval_auto(ParamSet(0.5, 0.25, 1.75 + 1e-6), 10)
         assert any("near_integer_excess" in w for w in rep.warnings)
-        from hypersum.oracle import compare, partial_sum_ref
-
         err = compare(rep.value, partial_sum_ref(0.5, 0.25, 1.75 + 1e-6, 10))
         assert err.abs_err <= rep.est_error
 

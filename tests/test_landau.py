@@ -6,6 +6,7 @@ digits from the defining sum of squared central-binomial weights.
 
 import pytest
 
+from hypersum import landau, oracle
 from hypersum.errors import DomainError, InvalidParameterError
 from hypersum.landau import (
     landau_asymptotic,
@@ -53,11 +54,11 @@ class TestDirect:
 
 class TestConvergentSeries:
     def test_watson_matches_direct(self):
-        for n in (5, 10, 50):
+        for n in (5, 10, 20, 50):
             assert rel(landau_watson(n), landau_direct(n)) <= 1e-13
 
     def test_ck_matches_direct(self):
-        for n in (5, 10, 50):
+        for n in (5, 10, 20, 50):
             assert rel(landau_ck(n), landau_direct(n)) <= 1e-13
 
     def test_small_index_fallback(self):
@@ -65,6 +66,18 @@ class TestConvergentSeries:
         # answer, agreeing with the plain sum.
         assert abs(landau_watson(0) - 1.0) <= 1e-12
         assert abs(landau_ck(0) - 1.0) <= 1e-12
+
+    def test_series_answer_without_direct_sum(self, monkeypatch):
+        # From index 14 both routes run their own series; with the direct
+        # sum unavailable they must still meet the reference.
+        def refuse(n):
+            raise AssertionError(f"landau_direct({n}) called")
+
+        monkeypatch.setattr(landau, "landau_direct", refuse)
+        for n in (20, 50):
+            ref = oracle.landau_ref(n).as_complex().real
+            assert rel(landau_watson(n), ref) <= 1e-13
+            assert rel(landau_ck(n), ref) <= 1e-13
 
 
 class TestTheorem3:
