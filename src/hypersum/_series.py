@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .complexfn import EULER_GAMMA, digamma
 from .errors import DivergentSeriesError, InvalidParameterError
 
 __all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
@@ -207,13 +208,11 @@ def sum_psi_kernel(a, b, w, rel_tol: float = 1e-15,
     four reciprocals.  The bracket decays like (w-a-b+1)/k, giving overall
     term decay k^-(Re(w-a-b)+2).
     """
-    from .complexfn import digamma
-
     _check_tol(rel_tol, max_terms)
     a = complex(a)
     b = complex(b)
     w = complex(w)
-    br = digamma(w) + digamma(1.0) - digamma(a) - digamma(b)
+    br = digamma(w) - EULER_GAMMA - digamma(a) - digamma(b)
     t = 1.0 + 0.0j
 
     def step(k: int) -> complex:

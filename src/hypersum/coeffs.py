@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .complexfn import POLE_TOL, digamma, gamma_ratio
+from .complexfn import EULER_GAMMA, POLE_TOL, digamma, gamma_ratio
 from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
 from .params import NEGATIVE_INTEGER, ParamSet, classify, seq_factors
 
@@ -105,7 +105,7 @@ def c0(a: Number, b: Number) -> complex:
     """(Gamma(a+b)/(Gamma(a)Gamma(b))) * (psi(1) - psi(a) - psi(b))."""
     av, bv = _numeric(a), _numeric(b)
     pref = gamma_ratio([av + bv], [av, bv])
-    return pref * (digamma(1.0) - digamma(av) - digamma(bv))
+    return pref * (-EULER_GAMMA - digamma(av) - digamma(bv))
 
 
 def _a_formulas(a, b):
@@ -227,7 +227,7 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
         finite += term
     first = finite * gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
     A = _a_formulas(a, b)
-    bracket = digamma(n + a + b) + digamma(1.0) - digamma(a) - digamma(b)
+    bracket = digamma(n + a + b) - EULER_GAMMA - digamma(a) - digamma(b)
     for k in range(1, K + 1):
         bracket += (-1) ** (k - 1) * A[k - 1] / float(n) ** k
     sign = -1.0 if m % 2 else 1.0

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from . import coeffs
 from ._series import (predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2,
                       sum_psi_kernel)
-from .complexfn import digamma, gamma_ratio, is_near_pole
+from .complexfn import (digamma, exp_log, gamma_ratio, is_near_pole,
+                        log_gamma, log_gamma_diff)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     classify, seq_factors)
+                     classify)
 
 __all__ = [
     "Tolerance",
@@ -124,6 +125,69 @@ def f32_unit(num, den, tol: Tolerance = _DEFAULT_TOL):
     return res.value, res.terms_used
 
 
+# The prefactors are products of gamma ratios.  Each is summed in log space
+# from one log-gamma value per distinct argument and exponentiated once.
+# Only the large n-dependent pairs go through log_gamma_diff, which keeps
+# their ~n log n sized logs from cancelling; parameter-only arguments take
+# one log_gamma each.
+
+def _tail_log(a, b, c, n: int, head):
+    """log Gamma(n+a) Gamma(n+b) Gamma(c) / (Gamma(n) Gamma(n+c) Gamma(a)
+    Gamma(b)), given head = log Gamma(n+a) Gamma(c) / Gamma(n)."""
+    return head + log_gamma_diff(n + b, n + c) - log_gamma(a) - log_gamma(b)
+
+
+def _generic_prefactors(a, b, c, n: int):
+    """(Gauss piece, tail prefactor) of the generic branch: Gamma(c) Gamma(s)
+    / (Gamma(c-a) Gamma(c-b)), zero at a reciprocal-gamma pole, and
+    exp(_tail_log) / s."""
+    s = c - a - b
+    lg_c = log_gamma(c)
+    if is_near_pole(c - a) or is_near_pole(c - b):
+        gauss = 0.0 + 0.0j
+    else:
+        gauss = exp_log(lg_c + log_gamma(s) - log_gamma(c - a)
+                        - log_gamma(c - b))
+    head = log_gamma_diff(n + a, n) + lg_c
+    pref = exp_log(_tail_log(a, b, c, n, head)) / s
+    return gauss, pref
+
+
+def _log_prefactors(a, b, n: int):
+    """(lambda_n, Gamma(a+b) / (Gamma(a) Gamma(b))) of the logarithmic branch,
+    lambda_n = Gamma(n+a) Gamma(n+b) / (Gamma(n) Gamma(n+a+b))."""
+    lam = exp_log(log_gamma_diff(n + a, n) + log_gamma_diff(n + b, n + a + b))
+    pref = exp_log(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+    return lam, pref
+
+
+def _pos_int_prefactor(a, b, c, n: int):
+    """Gamma(n+a) Gamma(n+b) Gamma(c) Gamma(s) / (Gamma(n) Gamma(n+a+b)
+    Gamma(c-a) Gamma(c-b)), the positive-integer branch's prefactor."""
+    return exp_log(log_gamma_diff(n + a, n) + log_gamma(c)
+                   + log_gamma_diff(n + b, n + a + b) + log_gamma(c - a - b)
+                   - log_gamma(c - a) - log_gamma(c - b))
+
+
+def _neg_int_prefactors(a, b, c, n: int, m: int):
+    """(finite-sum, psi-series) prefactors of the negative-integer branch:
+    exp(_tail_log) / m and (-1)^m Gamma(n+a) Gamma(n+b) Gamma(c) / (Gamma(n)
+    Gamma(n+a+b) Gamma(c-a) Gamma(c-b) m!)."""
+    head = log_gamma_diff(n + a, n) + log_gamma(c)
+    pref1 = exp_log(_tail_log(a, b, c, n, head)) / m
+    sign = -1.0 if m % 2 else 1.0
+    pref2 = sign * exp_log(head + log_gamma_diff(n + b, n + a + b)
+                           - log_gamma(c - a) - log_gamma(c - b)
+                           - math.lgamma(m + 1))
+    return pref1, pref2
+
+
+def _conjectured_prefactor(a, b, c, n: int, m: int):
+    """exp(_tail_log) / m, the degenerate branch's prefactor."""
+    head = log_gamma_diff(n + a, n) + log_gamma(c)
+    return exp_log(_tail_log(a, b, c, n, head)) / m
+
+
 def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Noninteger excess: closed Gauss piece minus a weighted 3F2(1) tail.
 
@@ -140,13 +204,9 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     s = p.s
-    if is_near_pole(c - a) or is_near_pole(c - b):
-        gauss = 0.0 + 0.0j
-    else:
-        gauss = gamma_ratio([c, s], [c - a, c - b])
+    gauss, pref = _generic_prefactors(a, b, c, n)
     series = sum_hyp3f2((c - a, c - b, 1.0 + 0.0j), (n + c, 1.0 + s),
                         tol.rel_tol, tol.max_terms)
-    pref = gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / s
     tail = pref * series.value
     value = gauss - tail
     warnings = cls.warnings
@@ -177,8 +237,7 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
         return _unit_report(cls)
     a, b = p.a, p.b
     w = n + a + b
-    pref = gamma_ratio([a + b], [a, b])
-    lam = seq_factors(p, n).lambda_n
+    lam, pref = _log_prefactors(a, b, n)
     warnings = cls.warnings
     if form == "psi_series":
         ker = sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
@@ -216,7 +275,7 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
         term = term * (a + k) * (b + k) / ((w + k) * (k + 1))
         total += term
         absum += abs(term)
-    pref = gamma_ratio([n + a, n + b, c, p.s], [n, w, c - a, c - b])
+    pref = _pos_int_prefactor(a, b, c, n)
     value = pref * total
     est = _roundoff(abs(pref) * absum)
     return EvalReport(value, cls, m, est, cls.warnings)
@@ -240,11 +299,8 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
         term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
         finite += term
         absum += abs(term)
-    pref1 = gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
+    pref1, pref2 = _neg_int_prefactors(a, b, c, n, m)
     ker = sum_psi_kernel(a, b, n + a + b, tol.rel_tol, tol.max_terms)
-    sign = -1.0 if m % 2 else 1.0
-    pref2 = sign * gamma_ratio([n + a, n + b, c],
-                               [n, n + a + b, c - a, c - b, m + 1])
     head = pref1 * finite
     tail = pref2 * ker.value
     value = head + tail
@@ -280,7 +336,7 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
         term = term * (a - m + k) * (b - m + k) / ((n + c + k) * (1 - m + k))
         total += term
         absum += abs(term)
-    pref = gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
+    pref = _conjectured_prefactor(a, b, c, n, m)
     value = pref * total
     est = _roundoff(abs(pref) * absum)
     return EvalReport(value, cls, m - cls.p + 1, est,

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import coeffs
 from ._series import _run, predicted_terms, sum_psi_kernel
-from .complexfn import digamma, gamma_ratio
+from .complexfn import EULER_GAMMA, digamma, gamma_ratio
 from .engine import Tolerance
 from .errors import DomainError, InvalidParameterError
 
@@ -55,8 +55,11 @@ def _check_index(n, name: str = "n", minimum: int = 0) -> int:
     return n
 
 
-def _euler_gamma() -> float:
-    return -digamma(1.0).real
+def _check_cap(hit_max: bool, route: str, tol: Tolerance) -> None:
+    if hit_max:
+        raise DomainError(f"{route}: series stopped at max_terms = "
+                          f"{tol.max_terms} before reaching rel_tol = "
+                          f"{tol.rel_tol:g}")
 
 
 def landau_direct(n: int) -> float:
@@ -86,11 +89,13 @@ def landau_watson(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     Prefactor Gamma(n+3/2)^2/(pi Gamma(n+1) Gamma(n+2)) times the
     four-digamma kernel at (1/2, 1/2, n+2), whose terms decay like k^-(n+3).
     Where that needs more terms than the index, the direct sum answers.
+    Raises DomainError when the series reaches tol.max_terms first.
     """
     _check_index(n)
     if predicted_terms(n + 3.0, tol.rel_tol) * _DELAY_SCALE > n:
         return landau_direct(n)
     ker = sum_psi_kernel(0.5, 0.5, n + 2.0, tol.rel_tol, tol.max_terms)
+    _check_cap(ker.hit_max, "landau_watson", tol)
     pref = gamma_ratio([n + 1.5, n + 1.5], [n + 1.0, n + 2.0]).real / _PI
     return pref * ker.value.real
 
@@ -100,7 +105,8 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
 
     (1/pi)(psi(n+3/2) + gamma + 4 log 2) minus (1/pi) sum_{k>=1}
     (1/2)_k^2 / (k k! (n+3/2)_k), whose terms decay like k^-(n+5/2).  Where
-    that needs more terms than the index, the direct sum answers.
+    that needs more terms than the index, the direct sum answers.  Raises
+    DomainError when the series reaches tol.max_terms first.
     """
     _check_index(n)
     if predicted_terms(n + 2.5, tol.rel_tol) * _DELAY_SCALE > n:
@@ -115,7 +121,8 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
 
     res = _run(abs(t), step, tol.rel_tol, tol.max_terms,
                decay=n + 2.5, start_k=1, first_term=t)
-    head = (digamma(w).real + _euler_gamma() + _LOG4) / _PI
+    _check_cap(res.hit_max, "landau_ck", tol)
+    head = (digamma(w).real + EULER_GAMMA + _LOG4) / _PI
     return head - res.value.real / _PI
 
 
@@ -172,7 +179,7 @@ def landau_watson_asymptotic(n: int) -> float:
     """Three-term log estimate of G_n; remainder is O(n^-3)."""
     _check_index(n)
     u = n + 1.0
-    return ((math.log(u) + _euler_gamma() + _LOG4) / _PI
+    return ((math.log(u) + EULER_GAMMA + _LOG4) / _PI
             - 1.0 / (4.0 * _PI * u) + 5.0 / (192.0 * _PI * u * u))
 
 
@@ -185,7 +192,7 @@ def landau_nemes(n: int, h: float = 1.0, K: int = 3) -> float:
     if not 0.0 < h < 1.5:
         raise DomainError(f"h must lie in (0, 3/2), got {h!r}")
     u = n + h
-    total = (math.log(u) + _euler_gamma() + _LOG4) / _PI
+    total = (math.log(u) + EULER_GAMMA + _LOG4) / _PI
     for k in range(1, K + 1):
         total -= float(coeffs.g_poly(k, h)) / (_PI * u ** k)
     return total

@@ -4,18 +4,17 @@ The value of the excess s = c - a - b decides which expansion evaluates the
 partial sum: generic s, the logarithmic case s = 0, positive-integer s (a
 finite sum), negative-integer s (finite sum plus a psi-series), or the
 degenerate negative-integer case where a or b is a positive integer <= m.
-Also computes the prefactor ratios omega_n and lambda_n shared by all
-branches.
+seq_factors gives the prefactor ratios omega_n and lambda_n of the
+expansions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .complexfn import gamma_ratio
+from .complexfn import _as_complex, gamma_ratio
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -49,15 +48,6 @@ LOGARITHMIC = "logarithmic"
 POSITIVE_INTEGER = "positive_integer"
 NEGATIVE_INTEGER = "negative_integer"
 DEGENERATE_NEG_INTEGER = "degenerate_negative_integer"
-
-
-def _as_complex(x: Number, name: str) -> complex:
-    if isinstance(x, Fraction):
-        x = float(x)
-    z = complex(x)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidParameterError(f"{name} must be finite, got {z!r}")
-    return z
 
 
 def _nonpos_int_distance(z: complex) -> float:

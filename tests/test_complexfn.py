@@ -1,10 +1,13 @@
 import cmath
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersum import complexfn
 from hypersum.complexfn import (
     POLE_TOL,
     bernoulli_numbers,
@@ -140,6 +143,58 @@ class TestGammaRatio:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             gamma_ratio([-2.0], [1.0])
+
+
+def _kernel_grid():
+    """Seeded real and complex points: a spread over Re z in [-10, 40], points
+    just above the lift target Re 7, and points on both sides of every |w|
+    at which the Stirling series changes its term count (with Re w >= 7, so
+    the series is summed there directly)."""
+    rng = random.Random(7)
+    points = []
+    while len(points) < 300:
+        z = complex(rng.uniform(-10.0, 40.0),
+                    rng.choice((0.0, rng.uniform(-30.0, 30.0))))
+        if dist_nonpos_int(z) >= 0.05:
+            points.append(z)
+    for x in (7.0, 7.0 + 1e-12, 7.001, 7.3):
+        points += [complex(x, 0.0), complex(x, rng.uniform(-8.0, 8.0))]
+    for radius in complexfn._LOG_RADII + complexfn._PSI_RADII:
+        if radius < 7.0:
+            continue  # a switch below the lift target is never crossed
+        for r in (radius * (1.0 - 1e-12), radius * (1.0 + 1e-12)):
+            angle = rng.uniform(-1.0, 1.0) * math.acos(7.0 / r)
+            points += [complex(r, 0.0), cmath.rect(r, angle)]
+    return points
+
+
+class TestKernelAccuracy:
+    def test_log_gamma_and_digamma_match_mpmath(self):
+        with mp.workdps(40):
+            for z in _kernel_grid():
+                ref = mp.loggamma(mp.mpc(z))
+                err = abs(mp.mpc(log_gamma(z)) - ref)
+                assert err <= 1e-14 * max(1.0, abs(ref)), z
+                ref = mp.digamma(mp.mpc(z))
+                err = abs(mp.mpc(digamma(z)) - ref)
+                assert err <= 1e-14 * max(1.0, abs(ref)), z
+
+    def test_large_ratio_matches_mpmath(self):
+        # Offsets are multiples of 2^-20 and n < 2^20, so n+a and n+b are
+        # exact in double and the error measured is the kernel's alone.
+        rng = random.Random(11)
+        grid = 2.0 ** -20
+        with mp.workdps(40):
+            for i in range(200):
+                n = 10 ** 6 if i % 10 == 0 else round(10.0 ** rng.uniform(1, 6))
+                a, b = (rng.randint(-5 * 2 ** 20, 5 * 2 ** 20) * grid
+                        for _ in range(2))
+                y = rng.choice((0.0, rng.randint(-2 ** 22, 2 ** 22) * grid))
+                num, den = complex(n + a, y), complex(n + b, 0.0)
+                want = mp.exp(mp.loggamma(mp.mpc(num))
+                              - mp.loggamma(mp.mpc(den)))
+                got = gamma_ratio([num], [den])
+                assert abs(mp.mpc(got) - want) <= 1e-13 * abs(want), (num, den)
 
 
 class TestNearPole:

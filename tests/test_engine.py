@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from hypersum import engine
+from hypersum.complexfn import gamma_ratio
 from hypersum.engine import (
     EvalReport,
     Tolerance,
@@ -191,6 +193,51 @@ def _draw_triple(rng, branch, complex_draw):
         if branch == "generic" and abs(s - round(s.real)) < 1e-4:
             continue
         return a, b, c
+
+
+class TestPrefactors:
+    @pytest.mark.parametrize("n", (2, 40, 10**3, 10**6))
+    def test_fused_prefactors_match_gamma_ratio(self, n):
+        # Each branch sums its prefactors from one log-gamma table; a dropped
+        # or doubled factor shows against gamma_ratio over the argument lists
+        # of the branch formulas.
+        rng = random.Random(n)
+
+        def check(branch, got, want):
+            assert rel(got, want) <= 1e-13, (branch, a, b, c, n)
+
+        for complex_draw in (False, True, True):
+            a, b, c = _draw_triple(rng, "generic", complex_draw)
+            s = c - a - b
+            gauss, pref = engine._generic_prefactors(a, b, c, n)
+            check("gauss", gauss, gamma_ratio([c, s], [c - a, c - b]))
+            check("generic", pref,
+                  gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / s)
+
+            a, b, c = _draw_triple(rng, "logarithmic", complex_draw)
+            lam, pref = engine._log_prefactors(a, b, n)
+            check("lambda_n", lam,
+                  gamma_ratio([n + a, n + b], [n, n + a + b]))
+            check("logarithmic", pref, gamma_ratio([a + b], [a, b]))
+
+            a, b, c = _draw_triple(rng, "positive_integer", complex_draw)
+            check("positive_integer", engine._pos_int_prefactor(a, b, c, n),
+                  gamma_ratio([n + a, n + b, c, c - a - b],
+                              [n, n + a + b, c - a, c - b]))
+
+            a, b, c = _draw_triple(rng, "negative_integer", complex_draw)
+            m = round((a + b - c).real)
+            pref1, pref2 = engine._neg_int_prefactors(a, b, c, n, m)
+            check("negative_integer finite", pref1,
+                  gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m)
+            check("negative_integer psi", pref2,
+                  (-1) ** m * gamma_ratio([n + a, n + b, c],
+                                          [n, n + a + b, c - a, c - b, m + 1]))
+
+            a, b, c = _draw_triple(rng, "degenerate", complex_draw)
+            m = round((a + b - c).real)
+            check("degenerate", engine._conjectured_prefactor(a, b, c, n, m),
+                  gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m)
 
 
 class TestAuto:
