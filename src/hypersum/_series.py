@@ -4,7 +4,9 @@ All series here have terms that eventually decay like k^(-d) with d linked to
 the summation index n, so a truncation tail is estimated as
 |t_k| * k/(d-1) (the integral comparison).  Accumulation is compensated
 (Neumaier) per component, which keeps the roundoff floor at ~eps times the
-peak term magnitude rather than eps times the term count.
+peak term magnitude rather than eps times the term count.  The loops keep
+the compensated sums and the tail estimate in local floats, with no call
+per term beyond the term itself.
 
 Stop rule: three consecutive terms whose estimated tail is below
 rel_tol * |partial sum|.  A single-term test misfires when one term passes
@@ -12,7 +14,7 @@ near a zero of a complex Pochhammer factor.
 
 For small n the decay k^(-d) is too slow to pay: predicted_terms gives the
 count such a series needs before it runs, and sum_direct adds the n terms of
-the partial sum itself when that count is larger than n.
+the partial sum itself; the engine prices the two ways from that count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexfn import EULER_GAMMA, digamma
+from .complexfn import EULER_GAMMA, digamma, nonpos_int_distance
 from .errors import DivergentSeriesError, InvalidParameterError
 
 __all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
@@ -32,51 +34,12 @@ _TAIL_SAFETY = 10.0
 _CONSECUTIVE_BELOW = 3
 
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulator for complex values."""
-
-    __slots__ = ("_re", "_im", "_cre", "_cim")
-
-    def __init__(self) -> None:
-        self._re = 0.0
-        self._im = 0.0
-        self._cre = 0.0
-        self._cim = 0.0
-
-    def add(self, z: complex) -> None:
-        x = z.real
-        t = self._re + x
-        if abs(self._re) >= abs(x):
-            self._cre += (self._re - t) + x
-        else:
-            self._cre += (x - t) + self._re
-        self._re = t
-        y = z.imag
-        t = self._im + y
-        if abs(self._im) >= abs(y):
-            self._cim += (self._im - t) + y
-        else:
-            self._cim += (y - t) + self._im
-        self._im = t
-
-    @property
-    def total(self) -> complex:
-        return complex(self._re + self._cre, self._im + self._cim)
-
-
 @dataclass(frozen=True)
 class SeriesResult:
     value: complex
     terms_used: int
     est_error: float
     hit_max: bool
-
-
-def _tail_estimate(term_abs: float, k: int, decay: float) -> float:
-    # sum_{j>=k} (k/j)^decay ~ k/(decay-1) terms' worth of the current term
-    if decay <= 1.0:
-        return math.inf
-    return term_abs * max(1.0, k / (decay - 1.0))
 
 
 def _estimate(tail: float, peak: float, drift: float) -> float:
@@ -101,35 +64,60 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
     The sum is finite, so there is no tail; est_error is the roundoff part
     of the series estimate.  Callers guarantee no (c)_k vanishes.
     """
-    acc = _CompensatedSum()
+    re, im = 1.0, 0.0
+    cre = cim = 0.0
     t = 1.0 + 0.0j
-    acc.add(t)
     peak = 1.0
     drift = 0.0
     for k in range(n - 1):
         t = t * (a + k) * (b + k) / ((c + k) * (k + 1))
-        acc.add(t)
+        x = t.real
+        y = re + x
+        if abs(re) >= abs(x):
+            cre += (re - y) + x
+        else:
+            cre += (x - y) + re
+        re = y
+        x = t.imag
+        y = im + x
+        if abs(im) >= abs(x):
+            cim += (im - y) + x
+        else:
+            cim += (x - y) + im
+        im = y
         t_abs = abs(t)
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k + 1)
-    return SeriesResult(value=acc.total, terms_used=n,
+    return SeriesResult(value=complex(re + cre, im + cim), terms_used=n,
                         est_error=_estimate(0.0, peak, drift), hit_max=False)
 
 
 def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
          decay: float, start_k: int, first_term: complex) -> SeriesResult:
-    """Shared accumulation loop; `step(k)` returns the term for index k+1."""
-    acc = _CompensatedSum()
-    acc.add(first_term)
+    """Shared accumulation loop; `step(k)` returns the term for index k+1.
+
+    The loop keeps its Neumaier sums (re + cre, im + cim) and the tail
+    estimate in local floats: a method call or a helper per term would cost
+    as much as the term's own arithmetic.
+    """
+    # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
+    re, im = 0.0 + first_term.real, 0.0 + first_term.imag
+    cre = cim = 0.0
     peak = term_abs_first
     below = 0
     k = start_k
     hit_max = False
-    tail = _tail_estimate(term_abs_first, max(k, 1), decay)
+    # sum_{j>=k} (k/j)^decay ~ k/(decay-1) terms' worth of the current term
+    slope = decay - 1.0
+    if decay <= 1.0:
+        tail = math.inf
+    else:
+        tail = term_abs_first * max(1.0, max(k, 1) / slope)
     drift = 0.0
+    last = start_k + max_terms - 1
     while True:
-        if k - start_k + 1 >= max_terms:
+        if k >= last:
             hit_max = True
             break
         term = step(k)
@@ -139,33 +127,48 @@ def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
             tail = 0.0
             break
         k += 1
-        acc.add(term)
+        x = term.real
+        y = re + x
+        if abs(re) >= abs(x):
+            cre += (re - y) + x
+        else:
+            cre += (x - y) + re
+        re = y
+        x = term.imag
+        y = im + x
+        if abs(im) >= abs(x):
+            cim += (im - y) + x
+        else:
+            cim += (x - y) + im
+        im = y
         t_abs = abs(term)
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k - start_k)
-        tail = _tail_estimate(t_abs, k, decay)
-        if tail <= rel_tol * abs(acc.total):
+        if decay <= 1.0:
+            tail = math.inf
+        else:
+            ratio = k / slope
+            tail = t_abs * (ratio if ratio > 1.0 else 1.0)
+        if tail <= rel_tol * abs(complex(re + cre, im + cim)):
             below += 1
             if below >= _CONSECUTIVE_BELOW:
                 break
         else:
             below = 0
-    value = acc.total
-    return SeriesResult(value=value, terms_used=k - start_k + 1,
+    return SeriesResult(value=complex(re + cre, im + cim),
+                        terms_used=k - start_k + 1,
                         est_error=_estimate(tail, peak, drift), hit_max=hit_max)
 
 
-def _check_tol(rel_tol: float, max_terms: int) -> None:
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidParameterError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
+def check_tol(rel_tol: float, max_terms: int) -> None:
+    """Reject a truncation control outside rel_tol in (0, 1), max_terms >= 1."""
+    if not 0.0 < rel_tol < 1.0:
+        raise InvalidParameterError(
+            f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     if not isinstance(max_terms, int) or max_terms < 1:
-        raise InvalidParameterError(f"max_terms must be >= 1, got {max_terms!r}")
-
-
-def _near_nonpos_int(z: complex, tol: float = 1e-12) -> bool:
-    k = round(z.real)
-    return k <= 0 and abs(z - k) <= tol
+        raise InvalidParameterError(
+            f"max_terms must be a positive integer, got {max_terms!r}")
 
 
 def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
@@ -175,16 +178,16 @@ def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
     Requires positive real parametric excess d1+d2-n1-n2-n3 unless a
     numerator parameter is a nonpositive integer (terminating sum).
     """
-    _check_tol(rel_tol, max_terms)
+    check_tol(rel_tol, max_terms)
     n1, n2, n3 = (complex(v) for v in num)
     d1, d2 = (complex(v) for v in den)
     for v in (d1, d2):
-        if _near_nonpos_int(v):
+        if nonpos_int_distance(v) <= 1e-12:
             raise InvalidParameterError(
                 f"denominator parameter {v!r} is a nonpositive integer"
             )
     excess = d1 + d2 - n1 - n2 - n3
-    terminating = any(_near_nonpos_int(v, 1e-300) for v in (n1, n2, n3))
+    terminating = any(nonpos_int_distance(v) <= 1e-300 for v in (n1, n2, n3))
     if excess.real <= 0.0 and not terminating:
         raise DivergentSeriesError(
             f"series excess {excess!r} has nonpositive real part"
@@ -208,7 +211,7 @@ def sum_psi_kernel(a, b, w, rel_tol: float = 1e-15,
     four reciprocals.  The bracket decays like (w-a-b+1)/k, giving overall
     term decay k^-(Re(w-a-b)+2).
     """
-    _check_tol(rel_tol, max_terms)
+    check_tol(rel_tol, max_terms)
     a = complex(a)
     b = complex(b)
     w = complex(w)
@@ -234,7 +237,7 @@ def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,
     The bracket tends to a nonzero constant, so terms decay one power slower
     than the psi-kernel form: k^-(Re(w-a-b)+1).
     """
-    _check_tol(rel_tol, max_terms)
+    check_tol(rel_tol, max_terms)
     a = complex(a)
     b = complex(b)
     w = complex(w)

@@ -20,7 +20,7 @@ import mpmath as mp
 from . import coeffs, engine, landau, oracle, verification
 from .engine import Tolerance
 from .errors import HypersumError, VerificationFailure
-from .params import ParamSet, classify
+from .params import ParamSet, classify, classify_params
 
 _FORM_MAP = {"psi": "psi_series", "alt": "alternative"}
 
@@ -115,7 +115,7 @@ def _report_record(rep: engine.EvalReport) -> dict:
 def _cmd_eval(args, out) -> int:
     pset = ParamSet(args.a, args.b, args.c)
     tol = Tolerance(rel_tol=args.tol) if args.tol is not None else Tolerance()
-    cls = classify(args.a, args.b, args.c)
+    cls = classify_params(pset)
     if args.form is not None and cls.kind == "logarithmic":
         rep = engine.eval_log(pset, args.n, tol, form=_FORM_MAP[args.form])
     else:

@@ -16,7 +16,7 @@ from typing import Union
 
 from .complexfn import EULER_GAMMA, POLE_TOL, digamma, gamma_ratio
 from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
-from .params import NEGATIVE_INTEGER, ParamSet, classify, seq_factors
+from .params import NEGATIVE_INTEGER, ParamSet, classify_params, seq_factors
 
 __all__ = [
     "CoefficientTable",
@@ -212,7 +212,7 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
     _check_positive_int(n, "n")
     if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
         raise DomainError(f"K must be in 0..3, got {K!r}")
-    cls = classify(p.a, p.b, p.c)
+    cls = classify_params(p)
     if cls.kind != NEGATIVE_INTEGER:
         raise WrongBranchError(
             f"asym_neg_int needs a nondegenerate negative-integer excess, "

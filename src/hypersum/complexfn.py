@@ -10,6 +10,12 @@ Bernoulli-number coefficients, cut to the fewest terms the argument's size
 allows, finishes the job.  Arguments in the lower half
 plane are handled by conjugation, which makes the conjugate-symmetry identities
 exact at the representation level.
+
+On the real axis ``log_gamma`` takes its real part from the standard
+library's ``math.lgamma``, which is as accurate as the lift and several
+times cheaper, and sets the imaginary part, 0 or -pi ceil(-x), with the sign
+the lift would give it; the parameters of the paper's headline cases are
+real.  ``log_gamma_diff`` and ``digamma`` have no such path.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "POLE_TOL",
     "EULER_GAMMA",
     "bernoulli_numbers",
+    "nonpos_int_distance",
     "log_gamma",
     "log_gamma_diff",
     "exp_log",
@@ -132,17 +139,18 @@ def _as_complex(z: Number, name: str = "z") -> complex:
     return w
 
 
-def _pole_distance(z: complex) -> float:
-    """Distance from z to the nearest nonpositive integer (inf if Re z > 0.5)."""
+def nonpos_int_distance(z: complex) -> float:
+    """Distance from z to the nearest nonpositive integer, i.e. to the
+    nearest pole of the gamma function."""
     k = round(z.real)
     if k > 0:
-        return math.inf
+        return abs(z)
     return abs(z - k)
 
 
 def is_near_pole(z: Number, tol: float = POLE_TOL) -> bool:
     """True when z lies within ``tol`` of a pole of the gamma function."""
-    return _pole_distance(_as_complex(z)) <= tol
+    return nonpos_int_distance(_as_complex(z)) <= tol
 
 
 def _in_lower_half(w: complex) -> bool:
@@ -183,8 +191,26 @@ def log_gamma(z: Number) -> complex:
     Raises PoleError within ``POLE_TOL`` of a nonpositive integer.
     """
     w = _as_complex(z)
-    if _pole_distance(w) <= POLE_TOL:
+    if nonpos_int_distance(w) <= POLE_TOL:
         raise PoleError(f"log_gamma pole at z = {w!r}")
+    if w.imag == 0.0:
+        x = w.real
+        try:
+            re = math.lgamma(x)
+        except OverflowError:
+            pass  # x above ~2.6e305: the lift below gives inf
+        else:
+            # The imaginary part of the lift below: for x > 0 the input's
+            # signed zero; for x < 0, log Gamma(x) = log Gamma(x+k) -
+            # sum_j log(x+j), and each of the ceil(-x) negative factors
+            # gives -i pi, conjugated for a -0.0 input.
+            if x > 0.0:
+                im = w.imag
+            else:
+                im = -math.pi * math.ceil(-x)
+                if _in_lower_half(w):
+                    im = -im
+            return complex(re, im)
     if _in_lower_half(w):
         return _log_gamma_upper(w.conjugate()).conjugate()
     return _log_gamma_upper(w)
@@ -222,7 +248,7 @@ def _digamma_upper(z: complex) -> complex:
 def digamma(z: Number) -> complex:
     """psi(z), the logarithmic derivative of gamma, for complex z off the poles."""
     w = _as_complex(z)
-    if _pole_distance(w) <= POLE_TOL:
+    if nonpos_int_distance(w) <= POLE_TOL:
         raise PoleError(f"digamma pole at z = {w!r}")
     if _in_lower_half(w):
         return _digamma_upper(w.conjugate()).conjugate()
@@ -317,7 +343,7 @@ def log_gamma_diff(z1: Number, z2: Number) -> complex:
     z1 = _as_complex(z1, "z1")
     z2 = _as_complex(z2, "z2")
     for z in (z1, z2):
-        if _pole_distance(z) <= POLE_TOL:
+        if nonpos_int_distance(z) <= POLE_TOL:
             raise PoleError(f"gamma_ratio pole at argument {z!r}")
     if z1.imag >= 0.0 and z2.imag >= 0.0:
         return _log_gamma_diff_upper(z1, z2)

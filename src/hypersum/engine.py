@@ -2,15 +2,17 @@
 
 Each eval_* routine implements one convergent rearrangement of the truncated
 Gauss series at unit argument, selected by the integer character of the
-parametric excess s = c - a - b; eval_auto routes on classify().  All series
-are truncated by a shared Tolerance and reported with a first-omitted-term
-error estimate.  The identity S_1 = 1 is returned directly in every branch.
+parametric excess s = c - a - b; eval_auto routes on classify_params().  All
+series are truncated by a shared Tolerance and reported with a
+first-omitted-term error estimate.  The identity S_1 = 1 is returned directly
+in every branch.
 
 The series decay like k^-(n+1) or k^-(n+2), so at small n they need more
-terms than the n-term sum they replace.  eval_auto predicts the count before
-any series runs and, when it exceeds n, adds the n terms directly; the
-report's path field says which way it answered.  The explicit eval_*
-routines always run their expansion.
+terms than the n-term sum they replace, and up to n ~ 100 their fixed cost
+of gamma-function prefactors outweighs n direct terms.  eval_auto predicts
+the count before any series runs, prices both ways and adds the n terms
+directly when that is cheaper; the report's path field says which way it
+answered.  The explicit eval_* routines always run their expansion.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from ._series import (predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2,
-                      sum_psi_kernel)
+from ._series import (check_tol, predicted_terms, sum_alt_kernel, sum_direct,
+                      sum_hyp3f2, sum_psi_kernel)
 from .complexfn import (digamma, exp_log, gamma_ratio, is_near_pole,
                         log_gamma, log_gamma_diff)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
+# classify itself is unused here but stays reachable as engine.classify,
+# a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     classify)
+                     classify, classify_params)
 
 __all__ = [
     "Tolerance",
@@ -62,12 +66,7 @@ class Tolerance:
     max_terms: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1.0:
-            raise InvalidParameterError(
-                f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if not isinstance(self.max_terms, int) or self.max_terms < 1:
-            raise InvalidParameterError(
-                f"max_terms must be a positive integer, got {self.max_terms!r}")
+        check_tol(self.rel_tol, self.max_terms)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def _require(cls: ExcessClass, kind: str, op: str) -> None:
 
 
 def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
-    cls = classify(p.a, p.b, p.c)
+    cls = classify_params(p)
     _require(cls, kind, op)
     _check_n(n)
     return cls
@@ -353,17 +352,30 @@ _BRANCHES = {
 }
 
 
+# eval_auto's cost model, in units of one direct-sum term (~1.05 us each
+# at Python 3.11 on a shared 2-core x86-64 host, timeit best of 5).  There,
+# the expansion's branch body at n in {20, 40, 70, 100, 150, 250} (generic,
+# logarithmic and s = -2 draws, real and complex, |parameter| <= 7, 144
+# timings) took, by least squares, 81 us + 2.2 us per predicted series term:
+# its prefactors, the terms beyond the predicted count that the stop rule
+# needs, and the costlier psi-kernel terms all fall into these two figures.
+_EXPANSION_FIXED_COST = 77.0
+_SERIES_TERM_COST = 2.0
+
+
 def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Evaluate by the branch the excess selects, or by the n terms themselves.
 
     The generic tail series decays like k^-(n+1) and the psi kernel (log and
     negative-integer branches) like k^-(n+2); large c-a, c-b (generic) or a, b
-    (psi kernel) delay the decay further.  When the count so predicted,
+    (psi kernel) delay the decay further.  The count so predicted is
     rel_tol^(-1/n) or rel_tol^(-1/(n+1)) times 1 + the largest of those
-    moduli, exceeds n, the n terms of S_n are added directly instead and the
-    report's path is "direct_sum".
+    moduli.  When n direct terms cost less than the expansion's fixed cost
+    plus the predicted terms (so always when the count exceeds n), the n
+    terms of S_n are added directly instead and the report's path is
+    "direct_sum".
     """
-    cls = classify(p.a, p.b, p.c)
+    cls = classify_params(p)
     _check_n(n)
     kind = cls.kind
     if n >= 2 and kind in (GENERIC, LOGARITHMIC, NEGATIVE_INTEGER):
@@ -374,7 +386,7 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
         else:
             need = (predicted_terms(n + 2, tol.rel_tol)
                     * (1.0 + max(abs(a), abs(b))))
-        if need > n:
+        if n < _EXPANSION_FIXED_COST + _SERIES_TERM_COST * need:
             res = sum_direct(a, b, c, n)
             return EvalReport(res.value, cls, res.terms_used, res.est_error,
                               cls.warnings, "direct_sum")
@@ -390,7 +402,7 @@ def leading_term(p: ParamSet, n: int) -> complex:
     is refused.
     """
     _check_n(n)
-    cls = classify(p.a, p.b, p.c)
+    cls = classify_params(p)
     a, b, c = p.a, p.b, p.c
     s = p.s
     if cls.kind == LOGARITHMIC:

@@ -8,8 +8,8 @@ form with an a-priori remainder bound, and three fixed-depth asymptotic
 estimates.
 
 landau_watson and landau_ck run their series only where it needs fewer terms
-than the direct sum: the engine's rule (predicted count above the index) with
-the kernel-delay scale 1 + |1/2|.  At the default tolerance that sends
+than the direct sum: the engine's predicted count, with the kernel-delay
+scale 1 + |1/2|, against the index.  At the default tolerance that sends
 indices up to 13 to the direct sum and runs the series from index 14.
 
 Indexing: landau_direct / landau_watson / landau_ck / the fixed asymptotics

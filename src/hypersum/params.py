@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .complexfn import _as_complex, gamma_ratio
+from .complexfn import _as_complex, gamma_ratio, nonpos_int_distance
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "ExcessClass",
     "SeqFactors",
     "classify",
+    "classify_params",
     "seq_factors",
 ]
 
@@ -50,14 +51,6 @@ NEGATIVE_INTEGER = "negative_integer"
 DEGENERATE_NEG_INTEGER = "degenerate_negative_integer"
 
 
-def _nonpos_int_distance(z: complex) -> float:
-    """Distance from z to the nearest nonpositive integer."""
-    k = round(z.real)
-    if k > 0:
-        k = 0
-    return abs(z - k)
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """Validated parameter triple (a, b, c) of the series.
@@ -74,7 +67,7 @@ class ParamSet:
         for name in ("a", "b", "c"):
             value = _as_complex(getattr(self, name), name)
             object.__setattr__(self, name, value)
-            if _nonpos_int_distance(value) < INTEGER_TOL:
+            if nonpos_int_distance(value) < INTEGER_TOL:
                 raise InvalidParameterError(
                     f"{name} = {value!r} is (within tolerance) zero or a "
                     "negative integer, which is excluded"
@@ -109,11 +102,15 @@ class SeqFactors:
 
 def classify(a: Number, b: Number, c: Number) -> ExcessClass:
     """Classify the excess s = c-a-b of a (validated) parameter triple."""
-    p = ParamSet(a, b, c)
+    return classify_params(ParamSet(a, b, c))
+
+
+def classify_params(p: ParamSet) -> ExcessClass:
+    """classify() for a triple already validated as a ParamSet."""
     s = p.s
     warnings: list[str] = []
     for name, shifted in (("a", p.c - p.a), ("b", p.c - p.b)):
-        dist = _nonpos_int_distance(shifted)
+        dist = nonpos_int_distance(shifted)
         if dist < INTEGER_TOL:
             warnings.append(f"gamma_pole_c_minus_{name}")
         elif dist < NEAR_INTEGER_WARN:

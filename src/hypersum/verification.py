@@ -20,9 +20,9 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import coeffs, engine, landau, oracle
-from .complexfn import digamma, gamma
+from .complexfn import digamma, gamma, nonpos_int_distance
 from .errors import DomainError
-from .params import ParamSet, _nonpos_int_distance
+from .params import ParamSet
 
 DEFAULT_SEED = 20260815
 
@@ -188,7 +188,7 @@ def _draw_param(rng: random.Random) -> complex:
             z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         else:
             z = complex(rng.uniform(-5.0, 5.0), 0.0)
-        if abs(z) <= 5.0 and _nonpos_int_distance(z) >= 0.1:
+        if abs(z) <= 5.0 and nonpos_int_distance(z) >= 0.1:
             return z
 
 
@@ -205,7 +205,7 @@ def check_engine_vs_oracle(seed: int = DEFAULT_SEED,
         a = _draw_param(rng)
         b = _draw_param(rng)
         c = _draw_param(rng)
-        if _nonpos_int_distance(c - a) < 0.1 or _nonpos_int_distance(c - b) < 0.1:
+        if nonpos_int_distance(c - a) < 0.1 or nonpos_int_distance(c - b) < 0.1:
             continue
         s = c - a - b
         if abs(s - round(s.real)) < 1e-4:
@@ -433,7 +433,7 @@ def check_kernel_properties(seed: int = DEFAULT_SEED,
     for _ in range(points):
         while True:
             z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
-            if _nonpos_int_distance(z) >= 0.1:
+            if nonpos_int_distance(z) >= 0.1:
                 break
         g1 = gamma(z + 1)
         rel = abs(g1 - z * gamma(z)) / abs(g1)

@@ -197,6 +197,62 @@ class TestKernelAccuracy:
                 assert abs(mp.mpc(got) - want) <= 1e-13 * abs(want), (num, den)
 
 
+def _lifted(z: complex) -> complex:
+    """log_gamma by the recurrence lift alone, the path off the real axis."""
+    if complexfn._in_lower_half(z):
+        return complexfn._log_gamma_upper(z.conjugate()).conjugate()
+    return complexfn._log_gamma_upper(z)
+
+
+def _real_grid():
+    """Seeded real points: within 1e-11 of the poles -1 ... -60, in [0.5, 3],
+    in [-170, -10] and log-uniform up to 1e300."""
+    rng = random.Random(13)
+    points = [-k + d for k in range(1, 61) for d in (1e-11, -1e-11)]
+    points += [rng.uniform(0.5, 3.0) for _ in range(60)]
+    points += [rng.uniform(-170.0, -10.0) for _ in range(60)]
+    points += [10.0 ** rng.uniform(0.0, 300.0) for _ in range(60)]
+    return points + [1e300]
+
+
+class TestRealAxis:
+    def test_log_gamma_matches_mpmath(self):
+        with mp.workdps(40):
+            for x in _real_grid():
+                ref = mp.loggamma(mp.mpf(x))
+                for z, want in ((complex(x, 0.0), ref),
+                                (complex(x, -0.0), mp.conj(ref))):
+                    err = abs(mp.mpc(log_gamma(z)) - want)
+                    assert err <= 1e-14 * max(1.0, abs(ref)), z
+
+    def test_imaginary_part_matches_lift(self):
+        # The lift sums one -pi per negative factor and rounds at each step;
+        # the real-axis path rounds pi * ceil(-x) once, so they agree to a
+        # few ulps and in sign, and the zero for x > 0 keeps its sign.
+        for x in _real_grid():
+            if x < -170.0 or x > 1e3:
+                continue  # keep the lift short
+            for z in (complex(x, 0.0), complex(x, -0.0)):
+                got, lift = log_gamma(z).imag, _lifted(z).imag
+                assert math.copysign(1.0, got) == math.copysign(1.0, lift), z
+                if x > 0.0:
+                    assert got == 0.0, z
+                else:
+                    assert abs(got - lift) <= 1e-14 * abs(lift), z
+
+    def test_conjugation_exact(self):
+        for x in _real_grid():
+            up, down = log_gamma(complex(x, 0.0)), log_gamma(complex(x, -0.0))
+            assert down.real == up.real
+            assert repr(down.imag) == repr(-up.imag), x
+
+    def test_beyond_lgamma_range_unchanged(self):
+        # math.lgamma overflows here; the lift's answer stands
+        for z in (complex(1e306, 0.0), complex(1e306, -0.0)):
+            assert repr(log_gamma(z)) == repr(_lifted(z))
+        assert log_gamma(1e306).real == math.inf
+
+
 class TestNearPole:
     def test_detection(self):
         assert is_near_pole(0.0)

@@ -244,12 +244,14 @@ class TestAuto:
     def test_dispatch_matches_direct_calls(self):
         cases = (
             (ParamSet(2.0, 0.5, 4.25), 7, eval_generic, "direct_sum"),
-            (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 20, eval_log, "expansion"),
+            (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 20, eval_log, "direct_sum"),
+            (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 100, eval_log, "expansion"),
             (ParamSet(1.75, 0.25, 4.0), 9, eval_pos_int, "expansion"),
             (ParamSet(1.5, -0.25, 0.25), 5, eval_neg_int, "direct_sum"),
             (ParamSet(1.0, 0.5, -0.5), 10, eval_conjectured, "expansion"),
-            (ParamSet(2.0, 0.5, 4.25), 40, eval_generic, "expansion"),
-            (ParamSet(1.5, -0.25, 0.25), 40, eval_neg_int, "expansion"),
+            (ParamSet(2.0, 0.5, 4.25), 40, eval_generic, "direct_sum"),
+            (ParamSet(2.0, 0.5, 4.25), 100, eval_generic, "expansion"),
+            (ParamSet(1.5, -0.25, 0.25), 100, eval_neg_int, "expansion"),
         )
         for p, n, fn, path in cases:
             auto, explicit = eval_auto(p, n), fn(p, n)
@@ -289,6 +291,36 @@ class TestAuto:
         assert rep.terms_used == 2
         assert rep.path == "direct_sum"
         assert not any("max_terms" in w for w in rep.warnings)
+
+    def test_large_n_never_takes_direct_sum(self):
+        # n direct terms cost more than any expansion of these parameters
+        rng = random.Random(5)
+        for branch in ("generic", "band", "logarithmic", "negative_integer"):
+            for n in (1000, 1001, 10**4, 10**6):
+                for complex_draw in (False, True):
+                    a, b, c = _draw_triple(rng, branch, complex_draw)
+                    rep = eval_auto(ParamSet(a, b, c), n)
+                    assert rep.path == "expansion", (branch, a, b, c, n)
+
+    def test_parameters_validated_once(self, monkeypatch):
+        count = 0
+        validate = ParamSet.__post_init__
+
+        def counted(self):
+            nonlocal count
+            count += 1
+            validate(self)
+
+        monkeypatch.setattr(ParamSet, "__post_init__", counted)
+        for (a, b, c), n in (((2.0, 0.5, 4.25), 7), ((2.0, 0.5, 4.25), 100),
+                             ((1.0 / 3.0, 2.0 / 3.0, 1.0), 100),
+                             ((1.5, -0.25, 0.25), 100), ((1.0, 0.5, -0.5), 10)):
+            count = 0
+            eval_auto(ParamSet(a, b, c), n)
+            assert count == 1, (a, b, c, n)
+        count = 0
+        eval_generic(ParamSet(2.0, 0.5, 4.25), 100)
+        assert count == 1
 
     def test_report_shape(self):
         rep = eval_auto(ParamSet(2.0, 0.5, 4.25), 7)

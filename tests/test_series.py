@@ -1,8 +1,13 @@
+import math
+import random
+
 import pytest
 
+from hypersum import _series
 from hypersum._series import (
     SeriesResult,
     sum_alt_kernel,
+    sum_direct,
     sum_hyp3f2,
     sum_psi_kernel,
 )
@@ -85,3 +90,130 @@ class TestAltKernel:
         alt_form = (pref * digamma(w) + c0(a, b)
                     + lam * pref * sum_alt_kernel(a, b, w).value)
         assert abs(psi_form - alt_form) <= 1e-13 * abs(psi_form)
+
+
+class _ReferenceSum:
+    """Neumaier-compensated complex accumulator, one method call per term:
+    the reference the inlined loops of _series must reproduce bit for bit."""
+
+    def __init__(self):
+        self.re = self.im = self.cre = self.cim = 0.0
+
+    def add(self, z):
+        t = self.re + z.real
+        if abs(self.re) >= abs(z.real):
+            self.cre += (self.re - t) + z.real
+        else:
+            self.cre += (z.real - t) + self.re
+        self.re = t
+        t = self.im + z.imag
+        if abs(self.im) >= abs(z.imag):
+            self.cim += (self.im - t) + z.imag
+        else:
+            self.cim += (z.imag - t) + self.im
+        self.im = t
+
+    @property
+    def total(self):
+        return complex(self.re + self.cre, self.im + self.cim)
+
+
+def _reference_tail(term_abs, k, decay):
+    if decay <= 1.0:
+        return math.inf
+    return term_abs * max(1.0, k / (decay - 1.0))
+
+
+def _reference_run(term_abs_first, step, rel_tol, max_terms, decay, start_k,
+                   first_term):
+    acc = _ReferenceSum()
+    acc.add(first_term)
+    peak, below, k, hit_max = term_abs_first, 0, start_k, False
+    tail = _reference_tail(term_abs_first, max(k, 1), decay)
+    drift = 0.0
+    while True:
+        if k - start_k + 1 >= max_terms:
+            hit_max = True
+            break
+        term = step(k)
+        if term == 0.0:
+            tail = 0.0
+            break
+        k += 1
+        acc.add(term)
+        t_abs = abs(term)
+        peak = max(peak, t_abs)
+        drift += t_abs * (k - start_k)
+        tail = _reference_tail(t_abs, k, decay)
+        if tail <= rel_tol * abs(acc.total):
+            below += 1
+            if below >= 3:
+                break
+        else:
+            below = 0
+    return SeriesResult(acc.total, k - start_k + 1,
+                        _series._estimate(tail, peak, drift), hit_max)
+
+
+def _reference_direct(a, b, c, n):
+    acc = _ReferenceSum()
+    t = 1.0 + 0.0j
+    acc.add(t)
+    peak, drift = 1.0, 0.0
+    for k in range(n - 1):
+        t = t * (a + k) * (b + k) / ((c + k) * (k + 1))
+        acc.add(t)
+        peak = max(peak, abs(t))
+        drift += abs(t) * (k + 1)
+    return SeriesResult(acc.total, n, _series._estimate(0.0, peak, drift),
+                        False)
+
+
+def _fields(res):
+    # repr tells -0.0 from 0.0 and compares nan to nan
+    return (repr(res.value), res.terms_used, repr(res.est_error), res.hit_max)
+
+
+class TestInlinedLoops:
+    def test_bit_identical_to_reference_loop(self, monkeypatch):
+        rng = random.Random(3)
+        runs = 0
+        for i in range(400):
+            cplx = i % 2 == 1
+            a, b, c = (complex(rng.uniform(-5.0, 5.0),
+                               rng.uniform(-5.0, 5.0) if cplx else 0.0)
+                       for _ in range(3))
+            n = rng.randint(2, 200)
+            rel_tol = 10.0 ** rng.uniform(-15.0, -6.0)
+            cap = rng.choice((2000, 40, 3, 1))
+            w = n + a + b
+            calls = (
+                lambda: sum_psi_kernel(a, b, w, rel_tol, cap),
+                lambda: sum_alt_kernel(a, b, w, rel_tol, cap),
+                lambda: sum_hyp3f2((c - a, c - b, 1.0), (n + c, 1.0 + c - a - b),
+                                   rel_tol, cap),
+            )
+            for call in calls:
+                try:
+                    got = call()
+                except DivergentSeriesError:
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(_series, "_run", _reference_run)
+                    want = call()
+                assert _fields(got) == _fields(want), (a, b, c, n)
+                runs += 1
+            assert (_fields(sum_direct(a, b, c, n))
+                    == _fields(_reference_direct(a, b, c, n))), (a, b, c, n)
+        assert runs > 1000
+
+    def test_terminating_sums_match_reference_loop(self, monkeypatch):
+        # an exact zero term stops the loop; with excess -2 the tail
+        # estimate is infinite until it does
+        for num, den in (((-2.0, 1.0, 1.0), (5.0, 7.0)),
+                         ((-3.0, 4.0, 4.0 + 1j), (1.5, 1.5))):
+            got = sum_hyp3f2(num, den)
+            with monkeypatch.context() as m:
+                m.setattr(_series, "_run", _reference_run)
+                want = sum_hyp3f2(num, den)
+            assert _fields(got) == _fields(want), num
