@@ -93,6 +93,20 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
                         est_error=_estimate(0.0, peak, drift), hit_max=False)
 
 
+def finite_sum(x, y, u, v, count: int):
+    """Sum_{k<count} t_k and Sum_{k<count} |t_k| for the terminating
+    t_k = (x)_k (y)_k / ((u)_k (v)_k) of the integer-excess branches, in
+    double precision or in any arithmetic that mixes with complex."""
+    term = 1.0 + 0.0j
+    total = term
+    absum = 1.0
+    for k in range(count - 1):
+        term = term * (x + k) * (y + k) / ((u + k) * (v + k))
+        total += term
+        absum += abs(term)
+    return total, absum
+
+
 def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
          decay: float, start_k: int, first_term: complex) -> SeriesResult:
     """Shared accumulation loop; `step(k)` returns the term for index k+1.

@@ -13,11 +13,8 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
-import mpmath as mp
-
-from . import coeffs, engine, landau, oracle, verification
+from . import coeffs, engine, landau, verification
 from .engine import Tolerance
 from .errors import HypersumError, VerificationFailure
 from .params import ParamSet, classify, classify_params
@@ -172,10 +169,6 @@ def _cmd_landau(args, out) -> int:
     return 1 if failures == len(records) else 0
 
 
-def _exact_str(x) -> str:
-    return str(x)
-
-
 def _cmd_coeffs(args, out) -> int:
     fam = args.family
     if fam in ("sigma", "A", "lambda") and (args.a is None or args.b is None):
@@ -201,21 +194,13 @@ def _cmd_coeffs(args, out) -> int:
             raise HypersumError(f"family C has depth 6, got --k {k}")
         for i, v in enumerate(coeffs.c_coeffs().values[:k], start=1):
             records.append({"k": i, "value_re": float(v), "value_im": 0.0,
-                            "exact": _exact_str(v)})
+                            "exact": str(v)})
     elif fam == "g":
         k = 3 if args.k is None else args.k
         if not 1 <= k <= 3:
             raise HypersumError(f"family g has depth 3, got --k {k}")
-        # ascending-power coefficients of the shift polynomials
-        polys = (
-            (Fraction(-3, 4), Fraction(1)),
-            (Fraction(43, 192), Fraction(-3, 4), Fraction(1, 2)),
-            (Fraction(-7, 128), Fraction(43, 96), Fraction(-3, 4),
-             Fraction(1, 3)),
-        )
-        for i in range(1, k + 1):
-            records.append({"k": i,
-                            "coeffs": [_exact_str(c) for c in polys[i - 1]]})
+        for i, poly in enumerate(coeffs._G_POLYS[:k], start=1):
+            records.append({"k": i, "coeffs": [str(c) for c in poly]})
     elif fam == "lambda":
         deep = 5 if (args.a == 0.5 and args.b == 0.5) else 2
         k = deep if args.k is None else args.k
@@ -231,44 +216,12 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_table1(args, out) -> int:
-    digits = oracle.default_digits() if args.digits is None else args.digits
-    if not 30 <= digits <= 100_000:
-        raise HypersumError(f"digits must lie in [30, 100000], got {digits}")
-    records = []
-    fine = True
-    with mp.workdps(digits):
-        for (pa, pb), n, printed in verification.LOG_ROWS:
-            a, b = verification.as_mp(pa), verification.as_mp(pb)
-            ref = verification._psum_mp(a, b, a + b, n)
-            errs = [float(abs(verification._asym_log_mp(a, b, n, K) - ref))
-                    for K in (1, 2, 3)]
-            devs = [abs(e - p) / p for e, p in zip(errs, printed)]
-            fine = fine and max(devs) < 0.01
-            records.append({
-                "case": "logarithmic",
-                "a": _complex_str(verification.as_complex(pa)),
-                "b": _complex_str(verification.as_complex(pb)),
-                "c": _complex_str(verification.as_complex(pa)
-                                  + verification.as_complex(pb)),
-                "n": n, "errors": errs, "printed": list(printed),
-            })
-        for (pa, pb, pc), n, printed in verification.NEG_ROWS:
-            a, b, c = (verification.as_mp(pa), verification.as_mp(pb),
-                       verification.as_mp(pc))
-            ref = verification._psum_mp(a, b, c, n)
-            errs = [float(abs(verification._asym_neg_mp(a, b, c, n, K) - ref))
-                    for K in (1, 2, 3)]
-            devs = [abs(e - p) / p for e, p in zip(errs, printed)]
-            fine = fine and max(devs) < 0.01
-            records.append({
-                "case": "negative-integer",
-                "a": _complex_str(verification.as_complex(pa)),
-                "b": _complex_str(verification.as_complex(pb)),
-                "c": _complex_str(verification.as_complex(pc)),
-                "n": n, "errors": errs, "printed": list(printed),
-            })
-    _emit(records, args, out)
-    return 0 if fine else 3
+    rows, ok = verification.table_errors(args.digits)
+    _emit([{"case": row.case,
+            **{k: _complex_str(z) for k, z in zip("abc", row.params)},
+            "n": row.n, "errors": row.errors, "printed": list(row.printed)}
+           for row in rows], args, out)
+    return 0 if ok else 3
 
 
 def _cmd_verify(args, out) -> int:

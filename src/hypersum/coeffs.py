@@ -5,18 +5,22 @@ A_k list, the g_k polynomials, the fixed C_k list) are kept exact when the
 inputs are ints or Fractions and fall back to complex arithmetic otherwise.
 The asymptotic forms at the bottom combine those coefficients with the
 digamma leading term; their truncation error decays in inverse powers of n.
+Each is written once over an _Arith namespace: the public functions run it
+in double precision, the verification suite in mpmath.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._series import finite_sum
 from .complexfn import EULER_GAMMA, POLE_TOL, digamma, gamma_ratio
 from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
-from .params import NEGATIVE_INTEGER, ParamSet, classify_params, seq_factors
+from .params import NEGATIVE_INTEGER, ParamSet, classify_params
 
 __all__ = [
     "CoefficientTable",
@@ -53,6 +57,23 @@ _LAMBDA_HALF = (
     Fraction(-5, 2048),
     Fraction(-23, 8192),
 )
+
+# Ascending-power coefficients of the shift polynomials g_1..g_3; a float h
+# takes the float copies, since Fraction-times-float arithmetic is slow.
+_G_POLYS = (
+    (Fraction(-3, 4), Fraction(1)),
+    (Fraction(43, 192), Fraction(-3, 4), Fraction(1, 2)),
+    (Fraction(-7, 128), Fraction(43, 96), Fraction(-3, 4), Fraction(1, 3)),
+)
+_G_FLOATS = tuple(tuple(map(float, poly)) for poly in _G_POLYS)
+
+# What an asymptotic form needs, in one arithmetic: gamma_ratio(numerator
+# args, denominator args), digamma, Euler's constant, and int -> real.  The
+# double kernel is looked up per call, so wrappers on these module names
+# (the benchmark's tracer) see the calls.
+_Arith = namedtuple("_Arith", "gamma_ratio digamma euler real")
+_DOUBLE = _Arith(lambda num, den: gamma_ratio(num, den),
+                 lambda z: digamma(z), EULER_GAMMA, float)
 
 
 @dataclass(frozen=True)
@@ -103,9 +124,12 @@ def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
 
 def c0(a: Number, b: Number) -> complex:
     """(Gamma(a+b)/(Gamma(a)Gamma(b))) * (psi(1) - psi(a) - psi(b))."""
-    av, bv = _numeric(a), _numeric(b)
-    pref = gamma_ratio([av + bv], [av, bv])
-    return pref * (-EULER_GAMMA - digamma(av) - digamma(bv))
+    return _c0(_DOUBLE, _numeric(a), _numeric(b))
+
+
+def _c0(ns: _Arith, a, b):
+    pref = ns.gamma_ratio([a + b], [a, b])
+    return pref * (-ns.euler - ns.digamma(a) - ns.digamma(b))
 
 
 def _a_formulas(a, b):
@@ -131,12 +155,13 @@ def g_poly(k: int, h: Number):
     """Shifted-expansion polynomials g_1..g_3; exact for exact h."""
     if k not in (1, 2, 3):
         raise InvalidParameterError(f"k must be 1, 2, or 3, got {k!r}")
-    hv = Fraction(h) if _is_exact(h) else h
-    if k == 1:
-        return (4 * hv - 3) / 4
-    if k == 2:
-        return (96 * hv * hv - 144 * hv + 43) / 192
-    return (128 * hv ** 3 - 288 * hv * hv + 172 * hv - 21) / 384
+    exact = _is_exact(h)
+    poly = (_G_POLYS if exact else _G_FLOATS)[k - 1]
+    hv = Fraction(h) if exact else h
+    value = poly[-1]
+    for coef in poly[-2::-1]:
+        value = value * hv + coef
+    return value
 
 
 def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:
@@ -183,22 +208,34 @@ def remainder_bound(n: int, M: int) -> float:
     return 4.0 / math.pi ** 2 * value.real
 
 
+def _check_asym_args(n, K) -> None:
+    _check_positive_int(n, "n")
+    if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
+        raise DomainError(f"K must be in 0..3, got {K!r}")
+
+
+def _a_correction(ns: _Arith, a, b, n: int, K: int, acc):
+    # acc + sum_{k<=K} (-1)^(k-1) A_k(a,b) / n^k
+    A = _a_formulas(a, b)
+    for k in range(1, K + 1):
+        acc += (-1) ** (k - 1) * A[k - 1] / ns.real(n) ** k
+    return acc
+
+
 def asym_log(a: Number, b: Number, n: int, K: int) -> complex:
     """Inverse-power estimate of the partial sum in the case c = a + b.
 
     (Gamma(a+b)/(Gamma(a)Gamma(b))) psi(n+a+b) + c_0(a,b)
     + (Gamma(a+b)/(Gamma(a)Gamma(b))) sum_{k<=K} (-1)^(k-1) A_k / n^k.
     """
-    _check_positive_int(n, "n")
-    if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
-        raise DomainError(f"K must be in 0..3, got {K!r}")
-    av, bv = _numeric(a), _numeric(b)
-    pref = gamma_ratio([av + bv], [av, bv])
-    A = _a_formulas(av, bv)
-    corr = 0.0 + 0.0j
-    for k in range(1, K + 1):
-        corr += (-1) ** (k - 1) * A[k - 1] / float(n) ** k
-    return pref * digamma(n + av + bv) + c0(av, bv) + pref * corr
+    _check_asym_args(n, K)
+    return _asym_log(_DOUBLE, _numeric(a), _numeric(b), n, K)
+
+
+def _asym_log(ns: _Arith, a, b, n: int, K: int):
+    pref = ns.gamma_ratio([a + b], [a, b])
+    corr = _a_correction(ns, a, b, n, K, 0.0 + 0.0j)
+    return pref * ns.digamma(n + a + b) + _c0(ns, a, b) + pref * corr
 
 
 def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
@@ -209,29 +246,23 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
     + sum (-1)^(k-1) A_k/n^k.  The bracket's constant is psi(1)-psi(a)-psi(b),
     i.e. c_0(a,b) carried over with the prefactor Gamma(a)Gamma(b)/Gamma(a+b).
     """
-    _check_positive_int(n, "n")
-    if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
-        raise DomainError(f"K must be in 0..3, got {K!r}")
+    _check_asym_args(n, K)
     cls = classify_params(p)
     if cls.kind != NEGATIVE_INTEGER:
         raise WrongBranchError(
             f"asym_neg_int needs a nondegenerate negative-integer excess, "
             f"got {cls.kind}"
         )
-    m = cls.m
-    a, b, c = p.a, p.b, p.c
-    term = 1.0 + 0.0j
-    finite = term
-    for k in range(m - 1):
-        term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
-        finite += term
-    first = finite * gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
-    A = _a_formulas(a, b)
-    bracket = digamma(n + a + b) - EULER_GAMMA - digamma(a) - digamma(b)
-    for k in range(1, K + 1):
-        bracket += (-1) ** (k - 1) * A[k - 1] / float(n) ** k
+    return _asym_neg_int(_DOUBLE, p.a, p.b, p.c, n, cls.m, K)
+
+
+def _asym_neg_int(ns: _Arith, a, b, c, n: int, m: int, K: int):
+    finite, _ = finite_sum(c - a, c - b, n + c, 1 - m, m)
+    first = finite * ns.gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
+    bracket = ns.digamma(n + a + b) - ns.euler - ns.digamma(a) - ns.digamma(b)
+    bracket = _a_correction(ns, a, b, n, K, bracket)
     sign = -1.0 if m % 2 else 1.0
-    second = sign * gamma_ratio([c], [c - a, c - b, m + 1]) * bracket
+    second = sign * ns.gamma_ratio([c], [c - a, c - b, m + 1]) * bracket
     return first + second
 
 

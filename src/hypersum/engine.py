@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from ._series import (check_tol, predicted_terms, sum_alt_kernel, sum_direct,
-                      sum_hyp3f2, sum_psi_kernel)
+from ._series import (check_tol, finite_sum, predicted_terms, sum_alt_kernel,
+                      sum_direct, sum_hyp3f2, sum_psi_kernel)
 from .complexfn import (digamma, exp_log, gamma_ratio, is_near_pole,
                         log_gamma, log_gamma_diff)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
@@ -266,14 +266,7 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    w = n + a + b
-    term = 1.0 + 0.0j
-    total = term
-    absum = 1.0
-    for k in range(m - 1):
-        term = term * (a + k) * (b + k) / ((w + k) * (k + 1))
-        total += term
-        absum += abs(term)
+    total, absum = finite_sum(a, b, n + a + b, 1, m)
     pref = _pos_int_prefactor(a, b, c, n)
     value = pref * total
     est = _roundoff(abs(pref) * absum)
@@ -291,13 +284,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    term = 1.0 + 0.0j
-    finite = term
-    absum = 1.0
-    for k in range(m - 1):
-        term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
-        finite += term
-        absum += abs(term)
+    finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m)
     pref1, pref2 = _neg_int_prefactors(a, b, c, n, m)
     ker = sum_psi_kernel(a, b, n + a + b, tol.rel_tol, tol.max_terms)
     head = pref1 * finite
@@ -328,13 +315,7 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls, ("conjectural",))
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    term = 1.0 + 0.0j
-    total = term
-    absum = 1.0
-    for k in range(m - cls.p):
-        term = term * (a - m + k) * (b - m + k) / ((n + c + k) * (1 - m + k))
-        total += term
-        absum += abs(term)
+    total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
     pref = _conjectured_prefactor(a, b, c, n, m)
     value = pref * total
     est = _roundoff(abs(pref) * absum)

@@ -138,19 +138,10 @@ def landau_theorem3(n: int, M: int):
     _check_index(M, "M", minimum=1)
     if M > _MAX_THEOREM_M:
         raise DomainError(f"M must be <= {_MAX_THEOREM_M}, got {M}")
-    K = (M + 1) // 2
-    if n <= K or n <= M:
-        raise DomainError(f"need n > K = {K} and n > M = {M}, got n = {n}")
-    value = digamma(n + 1.0).real / _PI + coeffs.c0(0.5, 0.5).real
-    nn = float(n) * float(n)
-    poch_sq = 1.0
-    prod = 1.0
-    rsum = 0.0
-    for r in range(1, K):
-        poch_sq *= (r - 0.5) ** 2
-        prod *= nn - r * r
-        rsum += (-1.0) ** (r - 1) * poch_sq / (r * prod)
-    value += rsum / _PI
+    if n <= M:
+        raise DomainError(f"need n > M = {M}, got n = {n}")
+    value = (digamma(n + 1.0).real / _PI + coeffs.c0(0.5, 0.5).real
+             + coeffs.rearranged_tail(0.5, 0.5, n, M).real / _PI)
     if M >= 2:
         sigma = coeffs.sigma_coeffs(Fraction(1, 2), Fraction(1, 2), M - 1)
         lam = gamma_ratio([n + 0.5, n + 0.5], [float(n), n + 1.0]).real

@@ -12,6 +12,7 @@ from fractions import Fraction
 from io import StringIO
 
 from hypersum import cli, verification
+from hypersum.coeffs import g_poly
 
 G_10 = 1.8223893427202711
 
@@ -164,6 +165,13 @@ class TestCoeffs:
         assert rc == 0
         assert recs[0]["coeffs"] == ["-3/4", "1"]
         assert recs[2]["coeffs"] == ["-7/128", "43/96", "-3/4", "1/3"]
+        # each row is the polynomial coeffs.g_poly evaluates
+        for rec in recs:
+            poly = [Fraction(c) for c in rec["coeffs"]]
+            for h in (Fraction(0), Fraction(1), Fraction(3, 4),
+                      Fraction(-5, 3), Fraction(7, 2)):
+                assert (sum(c * h ** i for i, c in enumerate(poly))
+                        == g_poly(rec["k"], h))
 
 
 class TestTable1:
@@ -174,6 +182,11 @@ class TestTable1:
         for rec in recs:
             for got, printed in zip(rec["errors"], rec["printed"]):
                 assert abs(got - printed) / printed < 0.01
+
+    def test_digits_below_oracle_floor_is_domain_error(self):
+        rc, text = run_cli("table1", "--digits", "20")
+        assert rc == 1
+        assert text == ""
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hypersum import _series
+from hypersum import _series, engine
 from hypersum._series import (
     SeriesResult,
     sum_alt_kernel,
@@ -11,7 +11,13 @@ from hypersum._series import (
     sum_hyp3f2,
     sum_psi_kernel,
 )
+from hypersum.coeffs import asym_log, asym_neg_int
+from hypersum.complexfn import (EULER_GAMMA, digamma, gamma_ratio,
+                                nonpos_int_distance)
+from hypersum.engine import (eval_auto, eval_conjectured, eval_neg_int,
+                             eval_pos_int)
 from hypersum.errors import DivergentSeriesError, InvalidParameterError
+from hypersum.params import ParamSet, classify_params
 
 
 class TestHyp3F2:
@@ -217,3 +223,161 @@ class TestInlinedLoops:
                 m.setattr(_series, "_run", _reference_run)
                 want = sum_hyp3f2(num, den)
             assert _fields(got) == _fields(want), num
+
+
+# Reference loops and formulas, each written out in full for one branch or
+# one arithmetic: the shared finite_sum and the arithmetic-generic
+# asymptotic forms of coeffs must reproduce them bit for bit.
+
+def _reference_a(a, b):
+    a1 = a * b - a - b
+    a2 = ((a - 1) * (b - 1) * (2 * a + 2 * b + a * b) - 4 * a * b) / 4
+    a3 = ((a - 1) * (b - 1) * (6 * (2 * a * a + 2 * b * b - a - b)
+          + a * b * (8 * a + 8 * b + 2 * a * b + 5))
+          - 36 * a * b * (a + b - 1)) / 36
+    return a1, a2, a3
+
+
+def _reference_asym_log(a, b, n, K):
+    av, bv = complex(a), complex(b)
+    pref = gamma_ratio([av + bv], [av, bv])
+    A = _reference_a(av, bv)
+    corr = 0.0 + 0.0j
+    for k in range(1, K + 1):
+        corr += (-1) ** (k - 1) * A[k - 1] / float(n) ** k
+    c0 = gamma_ratio([av + bv], [av, bv]) * (-EULER_GAMMA - digamma(av)
+                                              - digamma(bv))
+    return pref * digamma(n + av + bv) + c0 + pref * corr
+
+
+def _reference_asym_neg_int(p, n, m, K):
+    a, b, c = p.a, p.b, p.c
+    term = 1.0 + 0.0j
+    finite = term
+    for k in range(m - 1):
+        term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
+        finite += term
+    first = finite * gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
+    A = _reference_a(a, b)
+    bracket = digamma(n + a + b) - EULER_GAMMA - digamma(a) - digamma(b)
+    for k in range(1, K + 1):
+        bracket += (-1) ** (k - 1) * A[k - 1] / float(n) ** k
+    sign = -1.0 if m % 2 else 1.0
+    second = sign * gamma_ratio([c], [c - a, c - b, m + 1]) * bracket
+    return first + second
+
+
+def _reference_pos_int(p, n, m):
+    a, b, c = p.a, p.b, p.c
+    w = n + a + b
+    term = 1.0 + 0.0j
+    total = term
+    absum = 1.0
+    for k in range(m - 1):
+        term = term * (a + k) * (b + k) / ((w + k) * (k + 1))
+        total += term
+        absum += abs(term)
+    pref = engine._pos_int_prefactor(a, b, c, n)
+    return pref * total, m, engine._roundoff(abs(pref) * absum)
+
+
+def _reference_neg_int(p, n, m):
+    a, b, c = p.a, p.b, p.c
+    term = 1.0 + 0.0j
+    finite = term
+    absum = 1.0
+    for k in range(m - 1):
+        term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
+        finite += term
+        absum += abs(term)
+    pref1, pref2 = engine._neg_int_prefactors(a, b, c, n, m)
+    ker = sum_psi_kernel(a, b, n + a + b)
+    head = pref1 * finite
+    tail = pref2 * ker.value
+    est = (abs(pref2) * ker.est_error
+           + engine._roundoff(abs(head), abs(tail), abs(pref1) * absum))
+    return head + tail, m + ker.terms_used, est
+
+
+def _reference_conjectured(p, n, m, p_int):
+    a, b, c = p.a, p.b, p.c
+    term = 1.0 + 0.0j
+    total = term
+    absum = 1.0
+    for k in range(m - p_int):
+        term = term * (a - m + k) * (b - m + k) / ((n + c + k) * (1 - m + k))
+        total += term
+        absum += abs(term)
+    pref = engine._conjectured_prefactor(a, b, c, n, m)
+    return pref * total, m - p_int + 1, engine._roundoff(abs(pref) * absum)
+
+
+def _report_fields(rep):
+    return (repr(rep.value), rep.terms_used, repr(rep.est_error))
+
+
+def _reference_fields(ref):
+    value, terms, est = ref
+    return (repr(value), terms, repr(est))
+
+
+class TestSharedFormulas:
+    @staticmethod
+    def _draws(seed, count):
+        rng = random.Random(seed)
+        made = 0
+        while made < count:
+            cplx = made % 2 == 1
+            a, b = (complex(rng.uniform(-5.0, 5.0),
+                            rng.uniform(-5.0, 5.0) if cplx else 0.0)
+                    for _ in range(2))
+            if min(nonpos_int_distance(a), nonpos_int_distance(b),
+                   abs(a - round(a.real)), abs(b - round(b.real)),
+                   abs(a + b - round((a + b).real))) < 0.1:
+                continue
+            made += 1
+            yield rng, a, b
+
+    @staticmethod
+    def _index(rng):
+        # small n where the finite sums dominate, large n up to 10^6
+        if rng.random() < 0.5:
+            return rng.randint(10, 300)
+        return int(10.0 ** rng.uniform(3.0, 6.0))
+
+    def test_asymptotic_forms_bit_identical(self):
+        for rng, a, b in self._draws(11, 300):
+            n = self._index(rng)
+            for K in range(4):
+                assert (repr(asym_log(a, b, n, K))
+                        == repr(_reference_asym_log(a, b, n, K))), (a, b, n, K)
+            m = rng.randint(1, 5)
+            p = ParamSet(a, b, a + b - m)
+            K = rng.randint(0, 3)
+            assert (repr(asym_neg_int(p, n, K))
+                    == repr(_reference_asym_neg_int(p, n, m, K))), (a, b, m, n)
+
+    def test_finite_sum_branches_bit_identical(self):
+        expanded = 0
+        for rng, a, b in self._draws(12, 300):
+            n = self._index(rng)
+            m = rng.randint(1, 6)
+            p = ParamSet(a, b, a + b + m)
+            want = _reference_fields(_reference_pos_int(p, n, m))
+            assert _report_fields(eval_pos_int(p, n)) == want, (a, b, m)
+            assert _report_fields(eval_auto(p, n)) == want, (a, b, m)
+            p = ParamSet(a, b, a + b - m)
+            want = _reference_fields(_reference_neg_int(p, n, m))
+            assert _report_fields(eval_neg_int(p, n)) == want, (a, b, m)
+            auto = eval_auto(p, n)
+            if auto.path == "expansion":
+                assert _report_fields(auto) == want, (a, b, m)
+                expanded += 1
+            p_int = rng.randint(1, m)
+            p = ParamSet(complex(p_int), b, p_int + b - m)
+            cls = classify_params(p)
+            assert (cls.m, cls.p) == (m, p_int)
+            want = _reference_fields(_reference_conjectured(p, n, m, p_int))
+            assert _report_fields(eval_conjectured(p, n)) == want, (p_int, b, m)
+            assert _report_fields(eval_auto(p, n)) == want, (p_int, b, m)
+        assert expanded > 100
