@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Union
 
 from ._series import finite_sum
-from .complexfn import EULER_GAMMA, POLE_TOL, digamma, gamma_ratio
+from .complexfn import EULER_GAMMA, POLE_TOL, digamma, exp_log, gamma_ratio
 from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
-from .params import NEGATIVE_INTEGER, ParamSet, classify_params
+from .params import (NEGATIVE_INTEGER, ParamSet, _check_index, _log_seq_ratios,
+                     classify_params)
 
 __all__ = [
     "CoefficientTable",
@@ -68,12 +69,14 @@ _G_POLYS = (
 _G_FLOATS = tuple(tuple(map(float, poly)) for poly in _G_POLYS)
 
 # What an asymptotic form needs, in one arithmetic: gamma_ratio(numerator
-# args, denominator args), digamma, Euler's constant, and int -> real.  The
-# double kernel is looked up per call, so wrappers on these module names
+# args, denominator args), digamma, Euler's constant, int -> real, pi, and
+# seq_ratio(n, a, b, x) = Gamma(n+a) Gamma(n+b) / (Gamma(n) Gamma(n+x)).
+# The double kernel is looked up per call, so wrappers on these module names
 # (the benchmark's tracer) see the calls.
-_Arith = namedtuple("_Arith", "gamma_ratio digamma euler real")
+_Arith = namedtuple("_Arith", "gamma_ratio digamma euler real pi seq_ratio")
 _DOUBLE = _Arith(lambda num, den: gamma_ratio(num, den),
-                 lambda z: digamma(z), EULER_GAMMA, float)
+                 lambda z: digamma(z), EULER_GAMMA, float, math.pi,
+                 lambda n, a, b, x: exp_log(_log_seq_ratios(n, a, b, x)[0]))
 
 
 @dataclass(frozen=True)
@@ -100,15 +103,9 @@ def _numeric(x) -> complex:
     return complex(float(x)) if isinstance(x, Fraction) else complex(x)
 
 
-def _check_positive_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
     """sigma_k = sum_{r<k} (1/(a+r) + 1/(b+r) - 1/(r+1)) for k = 1..K."""
-    _check_positive_int(K, "K")
+    _check_index(K, "K")
     av, bv = _coerce_pair(a, b)
     values = []
     acc = av * 0
@@ -171,9 +168,8 @@ def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:
     two.  Orders beyond the printed depth raise DomainError rather than
     silently extrapolating.
     """
-    _check_positive_int(n, "n")
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise InvalidParameterError(f"order must be >= 0, got {order!r}")
+    _check_index(n)
+    _check_index(order, "order", minimum=0)
     av, bv = _numeric(a), _numeric(b)
     if av == 0.5 and bv == 0.5:
         if order > len(_LAMBDA_HALF):
@@ -200,8 +196,8 @@ def remainder_bound(n: int, M: int) -> float:
     Equals (4/pi^2) Gamma(M+1/2)^2 Gamma(n-M)/Gamma(n), which decays like
     n^(-M); see the scaling check bound(2n,M)/bound(n,M) -> 2^(-M).
     """
-    _check_positive_int(n, "n")
-    _check_positive_int(M, "M")
+    _check_index(n)
+    _check_index(M, "M")
     if n <= M:
         raise DomainError(f"need n > M, got n = {n}, M = {M}")
     value = gamma_ratio([n - M, M + 0.5, M + 0.5], [n])
@@ -209,7 +205,7 @@ def remainder_bound(n: int, M: int) -> float:
 
 
 def _check_asym_args(n, K) -> None:
-    _check_positive_int(n, "n")
+    _check_index(n)
     if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
         raise DomainError(f"K must be in 0..3, got {K!r}")
 
@@ -258,7 +254,7 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
 
 def _asym_neg_int(ns: _Arith, a, b, c, n: int, m: int, K: int):
     finite, _ = finite_sum(c - a, c - b, n + c, 1 - m, m)
-    first = finite * ns.gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
+    first = finite * ns.seq_ratio(n, a, b, c) * ns.gamma_ratio([c], [a, b]) / m
     bracket = ns.digamma(n + a + b) - ns.euler - ns.digamma(a) - ns.digamma(b)
     bracket = _a_correction(ns, a, b, n, K, bracket)
     sign = -1.0 if m % 2 else 1.0
@@ -273,8 +269,8 @@ def rearranged_tail(a: Number, b: Number, n: int, M: int) -> complex:
     K = floor((M+1)/2).  At (1/2, 1/2) the denominator products collapse to
     (n^2-1^2)...(n^2-r^2).
     """
-    _check_positive_int(n, "n")
-    _check_positive_int(M, "M")
+    _check_index(n)
+    _check_index(M, "M")
     K = (M + 1) // 2
     if n <= K:
         raise DomainError(f"need n > K = {K}, got n = {n}")

@@ -2,14 +2,15 @@
 
 Provides ``log_gamma`` / ``gamma`` / ``digamma`` for complex arguments, plus
 rising factorials and overflow-safe products of gamma ratios built on top of
-them (``log_gamma_diff`` for large argument pairs, ``exp_log`` for the range
-check).  The implementation is deliberately free of external special-function
-libraries: arguments are lifted by the functional recurrences until the real
-part reaches the asymptotic zone, where a Stirling-type series with exact
-Bernoulli-number coefficients, cut to the fewest terms the argument's size
-allows, finishes the job.  Arguments in the lower half
-plane are handled by conjugation, which makes the conjugate-symmetry identities
-exact at the representation level.
+them (``log_gamma_diff`` for pairs n+x1, n+x2 given by a real n and their
+exact offsets, ``exp_log`` for the range check).  The implementation is
+deliberately free of external special-function libraries: arguments are
+lifted by the functional recurrences until the real part reaches the
+asymptotic zone, where a Stirling-type series with exact Bernoulli-number
+coefficients, cut to the fewest terms the argument's size allows, finishes
+the job.  Arguments in the lower half plane are handled by conjugation,
+which makes the conjugate-symmetry identities exact at the representation
+level.
 
 On the real axis ``log_gamma`` takes its real part from the standard
 library's ``math.lgamma``, which is as accurate as the lift and several
@@ -301,27 +302,30 @@ def _log1p_c(u: complex) -> complex:
     return cmath.log(w) * (u / (w - 1.0))
 
 
-def _log_gamma_diff_upper(z1: complex, z2: complex) -> complex:
-    # log_gamma(z1) - log_gamma(z2) for Im z1, Im z2 >= 0, formed without
-    # building the two large logs: the Stirling main terms are combined as
-    #   (w1-w2) Log w2 + (w1-1/2) Log(w1/w2) - (w1-w2),
-    # which stays O(|z1-z2| log|w|) instead of O(|w| log|w|).
+def _log_gamma_diff_upper(z1: complex, z2: complex,
+                          delta: complex) -> complex:
+    # log_gamma(z1) - log_gamma(z2) for Im z1, Im z2 >= 0, given delta, the
+    # exact z1 - z2.  The Stirling main terms are combined as
+    #   delta Log w2 + (w1-1/2) Log(w1/w2) - delta,
+    # which stays O(|delta| log|w|) instead of O(|w| log|w|).  A lift step
+    # runs only below _ASYMPTOTIC_SHIFT, where n is small and the rounding
+    # of n + x negligible, so delta is then taken as w1 - w2.
     shift = 0.0 + 0.0j
-    w1 = z1
-    while w1.real < _ASYMPTOTIC_SHIFT:
-        shift -= cmath.log(w1)
-        w1 += 1.0
-    w2 = z2
-    while w2.real < _ASYMPTOTIC_SHIFT:
-        shift += cmath.log(w2)
-        w2 += 1.0
-    u = (w1 - w2) / w2
+    w1, w2 = z1, z2
+    if w1.real < _ASYMPTOTIC_SHIFT or w2.real < _ASYMPTOTIC_SHIFT:
+        while w1.real < _ASYMPTOTIC_SHIFT:
+            shift -= cmath.log(w1)
+            w1 += 1.0
+        while w2.real < _ASYMPTOTIC_SHIFT:
+            shift += cmath.log(w2)
+            w2 += 1.0
+        delta = w1 - w2
+    u = delta / w2
     if abs(u) <= 0.25:
         ratio_log = _log1p_c(u)
     else:
         # well-separated arguments: no cancellation to protect against
         ratio_log = cmath.log(w1) - cmath.log(w2)
-    delta = w1 - w2
     return (
         delta * cmath.log(w2)
         + (w1 - 0.5) * ratio_log
@@ -332,31 +336,36 @@ def _log_gamma_diff_upper(z1: complex, z2: complex) -> complex:
     )
 
 
-def log_gamma_diff(z1: Number, z2: Number) -> complex:
-    """log_gamma(z1) - log_gamma(z2), accurate even when both are huge.
+def log_gamma_diff(n: float, x1: Number, x2: Number) -> complex:
+    """log_gamma(n+x1) - log_gamma(n+x2) for real n, accurate even when
+    both are huge.
 
     The Stirling main terms of the two arguments are combined before they
-    are summed, so the rounding error scales with |z1 - z2| log|z| rather
-    than with |z| log|z|.  This is the one path for pairs like (n+a, n) at
-    large n.
+    are summed, and their difference is formed from the offsets x1 - x2,
+    not from the rounded n+x1 and n+x2, so the error scales with
+    |x1 - x2| log n rather than with n log n.  This is the one path for
+    pairs like (n+a, n) at large n; n = 0 takes x1 and x2 as they are.
     """
-    z1 = _as_complex(z1, "z1")
-    z2 = _as_complex(z2, "z2")
+    x1 = _as_complex(x1, "x1")
+    x2 = _as_complex(x2, "x2")
+    z1, z2 = (x1 + n, x2 + n) if n else (x1, x2)
     for z in (z1, z2):
         if nonpos_int_distance(z) <= POLE_TOL:
             raise PoleError(f"gamma_ratio pole at argument {z!r}")
     if z1.imag >= 0.0 and z2.imag >= 0.0:
-        return _log_gamma_diff_upper(z1, z2)
+        return _log_gamma_diff_upper(z1, z2, x1 - x2)
     if z1.imag <= 0.0 and z2.imag <= 0.0:
-        return _log_gamma_diff_upper(z1.conjugate(), z2.conjugate()).conjugate()
+        return _log_gamma_diff_upper(z1.conjugate(), z2.conjugate(),
+                                     x1.conjugate() - x2.conjugate()
+                                     ).conjugate()
     # Opposite half-planes: reflect the lower argument up and patch with the
     # imaginary part, which stays O(|Im z| log|z|) while the real part (the
     # piece that would lose precision to cancellation) is shared exactly:
     # log_gamma(conj z) = conj log_gamma(z), so only 2i Im log_gamma moves.
     if z1.imag < 0.0:
-        d = _log_gamma_diff_upper(z1.conjugate(), z2)
+        d = _log_gamma_diff_upper(z1.conjugate(), z2, x1.conjugate() - x2)
         return d.conjugate() - 2.0j * _log_gamma_upper(z2).imag
-    d = _log_gamma_diff_upper(z2.conjugate(), z1)
+    d = _log_gamma_diff_upper(z2.conjugate(), z1, x2.conjugate() - x1)
     return 2.0j * _log_gamma_upper(z1).imag - d.conjugate()
 
 
@@ -364,20 +373,20 @@ def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) ->
     """prod Gamma(numerators) / prod Gamma(denominators) in log space.
 
     Arguments are paired off numerator-against-denominator through
-    log_gamma_diff; the unpaired rest take one log_gamma each.  For the
-    arguments it is given, a ratio like Gamma(n+a)/Gamma(n+b) is accurate to
-    3 eps times max(1, |log of the ratio|) relative (measured against mpmath
-    with n up to 1e6 and n+a, n+b exactly representable).  An argument
-    formed as n+a in double precision has already lost the low bits of a:
-    at n = 1e6 that costs up to 8e-10 relative against the ratio at the
-    exact a (ROADMAP item 3).
+    log_gamma_diff at n = 0; the unpaired rest take one log_gamma each.  For
+    the arguments it is given, a ratio like Gamma(n+a)/Gamma(n+b) is
+    accurate to 3 eps times max(1, |log of the ratio|) relative (measured
+    against mpmath with n up to 1e6 and n+a, n+b exactly representable).
+    An argument formed as n+a in double precision has already lost the low
+    bits of a, up to 8e-10 relative at n = 1e6: ratios with an n-dependent
+    argument go through log_gamma_diff with their exact offsets instead.
     """
     nums = [_as_complex(v, "numerator") for v in numerators]
     dens = [_as_complex(v, "denominator") for v in denominators]
     total = 0.0 + 0.0j
     paired = min(len(nums), len(dens))
     for i in range(paired):
-        total += log_gamma_diff(nums[i], dens[i])
+        total += log_gamma_diff(0, nums[i], dens[i])
     for v in nums[paired:]:
         total += log_gamma(v)
     for v in dens[paired:]:

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from . import coeffs
 from ._series import (check_tol, finite_sum, predicted_terms, sum_alt_kernel,
                       sum_direct, sum_hyp3f2, sum_psi_kernel)
-from .complexfn import (digamma, exp_log, gamma_ratio, is_near_pole,
-                        log_gamma, log_gamma_diff)
+from .complexfn import digamma, exp_log, gamma_ratio, is_near_pole, log_gamma
 from .errors import DomainError, InvalidParameterError, WrongBranchError
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     classify, classify_params)
+                     _check_index, _log_seq_ratios, classify, classify_params)
 
 __all__ = [
     "Tolerance",
@@ -85,12 +84,6 @@ class EvalReport:
 _DEFAULT_TOL = Tolerance()
 
 
-def _check_n(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    return n
-
-
 def _require(cls: ExcessClass, kind: str, op: str) -> None:
     if cls.kind != kind:
         hint = ""
@@ -103,7 +96,7 @@ def _require(cls: ExcessClass, kind: str, op: str) -> None:
 def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
     cls = classify_params(p)
     _require(cls, kind, op)
-    _check_n(n)
+    _check_index(n)
     return cls
 
 
@@ -124,67 +117,10 @@ def f32_unit(num, den, tol: Tolerance = _DEFAULT_TOL):
     return res.value, res.terms_used
 
 
-# The prefactors are products of gamma ratios.  Each is summed in log space
-# from one log-gamma value per distinct argument and exponentiated once.
-# Only the large n-dependent pairs go through log_gamma_diff, which keeps
-# their ~n log n sized logs from cancelling; parameter-only arguments take
-# one log_gamma each.
-
-def _tail_log(a, b, c, n: int, head):
-    """log Gamma(n+a) Gamma(n+b) Gamma(c) / (Gamma(n) Gamma(n+c) Gamma(a)
-    Gamma(b)), given head = log Gamma(n+a) Gamma(c) / Gamma(n)."""
-    return head + log_gamma_diff(n + b, n + c) - log_gamma(a) - log_gamma(b)
-
-
-def _generic_prefactors(a, b, c, n: int):
-    """(Gauss piece, tail prefactor) of the generic branch: Gamma(c) Gamma(s)
-    / (Gamma(c-a) Gamma(c-b)), zero at a reciprocal-gamma pole, and
-    exp(_tail_log) / s."""
-    s = c - a - b
-    lg_c = log_gamma(c)
-    if is_near_pole(c - a) or is_near_pole(c - b):
-        gauss = 0.0 + 0.0j
-    else:
-        gauss = exp_log(lg_c + log_gamma(s) - log_gamma(c - a)
-                        - log_gamma(c - b))
-    head = log_gamma_diff(n + a, n) + lg_c
-    pref = exp_log(_tail_log(a, b, c, n, head)) / s
-    return gauss, pref
-
-
-def _log_prefactors(a, b, n: int):
-    """(lambda_n, Gamma(a+b) / (Gamma(a) Gamma(b))) of the logarithmic branch,
-    lambda_n = Gamma(n+a) Gamma(n+b) / (Gamma(n) Gamma(n+a+b))."""
-    lam = exp_log(log_gamma_diff(n + a, n) + log_gamma_diff(n + b, n + a + b))
-    pref = exp_log(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
-    return lam, pref
-
-
-def _pos_int_prefactor(a, b, c, n: int):
-    """Gamma(n+a) Gamma(n+b) Gamma(c) Gamma(s) / (Gamma(n) Gamma(n+a+b)
-    Gamma(c-a) Gamma(c-b)), the positive-integer branch's prefactor."""
-    return exp_log(log_gamma_diff(n + a, n) + log_gamma(c)
-                   + log_gamma_diff(n + b, n + a + b) + log_gamma(c - a - b)
-                   - log_gamma(c - a) - log_gamma(c - b))
-
-
-def _neg_int_prefactors(a, b, c, n: int, m: int):
-    """(finite-sum, psi-series) prefactors of the negative-integer branch:
-    exp(_tail_log) / m and (-1)^m Gamma(n+a) Gamma(n+b) Gamma(c) / (Gamma(n)
-    Gamma(n+a+b) Gamma(c-a) Gamma(c-b) m!)."""
-    head = log_gamma_diff(n + a, n) + log_gamma(c)
-    pref1 = exp_log(_tail_log(a, b, c, n, head)) / m
-    sign = -1.0 if m % 2 else 1.0
-    pref2 = sign * exp_log(head + log_gamma_diff(n + b, n + a + b)
-                           - log_gamma(c - a) - log_gamma(c - b)
-                           - math.lgamma(m + 1))
-    return pref1, pref2
-
-
-def _conjectured_prefactor(a, b, c, n: int, m: int):
-    """exp(_tail_log) / m, the degenerate branch's prefactor."""
-    head = log_gamma_diff(n + a, n) + log_gamma(c)
-    return exp_log(_tail_log(a, b, c, n, head)) / m
+# Each branch body sums its prefactors in log space and exponentiates each
+# once: log omega_n or log lambda_n from params._log_seq_ratios (which forms
+# the large gamma pairs from the exact offsets) plus one log_gamma per
+# parameter-only argument; log Gamma(c) is shared where two pieces need it.
 
 
 def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
@@ -203,7 +139,15 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     s = p.s
-    gauss, pref = _generic_prefactors(a, b, c, n)
+    lg_c = log_gamma(c)
+    # Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)), zero at a pole of 1/Gamma
+    if is_near_pole(c - a) or is_near_pole(c - b):
+        gauss = 0.0 + 0.0j
+    else:
+        gauss = exp_log(lg_c + log_gamma(s) - log_gamma(c - a)
+                        - log_gamma(c - b))
+    log_omega, = _log_seq_ratios(n, a, b, c)
+    pref = exp_log(log_omega + lg_c - log_gamma(a) - log_gamma(b)) / s
     series = sum_hyp3f2((c - a, c - b, 1.0 + 0.0j), (n + c, 1.0 + s),
                         tol.rel_tol, tol.max_terms)
     tail = pref * series.value
@@ -236,7 +180,9 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
         return _unit_report(cls)
     a, b = p.a, p.b
     w = n + a + b
-    lam, pref = _log_prefactors(a, b, n)
+    log_lambda, = _log_seq_ratios(n, a, b, a + b)
+    lam = exp_log(log_lambda)
+    pref = exp_log(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
     warnings = cls.warnings
     if form == "psi_series":
         ker = sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
@@ -267,7 +213,9 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
     a, b, c = p.a, p.b, p.c
     m = cls.m
     total, absum = finite_sum(a, b, n + a + b, 1, m)
-    pref = _pos_int_prefactor(a, b, c, n)
+    log_lambda, = _log_seq_ratios(n, a, b, a + b)
+    pref = exp_log(log_lambda + log_gamma(c) + log_gamma(c - a - b)
+                   - log_gamma(c - a) - log_gamma(c - b))
     value = pref * total
     est = _roundoff(abs(pref) * absum)
     return EvalReport(value, cls, m, est, cls.warnings)
@@ -285,7 +233,12 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     a, b, c = p.a, p.b, p.c
     m = cls.m
     finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m)
-    pref1, pref2 = _neg_int_prefactors(a, b, c, n, m)
+    log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
+    lg_c = log_gamma(c)
+    pref1 = exp_log(log_omega + lg_c - log_gamma(a) - log_gamma(b)) / m
+    sign = -1.0 if m % 2 else 1.0
+    pref2 = sign * exp_log(log_lambda + lg_c - log_gamma(c - a)
+                           - log_gamma(c - b) - math.lgamma(m + 1))
     ker = sum_psi_kernel(a, b, n + a + b, tol.rel_tol, tol.max_terms)
     head = pref1 * finite
     tail = pref2 * ker.value
@@ -316,7 +269,8 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
     a, b, c = p.a, p.b, p.c
     m = cls.m
     total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
-    pref = _conjectured_prefactor(a, b, c, n, m)
+    log_omega, = _log_seq_ratios(n, a, b, c)
+    pref = exp_log(log_omega + log_gamma(c) - log_gamma(a) - log_gamma(b)) / m
     value = pref * total
     est = _roundoff(abs(pref) * absum)
     return EvalReport(value, cls, m - cls.p + 1, est,
@@ -357,7 +311,7 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     "direct_sum".
     """
     cls = classify_params(p)
-    _check_n(n)
+    _check_index(n)
     kind = cls.kind
     if n >= 2 and kind in (GENERIC, LOGARITHMIC, NEGATIVE_INTEGER):
         a, b, c = p.a, p.b, p.c
@@ -382,7 +336,7 @@ def leading_term(p: ParamSet, n: int) -> complex:
     oscillatory boundary Re s = 0 with s != 0 has no single leading term and
     is refused.
     """
-    _check_n(n)
+    _check_index(n)
     cls = classify_params(p)
     a, b, c = p.a, p.b, p.c
     s = p.s

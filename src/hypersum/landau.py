@@ -25,9 +25,10 @@ from fractions import Fraction
 
 from . import coeffs
 from ._series import _run, predicted_terms, sum_psi_kernel
-from .complexfn import EULER_GAMMA, digamma, gamma_ratio
+from .complexfn import EULER_GAMMA, digamma, exp_log
 from .engine import Tolerance
 from .errors import DomainError, InvalidParameterError
+from .params import _check_index, _log_seq_ratios
 
 __all__ = [
     "landau_direct",
@@ -48,13 +49,6 @@ _LOG4 = 4.0 * math.log(2.0)
 _DELAY_SCALE = 1.5
 
 
-def _check_index(n, name: str = "n", minimum: int = 0) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < minimum:
-        raise InvalidParameterError(
-            f"{name} must be an integer >= {minimum}, got {n!r}")
-    return n
-
-
 def _check_cap(hit_max: bool, route: str, tol: Tolerance) -> None:
     if hit_max:
         raise DomainError(f"{route}: series stopped at max_terms = "
@@ -64,7 +58,7 @@ def _check_cap(hit_max: bool, route: str, tol: Tolerance) -> None:
 
 def landau_direct(n: int) -> float:
     """Direct sum of the defining series; exact up to summation roundoff."""
-    _check_index(n)
+    _check_index(n, minimum=0)
     if n > _MAX_DIRECT_N:
         raise InvalidParameterError(f"n must be <= {_MAX_DIRECT_N}, got {n}")
     total = 0.0
@@ -91,12 +85,12 @@ def landau_watson(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     Where that needs more terms than the index, the direct sum answers.
     Raises DomainError when the series reaches tol.max_terms first.
     """
-    _check_index(n)
+    _check_index(n, minimum=0)
     if predicted_terms(n + 3.0, tol.rel_tol) * _DELAY_SCALE > n:
         return landau_direct(n)
     ker = sum_psi_kernel(0.5, 0.5, n + 2.0, tol.rel_tol, tol.max_terms)
     _check_cap(ker.hit_max, "landau_watson", tol)
-    pref = gamma_ratio([n + 1.5, n + 1.5], [n + 1.0, n + 2.0]).real / _PI
+    pref = exp_log(_log_seq_ratios(n + 1, 0.5, 0.5, 1.0)[0]).real / _PI
     return pref * ker.value.real
 
 
@@ -108,7 +102,7 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     that needs more terms than the index, the direct sum answers.  Raises
     DomainError when the series reaches tol.max_terms first.
     """
-    _check_index(n)
+    _check_index(n, minimum=0)
     if predicted_terms(n + 2.5, tol.rel_tol) * _DELAY_SCALE > n:
         return landau_direct(n)
     w = n + 1.5
@@ -134,8 +128,8 @@ def landau_theorem3(n: int, M: int):
     ((n+1)_k k!), K = floor((M+1)/2).  Returns (value, error_bound); the
     bound is the a-priori remainder bound, which decays like n^(-M).
     """
-    _check_index(n, minimum=1)
-    _check_index(M, "M", minimum=1)
+    _check_index(n)
+    _check_index(M, "M")
     if M > _MAX_THEOREM_M:
         raise DomainError(f"M must be <= {_MAX_THEOREM_M}, got {M}")
     if n <= M:
@@ -144,7 +138,7 @@ def landau_theorem3(n: int, M: int):
              + coeffs.rearranged_tail(0.5, 0.5, n, M).real / _PI)
     if M >= 2:
         sigma = coeffs.sigma_coeffs(Fraction(1, 2), Fraction(1, 2), M - 1)
-        lam = gamma_ratio([n + 0.5, n + 0.5], [float(n), n + 1.0]).real
+        lam = exp_log(_log_seq_ratios(n, 0.5, 0.5, 1.0)[0]).real
         u = 0.25 / (n + 1.0)
         ksum = u * float(sigma.values[0])
         for k in range(1, M - 1):
@@ -156,19 +150,27 @@ def landau_theorem3(n: int, M: int):
 
 def landau_asymptotic(n: int, K: int) -> float:
     """Inverse-power estimate of S_n(1/2,1/2;1) = G_{n-1}, depth K <= 6."""
-    _check_index(n, minimum=1)
+    _check_index(n)
     if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 6:
         raise InvalidParameterError(f"K must be in 0..6, got {K!r}")
-    c_list = coeffs.c_coeffs().values
-    total = digamma(n + 1.0).real / _PI + coeffs.c0(0.5, 0.5).real
-    for k in range(1, K + 1):
-        total += (-1.0) ** k * float(c_list[k - 1]) / (_PI * float(n) ** k)
+    return _asymptotic(coeffs._DOUBLE, n, K)
+
+
+def _asymptotic(ns: coeffs._Arith, n: int, K: int):
+    # psi(n+1)/pi + c_0(1/2, 1/2) + sum_{k<=K} (-1)^k C_k / (pi n^k), in the
+    # arithmetic ns; the C_k have power-of-two denominators.
+    half = ns.real(1) / 2
+    total = (ns.digamma(ns.real(n + 1)).real / ns.pi
+             + coeffs._c0(ns, half, half).real)
+    for k, ck in enumerate(coeffs.c_coeffs().values[:K], start=1):
+        total += ((-1) ** k * (ns.real(ck.numerator) / ck.denominator)
+                  / (ns.pi * ns.real(n) ** k))
     return total
 
 
 def landau_watson_asymptotic(n: int) -> float:
     """Three-term log estimate of G_n; remainder is O(n^-3)."""
-    _check_index(n)
+    _check_index(n, minimum=0)
     u = n + 1.0
     return ((math.log(u) + EULER_GAMMA + _LOG4) / _PI
             - 1.0 / (4.0 * _PI * u) + 5.0 / (192.0 * _PI * u * u))
@@ -176,7 +178,7 @@ def landau_watson_asymptotic(n: int) -> float:
 
 def landau_nemes(n: int, h: float = 1.0, K: int = 3) -> float:
     """Shifted log estimate of G_n with polynomial corrections g_k(h)."""
-    _check_index(n, minimum=1)
+    _check_index(n)
     if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
         raise InvalidParameterError(f"K must be in 0..3, got {K!r}")
     h = float(h)

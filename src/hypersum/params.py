@@ -4,8 +4,10 @@ The value of the excess s = c - a - b decides which expansion evaluates the
 partial sum: generic s, the logarithmic case s = 0, positive-integer s (a
 finite sum), negative-integer s (finite sum plus a psi-series), or the
 degenerate negative-integer case where a or b is a positive integer <= m.
-seq_factors gives the prefactor ratios omega_n and lambda_n of the
-expansions.
+The n-dependent prefactors of the expansions are omega_n = Gamma(n+a)
+Gamma(n+b) / (Gamma(n) Gamma(n+c)) and lambda_n, its value at c = a+b.
+_log_seq_ratios is the one place that forms their large gamma pairs, from
+the exact offsets, never from n+a rounded to double.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .complexfn import _as_complex, gamma_ratio, nonpos_int_distance
+from .complexfn import (_as_complex, exp_log, log_gamma_diff,
+                        nonpos_int_distance)
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -148,10 +151,25 @@ def classify_params(p: ParamSet) -> ExcessClass:
     return ExcessClass(kind=NEGATIVE_INTEGER, m=m, warnings=tuple(warnings))
 
 
+def _check_index(value, name: str = "n", minimum: int = 1) -> int:
+    """value, when it is an int (not a bool) >= minimum; InvalidParameterError
+    otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _log_seq_ratios(n, a, b, *xs) -> list[complex]:
+    """log Gamma(n+a) Gamma(n+b) / (Gamma(n) Gamma(n+x)) for real n and each
+    x in xs, sharing log Gamma(n+a)/Gamma(n): log omega_n at x = c, log
+    lambda_n at x = a+b."""
+    head = log_gamma_diff(n, a, 0j)
+    return [head + log_gamma_diff(n, b, x) for x in xs]
+
+
 def seq_factors(p: ParamSet, n: int) -> SeqFactors:
     """omega_n and lambda_n, the gamma-ratio prefactors of the expansions."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    omega = gamma_ratio([n + p.a, n + p.b], [n, n + p.c])
-    lam = gamma_ratio([n + p.a, n + p.b], [n, n + p.a + p.b])
-    return SeqFactors(omega_n=omega, lambda_n=lam)
+    _check_index(n)
+    log_omega, log_lambda = _log_seq_ratios(n, p.a, p.b, p.c, p.a + p.b)
+    return SeqFactors(omega_n=exp_log(log_omega), lambda_n=exp_log(log_lambda))

@@ -81,11 +81,13 @@ def _lsq_slope(xs, ys) -> float:
 
 # ---------------------------------------------------------------------------
 # the published grid
-
-# runs the asymptotic forms of coeffs in mpmath at the working precision
+# runs the asymptotic forms of coeffs and landau in mpmath at the working
+# precision
 _MP = coeffs._Arith(
     lambda num, den: mp.fprod(map(mp.gamma, num)) / mp.fprod(map(mp.gamma, den)),
-    mp.digamma, mp.euler, mp.mpf)
+    mp.digamma, mp.euler, mp.mpf, mp.pi,
+    lambda n, a, b, x: (mp.gamma(n + a) * mp.gamma(n + b)
+                        / (mp.gamma(n) * mp.gamma(n + x))))
 
 # One grid row: case, (a, b, c) as doubles, n, and per depth K = 1, 2, 3 the
 # printed error, mpmath estimate, float |estimate - S_n| and its deviation.
@@ -365,18 +367,11 @@ def check_asymptotic_orders() -> CheckResult:
         parts.append(f"log K={K}: slope {slope:+.2f}")
     # depth-6 inverse-power estimate of the Landau sequence, order -7;
     # its double-precision error is already sub-roundoff at these indices,
-    # so the expansion is rebuilt at 40 digits from the exact coefficients
-    c_exact = coeffs.c_coeffs().values
+    # so the shipped formula runs at 40 digits
     with mp.workdps(40):
         sn = (50, 100, 200)
-        errs = []
-        for n in sn:
-            est = (mp.digamma(n + 1) + mp.euler + 4 * mp.log(2)) / mp.pi
-            for k in range(1, 7):
-                ck = c_exact[k - 1]
-                est += ((-1) ** k * mp.mpf(ck.numerator)
-                        / (ck.denominator * mp.pi * mp.mpf(n) ** k))
-            errs.append(abs(est - oracle.landau_ref(n - 1).value))
+        errs = [abs(landau._asymptotic(_MP, n, 6)
+                    - oracle.landau_ref(n - 1).value) for n in sn]
         slope = _lsq_slope(sn, errs)
     if abs(slope + 7) > 0.3:
         ok = False

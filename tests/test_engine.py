@@ -1,10 +1,9 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
-from hypersum import engine
-from hypersum.complexfn import gamma_ratio
 from hypersum.engine import (
     EvalReport,
     Tolerance,
@@ -23,7 +22,7 @@ from hypersum.errors import (
     WrongBranchError,
 )
 from hypersum.oracle import compare, partial_sum_ref
-from hypersum.params import ParamSet
+from hypersum.params import ParamSet, _log_seq_ratios
 
 
 def rel(x, want):
@@ -195,49 +194,56 @@ def _draw_triple(rng, branch, complex_draw):
         return a, b, c
 
 
+def _log_seq_ratio_mp(n, a, b, x):
+    # log Gamma(n+a) Gamma(n+b) / (Gamma(n) Gamma(n+x)) at the exact offsets
+    with mp.workdps(60):
+        a, b, x = (mp.mpc(v) for v in (a, b, x))
+        return (mp.loggamma(n + a) + mp.loggamma(n + b) - mp.loggamma(n)
+                - mp.loggamma(n + x))
+
+
 class TestPrefactors:
-    @pytest.mark.parametrize("n", (2, 40, 10**3, 10**6))
+    @pytest.mark.parametrize("n", (2, 40, 10**3, 10**6, 10**15))
     def test_fused_prefactors_match_gamma_ratio(self, n):
-        # Each branch sums its prefactors from one log-gamma table; a dropped
-        # or doubled factor shows against gamma_ratio over the argument lists
-        # of the branch formulas.
+        # omega_n (x = c) and lambda_n (x = a+b), formed in log space from
+        # the exact offsets, against mpmath's ratio at those offsets.  The
+        # bar is 1e-13 relative, or two roundings of the two pair logs'
+        # size (|a| + |b-x|) log n where that is larger (n = 10^15): no
+        # double sum of those logs can beat it.
         rng = random.Random(n)
-
-        def check(branch, got, want):
-            assert rel(got, want) <= 1e-13, (branch, a, b, c, n)
-
-        for complex_draw in (False, True, True):
+        for complex_draw in (False, False, False, True, True, True):
             a, b, c = _draw_triple(rng, "generic", complex_draw)
-            s = c - a - b
-            gauss, pref = engine._generic_prefactors(a, b, c, n)
-            check("gauss", gauss, gamma_ratio([c, s], [c - a, c - b]))
-            check("generic", pref,
-                  gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / s)
+            for x, got in zip((c, a + b), _log_seq_ratios(n, a, b, c, a + b)):
+                with mp.workdps(60):
+                    d = mp.mpc(got) - _log_seq_ratio_mp(n, a, b, x)
+                    # the two sums of logs may differ by a multiple of 2 pi i
+                    d -= 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))
+                    err = float(abs(d))
+                size = (abs(a) + abs(b - x)) * math.log(n)
+                bar = max(1e-13, 2 * 2.0 ** -52 * size)
+                assert err <= bar, (a, b, x, n)
 
-            a, b, c = _draw_triple(rng, "logarithmic", complex_draw)
-            lam, pref = engine._log_prefactors(a, b, n)
-            check("lambda_n", lam,
-                  gamma_ratio([n + a, n + b], [n, n + a + b]))
-            check("logarithmic", pref, gamma_ratio([a + b], [a, b]))
 
-            a, b, c = _draw_triple(rng, "positive_integer", complex_draw)
-            check("positive_integer", engine._pos_int_prefactor(a, b, c, n),
-                  gamma_ratio([n + a, n + b, c, c - a - b],
-                              [n, n + a + b, c - a, c - b]))
-
-            a, b, c = _draw_triple(rng, "negative_integer", complex_draw)
-            m = round((a + b - c).real)
-            pref1, pref2 = engine._neg_int_prefactors(a, b, c, n, m)
-            check("negative_integer finite", pref1,
-                  gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m)
-            check("negative_integer psi", pref2,
-                  (-1) ** m * gamma_ratio([n + a, n + b, c],
-                                          [n, n + a + b, c - a, c - b, m + 1]))
-
-            a, b, c = _draw_triple(rng, "degenerate", complex_draw)
-            m = round((a + b - c).real)
-            check("degenerate", engine._conjectured_prefactor(a, b, c, n, m),
-                  gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m)
+class TestExactOffsets:
+    # Each pair n+a, n+b, n+c, n+a+b rounded to double before its log-gamma
+    # difference was formed put the true error of these cases 14x to 101x
+    # above est_error.  The last case's pair (b, a+b) straddles the real
+    # axis, so it runs the reflection path of log_gamma_diff.
+    @pytest.mark.parametrize("a, b, c, n", (
+        (-0.40216621311913836, 4.822184505243064, 1.6480044029755403, 1118),
+        (-0.40216621311913836, 4.822184505243064, 1.6480044029755403, 10**4),
+        (3.918785034578247, 1.5968403365034933,
+         0.6698941462656571 + 0.6699489453381515j, 1165),
+        (1.4954613552549834 - 4.90795061445615j,
+         3.8123385892215538 + 1.8648385417907978j, None, 2984),
+    ))
+    def test_error_within_estimate(self, a, b, c, n):
+        if c is None:
+            c = a + b
+        rep = eval_auto(ParamSet(a, b, c), n)
+        assert rep.path == "expansion"
+        err = compare(rep.value, partial_sum_ref(a, b, c, n))
+        assert err.abs_err <= rep.est_error, err.abs_err / rep.est_error
 
 
 class TestAuto:

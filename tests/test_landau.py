@@ -4,9 +4,12 @@ Frozen reference values were computed with mpmath at 35 significant
 digits from the defining sum of squared central-binomial weights.
 """
 
+import math
+
 import pytest
 
-from hypersum import landau, oracle
+from hypersum import coeffs, landau, oracle
+from hypersum.complexfn import digamma
 from hypersum.engine import Tolerance
 from hypersum.errors import DomainError, InvalidParameterError
 from hypersum.landau import (
@@ -140,6 +143,20 @@ class TestAsymptotic:
         ref = landau_direct(50)
         errs = [abs(landau_asymptotic(51, K) - ref) for K in (1, 3, 6)]
         assert errs[2] < errs[1] < errs[0]
+
+    def test_shared_form_bit_identical(self):
+        # The estimate is written once over coeffs' arithmetic namespace
+        # (verify runs it in mpmath); in double it must reproduce the
+        # written-out formula bit for bit.
+        c_list = coeffs.c_coeffs().values
+        c0 = coeffs.c0(0.5, 0.5).real
+        for n in range(1, 201):
+            want = digamma(n + 1.0).real / math.pi + c0
+            for K in range(7):
+                if K:
+                    want += ((-1.0) ** K * float(c_list[K - 1])
+                             / (math.pi * float(n) ** K))
+                assert repr(landau_asymptotic(n, K)) == repr(want), (n, K)
 
     def test_depth_cap(self):
         with pytest.raises(InvalidParameterError):

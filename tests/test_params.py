@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersum.complexfn import gamma_ratio
+from hypersum.engine import eval_auto
 from hypersum.errors import InvalidParameterError
 from hypersum.params import (
     INTEGER_TOL,
@@ -114,6 +118,32 @@ class TestSeqFactors:
         p = ParamSet(0.5, 0.5, 1.0)
         sf = seq_factors(p, 10)
         assert sf.lambda_n.real == pytest.approx(0.97532004130884897, rel=1e-13)
+
+    def test_index_checked_like_the_engine(self):
+        p = ParamSet(0.5, 0.5, 1.0)
+        for bad in (True, 0, 2.0):
+            with pytest.raises(InvalidParameterError):
+                seq_factors(p, bad)
+            with pytest.raises(InvalidParameterError):
+                eval_auto(p, bad)
+
+    def test_exact_offsets_change_nothing_on_a_grid(self):
+        # Where every n + x is exact (parameters on a 2^-10 grid), the ratios
+        # formed from the offsets equal gamma_ratio over the sums bit for bit.
+        rng = random.Random(4)
+        for _ in range(200):
+            a, b, c = (complex(rng.randint(-5120, 5120) / 1024,
+                               rng.randint(-5120, 5120) / 1024)
+                       for _ in range(3))
+            n = rng.choice((rng.randint(2, 300), int(10 ** rng.uniform(3, 6))))
+            try:
+                sf = seq_factors(ParamSet(a, b, c), n)
+            except InvalidParameterError:
+                continue
+            assert repr(sf.omega_n) == repr(
+                gamma_ratio([n + a, n + b], [n, n + c])), (a, b, c, n)
+            assert repr(sf.lambda_n) == repr(
+                gamma_ratio([n + a, n + b], [n, n + a + b])), (a, b, n)
 
     def test_omega_equals_lambda_when_c_is_a_plus_b(self):
         p = ParamSet(0.5, 0.5, 1.0)

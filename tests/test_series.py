@@ -12,12 +12,12 @@ from hypersum._series import (
     sum_psi_kernel,
 )
 from hypersum.coeffs import asym_log, asym_neg_int
-from hypersum.complexfn import (EULER_GAMMA, digamma, gamma_ratio,
-                                nonpos_int_distance)
+from hypersum.complexfn import (EULER_GAMMA, digamma, exp_log, gamma_ratio,
+                                log_gamma, nonpos_int_distance)
 from hypersum.engine import (eval_auto, eval_conjectured, eval_neg_int,
                              eval_pos_int)
 from hypersum.errors import DivergentSeriesError, InvalidParameterError
-from hypersum.params import ParamSet, classify_params
+from hypersum.params import ParamSet, _log_seq_ratios, classify_params
 
 
 class TestHyp3F2:
@@ -227,7 +227,8 @@ class TestInlinedLoops:
 
 # Reference loops and formulas, each written out in full for one branch or
 # one arithmetic: the shared finite_sum and the arithmetic-generic
-# asymptotic forms of coeffs must reproduce them bit for bit.
+# asymptotic forms of coeffs must reproduce them bit for bit.  Their
+# n-dependent ratios come from the one shared params._log_seq_ratios.
 
 def _reference_a(a, b):
     a1 = a * b - a - b
@@ -257,7 +258,8 @@ def _reference_asym_neg_int(p, n, m, K):
     for k in range(m - 1):
         term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
         finite += term
-    first = finite * gamma_ratio([n + a, n + b, c], [n, n + c, a, b]) / m
+    first = (finite * exp_log(_log_seq_ratios(n, a, b, c)[0])
+             * gamma_ratio([c], [a, b]) / m)
     A = _reference_a(a, b)
     bracket = digamma(n + a + b) - EULER_GAMMA - digamma(a) - digamma(b)
     for k in range(1, K + 1):
@@ -277,7 +279,8 @@ def _reference_pos_int(p, n, m):
         term = term * (a + k) * (b + k) / ((w + k) * (k + 1))
         total += term
         absum += abs(term)
-    pref = engine._pos_int_prefactor(a, b, c, n)
+    pref = exp_log(_log_seq_ratios(n, a, b, a + b)[0] + log_gamma(c)
+                   + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b))
     return pref * total, m, engine._roundoff(abs(pref) * absum)
 
 
@@ -290,7 +293,12 @@ def _reference_neg_int(p, n, m):
         term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
         finite += term
         absum += abs(term)
-    pref1, pref2 = engine._neg_int_prefactors(a, b, c, n, m)
+    log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
+    pref1 = exp_log(log_omega + log_gamma(c) - log_gamma(a)
+                    - log_gamma(b)) / m
+    pref2 = (-1.0) ** m * exp_log(log_lambda + log_gamma(c)
+                                  - log_gamma(c - a) - log_gamma(c - b)
+                                  - math.lgamma(m + 1))
     ker = sum_psi_kernel(a, b, n + a + b)
     head = pref1 * finite
     tail = pref2 * ker.value
@@ -308,7 +316,8 @@ def _reference_conjectured(p, n, m, p_int):
         term = term * (a - m + k) * (b - m + k) / ((n + c + k) * (1 - m + k))
         total += term
         absum += abs(term)
-    pref = engine._conjectured_prefactor(a, b, c, n, m)
+    pref = exp_log(_log_seq_ratios(n, a, b, c)[0] + log_gamma(c)
+                   - log_gamma(a) - log_gamma(b)) / m
     return pref * total, m - p_int + 1, engine._roundoff(abs(pref) * absum)
 
 

@@ -1,4 +1,5 @@
-"""Guards for the tooling that reaches into the package from outside.
+"""Guards for the tooling that reaches into the package from outside, and
+for the package's own layering.
 
 perfbench's tracer wraps the (module, function) pairs in its TARGETS table
 by identity; a renamed or removed function would only surface when the
@@ -10,7 +11,9 @@ import importlib
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "hypersum"
 
 
 def _tracer_targets():
@@ -30,3 +33,22 @@ def test_tracer_targets_resolve_to_package_functions():
         mod = importlib.import_module(f"hypersum.{module}")
         assert isinstance(getattr(mod, func, None), types.FunctionType), \
             f"hypersum.{module}.{func}"
+
+
+def test_large_gamma_pairs_have_one_owner():
+    # Every n-dependent gamma pair is formed in params from exact offsets;
+    # a log_gamma_diff call anywhere else could round n + x again.
+    owners = {"complexfn.py", "params.py"}
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ()
+            if isinstance(node, ast.Name):
+                names = (node.id,)
+            elif isinstance(node, ast.Attribute):
+                names = (node.attr,)
+            elif isinstance(node, ast.ImportFrom):
+                names = tuple(alias.name for alias in node.names)
+            if "log_gamma_diff" in names and path.name not in owners:
+                strays.append(f"{path.name}:{node.lineno}")
+    assert not strays, strays
