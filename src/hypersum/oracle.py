@@ -3,9 +3,15 @@
 Computes trusted values of the quantities the rest of the package
 approximates in double precision: raw term-by-term partial sums of the
 hypergeometric series at unit argument, gamma and digamma values, and the
-Landau constants.  Everything runs in mpmath arbitrary-precision arithmetic,
-a code path fully independent of the double-precision kernel, so agreement
-between the two is meaningful evidence rather than a tautology.
+Landau constants.  None of it shares code with the double-precision kernel,
+so agreement between the two is meaningful evidence rather than a tautology.
+
+Partial sums run exactly over Gaussian integers in fixed point: the
+parameters become integers over one common denominator, and the term and the
+running sum are integers scaled by a power of two, with a bound on the
+rounding error carried beside them.  When that bound does not prove the
+working precision, the sum is redone in mpmath.  Gamma, digamma and the
+Landau constants run in mpmath.
 
 Requests are small tagged tuples, e.g. ``("partial_sum", a, b, c, n)``;
 convenience wrappers build them.  The working precision carries ten guard
@@ -46,6 +52,7 @@ _MAX_DIGITS = 100_000
 _GUARD_DIGITS = 10
 _MAX_PARTIAL_SUM_N = 100_000
 _REQUEST_KINDS = ("partial_sum", "gamma", "digamma", "landau")
+_ZERO = Fraction(0)
 
 
 def default_digits() -> int:
@@ -83,23 +90,33 @@ class ErrorReport:
     reference_precision: int
 
 
-def _to_mp(x: Number, name: str):
-    """Convert exactly: Fractions as rationals, floats as their binary value."""
+def _exact(x: Number, name: str) -> tuple[Fraction, Fraction]:
+    """Real and imaginary parts of x as exact rationals (floats by their
+    binary value), after the type and finiteness checks."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+        return x, _ZERO
     if isinstance(x, Integral):
-        return mp.mpf(int(x))
+        return Fraction(int(x)), _ZERO
     if isinstance(x, complex):
-        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-            raise InvalidParameterError(f"{name} must be finite, got {x!r}")
-        if x.imag == 0.0:
-            return mp.mpf(x.real)
-        return mp.mpc(x.real, x.imag)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise InvalidParameterError(f"{name} must be finite, got {x!r}")
-        return mp.mpf(x)
-    raise InvalidParameterError(f"{name} has unsupported type {type(x).__name__}")
+        parts = (x.real, x.imag)
+    elif isinstance(x, float):
+        parts = (x, 0.0)
+    else:
+        raise InvalidParameterError(
+            f"{name} has unsupported type {type(x).__name__}")
+    if not all(map(math.isfinite, parts)):
+        raise InvalidParameterError(f"{name} must be finite, got {x!r}")
+    return Fraction(parts[0]), Fraction(parts[1])
+
+
+def _mp_of(z: tuple[Fraction, Fraction]):
+    """An exact (re, im) pair at the current precision; real when im is 0."""
+    re, im = (mp.mpf(p.numerator) / mp.mpf(p.denominator) for p in z)
+    return re if im == 0 else mp.mpc(re, im)
+
+
+def _to_mp(x: Number, name: str):
+    return _mp_of(_exact(x, name))
 
 
 def _check_digits(digits: int) -> None:
@@ -126,6 +143,85 @@ def _partial_sum_mp(a, b, c, n: int):
         term = term * (a + k) * (b + k) / den
         total += term
     return total
+
+
+def _fixed_point_sum(a, b, c, n: int, work: int):
+    """S_n at exact (re, im) parameters to `work` bits, or None.
+
+    The term and the running sum are Gaussian integers scaled by 2**scale.
+    Each step floors, which adds under one ulp to the term's error (under
+    sqrt 2 for complex terms; the bound carries 1.5) and scales the error it
+    carries by |ratio|.  The summed bound must fall below 2**-work |S_n|,
+    tested on bit lengths; when it does not (cancellation, an exact zero, a
+    bound past the float range), the result is None.  The bound itself is
+    summed in floats; its relative rounding, about n 2**-53, is far inside
+    the guard digits.
+    """
+    parts = a + b + c
+    d = math.lcm(*(p.denominator for p in parts))
+    ar, ai, br, bi, cr, ci = (p.numerator * (d // p.denominator) for p in parts)
+    scale = work + 20 + 2 * n.bit_length()
+    tr = sr = 1 << scale
+    ti = si = 0
+    # ar, br, cr and dk run as d (a+k), d (b+k), d (c+k) and d (k+1)
+    dk = d
+    err = bound = 0.0
+    try:
+        if ai == bi == ci == 0:
+            for _ in range(n - 1):
+                num = ar * br
+                if not num:
+                    break  # a + k or b + k is 0: every later term is 0
+                den = cr * dk
+                tr = tr * num // den
+                sr += tr
+                err = err * abs(num / den) + 1.0
+                bound += err
+                ar += d
+                br += d
+                cr += d
+                dk += d
+        else:
+            for _ in range(n - 1):
+                # ratio = (a+k)(b+k) conj(c+k) / (|c+k|^2 (k+1)) = p / q
+                ur = ar * br - ai * bi
+                ui = ar * bi + ai * br
+                pr = ur * cr + ui * ci
+                pi = ui * cr - ur * ci
+                if not (pr or pi):
+                    break  # (a+k)(b+k) is 0
+                q = (cr * cr + ci * ci) * dk
+                tr, ti = (tr * pr - ti * pi) // q, (tr * pi + ti * pr) // q
+                sr += tr
+                si += ti
+                err = err * math.hypot(pr, pi) / q + 1.5
+                bound += err
+                ar += d
+                br += d
+                cr += d
+                dk += d
+    except OverflowError:
+        return None
+    size = max(abs(sr), abs(si)).bit_length()
+    if not math.isfinite(bound) or math.ceil(bound).bit_length() + work >= size:
+        return None
+    return mp.mpc(mp.ldexp(sr, -scale), mp.ldexp(si, -scale))
+
+
+def _partial_sum(a, b, c, n: int, digits: int):
+    """S_n at exact (re, im) parameters, to digits plus the guard digits.
+
+    Sums in fixed point, and in mpmath when the fixed-point rounding bound
+    does not prove the working precision.
+    """
+    if c[1] == 0 and c[0].denominator == 1 and 0 <= -c[0] < n - 1:
+        raise InvalidParameterError(
+            f"series coefficient pole: c + {-c[0]} = 0 with c = {c[0]}")
+    with mp.workdps(digits + _GUARD_DIGITS):
+        value = _fixed_point_sum(a, b, c, n, mp.mp.prec)
+        if value is None:
+            value = mp.mpc(_partial_sum_mp(*map(_mp_of, (a, b, c)), n))
+        return value
 
 
 def _landau_mp(n: int):
@@ -163,9 +259,8 @@ def oracle_eval(request: tuple, digits: int | None = None) -> OracleValue:
                 raise InvalidParameterError(
                     f"n = {n} exceeds the partial_sum limit {_MAX_PARTIAL_SUM_N}"
                 )
-            value = _partial_sum_mp(
-                _to_mp(a, "a"), _to_mp(b, "b"), _to_mp(c, "c"), int(n)
-            )
+            value = _partial_sum(_exact(a, "a"), _exact(b, "b"),
+                                 _exact(c, "c"), int(n), digits)
         elif kind == "landau":
             if len(request) != 2:
                 raise InvalidParameterError("landau request takes (n,)")

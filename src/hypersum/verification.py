@@ -49,11 +49,9 @@ NEG_ROWS = (
 )
 
 
-def as_mp(x):
-    """Materialize a rational (or rational-pair) row entry at current dps."""
-    if isinstance(x, tuple):
-        return mp.mpc(as_mp(x[0]), as_mp(x[1]))
-    return mp.mpf(x.numerator) / x.denominator
+def _exact_pair(x):
+    """A rational (or rational-pair) row entry as an exact (re, im) pair."""
+    return x if isinstance(x, tuple) else (x, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -106,16 +104,19 @@ def table_errors(digits: int | None = None):
     rows = []
     with mp.workdps(digits):
         for exact, n, printed in LOG_ROWS + NEG_ROWS:
-            a, b = as_mp(exact[0]), as_mp(exact[1])
+            pa, pb = map(_exact_pair, exact[:2])
+            pc = ((pa[0] + pb[0], pa[1] + pb[1]) if len(exact) == 2
+                  else _exact_pair(exact[2]))
+            a, b, c = map(oracle._mp_of, (pa, pb, pc))
             if len(exact) == 2:
-                case, c = "logarithmic", a + b
+                case = "logarithmic"
                 ests = [coeffs._asym_log(_MP, a, b, n, K) for K in (1, 2, 3)]
             else:
-                case, c = "negative-integer", as_mp(exact[2])
+                case = "negative-integer"
                 m = int(mp.nint(a + b - c).real)
                 ests = [coeffs._asym_neg_int(_MP, a, b, c, n, m, K)
                         for K in (1, 2, 3)]
-            ref = oracle._partial_sum_mp(a, b, c, n)
+            ref = oracle._partial_sum(pa, pb, pc, n, digits)
             errors = [float(abs(e - ref)) for e in ests]
             devs = [abs(e - p) / p for e, p in zip(errors, printed)]
             rows.append(_TableRow(case, (complex(a), complex(b), complex(c)),

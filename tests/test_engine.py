@@ -161,9 +161,10 @@ def _pole_distance(z):
     return abs(z - min(round(z.real), 0))
 
 
-def _draw_triple(rng, branch, complex_draw):
+def _draw_triple(rng, branch, complex_draw, offset=None):
     """Admissible (a, b, c) on `branch`, or generic in the near-integer band
-    for branch "band"; the drawn parameters are complex when complex_draw."""
+    for branch "band", |s - m| = offset when given; the drawn parameters are
+    complex when complex_draw."""
     while True:
         a, b = (complex(rng.uniform(-5.0, 5.0),
                         rng.uniform(-5.0, 5.0) if complex_draw else 0.0)
@@ -173,8 +174,8 @@ def _draw_triple(rng, branch, complex_draw):
             c = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
                         if complex_draw else 0.0)
         elif branch == "band":
-            c = (a + b + rng.randint(-3, 3)
-                 + 10.0 ** rng.uniform(-9.0, -4.0) * rng.choice((-1.0, 1.0)))
+            off = 10.0 ** rng.uniform(-9.0, -4.0) if offset is None else offset
+            c = a + b + rng.randint(-3, 3) + off * rng.choice((-1.0, 1.0))
         elif branch == "logarithmic":
             c = a + b
         elif branch == "positive_integer":
@@ -244,6 +245,36 @@ class TestExactOffsets:
         assert rep.path == "expansion"
         err = compare(rep.value, partial_sum_ref(a, b, c, n))
         assert err.abs_err <= rep.est_error, err.abs_err / rep.est_error
+
+
+class TestOracleAtLargeIndex:
+    # The oracle's fixed-point sum makes 10^4 to 10^5 terms cheap enough for
+    # tier-1: est_error is held at n = 10^5 on every branch, and on both
+    # sides of the near-integer band edge |s - m| = 1e-4.
+    @pytest.mark.parametrize("branch, complex_draw", (
+        ("generic", True), ("logarithmic", False), ("positive_integer", True),
+        ("negative_integer", False), ("degenerate", True),
+    ))
+    def test_error_within_estimate_at_top_index(self, branch, complex_draw):
+        n = 10**5
+        a, b, c = _draw_triple(random.Random(branch), branch, complex_draw)
+        rep = eval_auto(ParamSet(a, b, c), n)
+        assert rep.path == "expansion"
+        err = compare(rep.value, partial_sum_ref(a, b, c, n))
+        assert err.abs_err <= rep.est_error, err.abs_err / rep.est_error
+
+    @pytest.mark.parametrize("n", (10**3, 10**4))
+    @pytest.mark.parametrize("offset", (5e-5, 0.99e-4, 1.01e-4, 2e-4))
+    def test_error_within_estimate_at_band_edge(self, n, offset):
+        rng = random.Random(f"{n} {offset}")
+        for complex_draw in (False, True, False, True, False, True):
+            a, b, c = _draw_triple(rng, "band", complex_draw, offset)
+            rep = eval_auto(ParamSet(a, b, c), n)
+            where = (a, b, c, n)
+            assert rep.branch.kind == "generic", where
+            assert ("near_integer_excess" in rep.warnings) == (offset < 1e-4)
+            err = compare(rep.value, partial_sum_ref(a, b, c, n))
+            assert err.abs_err <= rep.est_error, (where, err.abs_err / rep.est_error)
 
 
 class TestAuto:

@@ -1,15 +1,17 @@
 """Tests for the extended-precision reference evaluator."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from hypersum import engine, landau, params
+from hypersum import engine, landau, oracle, params, verification
 from hypersum.errors import InvalidParameterError, PrecisionUnavailableError
 from hypersum.oracle import (
     DEFAULT_DIGITS,
+    _partial_sum_mp,
     compare,
     default_digits,
     digamma_ref,
@@ -146,3 +148,117 @@ class TestCompare:
     def test_precision_tracks_digits(self):
         rep = compare(2.0, gamma_ref(3.0, digits=35))
         assert rep.reference_precision == 35
+
+
+# The fixed-point partial sum against mpmath's term-by-term sum: a second,
+# independent raw sum, converting its parameters on its own.
+
+def _mp(x):
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpc(x)
+
+
+def _mp_sum(a, b, c, n, dps):
+    with mp.workdps(dps):
+        return _partial_sum_mp(_mp(a), _mp(b), _mp(c), n)
+
+
+def _rel(got, want):
+    with mp.workdps(200):
+        return float(abs(got - want) / abs(want))
+
+
+def _draw(rng, kind):
+    if kind == "real":
+        return rng.uniform(-5.0, 5.0)
+    if kind == "complex":
+        return complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+    if kind == "fraction":
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+    if kind == "int":
+        return rng.randint(-5, 5)
+    return _draw(rng, rng.choice(("real", "complex", "fraction", "int")))
+
+
+def _draw_triple(rng, kind):
+    a, b = _draw(rng, kind), _draw(rng, kind)
+    while True:
+        c = _draw(rng, kind)
+        if complex(c).imag != 0 or abs(c - min(round(c.real), 0)) >= 0.1:
+            return a, b, c
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The argument tuples of every mpmath fallback sum taken meanwhile."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _partial_sum_mp(*args)
+
+    monkeypatch.setattr(oracle, "_partial_sum_mp", spy)
+    return calls
+
+
+class TestFixedPointSum:
+    def test_agrees_with_mpmath_sum(self, fallbacks):
+        rng = random.Random(8)
+        cases = [(*_draw_triple(rng, kind), 20_000)
+                 for kind in ("real", "complex")]
+        for kind in ("real", "complex", "fraction", "int", "mixed"):
+            for _ in range(4):
+                n = round(10.0 ** rng.uniform(0.0, math.log10(2e4)))
+                cases.append((*_draw_triple(rng, kind), n))
+        for a, b, c, n in cases:
+            got = partial_sum_ref(a, b, c, n, digits=60).value
+            assert _rel(got, _mp_sum(a, b, c, n, 70)) <= 1e-45, (a, b, c, n)
+        assert not fallbacks
+
+    def test_result_keeps_the_working_precision(self, fallbacks):
+        # At 80 digits the agreement tightens with the precision; a result
+        # rounded to double on the way out would stop at ~1e-16.
+        for a, b, c, n in ((0.7, -1.3, 2.2, 300),
+                           (0.5 + 1.0j, -0.25, 0.75 - 2.0j, 300),
+                           (Fraction(1, 3), Fraction(-7, 5), 3, 100)):
+            got = partial_sum_ref(a, b, c, n, digits=80).value
+            assert _rel(got, _mp_sum(a, b, c, n, 110)) <= 1e-85, (a, b, c, n)
+        assert not fallbacks
+
+    def test_exact_zero_stays_zero(self):
+        assert partial_sum_ref(-2.0, 1.0, 1.0, 3).value == 0
+        assert partial_sum_ref(-2, 1, Fraction(1), 3).value == 0
+
+    def test_extreme_magnitudes_return(self):
+        # Integers of thousands of bits; never converted to float whole.
+        for a, n in ((1e300, 3), (1e300, 10), (1e-300, 50),
+                     (Fraction(10**400 + 1, 3), 4)):
+            got = partial_sum_ref(a, 0.5, 1.5, n, digits=60).value
+            assert _rel(got, _mp_sum(a, 0.5, 1.5, n, 70)) <= 1e-45, (a, n)
+
+    def test_cancellation_takes_the_fallback(self, fallbacks):
+        # 1 + a + a(a+1)/2 = (a+1)(a+2)/2 is ~2^-41 against terms of 2, more
+        # cancellation than the fixed-point guard bits prove.
+        a = -2.0 + 2.0 ** -40
+        with mp.workdps(60):
+            assert oracle._fixed_point_sum(
+                *(oracle._exact(x, "x") for x in (a, 1.0, 1.0)), 3,
+                mp.mp.prec) is None
+        got = partial_sum_ref(a, 1.0, 1.0, 3, digits=40).value
+        assert len(fallbacks) == 1
+        exact = (Fraction(a) + 1) * (Fraction(a) + 2) / 2
+        assert _rel(got, _mp(exact)) <= 1e-45
+
+    def test_pole_is_exact(self):
+        # c = -2 makes c + k vanish at k = 2, the step to the fourth term.
+        assert partial_sum_ref(0.5, 0.5, -2.0, 3).value != 0
+        for c in (-2.0, -2 + 0j, -2, Fraction(-4, 2)):
+            with pytest.raises(InvalidParameterError):
+                partial_sum_ref(0.5, 0.5, c, 4)
+        partial_sum_ref(0.5, 0.5, -2.0 + 2.0 ** -50, 4)
+
+    def test_table_grid_sums_in_fixed_point(self, fallbacks):
+        rows, ok = verification.table_errors(40)
+        assert ok and len(rows) == 6
+        assert not fallbacks

@@ -52,3 +52,20 @@ def test_large_gamma_pairs_have_one_owner():
             if "log_gamma_diff" in names and path.name not in owners:
                 strays.append(f"{path.name}:{node.lineno}")
     assert not strays, strays
+
+
+def test_oracle_imports_nothing_from_the_package_but_errors():
+    # The oracle is evidence only while it shares no code with the double
+    # kernels; from the package it may take the error types and nothing else.
+    strays = []
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if (node.level or module.split(".")[0] == "hypersum") \
+                    and module not in (".errors", "hypersum.errors"):
+                strays.append(f"{module}:{node.lineno}")
+        elif isinstance(node, ast.Import):
+            strays += [f"{alias.name}:{node.lineno}" for alias in node.names
+                       if alias.name.split(".")[0] == "hypersum"
+                       and alias.name != "hypersum.errors"]
+    assert not strays, strays
