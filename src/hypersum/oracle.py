@@ -6,10 +6,10 @@ hypergeometric series at unit argument, gamma and digamma values, and the
 Landau constants.  None of it shares code with the double-precision kernel,
 so agreement between the two is meaningful evidence rather than a tautology.
 
-Partial sums run exactly over Gaussian integers in fixed point: the
-parameters become integers over one common denominator, and the term and the
-running sum are integers scaled by a power of two, with a bound on the
-rounding error carried beside them.  When that bound does not prove the
+Partial sums run on Python integers in fixed point: the parameters become
+exact integers over one common denominator, and the term and the running sum
+are Gaussian integers scaled by a power of two, with a bound on the
+floor-rounding error carried beside them.  When that bound does not prove the
 working precision, the sum is redone in mpmath.  Gamma, digamma and the
 Landau constants run in mpmath.
 
