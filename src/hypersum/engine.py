@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from . import coeffs
 from ._series import (check_tol, finite_sum, predicted_terms, sum_alt_kernel,
                       sum_direct, sum_hyp3f2, sum_psi_kernel)
-from .complexfn import digamma, exp_log, gamma_ratio, is_near_pole, log_gamma
+from .complexfn import (_EXP_MIN, digamma, exp_log, gamma_ratio, is_near_pole,
+                        log_gamma)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
@@ -50,11 +51,29 @@ __all__ = [
 # includes this so kernel roundoff cannot escape the estimate.
 _KERNEL_REL = 1e-13
 
+# Each prefactor is exp(L), where L sums log-gamma values and the pair
+# logarithms of log omega_n or log lambda_n.  L is rounded to a few eps of
+# the moduli it sums, and exp makes that a relative error, so the floor
+# grows with those moduli: with the parameters' log-gamma values, and with
+# log n through the pair logarithms log Gamma(n+a)/Gamma(n) and
+# log Gamma(n+b)/Gamma(n+x), whose moduli reach |a| log n and |b - x| log n.
+# Against mpmath the pair logarithms' rounding stays under 0.94 of
+# 2 eps (|a| + |b - x|) log n up to n = 10^15, and generic answers with
+# parameters of modulus up to 300 stay under 0.6 of the floor below.
+_LOG_REL = 2 * 2.0 ** -52
 
-def _roundoff(*magnitudes: float) -> float:
-    """Kernel-accuracy floor on the assembled value; series recurrence
-    drift is already inside each SeriesResult.est_error."""
-    return _KERNEL_REL * sum(magnitudes)
+
+def _rel_floor(size: float) -> float:
+    """Relative rounding floor of a piece exp(L) whose log L sums terms of
+    moduli adding up to size; series recurrence drift is already inside
+    each SeriesResult.est_error."""
+    return _KERNEL_REL + _LOG_REL * size
+
+
+def _pair_size(n: int, a, b, x) -> float:
+    """Modulus bound of the pair logarithms in log omega_n (x = c) or
+    log lambda_n (x = a + b)."""
+    return (abs(a) + abs(b - x)) * math.log(n)
 
 
 @dataclass(frozen=True)
@@ -139,24 +158,42 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     s = p.s
-    lg_c = log_gamma(c)
+    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
     # Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)), zero at a pole of 1/Gamma
     if is_near_pole(c - a) or is_near_pole(c - b):
         gauss = 0.0 + 0.0j
+        gauss_err = 0.0
     else:
-        gauss = exp_log(lg_c + log_gamma(s) - log_gamma(c - a)
-                        - log_gamma(c - b))
+        lg_s, lg_ca, lg_cb = log_gamma(s), log_gamma(c - a), log_gamma(c - b)
+        gauss = exp_log(lg_c + lg_s - lg_ca - lg_cb)
+        gauss_err = abs(gauss) * _rel_floor(abs(lg_c) + abs(lg_s)
+                                            + abs(lg_ca) + abs(lg_cb))
     log_omega, = _log_seq_ratios(n, a, b, c)
-    pref = exp_log(log_omega + lg_c - log_gamma(a) - log_gamma(b)) / s
+    lg_tail = log_omega + lg_c - lg_a - lg_b
     series = sum_hyp3f2((c - a, c - b, 1.0 + 0.0j), (n + c, 1.0 + s),
                         tol.rel_tol, tol.max_terms)
-    tail = pref * series.value
-    value = gauss - tail
     warnings = cls.warnings
     if series.hit_max:
         warnings = warnings + ("max_terms_reached",)
-    est = (abs(pref) * series.est_error
-           + _roundoff(abs(gauss), abs(tail)))
+    if lg_tail.real < _EXP_MIN:
+        # The tail lies below the double range: |tail| <= e^Re(lg_tail)
+        # (|series| + its error) / |s|, taken in log space.  Next to a
+        # nonzero Gauss piece that is part of the error; without one the
+        # tail is the whole answer, and it cannot be represented.
+        if gauss == 0:
+            raise DomainError(f"S_n lies below the double range: the Gauss "
+                              f"piece is zero and log |tail prefactor| = "
+                              f"{lg_tail.real:.6g}")
+        size = (abs(series.value) + series.est_error) / abs(s)
+        lost = math.exp(lg_tail.real + math.log(size)) if size else 0.0
+        return EvalReport(gauss, cls, series.terms_used, gauss_err + lost,
+                          warnings)
+    pref = exp_log(lg_tail) / s
+    tail = pref * series.value
+    value = gauss - tail
+    tail_size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
+    est = (abs(pref) * series.est_error + gauss_err
+           + abs(tail) * _rel_floor(tail_size))
     return EvalReport(value, cls, series.terms_used, est, warnings)
 
 
@@ -182,20 +219,24 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
     w = n + a + b
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lam = exp_log(log_lambda)
-    pref = exp_log(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+    lg_ab, lg_a, lg_b = log_gamma(a + b), log_gamma(a), log_gamma(b)
+    pref = exp_log(lg_ab - lg_a - lg_b)
+    pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
+    tail_floor = _rel_floor(_pair_size(n, a, b, a + b) + pref_size)
     warnings = cls.warnings
     if form == "psi_series":
         ker = sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
         value = lam * pref * ker.value
         est = (abs(lam * pref) * ker.est_error
-               + _roundoff(abs(value)))
+               + abs(value) * tail_floor)
     else:
         ker = sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
         head = pref * digamma(w) + coeffs.c0(a, b)
         tail = lam * pref * ker.value
         value = head + tail
         est = (abs(lam * pref) * ker.est_error
-               + _roundoff(abs(head), abs(tail)))
+               + abs(head) * _rel_floor(pref_size)
+               + abs(tail) * tail_floor)
     if ker.hit_max:
         warnings = warnings + ("max_terms_reached",)
     return EvalReport(value, cls, ker.terms_used, est, warnings)
@@ -214,10 +255,13 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
     m = cls.m
     total, absum = finite_sum(a, b, n + a + b, 1, m)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
-    pref = exp_log(log_lambda + log_gamma(c) + log_gamma(c - a - b)
-                   - log_gamma(c - a) - log_gamma(c - b))
+    lg_c, lg_s = log_gamma(c), log_gamma(c - a - b)
+    lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
+    pref = exp_log(log_lambda + lg_c + lg_s - lg_ca - lg_cb)
     value = pref * total
-    est = _roundoff(abs(pref) * absum)
+    size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s) + abs(lg_ca)
+            + abs(lg_cb))
+    est = abs(pref) * absum * _rel_floor(size)
     return EvalReport(value, cls, m, est, cls.warnings)
 
 
@@ -234,11 +278,11 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     m = cls.m
     finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m)
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
-    lg_c = log_gamma(c)
-    pref1 = exp_log(log_omega + lg_c - log_gamma(a) - log_gamma(b)) / m
+    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    lg_ca, lg_cb, lg_m = log_gamma(c - a), log_gamma(c - b), math.lgamma(m + 1)
+    pref1 = exp_log(log_omega + lg_c - lg_a - lg_b) / m
     sign = -1.0 if m % 2 else 1.0
-    pref2 = sign * exp_log(log_lambda + lg_c - log_gamma(c - a)
-                           - log_gamma(c - b) - math.lgamma(m + 1))
+    pref2 = sign * exp_log(log_lambda + lg_c - lg_ca - lg_cb - lg_m)
     ker = sum_psi_kernel(a, b, n + a + b, tol.rel_tol, tol.max_terms)
     head = pref1 * finite
     tail = pref2 * ker.value
@@ -246,8 +290,12 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     warnings = cls.warnings
     if ker.hit_max:
         warnings = warnings + ("max_terms_reached",)
+    size1 = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
+    size2 = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
+             + lg_m)
     est = (abs(pref2) * ker.est_error
-           + _roundoff(abs(head), abs(tail), abs(pref1) * absum))
+           + (abs(head) + abs(pref1) * absum) * _rel_floor(size1)
+           + abs(tail) * _rel_floor(size2))
     return EvalReport(value, cls, m + ker.terms_used, est, warnings)
 
 
@@ -270,9 +318,11 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
     m = cls.m
     total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
     log_omega, = _log_seq_ratios(n, a, b, c)
-    pref = exp_log(log_omega + log_gamma(c) - log_gamma(a) - log_gamma(b)) / m
+    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    pref = exp_log(log_omega + lg_c - lg_a - lg_b) / m
     value = pref * total
-    est = _roundoff(abs(pref) * absum)
+    size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
+    est = abs(pref) * absum * _rel_floor(size)
     return EvalReport(value, cls, m - cls.p + 1, est,
                       cls.warnings + ("conjectural",))
 

@@ -11,7 +11,8 @@ exact integers over one common denominator, and the term and the running sum
 are Gaussian integers scaled by a power of two, with a bound on the
 floor-rounding error carried beside them.  When that bound does not prove the
 working precision, the sum is redone in mpmath.  Gamma, digamma and the
-Landau constants run in mpmath.
+Landau constants run in mpmath.  mpmath is imported by the functions that
+use it, so importing this module does not load it.
 
 Requests are small tagged tuples, e.g. ``("partial_sum", a, b, c, n)``;
 convenience wrappers build them.  The working precision carries ten guard
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 from typing import Union
-
-import mpmath as mp
 
 from .errors import InvalidParameterError, PrecisionUnavailableError
 
@@ -73,11 +72,12 @@ def default_digits() -> int:
 class OracleValue:
     """A reference value together with its request and stated precision."""
 
-    value: mp.mpc
+    value: object  # an mpmath mpc
     digits: int
     request: tuple
 
     def as_complex(self) -> complex:
+        import mpmath as mp
         return complex(float(mp.re(self.value)), float(mp.im(self.value)))
 
 
@@ -111,6 +111,7 @@ def _exact(x: Number, name: str) -> tuple[Fraction, Fraction]:
 
 def _mp_of(z: tuple[Fraction, Fraction]):
     """An exact (re, im) pair at the current precision; real when im is 0."""
+    import mpmath as mp
     re, im = (mp.mpf(p.numerator) / mp.mpf(p.denominator) for p in z)
     return re if im == 0 else mp.mpc(re, im)
 
@@ -132,6 +133,7 @@ def _check_digits(digits: int) -> None:
 
 def _partial_sum_mp(a, b, c, n: int):
     # t_{k+1} = t_k (a+k)(b+k) / ((c+k)(k+1)); sum the first n terms.
+    import mpmath as mp
     total = mp.mpf(1)
     term = mp.mpf(1)
     for k in range(n - 1):
@@ -205,6 +207,7 @@ def _fixed_point_sum(a, b, c, n: int, work: int):
     size = max(abs(sr), abs(si)).bit_length()
     if not math.isfinite(bound) or math.ceil(bound).bit_length() + work >= size:
         return None
+    import mpmath as mp
     return mp.mpc(mp.ldexp(sr, -scale), mp.ldexp(si, -scale))
 
 
@@ -214,6 +217,7 @@ def _partial_sum(a, b, c, n: int, digits: int):
     Sums in fixed point, and in mpmath when the fixed-point rounding bound
     does not prove the working precision.
     """
+    import mpmath as mp
     if c[1] == 0 and c[0].denominator == 1 and 0 <= -c[0] < n - 1:
         raise InvalidParameterError(
             f"series coefficient pole: c + {-c[0]} = 0 with c = {c[0]}")
@@ -226,6 +230,7 @@ def _partial_sum(a, b, c, n: int, digits: int):
 
 def _landau_mp(n: int):
     # G_n = sum_{k<=n} t_k with t_0 = 1, t_{k+1} = t_k ((2k+1)/(2k+2))^2.
+    import mpmath as mp
     total = mp.mpf(1)
     term = mp.mpf(1)
     for k in range(n):
@@ -240,6 +245,7 @@ def oracle_eval(request: tuple, digits: int | None = None) -> OracleValue:
     Requests: ("partial_sum", a, b, c, n) with 1 <= n <= 1e5;
     ("gamma", z); ("digamma", z); ("landau", n) with n >= 0.
     """
+    import mpmath as mp
     if digits is None:
         digits = default_digits()
     _check_digits(digits)
@@ -295,6 +301,7 @@ def landau_ref(n: int, digits: int | None = None) -> OracleValue:
 
 def compare(x: Number, ref: OracleValue) -> ErrorReport:
     """Absolute and relative deviation of x from the reference value."""
+    import mpmath as mp
     with mp.workdps(ref.digits + _GUARD_DIGITS):
         xm = _to_mp(x, "x")
         abs_err = mp.fabs(xm - ref.value)

@@ -6,19 +6,20 @@ errors of the two partial-sum expansions sit below the double roundoff
 floor, so table_errors runs the shipped formulas themselves in mpmath
 against the oracle's raw sum, and check_table_errors holds the double build
 to that.  The depth-6 Landau decay order is measured at 40 digits too;
-everything else runs on the shipped double-precision routines.
+everything else runs on the shipped double-precision routines.  mpmath is
+imported on first use, as in the oracle, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import coeffs, engine, landau, oracle
 from .complexfn import digamma, gamma, nonpos_int_distance
@@ -79,13 +80,19 @@ def _lsq_slope(xs, ys) -> float:
 
 # ---------------------------------------------------------------------------
 # the published grid
-# runs the asymptotic forms of coeffs and landau in mpmath at the working
-# precision
-_MP = coeffs._Arith(
-    lambda num, den: mp.fprod(map(mp.gamma, num)) / mp.fprod(map(mp.gamma, den)),
-    mp.digamma, mp.euler, mp.mpf, mp.pi,
-    lambda n, a, b, x: (mp.gamma(n + a) * mp.gamma(n + b)
-                        / (mp.gamma(n) * mp.gamma(n + x))))
+
+@functools.cache
+def _mp_arith() -> coeffs._Arith:
+    """The namespace that runs the asymptotic forms of coeffs and landau in
+    mpmath at the working precision; built once, on first use."""
+    import mpmath as mp
+    return coeffs._Arith(
+        lambda num, den: (mp.fprod(map(mp.gamma, num))
+                          / mp.fprod(map(mp.gamma, den))),
+        mp.digamma, mp.euler, mp.mpf, mp.pi,
+        lambda n, a, b, x: (mp.gamma(n + a) * mp.gamma(n + b)
+                            / (mp.gamma(n) * mp.gamma(n + x))))
+
 
 # One grid row: case, (a, b, c) as doubles, n, and per depth K = 1, 2, 3 the
 # printed error, mpmath estimate, float |estimate - S_n| and its deviation.
@@ -99,6 +106,8 @@ def table_errors(digits: int | None = None):
     oracle's raw term-by-term sum.  Returns (rows, ok), ok when every cell
     is within 1% of its printed value.  digits defaults to the oracle's.
     """
+    import mpmath as mp
+    arith = _mp_arith()
     digits = oracle.default_digits() if digits is None else digits
     oracle._check_digits(digits)
     rows = []
@@ -110,11 +119,11 @@ def table_errors(digits: int | None = None):
             a, b, c = map(oracle._mp_of, (pa, pb, pc))
             if len(exact) == 2:
                 case = "logarithmic"
-                ests = [coeffs._asym_log(_MP, a, b, n, K) for K in (1, 2, 3)]
+                ests = [coeffs._asym_log(arith, a, b, n, K) for K in (1, 2, 3)]
             else:
                 case = "negative-integer"
                 m = int(mp.nint(a + b - c).real)
-                ests = [coeffs._asym_neg_int(_MP, a, b, c, n, m, K)
+                ests = [coeffs._asym_neg_int(arith, a, b, c, n, m, K)
                         for K in (1, 2, 3)]
             ref = oracle._partial_sum(pa, pb, pc, n, digits)
             errors = [float(abs(e - ref)) for e in ests]
@@ -135,6 +144,7 @@ def check_table_errors() -> CheckResult:
     of the estimate can resolve.  The shipped double routines are held to the
     extended build separately.
     """
+    import mpmath as mp
     start = time.perf_counter()
     worst, worst_cell, cross = 0.0, "", 0.0
     with mp.workdps(50):
@@ -353,6 +363,7 @@ def check_degenerate_conjecture(seed: int = DEFAULT_SEED,
 
 def check_asymptotic_orders() -> CheckResult:
     """Decay orders of the truncated expansions match their first omitted term."""
+    import mpmath as mp
     start = time.perf_counter()
     ok = True
     parts = []
@@ -371,7 +382,7 @@ def check_asymptotic_orders() -> CheckResult:
     # so the shipped formula runs at 40 digits
     with mp.workdps(40):
         sn = (50, 100, 200)
-        errs = [abs(landau._asymptotic(_MP, n, 6)
+        errs = [abs(landau._asymptotic(_mp_arith(), n, 6)
                     - oracle.landau_ref(n - 1).value) for n in sn]
         slope = _lsq_slope(sn, errs)
     if abs(slope + 7) > 0.3:

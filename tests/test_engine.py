@@ -86,6 +86,27 @@ class TestGeneric:
         err = compare(rep.value, partial_sum_ref(0.75, 0.25, 2.6, 20))
         assert err.abs_err <= rep.est_error
 
+    def test_underflowed_tail_leaves_the_gauss_piece(self):
+        # The tail's prefactor has log modulus -134747, far below the double
+        # range, so S_n is the Gauss piece, whose log is -5.50.  Its four
+        # log-gamma values reach 2.8e5 in modulus, and est_error must carry
+        # their rounding (4e-11 relative here).
+        a, b, c = -3e4 + 0.3j, 0.5, 1.2
+        rep = eval_auto(ParamSet(a, b, c), 10**6)
+        assert rep.path == "expansion" and rep.warnings == ()
+        with mp.workdps(40):
+            A, B, C = mp.mpc(a), mp.mpf(b), mp.mpf(c)
+            gauss = complex(mp.exp(mp.loggamma(C) + mp.loggamma(C - A - B)
+                                   - mp.loggamma(C - A) - mp.loggamma(C - B)))
+        assert abs(rep.value - gauss) <= rep.est_error
+        assert rep.est_error <= 1e-9 * abs(gauss)
+
+    def test_underflowed_whole_answer_is_a_domain_error(self):
+        # c - b = -2 zeroes the Gauss piece, so the underflowed tail is all
+        # of S_n, and S_n lies below the double range.
+        with pytest.raises(DomainError, match="below the double range"):
+            eval_auto(ParamSet(-3e4 + 0.3j, 3.2, 1.2), 10**6)
+
 
 class TestLog:
     def test_real_pair(self):
@@ -245,6 +266,73 @@ class TestExactOffsets:
         assert rep.path == "expansion"
         err = compare(rep.value, partial_sum_ref(a, b, c, n))
         assert err.abs_err <= rep.est_error, err.abs_err / rep.est_error
+
+
+def _generic_formula_mp(a, b, c, n):
+    """S_n by the generic formula at 40 digits: the Gauss piece minus
+    omega_n Gamma(c) / (Gamma(a) Gamma(b) s) times the 3F2(1) tail, with
+    every gamma function taken by mp.loggamma at the exact parameters and
+    the tail summed term by term (mp.hyp3f2 at unit argument can be wrong
+    when 1 + s < 0)."""
+    with mp.workdps(40):
+        a, b, c = (mp.mpc(v) for v in (a, b, c))
+        s = c - a - b
+        gauss = mp.exp(mp.loggamma(c) + mp.loggamma(s) - mp.loggamma(c - a)
+                       - mp.loggamma(c - b))
+        pref = mp.exp(mp.loggamma(n + a) + mp.loggamma(n + b) - mp.loggamma(n)
+                      - mp.loggamma(n + c) + mp.loggamma(c) - mp.loggamma(a)
+                      - mp.loggamma(b)) / s
+        term = total = mp.mpf(1)
+        k = 0
+        while abs(term) > mp.mpf(10) ** -40 * abs(total):
+            term *= (c - a + k) * (c - b + k) / ((n + c + k) * (1 + s + k))
+            total += term
+            k += 1
+        return complex(gauss - pref * total)
+
+
+class TestBeyondTheOracle:
+    # At n = 10^15 the pair logarithms in omega_n reach (|a| + |b-c|) log n
+    # ~ 300, and their rounding alone is up to 1.3e-13 relative.  The first
+    # case read err/est 1.05 when est_error's floor was a fixed 1e-13; the
+    # second reads 1.11 when the floor counts the log-gamma values but not
+    # the pair logarithms.
+    @pytest.mark.parametrize("a, b, c", (
+        (4.855082298257978 - 2.6535956512896153j,
+         2.2546518624127243 - 4.153197695835158j,
+         -3.3030585820561242 + 4.109877835080679j),
+        (-3.0411531033260775 - 3.916563008694504j,
+         1.3583847652278962 + 0.4428143737443957j,
+         -3.13523488023285 + 4.558230794391179j),
+        *(_draw_triple(random.Random(f"1e15 {i}"), "generic", i % 2 == 1)
+          for i in range(6)),
+    ), ids=["fixed_floor", "pair_logs", *(f"draw{i}" for i in range(6))])
+    def test_error_within_estimate_at_n_1e15(self, a, b, c):
+        n = 10**15
+        rep = eval_auto(ParamSet(a, b, c), n)
+        assert rep.path == "expansion"
+        err = abs(rep.value - _generic_formula_mp(a, b, c, n))
+        assert err <= rep.est_error, err / rep.est_error
+
+    # With parameters of modulus ~300 the log-gamma values summed into each
+    # prefactor reach ~1e3, and their rounding does too; these cases read
+    # err/est 18.4, 25 and 13.2 when est_error's floor ignored that size.
+    @pytest.mark.parametrize("a, b, c, n", (
+        (70.47151227966998 - 223.9804604698382j,
+         -298.9350826784792 + 222.8428468345693j,
+         -174.32617050292927 - 170.71129846516064j, 10**4),
+        (8.394258372311185 + 224.7978679473198j,
+         291.20581050322085 + 190.13267468767714j,
+         282.4856971687003 - 82.59392999075905j, 10**9),
+        (28.14439844310883 - 257.2689805761197j,
+         269.63758797167304 - 5.3038756909371045j,
+         280.72086603477226 - 267.74310760442546j, 10**4),
+    ))
+    def test_error_within_estimate_at_large_parameters(self, a, b, c, n):
+        rep = eval_auto(ParamSet(a, b, c), n)
+        assert rep.path == "expansion"
+        err = abs(rep.value - _generic_formula_mp(a, b, c, n))
+        assert err <= rep.est_error, err / rep.est_error
 
 
 class TestOracleAtLargeIndex:

@@ -279,9 +279,13 @@ def _reference_pos_int(p, n, m):
         term = term * (a + k) * (b + k) / ((w + k) * (k + 1))
         total += term
         absum += abs(term)
-    pref = exp_log(_log_seq_ratios(n, a, b, a + b)[0] + log_gamma(c)
-                   + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b))
-    return pref * total, m, engine._roundoff(abs(pref) * absum)
+    lg_c, lg_s = log_gamma(c), log_gamma(c - a - b)
+    lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
+    pref = exp_log(_log_seq_ratios(n, a, b, a + b)[0] + lg_c + lg_s
+                   - lg_ca - lg_cb)
+    size = (engine._pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s)
+            + abs(lg_ca) + abs(lg_cb))
+    return pref * total, m, abs(pref) * absum * engine._rel_floor(size)
 
 
 def _reference_neg_int(p, n, m):
@@ -294,16 +298,19 @@ def _reference_neg_int(p, n, m):
         finite += term
         absum += abs(term)
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
-    pref1 = exp_log(log_omega + log_gamma(c) - log_gamma(a)
-                    - log_gamma(b)) / m
-    pref2 = (-1.0) ** m * exp_log(log_lambda + log_gamma(c)
-                                  - log_gamma(c - a) - log_gamma(c - b)
-                                  - math.lgamma(m + 1))
+    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    lg_ca, lg_cb, lg_m = log_gamma(c - a), log_gamma(c - b), math.lgamma(m + 1)
+    pref1 = exp_log(log_omega + lg_c - lg_a - lg_b) / m
+    pref2 = (-1.0) ** m * exp_log(log_lambda + lg_c - lg_ca - lg_cb - lg_m)
     ker = sum_psi_kernel(a, b, n + a + b)
     head = pref1 * finite
     tail = pref2 * ker.value
+    size1 = engine._pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
+    size2 = (engine._pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca)
+             + abs(lg_cb) + lg_m)
     est = (abs(pref2) * ker.est_error
-           + engine._roundoff(abs(head), abs(tail), abs(pref1) * absum))
+           + (abs(head) + abs(pref1) * absum) * engine._rel_floor(size1)
+           + abs(tail) * engine._rel_floor(size2))
     return head + tail, m + ker.terms_used, est
 
 
@@ -316,9 +323,11 @@ def _reference_conjectured(p, n, m, p_int):
         term = term * (a - m + k) * (b - m + k) / ((n + c + k) * (1 - m + k))
         total += term
         absum += abs(term)
-    pref = exp_log(_log_seq_ratios(n, a, b, c)[0] + log_gamma(c)
-                   - log_gamma(a) - log_gamma(b)) / m
-    return pref * total, m - p_int + 1, engine._roundoff(abs(pref) * absum)
+    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    pref = exp_log(_log_seq_ratios(n, a, b, c)[0] + lg_c - lg_a - lg_b) / m
+    size = engine._pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
+    est = abs(pref) * absum * engine._rel_floor(size)
+    return pref * total, m - p_int + 1, est
 
 
 def _report_fields(rep):

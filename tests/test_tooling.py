@@ -4,16 +4,27 @@ for the package's own layering.
 perfbench's tracer wraps the (module, function) pairs in its TARGETS table
 by identity; a renamed or removed function would only surface when the
 benchmark runs.  The table is read from the source, not imported.
+
+Only the oracle and the verification suite use mpmath, and they import it
+on first use, so ``import hypersum`` and the commands that run on the
+double-precision expansions start without it.  Those checks run in fresh
+interpreters, since this one has long since loaded mpmath.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "hypersum"
+MPMATH_USERS = {"oracle.py", "verification.py"}
 
 
 def _tracer_targets():
@@ -68,4 +79,104 @@ def test_oracle_imports_nothing_from_the_package_but_errors():
             strays += [f"{alias.name}:{node.lineno}" for alias in node.names
                        if alias.name.split(".")[0] == "hypersum"
                        and alias.name != "hypersum.errors"]
+    assert not strays, strays
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run this interpreter on args with the package's source on the path."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def _modules_after(statement: str) -> frozenset:
+    """Names in sys.modules after `statement` runs in a fresh interpreter."""
+    proc = _python("-c", f"{statement}; import sys; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
+
+
+def _is_mpmath(name: str) -> bool:
+    return name.split(".")[0] == "mpmath"
+
+
+def test_import_leaves_mpmath_unloaded():
+    loaded = _modules_after("import hypersum")
+    assert "hypersum.oracle" in loaded and "hypersum.verification" in loaded
+    assert not any(map(_is_mpmath, loaded))
+
+
+def test_oracle_loads_mpmath_on_first_use():
+    proc = _python("-c", (
+        "import sys, hypersum\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "ref = hypersum.partial_sum_ref(0.5, 0.5, 1.0, 10)\n"
+        "assert 'mpmath' in sys.modules\n"
+        "print(repr(ref.as_complex()))"))
+    assert proc.returncode == 0, proc.stderr
+    # S_10(1/2, 1/2; 1) = sum_{k<10} (binom(2k, k) / 4^k)^2
+    assert complex(proc.stdout) == pytest.approx(1.7913439415860921, rel=1e-15)
+
+
+def test_tracer_targets_are_loaded_by_the_package_import():
+    # The tracer looks each TARGETS module up in sys.modules when it starts;
+    # a package module imported lazily would be missing there.
+    loaded = _modules_after("import hypersum, hypersum.cli")
+    missing = [module for module, _ in _tracer_targets()
+               if f"hypersum.{module}" not in loaded]
+    assert not missing, missing
+
+
+@pytest.mark.parametrize("argv, uses_mpmath", [
+    (["eval", "-a", "2.3", "-b", "1.9", "-c", "0.7", "-n", "1000000"], False),
+    (["classify", "-a", "2.3", "-b", "1.9", "-c", "0.7"], False),
+    (["landau", "-n", "1", "--method", "all"], False),
+    (["coeffs", "--family", "sigma", "-a", "0.5", "-b", "0.5"], False),
+    (["table1"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_cli_loads_mpmath_only_where_it_needs_it(argv, uses_mpmath):
+    proc = _python("-X", "importtime", "-m", "hypersum", *argv)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "hypersum.engine" in imported
+    assert any(map(_is_mpmath, imported)) == uses_mpmath
+
+
+def _mpmath_imports(tree: ast.AST) -> list[tuple[int, bool]]:
+    """(line, inside a function) for each import of mpmath in tree."""
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            names = ()
+            if isinstance(child, ast.Import):
+                names = tuple(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = (child.module,)
+            if any(map(_is_mpmath, names)):
+                found.append((child.lineno, in_function))
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return found
+
+
+def test_mpmath_is_imported_only_inside_oracle_and_verification_functions():
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = _mpmath_imports(tree)
+        if path.name in MPMATH_USERS:
+            assert imports, f"{path.name} no longer imports mpmath"
+            strays += [f"{path.name}:{line} (module level)"
+                       for line, in_function in imports if not in_function]
+        else:
+            strays += [f"{path.name}:{line}" for line, _ in imports]
+            strays += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Name) and node.id == "mpmath"]
     assert not strays, strays
