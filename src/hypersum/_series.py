@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexfn import EULER_GAMMA, digamma, nonpos_int_distance
+from .complexfn import EULER_GAMMA, _digamma, _off_pole, nonpos_int_distance
 from .errors import DivergentSeriesError, InvalidParameterError
 
 __all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
@@ -206,6 +206,14 @@ def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
         raise DivergentSeriesError(
             f"series excess {excess!r} has nonpositive real part"
         )
+    return _sum_hyp3f2(n1, n2, n3, d1, d2, rel_tol, max_terms)
+
+
+def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
+                d2: complex, rel_tol: float, max_terms: int) -> SeriesResult:
+    # sum_hyp3f2 without its checks, for a convergent or terminating series
+    # with no denominator at a pole and a valid truncation control.
+    excess = d1 + d2 - n1 - n2 - n3
     t = 1.0 + 0.0j
 
     def step(k: int) -> complex:
@@ -226,10 +234,17 @@ def sum_psi_kernel(a, b, w, rel_tol: float = 1e-15,
     term decay k^-(Re(w-a-b)+2).
     """
     check_tol(rel_tol, max_terms)
-    a = complex(a)
-    b = complex(b)
-    w = complex(w)
-    br = digamma(w) - EULER_GAMMA - digamma(a) - digamma(b)
+    w = _off_pole(w, "digamma")
+    a = _off_pole(a, "digamma")
+    b = _off_pole(b, "digamma")
+    return _sum_psi_kernel(a, b, w, rel_tol, max_terms)
+
+
+def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
+                    max_terms: int) -> SeriesResult:
+    # sum_psi_kernel without its checks, for finite complex a, b, w off the
+    # poles and a valid truncation control.
+    br = _digamma(w) - EULER_GAMMA - _digamma(a) - _digamma(b)
     t = 1.0 + 0.0j
 
     def step(k: int) -> complex:

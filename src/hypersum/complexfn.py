@@ -186,14 +186,25 @@ def _log_gamma_upper(z: complex) -> complex:
             - shift)
 
 
+def _off_pole(z: Number, what: str) -> complex:
+    """z as a finite complex number, or PoleError (naming ``what``) within
+    ``POLE_TOL`` of a nonpositive integer."""
+    w = _as_complex(z)
+    if nonpos_int_distance(w) <= POLE_TOL:
+        raise PoleError(f"{what} pole at z = {w!r}")
+    return w
+
+
 def log_gamma(z: Number) -> complex:
     """Principal branch of log Gamma(z) for complex z off the poles.
 
     Raises PoleError within ``POLE_TOL`` of a nonpositive integer.
     """
-    w = _as_complex(z)
-    if nonpos_int_distance(w) <= POLE_TOL:
-        raise PoleError(f"log_gamma pole at z = {w!r}")
+    return _log_gamma(_off_pole(z, "log_gamma"))
+
+
+def _log_gamma(w: complex) -> complex:
+    # log_gamma without its checks, for a finite complex w off the poles.
     if w.imag == 0.0:
         x = w.real
         try:
@@ -248,9 +259,11 @@ def _digamma_upper(z: complex) -> complex:
 
 def digamma(z: Number) -> complex:
     """psi(z), the logarithmic derivative of gamma, for complex z off the poles."""
-    w = _as_complex(z)
-    if nonpos_int_distance(w) <= POLE_TOL:
-        raise PoleError(f"digamma pole at z = {w!r}")
+    return _digamma(_off_pole(z, "digamma"))
+
+
+def _digamma(w: complex) -> complex:
+    # digamma without its checks, for a finite complex w off the poles.
     if _in_lower_half(w):
         return _digamma_upper(w.conjugate()).conjugate()
     return _digamma_upper(w)
@@ -348,10 +361,16 @@ def log_gamma_diff(n: float, x1: Number, x2: Number) -> complex:
     """
     x1 = _as_complex(x1, "x1")
     x2 = _as_complex(x2, "x2")
-    z1, z2 = (x1 + n, x2 + n) if n else (x1, x2)
-    for z in (z1, z2):
+    for x in (x1, x2):
+        z = x + n if n else x
         if nonpos_int_distance(z) <= POLE_TOL:
             raise PoleError(f"gamma_ratio pole at argument {z!r}")
+    return _log_gamma_diff(n, x1, x2)
+
+
+def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
+    # log_gamma_diff without its checks, for n + x1 and n + x2 off the poles.
+    z1, z2 = (x1 + n, x2 + n) if n else (x1, x2)
     if z1.imag >= 0.0 and z2.imag >= 0.0:
         return _log_gamma_diff_upper(z1, z2, x1 - x2)
     if z1.imag <= 0.0 and z2.imag <= 0.0:

@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass
 
 from . import coeffs
-from ._series import (check_tol, finite_sum, predicted_terms, sum_alt_kernel,
-                      sum_direct, sum_hyp3f2, sum_psi_kernel)
-from .complexfn import (_EXP_MIN, digamma, exp_log, gamma_ratio, is_near_pole,
-                        log_gamma)
-from .errors import DomainError, InvalidParameterError, WrongBranchError
+from ._series import (_sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
+                      predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2)
+from .complexfn import (_EXP_MIN, POLE_TOL, _digamma, _log_gamma, exp_log,
+                        gamma_ratio, log_gamma, nonpos_int_distance)
+from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
@@ -140,6 +140,23 @@ def f32_unit(num, den, tol: Tolerance = _DEFAULT_TOL):
 # once: log omega_n or log lambda_n from params._log_seq_ratios (which forms
 # the large gamma pairs from the exact offsets) plus one log_gamma per
 # parameter-only argument; log Gamma(c) is shared where two pieces need it.
+#
+# The bodies run on a ParamSet and its classification, which already prove
+# most of what the kernel's public functions check: a, b and c are finite
+# and INTEGER_TOL (more than POLE_TOL) from every pole, and so are n+a, n+c
+# and n; a generic s keeps INTEGER_TOL from every integer, and the generic
+# tail's exact excess is n >= 2.  So they call the unchecked private
+# kernels there, and keep the checks that can change an answer: the Gauss
+# piece's pole test on c-a and c-b, the checked log_gamma on a+b, c-a and
+# c-b in the integer branches, and one pole test on n+a+b.
+
+
+def _nab_off_pole(w: complex) -> complex:
+    """w = n+a+b, or PoleError when it sits on a pole of the gamma function
+    (an integer branch's a+b is c only to INTEGER_TOL, or differs by m)."""
+    if nonpos_int_distance(w) <= POLE_TOL:
+        raise PoleError(f"gamma_ratio pole at argument {w!r}")
+    return w
 
 
 def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
@@ -158,20 +175,21 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     s = p.s
-    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     # Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)), zero at a pole of 1/Gamma
-    if is_near_pole(c - a) or is_near_pole(c - b):
+    ca, cb = c - a, c - b
+    if nonpos_int_distance(ca) <= POLE_TOL or nonpos_int_distance(cb) <= POLE_TOL:
         gauss = 0.0 + 0.0j
         gauss_err = 0.0
     else:
-        lg_s, lg_ca, lg_cb = log_gamma(s), log_gamma(c - a), log_gamma(c - b)
+        lg_s, lg_ca, lg_cb = _log_gamma(s), _log_gamma(ca), _log_gamma(cb)
         gauss = exp_log(lg_c + lg_s - lg_ca - lg_cb)
         gauss_err = abs(gauss) * _rel_floor(abs(lg_c) + abs(lg_s)
                                             + abs(lg_ca) + abs(lg_cb))
     log_omega, = _log_seq_ratios(n, a, b, c)
     lg_tail = log_omega + lg_c - lg_a - lg_b
-    series = sum_hyp3f2((c - a, c - b, 1.0 + 0.0j), (n + c, 1.0 + s),
-                        tol.rel_tol, tol.max_terms)
+    series = _sum_hyp3f2(ca, cb, 1.0 + 0.0j, n + c, 1.0 + s, tol.rel_tol,
+                         tol.max_terms)
     warnings = cls.warnings
     if series.hit_max:
         warnings = warnings + ("max_terms_reached",)
@@ -216,22 +234,22 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
     if n == 1:
         return _unit_report(cls)
     a, b = p.a, p.b
-    w = n + a + b
+    w = _nab_off_pole(n + a + b)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lam = exp_log(log_lambda)
-    lg_ab, lg_a, lg_b = log_gamma(a + b), log_gamma(a), log_gamma(b)
+    lg_ab, lg_a, lg_b = log_gamma(a + b), _log_gamma(a), _log_gamma(b)
     pref = exp_log(lg_ab - lg_a - lg_b)
     pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
     tail_floor = _rel_floor(_pair_size(n, a, b, a + b) + pref_size)
     warnings = cls.warnings
     if form == "psi_series":
-        ker = sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
+        ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
         value = lam * pref * ker.value
         est = (abs(lam * pref) * ker.est_error
                + abs(value) * tail_floor)
     else:
         ker = sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
-        head = pref * digamma(w) + coeffs.c0(a, b)
+        head = pref * _digamma(w) + coeffs.c0(a, b)
         tail = lam * pref * ker.value
         value = head + tail
         est = (abs(lam * pref) * ker.est_error
@@ -253,9 +271,11 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
         return _unit_report(cls)
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    total, absum = finite_sum(a, b, n + a + b, 1, m)
+    w = n + a + b
+    total, absum = finite_sum(a, b, w, 1, m)
+    _nab_off_pole(w)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
-    lg_c, lg_s = log_gamma(c), log_gamma(c - a - b)
+    lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
     lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
     pref = exp_log(log_lambda + lg_c + lg_s - lg_ca - lg_cb)
     value = pref * total
@@ -277,13 +297,14 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     a, b, c = p.a, p.b, p.c
     m = cls.m
     finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m)
+    w = _nab_off_pole(n + a + b)
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
-    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     lg_ca, lg_cb, lg_m = log_gamma(c - a), log_gamma(c - b), math.lgamma(m + 1)
     pref1 = exp_log(log_omega + lg_c - lg_a - lg_b) / m
     sign = -1.0 if m % 2 else 1.0
     pref2 = sign * exp_log(log_lambda + lg_c - lg_ca - lg_cb - lg_m)
-    ker = sum_psi_kernel(a, b, n + a + b, tol.rel_tol, tol.max_terms)
+    ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
     head = pref1 * finite
     tail = pref2 * ker.value
     value = head + tail
@@ -318,7 +339,7 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
     m = cls.m
     total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
     log_omega, = _log_seq_ratios(n, a, b, c)
-    lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
+    lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     pref = exp_log(log_omega + lg_c - lg_a - lg_b) / m
     value = pref * total
     size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)

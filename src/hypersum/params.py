@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .complexfn import (_as_complex, exp_log, log_gamma_diff,
+from .complexfn import (POLE_TOL, _as_complex, _log_gamma_diff, exp_log,
                         nonpos_int_distance)
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, PoleError
 
 __all__ = [
     "INTEGER_TOL",
@@ -163,13 +163,21 @@ def _check_index(value, name: str = "n", minimum: int = 1) -> int:
 def _log_seq_ratios(n, a, b, *xs) -> list[complex]:
     """log Gamma(n+a) Gamma(n+b) / (Gamma(n) Gamma(n+x)) for real n and each
     x in xs, sharing log Gamma(n+a)/Gamma(n): log omega_n at x = c, log
-    lambda_n at x = a+b."""
-    head = log_gamma_diff(n, a, 0j)
-    return [head + log_gamma_diff(n, b, x) for x in xs]
+    lambda_n at x = a+b.
+
+    Nothing is checked.  For a ParamSet's a, b, c and n >= 1, the arguments
+    n, n+a, n+b and n+c keep INTEGER_TOL from every pole; n+a+b need not, so
+    a caller passing x = a+b tests it first.
+    """
+    head = _log_gamma_diff(n, a, 0j)
+    return [head + _log_gamma_diff(n, b, x) for x in xs]
 
 
 def seq_factors(p: ParamSet, n: int) -> SeqFactors:
     """omega_n and lambda_n, the gamma-ratio prefactors of the expansions."""
     _check_index(n)
+    w = p.a + p.b + n
+    if nonpos_int_distance(w) <= POLE_TOL:
+        raise PoleError(f"gamma_ratio pole at argument {w!r}")
     log_omega, log_lambda = _log_seq_ratios(n, p.a, p.b, p.c, p.a + p.b)
     return SeqFactors(omega_n=exp_log(log_omega), lambda_n=exp_log(log_lambda))
