@@ -12,11 +12,22 @@ the job.  Arguments in the lower half plane are handled by conjugation,
 which makes the conjugate-symmetry identities exact at the representation
 level.
 
+Left of the abscissa Re z = -4 (``_REFLECT``) the upper-half-plane paths
+reflect instead of lifting: log Gamma by DLMF 5.5.3 on its principal branch
+and psi by DLMF 5.5.4, with the sine and cotangent taken at z - round(Re z).
+So no call takes more than 11 lift steps, whatever -Re z is, and accuracy
+does not fall with it.  The abscissa sits where the two paths cost the same.
+
 On the real axis ``log_gamma`` takes its real part from the standard
 library's ``math.lgamma``, which is as accurate as the lift and several
 times cheaper, and sets the imaginary part, 0 or -pi ceil(-x), with the sign
 the lift would give it; the parameters of the paper's headline cases are
-real.  ``log_gamma_diff`` and ``digamma`` have no such path.
+real.
+
+Each public function checks its input and then calls a private twin
+(``_log_gamma``, ``_digamma``, ``_log_gamma_diff``) that takes a finite
+complex argument known to be off the poles.  The engine and ``params``,
+whose callers hold a validated ``ParamSet``, call the twins directly.
 """
 
 from __future__ import annotations
@@ -65,6 +76,13 @@ _TRUNCATION = 2.0 ** -56
 EULER_GAMMA = 0.57721566490153286061
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_TWO_PI = math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+
+# Left of this real part log_gamma, digamma and log_gamma_diff reflect
+# (z -> 1-z) instead of lifting, so no call takes more than
+# _ASYMPTOTIC_SHIFT - _REFLECT lift steps.
+_REFLECT = -4.0
 # exp() overflows above ~709.78 and underflows to zero below ~-745.1.
 _EXP_MAX = 709.78
 _EXP_MIN = -745.1
@@ -172,11 +190,32 @@ def _stirling_tail(w: complex) -> complex:
     return s * u
 
 
+def _one_minus_exp_2pi_i(z: complex) -> complex:
+    # 1 - e^(2 pi i z) = -expm1(u), u = 2 pi i f, from f = z - round(Re z),
+    # which is exact and keeps the phase accurate at large |Re z|; the real
+    # part expm1(Re u) cos(Im u) - 2 sin(Im u / 2)^2 cancels nothing.
+    f = z - round(z.real)
+    re_u, im_u = -_TWO_PI * f.imag, _TWO_PI * f.real
+    half = math.sin(0.5 * im_u)
+    return complex(2.0 * half * half - math.expm1(re_u) * math.cos(im_u),
+                   -math.exp(re_u) * math.sin(im_u))
+
+
 def _log_gamma_upper(z: complex) -> complex:
     # Principal log-gamma for Im z >= 0 (or real z).  Each recurrence step
     # stays off the negative real axis when Im z != 0, so summing principal
     # logs introduces no spurious 2*pi*i jumps; for real negative z the +i*pi
     # contributions of the negative factors encode the sign of gamma.
+    if z.real < _REFLECT:
+        # log pi - log sin(pi z) - log Gamma(1-z) (DLMF 5.5.3), with
+        # log sin(pi z) = -i pi z + Log(1 - e^(2 pi i z)) - log 2 + i pi/2.
+        # On Im z >= 0 this is the principal branch with no 2 pi i k term:
+        # both sides are analytic there and agree at z = 1/2 (D. E. G. Hare,
+        # J. Algorithms 25 (1997)).  1-z lies in the lower half plane.
+        return (complex(_LOG_TWO_PI - math.pi * z.imag,
+                        math.pi * (z.real - 0.5))
+                - cmath.log(_one_minus_exp_2pi_i(z))
+                - _log_gamma_upper(1.0 - z.conjugate()).conjugate())
     shift = 0.0 + 0.0j
     w = z
     while w.real < _ASYMPTOTIC_SHIFT:
@@ -244,6 +283,10 @@ def gamma(z: Number) -> complex:
 
 
 def _digamma_upper(z: complex) -> complex:
+    if z.real < _REFLECT:
+        # psi(1-z) - pi cot(pi z) (DLMF 5.5.4), cot taken at z - round(Re z)
+        return (_digamma_upper(1.0 - z.conjugate()).conjugate()
+                - math.pi / cmath.tan(math.pi * (z - round(z.real))))
     shift = 0.0 + 0.0j
     w = z
     while w.real < _ASYMPTOTIC_SHIFT:
@@ -322,10 +365,13 @@ def _log_gamma_diff_upper(z1: complex, z2: complex,
     #   delta Log w2 + (w1-1/2) Log(w1/w2) - delta,
     # which stays O(|delta| log|w|) instead of O(|w| log|w|).  A lift step
     # runs only below _ASYMPTOTIC_SHIFT, where n is small and the rounding
-    # of n + x negligible, so delta is then taken as w1 - w2.
+    # of n + x negligible, so delta is then taken as w1 - w2.  Left of
+    # _REFLECT each value is reflected on its own.
     shift = 0.0 + 0.0j
     w1, w2 = z1, z2
     if w1.real < _ASYMPTOTIC_SHIFT or w2.real < _ASYMPTOTIC_SHIFT:
+        if w1.real < _REFLECT or w2.real < _REFLECT:
+            return _log_gamma_upper(w1) - _log_gamma_upper(w2)
         while w1.real < _ASYMPTOTIC_SHIFT:
             shift -= cmath.log(w1)
             w1 += 1.0

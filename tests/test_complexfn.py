@@ -198,7 +198,8 @@ class TestKernelAccuracy:
 
 
 def _lifted(z: complex) -> complex:
-    """log_gamma by the recurrence lift alone, the path off the real axis."""
+    """log_gamma by its path off the real axis: the recurrence lift, or
+    reflection left of Re z = -4."""
     if complexfn._in_lower_half(z):
         return complexfn._log_gamma_upper(z.conjugate()).conjugate()
     return complexfn._log_gamma_upper(z)
