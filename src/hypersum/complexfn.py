@@ -365,11 +365,19 @@ def _log_gamma_diff_upper(z1: complex, z2: complex,
     #   delta Log w2 + (w1-1/2) Log(w1/w2) - delta,
     # which stays O(|delta| log|w|) instead of O(|w| log|w|).  A lift step
     # runs only below _ASYMPTOTIC_SHIFT, where n is small and the rounding
-    # of n + x negligible, so delta is then taken as w1 - w2.  Left of
-    # _REFLECT each value is reflected on its own.
+    # of n + x negligible, so delta is then taken as w1 - w2.  A pair left
+    # of _REFLECT is reflected as a pair, which keeps delta exact; a pair
+    # straddling it is far apart, and each value is taken on its own.
     shift = 0.0 + 0.0j
     w1, w2 = z1, z2
     if w1.real < _ASYMPTOTIC_SHIFT or w2.real < _ASYMPTOTIC_SHIFT:
+        if w1.real < _REFLECT and w2.real < _REFLECT:
+            return (1j * math.pi * delta
+                    - cmath.log(_one_minus_exp_2pi_i(z1))
+                    + cmath.log(_one_minus_exp_2pi_i(z2))
+                    - _log_gamma_diff_upper(1.0 - z1.conjugate(),
+                                            1.0 - z2.conjugate(),
+                                            -delta.conjugate()).conjugate())
         if w1.real < _REFLECT or w2.real < _REFLECT:
             return _log_gamma_upper(w1) - _log_gamma_upper(w2)
         while w1.real < _ASYMPTOTIC_SHIFT:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import coeffs
 from ._series import (_sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
                       predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2)
-from .complexfn import (_EXP_MIN, POLE_TOL, _digamma, _log_gamma, exp_log,
+from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
                         gamma_ratio, log_gamma, nonpos_int_distance)
 from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
 # classify itself is unused here but stays reachable as engine.classify,
@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 # Relative accuracy floor of the double-precision gamma/digamma kernel in
-# the working strip (measured worst case ~5e-14); every reported est_error
+# the working strip: against mpmath, over 1,500 draws with Re z, Im z in
+# [-15, 15], log_gamma errs by at most 2.1e-14 absolute (so Gamma by that
+# relative) and digamma by 1.0e-14 relative.  Every reported est_error
 # includes this so kernel roundoff cannot escape the estimate.
 _KERNEL_REL = 1e-13
 
@@ -153,10 +155,23 @@ def f32_unit(num, den, tol: Tolerance = _DEFAULT_TOL):
 
 def _nab_off_pole(w: complex) -> complex:
     """w = n+a+b, or PoleError when it sits on a pole of the gamma function
-    (an integer branch's a+b is c only to INTEGER_TOL, or differs by m)."""
+    (a+b is c only to INTEGER_TOL on the logarithmic branch, and c + m on
+    the negative-integer one)."""
     if nonpos_int_distance(w) <= POLE_TOL:
         raise PoleError(f"gamma_ratio pole at argument {w!r}")
     return w
+
+
+def _exp(lg: complex) -> complex:
+    """exp(lg) for the log of a piece of S_n, or DomainError when the piece
+    lies outside the double range."""
+    if lg.real > _EXP_MAX:
+        raise DomainError(f"S_n lies above the double range: log |prefactor| "
+                          f"= {lg.real:.6g}")
+    if lg.real < _EXP_MIN:
+        raise DomainError(f"a prefactor of S_n lies below the double range: "
+                          f"log |prefactor| = {lg.real:.6g}")
+    return cmath.exp(lg)
 
 
 def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
@@ -183,9 +198,15 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
         gauss_err = 0.0
     else:
         lg_s, lg_ca, lg_cb = _log_gamma(s), _log_gamma(ca), _log_gamma(cb)
-        gauss = exp_log(lg_c + lg_s - lg_ca - lg_cb)
-        gauss_err = abs(gauss) * _rel_floor(abs(lg_c) + abs(lg_s)
-                                            + abs(lg_ca) + abs(lg_cb))
+        lg_gauss = lg_c + lg_s - lg_ca - lg_cb
+        if lg_gauss.real < _EXP_MIN:
+            # below the double range: the piece's bound is part of the error
+            gauss = 0.0 + 0.0j
+            gauss_err = math.exp(lg_gauss.real)
+        else:
+            gauss = _exp(lg_gauss)
+            gauss_err = abs(gauss) * _rel_floor(abs(lg_c) + abs(lg_s)
+                                                + abs(lg_ca) + abs(lg_cb))
     log_omega, = _log_seq_ratios(n, a, b, c)
     lg_tail = log_omega + lg_c - lg_a - lg_b
     series = _sum_hyp3f2(ca, cb, 1.0 + 0.0j, n + c, 1.0 + s, tol.rel_tol,
@@ -200,13 +221,13 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
         # tail is the whole answer, and it cannot be represented.
         if gauss == 0:
             raise DomainError(f"S_n lies below the double range: the Gauss "
-                              f"piece is zero and log |tail prefactor| = "
-                              f"{lg_tail.real:.6g}")
+                              f"piece is zero or below it, and log |tail "
+                              f"prefactor| = {lg_tail.real:.6g}")
         size = (abs(series.value) + series.est_error) / abs(s)
         lost = math.exp(lg_tail.real + math.log(size)) if size else 0.0
         return EvalReport(gauss, cls, series.terms_used, gauss_err + lost,
                           warnings)
-    pref = exp_log(lg_tail) / s
+    pref = _exp(lg_tail) / s
     tail = pref * series.value
     value = gauss - tail
     tail_size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
@@ -236,9 +257,9 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
     a, b = p.a, p.b
     w = _nab_off_pole(n + a + b)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
-    lam = exp_log(log_lambda)
+    lam = _exp(log_lambda)
     lg_ab, lg_a, lg_b = log_gamma(a + b), _log_gamma(a), _log_gamma(b)
-    pref = exp_log(lg_ab - lg_a - lg_b)
+    pref = _exp(lg_ab - lg_a - lg_b)
     pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
     tail_floor = _rel_floor(_pair_size(n, a, b, a + b) + pref_size)
     warnings = cls.warnings
@@ -261,7 +282,11 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
 
 
 def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
-    """Excess s = +m: exact finite inverse factorial sum of m terms."""
+    """Excess s = +m: exact finite inverse factorial sum of m terms.
+
+    Needs Re(n+a+b) >= 1: the sum divides by (n+a+b)_k, which vanishes at
+    the poles of Gamma(n+a+b) and amplifies the rounding of a+b near them.
+    """
     return _pos_int(p, n, _checked(p, n, POSITIVE_INTEGER, "eval_pos_int"))
 
 
@@ -272,12 +297,15 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
     a, b, c = p.a, p.b, p.c
     m = cls.m
     w = n + a + b
+    if w.real < 1.0:
+        raise DomainError(f"Re(n+a+b) = {w.real:.6g} < 1: the expansion "
+                          f"divides by (n+a+b)_k, which vanishes or nearly "
+                          f"so there; eval_auto adds the n terms directly")
     total, absum = finite_sum(a, b, w, 1, m)
-    _nab_off_pole(w)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
     lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
-    pref = exp_log(log_lambda + lg_c + lg_s - lg_ca - lg_cb)
+    pref = _exp(log_lambda + lg_c + lg_s - lg_ca - lg_cb)
     value = pref * total
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s) + abs(lg_ca)
             + abs(lg_cb))
@@ -301,9 +329,9 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     lg_ca, lg_cb, lg_m = log_gamma(c - a), log_gamma(c - b), math.lgamma(m + 1)
-    pref1 = exp_log(log_omega + lg_c - lg_a - lg_b) / m
+    pref1 = _exp(log_omega + lg_c - lg_a - lg_b) / m
     sign = -1.0 if m % 2 else 1.0
-    pref2 = sign * exp_log(log_lambda + lg_c - lg_ca - lg_cb - lg_m)
+    pref2 = sign * _exp(log_lambda + lg_c - lg_ca - lg_cb - lg_m)
     ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
     head = pref1 * finite
     tail = pref2 * ker.value
@@ -340,7 +368,7 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
     total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
     log_omega, = _log_seq_ratios(n, a, b, c)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
-    pref = exp_log(log_omega + lg_c - lg_a - lg_b) / m
+    pref = _exp(log_omega + lg_c - lg_a - lg_b) / m
     value = pref * total
     size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
     est = abs(pref) * absum * _rel_floor(size)
@@ -379,20 +407,26 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     moduli.  When n direct terms cost less than the expansion's fixed cost
     plus the predicted terms (so always when the count exceeds n), the n
     terms of S_n are added directly instead and the report's path is
-    "direct_sum".
+    "direct_sum".  The positive-integer branch's finite sum divides by
+    (n+a+b)_k, which can vanish only when Re(n+a+b) < 1; there the n terms,
+    fewer than 1 + |a| + |b|, are added directly too.
     """
     cls = classify_params(p)
     _check_index(n)
     kind = cls.kind
-    if n >= 2 and kind in (GENERIC, LOGARITHMIC, NEGATIVE_INTEGER):
+    if n >= 2 and kind != DEGENERATE_NEG_INTEGER:
         a, b, c = p.a, p.b, p.c
-        if kind == GENERIC:
-            need = (predicted_terms(n + 1, tol.rel_tol)
-                    * (1.0 + max(abs(c - a), abs(c - b))))
+        if kind == POSITIVE_INTEGER:
+            direct = (n + a + b).real < 1.0
         else:
-            need = (predicted_terms(n + 2, tol.rel_tol)
-                    * (1.0 + max(abs(a), abs(b))))
-        if n < _EXPANSION_FIXED_COST + _SERIES_TERM_COST * need:
+            if kind == GENERIC:
+                need = (predicted_terms(n + 1, tol.rel_tol)
+                        * (1.0 + max(abs(c - a), abs(c - b))))
+            else:
+                need = (predicted_terms(n + 2, tol.rel_tol)
+                        * (1.0 + max(abs(a), abs(b))))
+            direct = n < _EXPANSION_FIXED_COST + _SERIES_TERM_COST * need
+        if direct:
             res = sum_direct(a, b, c, n)
             return EvalReport(res.value, cls, res.terms_used, res.est_error,
                               cls.warnings, "direct_sum")

@@ -2,8 +2,10 @@
 
 Everything raised deliberately by this library derives from ``HypersumError``
 so callers (and the CLI) can map library failures to a single exit path.
-Builtin ``OverflowError`` is reused as-is for exponent-range failures in the
-gamma kernel.
+The public gamma-kernel functions (``gamma``, ``gamma_ratio``,
+``pochhammer``, ``exp_log``) reuse builtin ``OverflowError`` as-is for
+exponent-range failures; the engine reports an answer outside the double
+range as ``DomainError``.
 """
 
 from __future__ import annotations

@@ -89,6 +89,21 @@ class TestEval:
         assert text == ""
 
 
+    def test_pole_of_n_plus_a_plus_b_sums_directly(self):
+        rc, rec = run_json("eval", "-a=-1.5", "-b=-1.5", "-c", "1", "-n", "3")
+        assert rc == 0
+        assert rec["path"] == "direct_sum"
+        assert rec["value_re"] == 3.390625
+
+    def test_answer_out_of_range_is_domain_error(self, capsys):
+        rc, text = run_cli("eval", "-a", "150.5", "-b", "150.5", "-c", "0.7",
+                           "-n", "1000000")
+        assert rc == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith(
+            "error: S_n lies above the double range")
+
+
 class TestClassify:
     def test_degenerate(self):
         rc, rec = run_json("classify", "-a", "1", "-b", "0.5", "-c=-0.5")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 
 import mpmath as mp
 import pytest
@@ -16,11 +17,13 @@ from hypersum.complexfn import (
     gamma_ratio,
     is_near_pole,
     log_gamma,
+    log_gamma_diff,
     pochhammer,
 )
 from hypersum.errors import InvalidParameterError, PoleError
 
 EULER = 0.5772156649015329
+EPS = 2.0 ** -52
 
 
 def dist_nonpos_int(z: complex) -> float:
@@ -145,11 +148,24 @@ class TestGammaRatio:
             gamma_ratio([-2.0], [1.0])
 
 
+def _far_left_grid():
+    """Seeded real and complex points with Re z log-uniform in [-1e4, -10],
+    all left of the reflection abscissa."""
+    rng = random.Random(17)
+    points = []
+    while len(points) < 120:
+        z = complex(-10.0 ** rng.uniform(1.0, 4.0),
+                    rng.choice((0.0, rng.uniform(-30.0, 30.0))))
+        if dist_nonpos_int(z) >= 0.05:
+            points.append(z)
+    return points
+
+
 def _kernel_grid():
     """Seeded real and complex points: a spread over Re z in [-10, 40], points
-    just above the lift target Re 7, and points on both sides of every |w|
+    just above the lift target Re 7, points on both sides of every |w|
     at which the Stirling series changes its term count (with Re w >= 7, so
-    the series is summed there directly)."""
+    the series is summed there directly), and the far-left grid."""
     rng = random.Random(7)
     points = []
     while len(points) < 300:
@@ -165,7 +181,7 @@ def _kernel_grid():
         for r in (radius * (1.0 - 1e-12), radius * (1.0 + 1e-12)):
             angle = rng.uniform(-1.0, 1.0) * math.acos(7.0 / r)
             points += [complex(r, 0.0), cmath.rect(r, angle)]
-    return points
+    return points + _far_left_grid()
 
 
 class TestKernelAccuracy:
@@ -178,6 +194,15 @@ class TestKernelAccuracy:
                 ref = mp.digamma(mp.mpc(z))
                 err = abs(mp.mpc(digamma(z)) - ref)
                 assert err <= 1e-14 * max(1.0, abs(ref)), z
+
+    def test_far_left_log_gamma_held_to_right_half_plane_level(self):
+        # Reflection keeps the error near 1 eps |log Gamma| (worst 1.0 eps
+        # here); lifting from Re z ~ -1e4 lost up to 18 eps on this grid.
+        with mp.workdps(40):
+            for z in _far_left_grid():
+                ref = mp.loggamma(mp.mpc(z))
+                err = abs(mp.mpc(log_gamma(z)) - ref)
+                assert err <= 4 * EPS * max(1.0, abs(ref)), z
 
     def test_large_ratio_matches_mpmath(self):
         # Offsets are multiples of 2^-20 and n < 2^20, so n+a and n+b are
@@ -252,6 +277,59 @@ class TestRealAxis:
         for z in (complex(1e306, 0.0), complex(1e306, -0.0)):
             assert repr(log_gamma(z)) == repr(_lifted(z))
         assert log_gamma(1e306).real == math.inf
+
+
+def _timed(fn, *args):
+    """fn(*args) and the best time of three calls, in seconds."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        value = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return value, best
+
+
+# Left of the reflection abscissa no call lifts more than a few steps, so
+# these take microseconds; lifting took 23 ms at -1e5 and never returned at
+# -1e15.
+FAR_LEFT = (complex(-1e15, 0.5), complex(-1e15, -0.5), complex(-1e5, 0.5),
+            complex(-99999.5, 0.0), complex(-99999.5, -0.0))
+
+
+class TestFarLeft:
+    @pytest.mark.parametrize("z", FAR_LEFT, ids=repr)
+    @pytest.mark.parametrize("fn, ref_fn", [(log_gamma, "loggamma"),
+                                            (digamma, "digamma")],
+                             ids=["log_gamma", "digamma"])
+    def test_bounded_cost_and_accurate(self, fn, ref_fn, z):
+        got, seconds = _timed(fn, z)
+        assert seconds < 1e-3
+        with mp.workdps(50):
+            # mpmath has no signed zero: take the upper side, conjugate below
+            ref = getattr(mp, ref_fn)(mp.mpc(z.real, abs(z.imag)))
+            if math.copysign(1.0, z.imag) < 0.0:
+                ref = mp.conj(ref)
+            assert abs(mp.mpc(got) - ref) <= 1e-14 * max(1.0, abs(ref))
+        mirror = fn(z.conjugate())
+        assert mirror.real == got.real
+        assert repr(mirror.imag) == repr(-got.imag)
+
+    @pytest.mark.parametrize("n, x1, x2", [
+        (0, complex(-1e15, 0.5), complex(-1e15, 0.75)),
+        (0, complex(-1e5, 0.5), complex(-1e5, 0.25)),
+        (0, complex(-99999.5, 0.0), complex(-99999.25, 0.0)),
+        (10**6, complex(-2e6, 0.5), complex(-2e6, 0.25)),
+        (0, complex(-1e5, 0.5), complex(3.5, 0.0)),
+    ], ids=repr)
+    def test_log_gamma_diff_bounded_cost_and_accurate(self, n, x1, x2):
+        got, seconds = _timed(log_gamma_diff, n, x1, x2)
+        assert seconds < 1e-3
+        with mp.workdps(50):
+            ref = (mp.loggamma(mp.mpc(x1) + n) - mp.loggamma(mp.mpc(x2) + n))
+            assert abs(mp.mpc(got) - ref) <= 1e-14 * max(1.0, abs(ref))
+        if x1.imag > 0.0 and x2.imag > 0.0:
+            assert log_gamma_diff(n, x1.conjugate(), x2.conjugate()) \
+                == got.conjugate()
 
 
 class TestNearPole:

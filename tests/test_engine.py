@@ -107,6 +107,30 @@ class TestGeneric:
         with pytest.raises(DomainError, match="below the double range"):
             eval_auto(ParamSet(-3e4 + 0.3j, 3.2, 1.2), 10**6)
 
+    def test_underflowed_gauss_piece_leaves_the_tail(self):
+        # Gamma(c) Gamma(s) decays like e^(-pi |Im|) and Gamma(c-a) Gamma(c-b)
+        # do not, so log |Gauss piece| = -752.6, below the double range; the
+        # tail, ~1e149, is the answer.
+        a, b, c = 0.3 + 240j, 0.4 + 240j, 0.9 + 240j
+        rep = eval_auto(ParamSet(a, b, c), 1000)
+        assert rep.path == "expansion"
+        err = compare(rep.value, partial_sum_ref(a, b, c, 1000))
+        assert err.abs_err <= rep.est_error
+
+    @pytest.mark.parametrize("a, b, c, n", [(150.5, 150.5, 0.7, 10**6),
+                                            (170.3, 170.4, 1.2, 10**3)])
+    def test_answer_above_the_double_range_is_a_domain_error(self, a, b, c,
+                                                             n):
+        # log |tail prefactor| = 2944 and 966
+        with pytest.raises(DomainError, match="above the double range"):
+            eval_auto(ParamSet(a, b, c), n)
+
+    def test_far_left_parameter_returns(self):
+        # log Gamma(a) at a = -1e15 + 0.5i reflects; lifting never returned
+        rep = eval_auto(ParamSet(-1e15 + 0.5j, 0.5, 1.2), 10**18)
+        assert rep.path == "expansion"
+        assert math.isfinite(abs(rep.value)) and math.isfinite(rep.est_error)
+
 
 class TestLog:
     def test_real_pair(self):
@@ -143,6 +167,26 @@ class TestPosInt:
         rep = eval_pos_int(p, 9)
         assert rel(rep.value, 1.188784317163325) < 5e-14
         assert rep.terms_used == 2  # m-term closed sum
+
+    @pytest.mark.parametrize("a, b, c, n, want", [
+        (-1.5, -1.5, 1.0, 3, 3.390625),
+        (-1.5, -1.5, 1.0, 2, 3.25),
+        (-2.5, -2.5, 1.0, 5, None),
+        (-1.5, -1.5 + 1e-7, 1.0 + 1e-7, 3, None),  # n+a+b = 1e-7
+    ])
+    def test_n_plus_a_plus_b_at_or_near_a_pole(self, a, b, c, n, want):
+        # The finite sum divides by (n+a+b)_k: eval_auto adds the n terms
+        # directly, and the expansion refuses.
+        p = ParamSet(a, b, c)
+        rep = eval_auto(p, n)
+        assert rep.branch.kind == "positive_integer"
+        assert rep.path == "direct_sum"
+        assert compare(rep.value, partial_sum_ref(a, b, c, n)).abs_err \
+            <= rep.est_error
+        if want is not None:
+            assert rep.value == want
+        with pytest.raises(DomainError, match="n\\+a\\+b"):
+            eval_pos_int(p, n)
 
     def test_wrong_branch(self):
         with pytest.raises(WrongBranchError):

@@ -46,22 +46,41 @@ def test_tracer_targets_resolve_to_package_functions():
             f"hypersum.{module}.{func}"
 
 
+def _strays(names: set, owners: set) -> list[str]:
+    """Places in the package outside the owner modules that name (as a
+    name, an attribute or an import) any of names."""
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in owners:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            used = ()
+            if isinstance(node, ast.Name):
+                used = (node.id,)
+            elif isinstance(node, ast.Attribute):
+                used = (node.attr,)
+            elif isinstance(node, ast.ImportFrom):
+                used = tuple(alias.name for alias in node.names)
+            if names.intersection(used):
+                strays.append(f"{path.name}:{node.lineno}")
+    return strays
+
+
 def test_large_gamma_pairs_have_one_owner():
     # Every n-dependent gamma pair is formed in params from exact offsets;
     # a log_gamma_diff call anywhere else could round n + x again.
-    owners = {"complexfn.py", "params.py"}
-    strays = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ()
-            if isinstance(node, ast.Name):
-                names = (node.id,)
-            elif isinstance(node, ast.Attribute):
-                names = (node.attr,)
-            elif isinstance(node, ast.ImportFrom):
-                names = tuple(alias.name for alias in node.names)
-            if "log_gamma_diff" in names and path.name not in owners:
-                strays.append(f"{path.name}:{node.lineno}")
+    strays = _strays({"log_gamma_diff", "_log_gamma_diff"},
+                     {"complexfn.py", "params.py"})
+    assert not strays, strays
+
+
+def test_unchecked_kernel_entries_stay_behind_validation():
+    # The private twins skip their public functions' checks; only modules
+    # whose callers hold a validated ParamSet may call them.
+    unchecked = {"_log_gamma", "_digamma", "_log_gamma_diff", "_sum_hyp3f2",
+                 "_sum_psi_kernel"}
+    strays = _strays(unchecked, {"complexfn.py", "params.py", "_series.py",
+                                 "engine.py"})
     assert not strays, strays
 
 
