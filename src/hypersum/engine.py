@@ -26,12 +26,13 @@ from ._series import (_sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
                       predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2)
 from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
                         gamma_ratio, log_gamma, nonpos_int_distance)
-from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
+from .errors import DomainError, InvalidParameterError, WrongBranchError
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     _check_index, _log_seq_ratios, classify, classify_params)
+                     _check_index, _log_seq_ratios, _nab_off_pole, classify,
+                     classify_params)
 
 __all__ = [
     "Tolerance",
@@ -150,16 +151,8 @@ def f32_unit(num, den, tol: Tolerance = _DEFAULT_TOL):
 # tail's exact excess is n >= 2.  So they call the unchecked private
 # kernels there, and keep the checks that can change an answer: the Gauss
 # piece's pole test on c-a and c-b, the checked log_gamma on a+b, c-a and
-# c-b in the integer branches, and one pole test on n+a+b.
-
-
-def _nab_off_pole(w: complex) -> complex:
-    """w = n+a+b, or PoleError when it sits on a pole of the gamma function
-    (a+b is c only to INTEGER_TOL on the logarithmic branch, and c + m on
-    the negative-integer one)."""
-    if nonpos_int_distance(w) <= POLE_TOL:
-        raise PoleError(f"gamma_ratio pole at argument {w!r}")
-    return w
+# c-b in the integer branches, and one test on n+a+b: a pole test, or
+# Re(n+a+b) >= 1 on the positive-integer branch.
 
 
 def _exp(lg: complex) -> complex:
@@ -193,7 +186,8 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     # Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)), zero at a pole of 1/Gamma
     ca, cb = c - a, c - b
-    if nonpos_int_distance(ca) <= POLE_TOL or nonpos_int_distance(cb) <= POLE_TOL:
+    if (nonpos_int_distance(ca) <= POLE_TOL
+            or nonpos_int_distance(cb) <= POLE_TOL):
         gauss = 0.0 + 0.0j
         gauss_err = 0.0
     else:

@@ -173,11 +173,18 @@ def _log_seq_ratios(n, a, b, *xs) -> list[complex]:
     return [head + _log_gamma_diff(n, b, x) for x in xs]
 
 
+def _nab_off_pole(w: complex) -> complex:
+    """w = n+a+b, or PoleError when it sits on a pole of the gamma function
+    (a+b is c only to INTEGER_TOL on the logarithmic branch, c + m on the
+    negative-integer one and c - m on the positive-integer one)."""
+    if nonpos_int_distance(w) <= POLE_TOL:
+        raise PoleError(f"gamma_ratio pole at argument {w!r}")
+    return w
+
+
 def seq_factors(p: ParamSet, n: int) -> SeqFactors:
     """omega_n and lambda_n, the gamma-ratio prefactors of the expansions."""
     _check_index(n)
-    w = p.a + p.b + n
-    if nonpos_int_distance(w) <= POLE_TOL:
-        raise PoleError(f"gamma_ratio pole at argument {w!r}")
+    _nab_off_pole(p.a + p.b + n)
     log_omega, log_lambda = _log_seq_ratios(n, p.a, p.b, p.c, p.a + p.b)
     return SeqFactors(omega_n=exp_log(log_omega), lambda_n=exp_log(log_lambda))
