@@ -34,12 +34,21 @@ _TAIL_SAFETY = 10.0
 _CONSECUTIVE_BELOW = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeriesResult:
     value: complex
     terms_used: int
     est_error: float
     hit_max: bool
+
+    # Fills __dict__ directly, as params.ParamSet does and says why.
+    def __init__(self, value: complex, terms_used: int, est_error: float,
+                 hit_max: bool):
+        d = self.__dict__
+        d["value"] = value
+        d["terms_used"] = terms_used
+        d["est_error"] = est_error
+        d["hit_max"] = hit_max
 
 
 def _estimate(tail: float, peak: float, drift: float) -> float:

@@ -147,12 +147,9 @@ _PSI_RADII, _PSI_SERIES = _size_matched(
 
 
 def _as_complex(z: Number, name: str = "z") -> complex:
-    if type(z) is complex:
-        w = z
-    else:
-        if isinstance(z, Fraction):
-            z = float(z)
-        w = complex(z)
+    # complex() takes a Fraction through its __float__, the correctly
+    # rounded quotient.
+    w = z if type(z) is complex else complex(z)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise InvalidParameterError(f"{name} must be finite, got {w!r}")
     return w
@@ -424,10 +421,19 @@ def log_gamma_diff(n: float, x1: Number, x2: Number) -> complex:
 
 def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
     # log_gamma_diff without its checks, for n + x1 and n + x2 off the poles.
+    # Half-planes as in log_gamma: an imaginary part of -0.0 counts as lower.
+    # Its sign matters only on the negative real axis, the cut of log, so a
+    # positive real argument joins its partner's half-plane.
     z1, z2 = (x1 + n, x2 + n) if n else (x1, x2)
-    if z1.imag >= 0.0 and z2.imag >= 0.0:
+    lower1, lower2 = _in_lower_half(z1), _in_lower_half(z2)
+    if lower1 != lower2:
+        if z1.imag == 0.0 and z1.real > 0.0:
+            lower1 = lower2
+        elif z2.imag == 0.0 and z2.real > 0.0:
+            lower2 = lower1
+    if not (lower1 or lower2):
         return _log_gamma_diff_upper(z1, z2, x1 - x2)
-    if z1.imag <= 0.0 and z2.imag <= 0.0:
+    if lower1 and lower2:
         return _log_gamma_diff_upper(z1.conjugate(), z2.conjugate(),
                                      x1.conjugate() - x2.conjugate()
                                      ).conjugate()
@@ -435,7 +441,7 @@ def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
     # imaginary part, which stays O(|Im z| log|z|) while the real part (the
     # piece that would lose precision to cancellation) is shared exactly:
     # log_gamma(conj z) = conj log_gamma(z), so only 2i Im log_gamma moves.
-    if z1.imag < 0.0:
+    if lower1:
         d = _log_gamma_diff_upper(z1.conjugate(), z2, x1.conjugate() - x2)
         return d.conjugate() - 2.0j * _log_gamma_upper(z2).imag
     d = _log_gamma_diff_upper(z2.conjugate(), z1, x2.conjugate() - x1)

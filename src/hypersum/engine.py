@@ -90,7 +90,7 @@ class Tolerance:
         check_tol(self.rel_tol, self.max_terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalReport:
     """An evaluated partial sum.  path is "expansion" when the branch's
     expansion answered and "direct_sum" when eval_auto added the n terms."""
@@ -101,6 +101,18 @@ class EvalReport:
     est_error: float
     warnings: tuple = ()
     path: str = "expansion"
+
+    # Fills __dict__ directly, as params.ParamSet does and says why.
+    def __init__(self, value: complex, branch: ExcessClass, terms_used: int,
+                 est_error: float, warnings: tuple = (),
+                 path: str = "expansion"):
+        d = self.__dict__
+        d["value"] = value
+        d["branch"] = branch
+        d["terms_used"] = terms_used
+        d["est_error"] = est_error
+        d["warnings"] = warnings
+        d["path"] = path
 
 
 _DEFAULT_TOL = Tolerance()

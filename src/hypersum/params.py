@@ -12,7 +12,7 @@ the exact offsets, never from n+a rounded to double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -54,7 +54,12 @@ NEGATIVE_INTEGER = "negative_integer"
 DEGENERATE_NEG_INTEGER = "degenerate_negative_integer"
 
 
-@dataclass(frozen=True)
+# ParamSet and ExcessClass, like _series.SeriesResult and engine.EvalReport,
+# are frozen dataclasses whose __init__ fills the instance __dict__ directly:
+# the generated __init__ of a frozen dataclass pays an object.__setattr__ per
+# field, and every engine call builds these records.  The dataclass still
+# supplies equality, hashing, repr, fields() and the frozen setattr.
+@dataclass(frozen=True, init=False)
 class ParamSet:
     """Validated parameter triple (a, b, c) of the series.
 
@@ -66,22 +71,30 @@ class ParamSet:
     b: complex
     c: complex
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = _as_complex(getattr(self, name), name)
-            object.__setattr__(self, name, value)
-            if nonpos_int_distance(value) < INTEGER_TOL:
-                raise InvalidParameterError(
-                    f"{name} = {value!r} is (within tolerance) zero or a "
-                    "negative integer, which is excluded"
-                )
+    def __init__(self, a: Number, b: Number, c: Number):
+        d = self.__dict__
+        d["a"] = _parameter(a, "a")
+        d["b"] = _parameter(b, "b")
+        d["c"] = _parameter(c, "c")
 
     @property
     def s(self) -> complex:
         return self.c - self.a - self.b
 
 
-@dataclass(frozen=True)
+def _parameter(z: Number, name: str) -> complex:
+    """z as a complex number, or InvalidParameterError when it is not finite
+    or lies within INTEGER_TOL of zero or a negative integer."""
+    w = _as_complex(z, name)
+    if nonpos_int_distance(w) < INTEGER_TOL:
+        raise InvalidParameterError(
+            f"{name} = {w!r} is (within tolerance) zero or a negative "
+            "integer, which is excluded"
+        )
+    return w
+
+
+@dataclass(frozen=True, init=False)
 class ExcessClass:
     """Branch decision for an excess value, with conditioning warnings.
 
@@ -94,7 +107,16 @@ class ExcessClass:
     m: int | None = None
     p: int | None = None
     which: str | None = None
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
+
+    def __init__(self, kind: str, m: int | None = None, p: int | None = None,
+                 which: str | None = None, warnings: tuple[str, ...] = ()):
+        d = self.__dict__
+        d["kind"] = kind
+        d["m"] = m
+        d["p"] = p
+        d["which"] = which
+        d["warnings"] = warnings
 
 
 @dataclass(frozen=True)
@@ -110,9 +132,10 @@ def classify(a: Number, b: Number, c: Number) -> ExcessClass:
 
 def classify_params(p: ParamSet) -> ExcessClass:
     """classify() for a triple already validated as a ParamSet."""
-    s = p.s
+    a, b, c = p.a, p.b, p.c
+    s = c - a - b
     warnings: list[str] = []
-    for name, shifted in (("a", p.c - p.a), ("b", p.c - p.b)):
+    for name, shifted in (("a", c - a), ("b", c - b)):
         dist = nonpos_int_distance(shifted)
         if dist < INTEGER_TOL:
             warnings.append(f"gamma_pole_c_minus_{name}")
@@ -135,7 +158,7 @@ def classify_params(p: ParamSet) -> ExcessClass:
     # such p is the tight choice: the conjectured sum's upper limit m-p then
     # matches where its numerator factors vanish anyway.
     best: tuple[int, str] | None = None
-    for name, value in (("a", p.a), ("b", p.b)):
+    for name, value in (("a", a), ("b", b)):
         k = round(value.real)
         if 1 <= k <= m and abs(value - k) < INTEGER_TOL:
             if best is None or k > best[0]:

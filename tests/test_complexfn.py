@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import time
@@ -271,6 +272,30 @@ class TestRealAxis:
             up, down = log_gamma(complex(x, 0.0)), log_gamma(complex(x, -0.0))
             assert down.real == up.real
             assert repr(down.imag) == repr(-up.imag), x
+
+    @pytest.mark.parametrize("x1, x2", [(-2.5, -3.25),
+                                        (-99999.5, -99999.25)])
+    def test_log_gamma_diff_negative_zero_is_lower(self, x1, x2):
+        # -0j takes the lower side, as in log_gamma, so the -0j pair is the
+        # conjugate of the +0j pair and agrees with the log_gamma difference
+        up = log_gamma_diff(0, complex(x1, 0.0), complex(x2, 0.0))
+        down = log_gamma_diff(0, complex(x1, -0.0), complex(x2, -0.0))
+        assert down.real == up.real
+        assert repr(down.imag) == repr(-up.imag)
+
+    def test_log_gamma_diff_agrees_with_log_gamma_at_signed_zeros(self):
+        # every pairing of signed zeros, with each other and with either
+        # half-plane, takes the branch of the log_gamma difference
+        grid = (-12.6, -7.25, -2.5, -0.3, 0.4, 3.7)
+        for x1, x2 in itertools.product(grid, repeat=2):
+            for y1, y2 in itertools.product((0.0, -0.0), (0.0, -0.0, 1.5,
+                                                          -1.5)):
+                for z1, z2 in ((complex(x1, y1), complex(x2, y2)),
+                               (complex(x2, y2), complex(x1, y1))):
+                    want = log_gamma(z1) - log_gamma(z2)
+                    got = log_gamma_diff(0, z1, z2)
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), \
+                        (z1, z2)
 
     def test_beyond_lgamma_range_unchanged(self):
         # math.lgamma overflows here; the lift's answer stands

@@ -4,6 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
+from hypersum import params
 from hypersum.engine import (
     EvalReport,
     Tolerance,
@@ -472,24 +473,25 @@ class TestAuto:
                     assert rep.path == "expansion", (branch, a, b, c, n)
 
     def test_parameters_validated_once(self, monkeypatch):
-        count = 0
-        validate = ParamSet.__post_init__
+        # ParamSet validates each parameter through params._parameter; an
+        # eval call on it validates nothing again.
+        seen = []
+        validate = params._parameter
 
-        def counted(self):
-            nonlocal count
-            count += 1
-            validate(self)
+        def counted(z, name):
+            seen.append(name)
+            return validate(z, name)
 
-        monkeypatch.setattr(ParamSet, "__post_init__", counted)
+        monkeypatch.setattr(params, "_parameter", counted)
         for (a, b, c), n in (((2.0, 0.5, 4.25), 7), ((2.0, 0.5, 4.25), 100),
                              ((1.0 / 3.0, 2.0 / 3.0, 1.0), 100),
                              ((1.5, -0.25, 0.25), 100), ((1.0, 0.5, -0.5), 10)):
-            count = 0
+            seen.clear()
             eval_auto(ParamSet(a, b, c), n)
-            assert count == 1, (a, b, c, n)
-        count = 0
+            assert seen == ["a", "b", "c"], (a, b, c, n)
+        seen.clear()
         eval_generic(ParamSet(2.0, 0.5, 4.25), 100)
-        assert count == 1
+        assert seen == ["a", "b", "c"]
 
     def test_report_shape(self):
         rep = eval_auto(ParamSet(2.0, 0.5, 4.25), 7)

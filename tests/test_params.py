@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,57 @@ class TestParamSet:
         p = ParamSet(1.0, 2.0, 3.5)
         with pytest.raises(AttributeError):
             p.a = 2.0
+
+    @pytest.mark.parametrize("value, want", [
+        (1, 1 + 0j), (True, 1 + 0j), (2.5, 2.5 + 0j),
+        (Fraction(1, 3), complex(1.0 / 3.0)),
+        (Fraction(-1, 3), complex(-1.0 / 3.0)),
+        (1.5 + 2j, 1.5 + 2j), (-0.5 + 1e-8j, -0.5 + 1e-8j),
+    ], ids=repr)
+    def test_converts_to_complex(self, value, want):
+        for position in range(3):
+            args = [0.5, 1.5, 2.5]
+            args[position] = value
+            p = ParamSet(*args)
+            got = (p.a, p.b, p.c)[position]
+            assert type(got) is complex
+            assert repr(got) == repr(want)
+        assert ParamSet(c=value, b=1.5, a=0.5) == ParamSet(0.5, 1.5, value)
+
+    def test_complex_subclass_becomes_complex(self):
+        class Sub(complex):
+            pass
+
+        p = ParamSet(Sub(1.5, 2.0), 1.0, 2.0)
+        assert type(p.a) is complex and p.a == 1.5 + 2j
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 1, 2), "a must be finite, got (nan+0j)"),
+        ((1, math.inf, 2), "b must be finite, got (inf+0j)"),
+        ((1, 2, complex(0.0, math.inf)), "c must be finite, got infj"),
+        ((0, 1, 2), "a = 0j is (within tolerance) zero or a negative "
+                    "integer, which is excluded"),
+        ((-1e-10, 1, 2), "a = (-1e-10+0j) is (within tolerance) zero or a "
+                         "negative integer, which is excluded"),
+        ((1, -3.0 + 1e-10j, 2), "b = (-3+1e-10j) is (within tolerance) zero "
+                                "or a negative integer, which is excluded"),
+        ((1, 2, Fraction(-4)), "c = (-4+0j) is (within tolerance) zero or a "
+                               "negative integer, which is excluded"),
+        # a is checked before b: the first bad parameter is named
+        ((math.nan, 0, 2), "a must be finite, got (nan+0j)"),
+    ], ids=repr)
+    def test_rejects_with_message(self, args, message):
+        with pytest.raises(InvalidParameterError) as info:
+            ParamSet(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, error", [
+        ("x", ValueError), (None, TypeError),
+        (10 ** 400, OverflowError), (Fraction(10 ** 400, 3), OverflowError),
+    ], ids=repr)
+    def test_conversion_errors_pass_through(self, bad, error):
+        with pytest.raises(error):
+            ParamSet(bad, 1.0, 2.0)
 
 
 class TestClassify:
