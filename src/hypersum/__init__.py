@@ -29,9 +29,7 @@ from .complexfn import (
     digamma,
     gamma,
     gamma_ratio,
-    is_near_pole,
     log_gamma,
-    pochhammer,
 )
 from .engine import (
     EvalReport,
@@ -42,7 +40,6 @@ from .engine import (
     eval_log,
     eval_neg_int,
     eval_pos_int,
-    f32_unit,
     leading_term,
 )
 from .errors import (
@@ -93,9 +90,9 @@ __all__ = [
     "c_coeffs", "g_poly", "lambda_series", "rearranged_tail",
     "remainder_bound", "sigma_coeffs",
     "POLE_TOL", "bernoulli_numbers", "digamma", "gamma", "gamma_ratio",
-    "is_near_pole", "log_gamma", "pochhammer",
+    "log_gamma",
     "EvalReport", "Tolerance", "eval_auto", "eval_conjectured",
-    "eval_generic", "eval_log", "eval_neg_int", "eval_pos_int", "f32_unit",
+    "eval_generic", "eval_log", "eval_neg_int", "eval_pos_int",
     "leading_term",
     "DivergentSeriesError", "DomainError", "HypersumError",
     "InvalidParameterError", "PoleError", "PrecisionUnavailableError",

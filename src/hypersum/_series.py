@@ -1,20 +1,27 @@
 """Tail-controlled summation of the package's convergent series.
 
-All series here have terms that eventually decay like k^(-d) with d linked to
-the summation index n, so a truncation tail is estimated as
-|t_k| * k/(d-1) (the integral comparison).  Accumulation is compensated
-(Neumaier) per component, which keeps the roundoff floor at ~eps times the
-peak term magnitude rather than eps times the term count.  The loops keep
-the compensated sums and the tail estimate in local floats, with no call
-per term beyond the term itself.
+The terms of every series here are t_j = h_j beta_j.  The ratio
+h_{j+1}/h_j = prod (x + j) / prod (y + j) is fixed by the parameters, and
+beta_j is 1 or a sum of digamma differences psi(x + j) - psi(y + j).  So
+_majorant bounds the omitted tail from the parameters alone.  For j >= k
+and k + Re x > 0, |x + j| <= j + Re x + (Im x)^2 / (2 (k + Re x)), and
+|y + j| >= j + Re y once k + Re y > 0.  The ratio is then at most one
+Gauss ratio (j + X)/(j + Y), whose tail sums in closed form:
+sum_{j>k} |h_j| <= |h_k| (k + X)/(Y - X - 1), infinite while
+Y - X - 1 <= 0.  A digamma bracket is bounded by
+|psi(x + J) - psi(y + J)| <= |x - y| / (J + min(Re x, Re y) - 1).
+Accumulation is compensated (Neumaier) per component, which keeps the
+roundoff floor at ~eps times the peak term magnitude rather than eps times
+the term count.  The loops keep the compensated sums in local floats, with
+no call per term beyond the term itself.
 
-Stop rule: three consecutive terms whose estimated tail is below
-rel_tol * |partial sum|.  A single-term test misfires when one term passes
-near a zero of a complex Pochhammer factor.
+Stop rule: the first k whose proven tail bound is at most
+rel_tol * |partial sum|.  That bound is the tail part of est_error.
 
-For small n the decay k^(-d) is too slow to pay: predicted_terms gives the
-count such a series needs before it runs, and sum_direct adds the n terms of
-the partial sum itself; the engine prices the two ways from that count.
+For small n the decay, k^-(n+1) or faster, is too slow to pay:
+predicted_terms gives the count such a series needs before it runs, and
+sum_direct adds the n terms of the partial sum itself; the engine prices
+the two ways from that count.
 """
 
 from __future__ import annotations
@@ -22,16 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexfn import EULER_GAMMA, _digamma, _off_pole, nonpos_int_distance
+from .complexfn import (EULER_GAMMA, POLE_TOL, _digamma, _off_pole,
+                        nonpos_int_distance)
 from .errors import DivergentSeriesError, InvalidParameterError
 
 __all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
            "sum_direct", "predicted_terms"]
 
 _EPS = 2.0 ** -52
-# Safety factor on the first-omitted-term tail estimate.
-_TAIL_SAFETY = 10.0
-_CONSECUTIVE_BELOW = 3
 
 
 @dataclass(frozen=True, init=False)
@@ -52,9 +57,9 @@ class SeriesResult:
 
 
 def _estimate(tail: float, peak: float, drift: float) -> float:
-    # tail with a safety factor; compensated accumulation leaves ~eps * peak;
+    # the proven tail bound; compensated accumulation leaves ~eps * peak;
     # recurrence drift on term k grows like eps * k, so drift = sum |t_k| * k
-    return _TAIL_SAFETY * tail + 4.0 * _EPS * peak + 8.0 * _EPS * drift
+    return tail + 4.0 * _EPS * peak + 8.0 * _EPS * drift
 
 
 def predicted_terms(decay: float, rel_tol: float) -> float:
@@ -116,35 +121,99 @@ def finite_sum(x, y, u, v, count: int):
     return total, absum
 
 
-def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
-         decay: float, start_k: int, first_term: complex) -> SeriesResult:
-    """Shared accumulation loop; `step(k)` returns the term for index k+1.
+def _majorant(nums, dens, brackets=(), vanishing=False):
+    """Proven bound on the omitted tail of a series of terms t_j = h_j beta_j.
 
-    The loop keeps its Neumaier sums (re + cre, im + cim) and the tail
-    estimate in local floats: a method call or a helper per term would cost
-    as much as the term's own arithmetic.
+    h_{j+1}/h_j = prod (nums[i] + j) / (dens[i] + j), each numerator paired
+    with the denominator in its place; dens[0] stays in the Gauss ratio, so
+    the bound is tightest with the largest denominator there.  Without
+    brackets beta_j is 1.  With brackets ((x, y), ...), beta_j is the sum
+    of psi(x + j) - psi(y + j) over them, plus a constant unless vanishing.
+
+    Returns (first, floor, excess, bound).  For k >= first,
+    bound(k, |t_k|, |h_k|) >= sum_{j>k} |t_j|.  It is also at least
+    |t_k| (k + floor) / excess, the test _run makes before calling it.
     """
+    pairs = zip(nums, dens)
+    x, y = next(pairs)
+    x0, eta0, y1 = x.real, 0.5 * x.imag * x.imag, y.real
+    floor = x0
+    # low: the least real part the validity conditions name
+    low = min(x0, y1)
+    rest = []
+    for x, y in pairs:
+        if x == y:
+            continue  # a factor of exactly 1, as (1 + j)/(1 + j) in 3F2
+        xr, yr = x.real, y.real
+        rest.append((xr, 0.5 * x.imag * x.imag, yr))
+        floor += xr - yr
+        low = min(low, xr, yr)
+    widths = [(abs(x - y), min(x.real, y.real) - 1.0) for x, y in brackets]
+    for _, m in widths:
+        low = min(low, m)
+
+    def bound(k: int, t_abs: float, h_abs: float) -> float:
+        # (j + x)/(j + y1) bounds the ratio folded so far, for all j >= k;
+        # (j+x)(j+xi) / ((j+y1)(j+yi))
+        #     = (j + x + xi - yi)/(j + y1) + e / ((j+y1)(j+yi)),
+        # with e = (yi - xi)(yi - x), and 1/(j + yi) <= 1/(k + yi)
+        x = x0 + eta0 / (k + x0)
+        for xr, eta, yr in rest:
+            xi = xr + eta / (k + xr)
+            e = (yr - xi) * (yr - x)
+            x += xi - yr
+            if e > 0.0:
+                x += e / (k + yr)
+        gap = y1 - x - 1.0
+        if gap <= 0.0:
+            return math.inf
+        # sup_{j>k} |beta_j|: the digamma differences move by at most
+        # |x - y| / (k + min(Re x, Re y) - 1) from beta_k, or from 0
+        bracket = 0.0 if vanishing else t_abs
+        for width, m in widths:
+            bracket += h_abs * width / (k + m)
+        return bracket * (k + x) / gap
+
+    return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
+
+
+def _run(step, rel_tol: float, max_terms: int, start_k: int,
+         first_term: complex, first_hyp: complex, majorant) -> SeriesResult:
+    """Shared accumulation loop.  step(k) returns (t_{k+1}, h_{k+1}), the
+    term for index k+1 and its hypergeometric part; majorant comes from
+    _majorant.
+
+    The loop keeps its Neumaier sums (re + cre, im + cim) in local floats:
+    a method call or a helper per term would cost as much as the term's own
+    arithmetic.  So the tail bound runs only at terms that pass its floor,
+    |t_k| (k + floor) <= rel_tol * excess * |partial sum|.
+    """
+    first, floor, excess, bound = majorant
+    scale = rel_tol * excess
     # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
     re, im = 0.0 + first_term.real, 0.0 + first_term.imag
     cre = cim = 0.0
-    peak = term_abs_first
-    below = 0
+    t_abs = peak = abs(first_term)
+    hyp = first_hyp
     k = start_k
     hit_max = False
-    # sum_{j>=k} (k/j)^decay ~ k/(decay-1) terms' worth of the current term
-    slope = decay - 1.0
-    if decay <= 1.0:
-        tail = math.inf
-    else:
-        tail = term_abs_first * max(1.0, max(k, 1) / slope)
+    tail = math.inf
     drift = 0.0
     last = start_k + max_terms - 1
     while True:
+        if k >= first:
+            size = abs(complex(re + cre, im + cim))
+            if t_abs * (k + floor) <= scale * size:
+                tail = bound(k, t_abs, abs(hyp))
+                if tail <= rel_tol * size:
+                    break
         if k >= last:
+            if k >= first:
+                tail = bound(k, t_abs, abs(hyp))
             hit_max = True
             break
-        term = step(k)
-        if term == 0.0:
+        term, hyp = step(k)
+        if hyp == 0.0:
             # multiplicative updates: an exact zero terminates the series;
             # it contributed nothing, so it is not counted
             tail = 0.0
@@ -168,17 +237,6 @@ def _run(term_abs_first: float, step, rel_tol: float, max_terms: int,
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k - start_k)
-        if decay <= 1.0:
-            tail = math.inf
-        else:
-            ratio = k / slope
-            tail = t_abs * (ratio if ratio > 1.0 else 1.0)
-        if tail <= rel_tol * abs(complex(re + cre, im + cim)):
-            below += 1
-            if below >= _CONSECUTIVE_BELOW:
-                break
-        else:
-            below = 0
     return SeriesResult(value=complex(re + cre, im + cim),
                         terms_used=k - start_k + 1,
                         est_error=_estimate(tail, peak, drift), hit_max=hit_max)
@@ -205,7 +263,7 @@ def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
     n1, n2, n3 = (complex(v) for v in num)
     d1, d2 = (complex(v) for v in den)
     for v in (d1, d2):
-        if nonpos_int_distance(v) <= 1e-12:
+        if nonpos_int_distance(v) <= POLE_TOL:
             raise InvalidParameterError(
                 f"denominator parameter {v!r} is a nonpositive integer"
             )
@@ -222,16 +280,15 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
                 d2: complex, rel_tol: float, max_terms: int) -> SeriesResult:
     # sum_hyp3f2 without its checks, for a convergent or terminating series
     # with no denominator at a pole and a valid truncation control.
-    excess = d1 + d2 - n1 - n2 - n3
     t = 1.0 + 0.0j
 
-    def step(k: int) -> complex:
+    def step(k: int) -> tuple:
         nonlocal t
         t = t * (n1 + k) * (n2 + k) * (n3 + k) / ((d1 + k) * (d2 + k) * (k + 1))
-        return t
+        return t, t
 
-    return _run(1.0, step, rel_tol, max_terms,
-                decay=excess.real + 1.0, start_k=0, first_term=1.0 + 0.0j)
+    return _run(step, rel_tol, max_terms, 0, t, t,
+                _majorant((n1, n2, n3), (d1, d2, 1.0)))
 
 
 def sum_psi_kernel(a, b, w, rel_tol: float = 1e-15,
@@ -256,15 +313,16 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
     br = _digamma(w) - EULER_GAMMA - _digamma(a) - _digamma(b)
     t = 1.0 + 0.0j
 
-    def step(k: int) -> complex:
+    def step(k: int) -> tuple:
         nonlocal t, br
         t = t * (a + k) * (b + k) / ((w + k) * (k + 1))
         br = br + 1.0 / (w + k) + 1.0 / (1.0 + k) - 1.0 / (a + k) - 1.0 / (b + k)
-        return t * br
+        return t * br, t
 
-    first = br
-    return _run(abs(first), step, rel_tol, max_terms,
-                decay=(w - a - b).real + 2.0, start_k=0, first_term=first)
+    # br = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) tends to 0
+    return _run(step, rel_tol, max_terms, 0, br, t,
+                _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
+                          vanishing=True))
 
 
 def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,
@@ -283,13 +341,13 @@ def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,
     h = 1.0 / w
     s = 1.0 / a + 1.0 / b - 1.0
 
-    def step(k: int) -> complex:
+    def step(k: int) -> tuple:
         nonlocal t, h, s
         t = t * (a + k) * (b + k) / ((w + k) * (k + 1))
         h = h + 1.0 / (w + k)
         s = s + 1.0 / (a + k) + 1.0 / (b + k) - 1.0 / (k + 1)
-        return t * (h - s)
+        return t * (h - s), t
 
-    first = t * (h - s)
-    return _run(abs(first), step, rel_tol, max_terms,
-                decay=(w - a - b).real + 1.0, start_k=1, first_term=first)
+    # h - s = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) minus its value at 0
+    return _run(step, rel_tol, max_terms, 1, t * (h - s), t,
+                _majorant((a, b), (w, 1.0), ((w, a), (1.0, b))))

@@ -1,9 +1,9 @@
 """Self-contained complex gamma-family kernel in double precision.
 
 Provides ``log_gamma`` / ``gamma`` / ``digamma`` for complex arguments, plus
-rising factorials and overflow-safe products of gamma ratios built on top of
-them (``log_gamma_diff`` for pairs n+x1, n+x2 given by a real n and their
-exact offsets, ``exp_log`` for the range check).  The implementation is
+overflow-safe products of gamma ratios built on top of them
+(``log_gamma_diff`` for pairs n+x1, n+x2 given by a real n and their exact
+offsets, ``exp_log`` for the range check).  The implementation is
 deliberately free of external special-function libraries: arguments are
 lifted by the functional recurrences until the real part reaches the
 asymptotic zone, where a Stirling-type series with exact Bernoulli-number
@@ -41,8 +41,6 @@ from typing import Sequence, Union
 from .errors import InvalidParameterError, PoleError
 
 __all__ = [
-    "ComplexVal",
-    "BernoulliSeq",
     "POLE_TOL",
     "EULER_GAMMA",
     "bernoulli_numbers",
@@ -52,12 +50,9 @@ __all__ = [
     "exp_log",
     "gamma",
     "digamma",
-    "pochhammer",
     "gamma_ratio",
 ]
 
-ComplexVal = complex
-BernoulliSeq = "tuple[Fraction, ...]"
 Number = Union[int, float, complex, Fraction]
 
 # Distance to a nonpositive integer below which an argument counts as a pole.
@@ -162,11 +157,6 @@ def nonpos_int_distance(z: complex) -> float:
     if k > 0:
         return abs(z)
     return abs(z - k)
-
-
-def is_near_pole(z: Number, tol: float = POLE_TOL) -> bool:
-    """True when z lies within ``tol`` of a pole of the gamma function."""
-    return nonpos_int_distance(_as_complex(z)) <= tol
 
 
 def _in_lower_half(w: complex) -> bool:
@@ -307,44 +297,6 @@ def _digamma(w: complex) -> complex:
     if _in_lower_half(w):
         return _digamma_upper(w.conjugate()).conjugate()
     return _digamma_upper(w)
-
-
-# Above this order the rising factorial goes through log-gamma ratios instead
-# of a bare product; 64 keeps the product path exact for terminating cases.
-_POCHHAMMER_PRODUCT_MAX = 64
-
-
-def _pochhammer_product(z: complex, count: int) -> complex:
-    acc = 1.0 + 0.0j
-    for j in range(count):
-        acc *= z + j
-        if acc == 0.0:
-            return 0.0 + 0.0j
-    if not (math.isfinite(acc.real) and math.isfinite(acc.imag)):
-        raise OverflowError(f"pochhammer overflow at ({z!r})_{count}")
-    return acc
-
-
-def pochhammer(z: Number, k: int) -> complex:
-    """Rising factorial (z)_k = z (z+1) ... (z+k-1), with (z)_0 = 1.
-
-    Terminating cases (z at a nonpositive integer with k large enough to cross
-    zero) return an exact 0.  Large orders route through gamma ratios.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise InvalidParameterError("k must be a nonnegative integer")
-    w = _as_complex(z)
-    if k == 0:
-        return 1.0 + 0.0j
-    if k <= _POCHHAMMER_PRODUCT_MAX:
-        return _pochhammer_product(w, k)
-    try:
-        return gamma_ratio([w + k], [w])
-    except PoleError:
-        # z sits at/near a nonpositive integer: the product crosses an exact
-        # zero (or a value dominated by the near-zero factor), so form it
-        # directly.
-        return _pochhammer_product(w, k)
 
 
 def _log1p_c(u: complex) -> complex:

@@ -3,9 +3,9 @@
 Each eval_* routine implements one convergent rearrangement of the truncated
 Gauss series at unit argument, selected by the integer character of the
 parametric excess s = c - a - b; eval_auto routes on classify_params().  All
-series are truncated by a shared Tolerance and reported with a
-first-omitted-term error estimate.  The identity S_1 = 1 is returned directly
-in every branch.
+series stop where a tail bound proven from their parameters meets a shared
+Tolerance, and that bound is the tail part of the error estimate.  The
+identity S_1 = 1 is returned directly in every branch.
 
 The series decay like k^-(n+1) or k^-(n+2), so at small n they need more
 terms than the n-term sum they replace, and up to n ~ 100 their fixed cost
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import coeffs
 from ._series import (_sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
-                      predicted_terms, sum_alt_kernel, sum_direct, sum_hyp3f2)
+                      predicted_terms, sum_alt_kernel, sum_direct)
 from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
                         gamma_ratio, log_gamma, nonpos_int_distance)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
@@ -37,7 +37,6 @@ from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
 __all__ = [
     "Tolerance",
     "EvalReport",
-    "f32_unit",
     "eval_generic",
     "eval_log",
     "eval_pos_int",
@@ -136,19 +135,6 @@ def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
 
 def _unit_report(cls: ExcessClass, extra: tuple = ()) -> EvalReport:
     return EvalReport(1.0 + 0.0j, cls, 1, 0.0, cls.warnings + extra)
-
-
-def f32_unit(num, den, tol: Tolerance = _DEFAULT_TOL):
-    """Partial 3F2(1) summer: returns (value, terms_used).
-
-    A run that hits max_terms without meeting the stopping rule is detectable
-    by terms_used == tol.max_terms; the eval_* callers flag it instead.
-    """
-    if len(num) != 3 or len(den) != 2:
-        raise InvalidParameterError("f32_unit needs 3 numerator and 2 "
-                                    "denominator parameters")
-    res = sum_hyp3f2(tuple(num), tuple(den), tol.rel_tol, tol.max_terms)
-    return res.value, res.terms_used
 
 
 # Each branch body sums its prefactors in log space and exponentiates each
@@ -392,15 +378,15 @@ _BRANCHES = {
 }
 
 
-# eval_auto's cost model, in units of one direct-sum term (~1.05 us each
-# at Python 3.11 on a shared 2-core x86-64 host, timeit best of 5).  There,
-# the expansion's branch body at n in {20, 40, 70, 100, 150, 250} (generic,
-# logarithmic and s = -2 draws, real and complex, |parameter| <= 7, 144
-# timings) took, by least squares, 81 us + 2.2 us per predicted series term:
-# its prefactors, the terms beyond the predicted count that the stop rule
-# needs, and the costlier psi-kernel terms all fall into these two figures.
-_EXPANSION_FIXED_COST = 77.0
-_SERIES_TERM_COST = 2.0
+# eval_auto's cost model, in units of one direct-sum term (0.55-0.93 us
+# each at Python 3.11 on a shared 2-core x86-64 host, timeit best of 5).
+# There, the expansion's branch body at n in {20, 40, 70, 100, 150, 250}
+# (generic, logarithmic and s = -2 draws, real and complex, |parameter|
+# <= 7, 144 timings) cost, by least squares, 72 direct terms + 2.2 per
+# predicted series term (medians of ten fits): its prefactors and the
+# costlier psi-kernel terms fall into these two figures.
+_EXPANSION_FIXED_COST = 72.0
+_SERIES_TERM_COST = 2.2
 
 
 def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:

@@ -3,9 +3,9 @@
 Everything raised deliberately by this library derives from ``HypersumError``
 so callers (and the CLI) can map library failures to a single exit path.
 The public gamma-kernel functions (``gamma``, ``gamma_ratio``,
-``pochhammer``, ``exp_log``) reuse builtin ``OverflowError`` as-is for
-exponent-range failures; the engine reports an answer outside the double
-range as ``DomainError``.
+``exp_log``) reuse builtin ``OverflowError`` as-is for exponent-range
+failures; the engine reports an answer outside the double range as
+``DomainError``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from . import coeffs
-from ._series import _run, predicted_terms, sum_psi_kernel
+from ._series import _majorant, _run, predicted_terms, sum_psi_kernel
 from .complexfn import EULER_GAMMA, digamma, exp_log
 from .engine import Tolerance
 from .errors import DomainError, InvalidParameterError
@@ -108,13 +108,13 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     w = n + 1.5
     t = 0.25 / w
 
-    def step(k: int) -> float:
+    def step(k: int) -> tuple:
         nonlocal t
         t = t * (k + 0.5) ** 2 * k / ((k + 1.0) ** 2 * (w + k))
-        return t
+        return t, t
 
-    res = _run(abs(t), step, tol.rel_tol, tol.max_terms,
-               decay=n + 2.5, start_k=1, first_term=t)
+    res = _run(step, tol.rel_tol, tol.max_terms, 1, t, t,
+               _majorant((0.5, 0.5, 0.0), (w, 1.0, 1.0)))
     _check_cap(res.hit_max, "landau_ck", tol)
     head = (digamma(w).real + EULER_GAMMA + _LOG4) / _PI
     return head - res.value.real / _PI

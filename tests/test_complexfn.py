@@ -16,12 +16,11 @@ from hypersum.complexfn import (
     digamma,
     gamma,
     gamma_ratio,
-    is_near_pole,
     log_gamma,
     log_gamma_diff,
-    pochhammer,
+    nonpos_int_distance,
 )
-from hypersum.errors import InvalidParameterError, PoleError
+from hypersum.errors import PoleError
 
 EULER = 0.5772156649015329
 EPS = 2.0 ** -52
@@ -110,22 +109,6 @@ class TestDigamma:
     @given(strip)
     def test_conjugation(self, z):
         assert digamma(z.conjugate()) == digamma(z).conjugate()
-
-
-class TestPochhammer:
-    def test_basic(self):
-        assert pochhammer(1.0, 5) == pytest.approx(120.0, rel=1e-15)
-        assert pochhammer(0.5, 0) == 1.0
-        assert pochhammer(-3.0, 5) == 0.0  # terminates past a nonpositive int
-
-    def test_matches_gamma_ratio(self):
-        z = 1.25 + 0.5j
-        want = gamma(z + 7) / gamma(z)
-        assert abs(pochhammer(z, 7) - want) <= 1e-13 * abs(want)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pochhammer(1.0, -1)
 
 
 class TestGammaRatio:
@@ -359,10 +342,10 @@ class TestFarLeft:
 
 class TestNearPole:
     def test_detection(self):
-        assert is_near_pole(0.0)
-        assert is_near_pole(-3.0 + 0.5 * POLE_TOL * 1j)
-        assert not is_near_pole(0.5)
-        assert not is_near_pole(-3.0 + 1e-6j)
+        assert nonpos_int_distance(0j) <= POLE_TOL
+        assert nonpos_int_distance(-3.0 + 0.5 * POLE_TOL * 1j) <= POLE_TOL
+        assert not nonpos_int_distance(0.5 + 0j) <= POLE_TOL
+        assert not nonpos_int_distance(-3.0 + 1e-6j) <= POLE_TOL
 
 
 class TestBernoulli:

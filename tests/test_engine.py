@@ -14,7 +14,6 @@ from hypersum.engine import (
     eval_log,
     eval_neg_int,
     eval_pos_int,
-    f32_unit,
     leading_term,
 )
 from hypersum.errors import (
@@ -510,17 +509,6 @@ class TestAuto:
             eval_auto(ParamSet(2.0, 0.5, 4.25), 0)
         with pytest.raises(InvalidParameterError):
             eval_auto(ParamSet(2.0, 0.5, 4.25), 2.5)
-
-
-class TestF32Unit:
-    def test_value_and_count(self):
-        value, terms = f32_unit([0.5, 0.5, 1.0], [12.0, 1.75])
-        assert rel(value, 1.0127632289039901) < 1e-14
-        assert terms > 10
-
-    def test_arity(self):
-        with pytest.raises(InvalidParameterError):
-            f32_unit([0.5, 0.5, 1.0, 2.0], [12.0, 1.75])
 
 
 class TestLeadingTerm:

@@ -1,9 +1,10 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
-from hypersum import _series, engine
+from hypersum import _series, engine, landau
 from hypersum._series import (
     SeriesResult,
     sum_alt_kernel,
@@ -14,9 +15,11 @@ from hypersum._series import (
 from hypersum.coeffs import asym_log, asym_neg_int
 from hypersum.complexfn import (EULER_GAMMA, digamma, exp_log, gamma_ratio,
                                 log_gamma, nonpos_int_distance)
-from hypersum.engine import (eval_auto, eval_conjectured, eval_neg_int,
+from hypersum.engine import (Tolerance, eval_auto, eval_conjectured,
+                             eval_generic, eval_log, eval_neg_int,
                              eval_pos_int)
-from hypersum.errors import DivergentSeriesError, InvalidParameterError
+from hypersum.errors import (DivergentSeriesError, DomainError,
+                             InvalidParameterError)
 from hypersum.params import ParamSet, _log_seq_ratios, classify_params
 
 
@@ -57,12 +60,6 @@ class TestHyp3F2:
         # the estimate must cover the abandoned tail
         full = sum_hyp3f2([1.0, 1.0, 1.0], [2.5, 2.5])
         assert abs(res.value - full.value) <= res.est_error
-
-    def test_arity_enforced_by_engine_wrapper(self):
-        from hypersum.engine import f32_unit
-
-        with pytest.raises(InvalidParameterError):
-            f32_unit([0.5, 0.5], [12.0, 1.75])
 
 
 class TestPsiKernel:
@@ -124,25 +121,25 @@ class _ReferenceSum:
         return complex(self.re + self.cre, self.im + self.cim)
 
 
-def _reference_tail(term_abs, k, decay):
-    if decay <= 1.0:
-        return math.inf
-    return term_abs * max(1.0, k / (decay - 1.0))
-
-
-def _reference_run(term_abs_first, step, rel_tol, max_terms, decay, start_k,
-                   first_term):
+def _reference_run(step, rel_tol, max_terms, start_k, first_term, first_hyp,
+                   majorant):
+    # the stop rule written out: the tail bound at every k from `first` on,
+    # and a stop at the first k where it is at most rel_tol * |partial sum|
+    first, _, _, bound = majorant
     acc = _ReferenceSum()
     acc.add(first_term)
-    peak, below, k, hit_max = term_abs_first, 0, start_k, False
-    tail = _reference_tail(term_abs_first, max(k, 1), decay)
-    drift = 0.0
+    t_abs = peak = abs(first_term)
+    hyp, k, hit_max, tail, drift = first_hyp, start_k, False, math.inf, 0.0
     while True:
+        if k >= first:
+            tail = bound(k, t_abs, abs(hyp))
+            if tail <= rel_tol * abs(acc.total):
+                break
         if k - start_k + 1 >= max_terms:
             hit_max = True
             break
-        term = step(k)
-        if term == 0.0:
+        term, hyp = step(k)
+        if hyp == 0.0:
             tail = 0.0
             break
         k += 1
@@ -150,13 +147,6 @@ def _reference_run(term_abs_first, step, rel_tol, max_terms, decay, start_k,
         t_abs = abs(term)
         peak = max(peak, t_abs)
         drift += t_abs * (k - start_k)
-        tail = _reference_tail(t_abs, k, decay)
-        if tail <= rel_tol * abs(acc.total):
-            below += 1
-            if below >= 3:
-                break
-        else:
-            below = 0
     return SeriesResult(acc.total, k - start_k + 1,
                         _series._estimate(tail, peak, drift), hit_max)
 
@@ -177,7 +167,17 @@ def _reference_direct(a, b, c, n):
 
 def _fields(res):
     # repr tells -0.0 from 0.0 and compares nan to nan
-    return (repr(res.value), res.terms_used, repr(res.est_error), res.hit_max)
+    if isinstance(res, SeriesResult):
+        return (repr(res.value), res.terms_used, repr(res.est_error),
+                res.hit_max)
+    return repr(res)
+
+
+def _outcome(call):
+    try:
+        return _fields(call())
+    except (DivergentSeriesError, DomainError) as exc:
+        return type(exc).__name__
 
 
 class TestInlinedLoops:
@@ -198,24 +198,23 @@ class TestInlinedLoops:
                 lambda: sum_alt_kernel(a, b, w, rel_tol, cap),
                 lambda: sum_hyp3f2((c - a, c - b, 1.0), (n + c, 1.0 + c - a - b),
                                    rel_tol, cap),
+                lambda: landau.landau_ck(14 + n % 60, Tolerance(rel_tol, cap)),
             )
             for call in calls:
-                try:
-                    got = call()
-                except DivergentSeriesError:
-                    continue
+                got = _outcome(call)
                 with monkeypatch.context() as m:
                     m.setattr(_series, "_run", _reference_run)
-                    want = call()
-                assert _fields(got) == _fields(want), (a, b, c, n)
-                runs += 1
+                    m.setattr(landau, "_run", _reference_run)
+                    want = _outcome(call)
+                assert got == want, (a, b, c, n)
+                runs += isinstance(got, tuple)
             assert (_fields(sum_direct(a, b, c, n))
                     == _fields(_reference_direct(a, b, c, n))), (a, b, c, n)
         assert runs > 1000
 
     def test_terminating_sums_match_reference_loop(self, monkeypatch):
         # an exact zero term stops the loop; with excess -2 the tail
-        # estimate is infinite until it does
+        # bound is infinite until it does
         for num, den in (((-2.0, 1.0, 1.0), (5.0, 7.0)),
                          ((-3.0, 4.0, 4.0 + 1j), (1.5, 1.5))):
             got = sum_hyp3f2(num, den)
@@ -223,6 +222,159 @@ class TestInlinedLoops:
                 m.setattr(_series, "_run", _reference_run)
                 want = sum_hyp3f2(num, den)
             assert _fields(got) == _fields(want), num
+
+
+# Each kernel's series from its definition, term by term in mpmath (not
+# mp.hyp3f2, which is wrong at unit argument for some 1 + s < 0): |t_j| and
+# |h_j|, its hypergeometric part, for j = start, start + 1, ...
+
+def _mp_terms(start, h, beta, ratio, beta_step):
+    j = start
+    while True:
+        yield j, abs(h * beta), abs(h)
+        h *= ratio(j)
+        beta = beta_step(beta, j)
+        j += 1
+
+
+def _mp_generic(p, n):
+    ca, cb, nc, s1 = (mp.mpc(v) for v in (p.c - p.a, p.c - p.b, n + p.c,
+                                          1.0 + p.s))
+    return _mp_terms(0, mp.mpf(1), mp.mpf(1),
+                     lambda j: (ca + j) * (cb + j) / ((nc + j) * (s1 + j)),
+                     lambda beta, j: beta)
+
+
+def _mp_bracket_step(a, b, w):
+    return lambda beta, j: beta + 1 / (w + j) + 1 / (1 + j) - 1 / (a + j) - 1 / (b + j)
+
+
+def _mp_psi(a, b, w):
+    a, b, w = mp.mpc(a), mp.mpc(b), mp.mpc(w)
+    beta = mp.digamma(w) + mp.digamma(1) - mp.digamma(a) - mp.digamma(b)
+    return _mp_terms(0, mp.mpf(1), beta,
+                     lambda j: (a + j) * (b + j) / ((w + j) * (1 + j)),
+                     _mp_bracket_step(a, b, w))
+
+
+def _mp_alt(a, b, w):
+    a, b, w = mp.mpc(a), mp.mpc(b), mp.mpc(w)
+    return _mp_terms(1, a * b / w, 1 / w + 1 - 1 / a - 1 / b,
+                     lambda j: (a + j) * (b + j) / ((w + j) * (1 + j)),
+                     _mp_bracket_step(a, b, w))
+
+
+def _mp_ck(n):
+    w = mp.mpf(n) + mp.mpf(3) / 2
+    half = mp.mpf(1) / 2
+    return _mp_terms(1, 1 / (4 * w), mp.mpf(1),
+                     lambda j: (j + half) ** 2 * j / ((j + 1) ** 2 * (w + j)),
+                     lambda beta, j: beta)
+
+
+class TestProvenTailBound:
+    """The tail bound each kernel stops on is at least the true remainder
+    sum_{j>k} |t_j|, at every k from the bound's first valid index to
+    three past the stop."""
+
+    @staticmethod
+    def _check(monkeypatch, call, series):
+        runs = []
+        run = _series._run
+
+        def spy(*args):
+            runs.append((args, run(*args)))
+            return runs[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(_series, "_run", spy)
+            m.setattr(landau, "_run", spy)
+            call()
+        (args, res), = runs
+        start_k, (first, _, _, bound) = args[3], args[-1]
+        stop = start_k + res.terms_used - 1
+        with mp.workdps(40):
+            rows = []
+            for j, t_abs, h_abs in series():
+                rows.append((t_abs, h_abs))
+                if j == stop + 4:
+                    # the sum runs on until the rest lies far below the
+                    # last remainder checked
+                    floor = max(r[0] for r in rows[-4:]) * mp.mpf(10) ** -20
+                elif j > stop + 4 and t_abs < floor:
+                    break
+                assert j < 5000
+            rem = [mp.mpf(0)] * len(rows)
+            for i in range(len(rows) - 2, -1, -1):
+                rem[i] = rem[i + 1] + rows[i + 1][0]
+            checked = 0
+            for k in range(max(first, start_k), stop + 4):
+                t_abs, h_abs = rows[k - start_k]
+                got = bound(k, float(t_abs), float(h_abs))
+                assert rem[k - start_k] <= got * (1 + 1e-12), (k, stop, got)
+                checked += 1
+        return checked
+
+    @staticmethod
+    def _param(rng, cplx):
+        while True:
+            z = complex(rng.uniform(-5.0, 5.0),
+                        rng.uniform(-5.0, 5.0) if cplx else 0.0)
+            if nonpos_int_distance(z) >= 0.1:
+                return z
+
+    @staticmethod
+    def _indices(rng):
+        return (rng.randint(80, 120), 1000, 10 ** 6)
+
+    def test_generic_tail(self, monkeypatch):
+        rng = random.Random(21)
+        checked = 0
+        # Re s > 0, Re s < 0, and Re(1 + s) < -5
+        for lo, hi in ((0.1, 4.9), (-4.9, -0.1), (-9.5, -6.1)):
+            for cplx in (False, True):
+                for n in self._indices(rng) * 2:
+                    while True:
+                        a, b = self._param(rng, cplx), self._param(rng, cplx)
+                        s = complex(rng.uniform(lo, hi),
+                                    rng.uniform(-3.0, 3.0) if cplx else 0.0)
+                        c = a + b + s
+                        if (min(nonpos_int_distance(z) for z in (c, c - a, c - b))
+                                >= 0.1 and abs(s - round(s.real)) >= 0.1):
+                            break
+                    p = ParamSet(a, b, c)
+                    checked += self._check(monkeypatch,
+                                           lambda: eval_generic(p, n),
+                                           lambda: _mp_generic(p, n))
+        assert checked > 200
+
+    def test_psi_and_alternative_kernels(self, monkeypatch):
+        rng = random.Random(22)
+        checked = 0
+        for cplx in (False, True):
+            for n in self._indices(rng) * 2:
+                a, b = self._param(rng, cplx), self._param(rng, cplx)
+                m = rng.randint(1, 3)
+                w = n + a + b
+                for call, series in (
+                        (lambda: eval_log(ParamSet(a, b, a + b), n),
+                         lambda: _mp_psi(a, b, w)),
+                        (lambda: eval_neg_int(ParamSet(a, b, a + b - m), n),
+                         lambda: _mp_psi(a, b, w)),
+                        (lambda: eval_log(ParamSet(a, b, a + b), n,
+                                          form="alternative"),
+                         lambda: _mp_alt(a, b, w))):
+                    checked += self._check(monkeypatch, call, series)
+        assert checked > 100
+
+    def test_landau_routes(self, monkeypatch):
+        checked = 0
+        for n in range(14, 51):
+            checked += self._check(monkeypatch, lambda: landau.landau_watson(n),
+                                   lambda: _mp_psi(0.5, 0.5, n + 2.0))
+            checked += self._check(monkeypatch, lambda: landau.landau_ck(n),
+                                   lambda: _mp_ck(n))
+        assert checked > 200
 
 
 # Reference loops and formulas, each written out in full for one branch or

@@ -9,11 +9,15 @@ Only the oracle and the verification suite use mpmath, and they import it
 on first use, so ``import hypersum`` and the commands that run on the
 double-precision expansions start without it.  Those checks run in fresh
 interpreters, since this one has long since loaded mpmath.
+
+README's "Library use" block runs here, and its commented results are
+checked, so that the figures the cost model sets cannot drift from the code.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -23,6 +27,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 PACKAGE = ROOT / "src" / "hypersum"
 MPMATH_USERS = {"oracle.py", "verification.py"}
 
@@ -199,3 +204,37 @@ def test_mpmath_is_imported_only_inside_oracle_and_verification_functions():
             strays += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                        if isinstance(node, ast.Name) and node.id == "mpmath"]
     assert not strays, strays
+
+
+def _library_use_block() -> str:
+    section = README.read_text().split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_use_block_runs_as_commented():
+    block = _library_use_block()
+    call = re.search(r"eval_auto\((ParamSet\(.*?\)), (\d+)\)", block)
+    namespace = {}
+    literals = firsts = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if not comment:
+            exec(code, namespace)
+            continue
+        got = eval(code, namespace)
+        literal = re.match(r"\s*(\([^)]*\)|'[^']*')", comment)
+        if literal:
+            assert got == ast.literal_eval(literal.group(1)), line
+            literals += 1
+        first = re.search(r"'expansion' from n = (\d+) on", comment)
+        if first:
+            # every index from the block's own up to the stated one answers
+            # by the direct sum, and that one by the expansion
+            p, n = eval(call.group(1), namespace), int(call.group(2))
+            paths = [namespace["eval_auto"](p, m).path
+                     for m in range(n, int(first.group(1)) + 1)]
+            assert paths == ["direct_sum"] * (len(paths) - 1) + ["expansion"]
+            firsts += 1
+    assert (literals, firsts) == (3, 1)
