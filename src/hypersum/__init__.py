@@ -69,7 +69,6 @@ from .oracle import (
     digamma_ref,
     gamma_ref,
     landau_ref,
-    oracle_eval,
     partial_sum_ref,
 )
 from .params import (
@@ -100,7 +99,7 @@ __all__ = [
     "landau_asymptotic", "landau_ck", "landau_direct", "landau_nemes",
     "landau_theorem3", "landau_watson", "landau_watson_asymptotic",
     "DEFAULT_DIGITS", "ErrorReport", "OracleValue", "compare", "digamma_ref",
-    "gamma_ref", "landau_ref", "oracle_eval", "partial_sum_ref",
+    "gamma_ref", "landau_ref", "partial_sum_ref",
     "INTEGER_TOL", "NEAR_INTEGER_WARN", "ExcessClass", "ParamSet",
     "SeqFactors", "classify", "seq_factors",
     "CheckResult", "run_all",

@@ -17,7 +17,7 @@ import sys
 from . import coeffs, engine, landau, verification
 from .engine import Tolerance
 from .errors import HypersumError, VerificationFailure
-from .params import ParamSet, classify, classify_params
+from .params import LOGARITHMIC, ParamSet, classify, classify_params
 
 _FORM_MAP = {"psi": "psi_series", "alt": "alternative"}
 
@@ -112,8 +112,8 @@ def _report_record(rep: engine.EvalReport) -> dict:
 def _cmd_eval(args, out) -> int:
     pset = ParamSet(args.a, args.b, args.c)
     tol = Tolerance(rel_tol=args.tol) if args.tol is not None else Tolerance()
-    cls = classify_params(pset)
-    if args.form is not None and cls.kind == "logarithmic":
+    if (args.form is not None
+            and classify_params(pset).kind == LOGARITHMIC):
         rep = engine.eval_log(pset, args.n, tol, form=_FORM_MAP[args.form])
     else:
         rep = engine.eval_auto(pset, args.n, tol)
@@ -169,46 +169,42 @@ def _cmd_landau(args, out) -> int:
     return 1 if failures == len(records) else 0
 
 
+def _head(fam: str, k: int | None, values: tuple) -> tuple:
+    """The first --k of a family's values, all of them by default."""
+    if k is None:
+        return values
+    if not 1 <= k <= len(values):
+        raise HypersumError(f"family {fam} has depth {len(values)}, got --k {k}")
+    return values[:k]
+
+
+def _complex_records(values) -> list:
+    return [{"k": i, "value_re": z.real, "value_im": z.imag}
+            for i, z in enumerate(map(complex, values), start=1)]
+
+
 def _cmd_coeffs(args, out) -> int:
     fam = args.family
     if fam in ("sigma", "A", "lambda") and (args.a is None or args.b is None):
         raise HypersumError(f"family {fam!r} needs -a and -b")
-    records = []
     if fam == "sigma":
         k = 6 if args.k is None else args.k
-        table = coeffs.sigma_coeffs(args.a, args.b, k)
-        for i, v in enumerate(table.values, start=1):
-            z = complex(v)
-            records.append({"k": i, "value_re": z.real, "value_im": z.imag})
+        records = _complex_records(coeffs.sigma_coeffs(args.a, args.b, k).values)
     elif fam == "A":
-        k = 3 if args.k is None else args.k
-        if not 1 <= k <= 3:
-            raise HypersumError(f"family A has depth 3, got --k {k}")
-        table = coeffs.a_coeffs(args.a, args.b)
-        for i, v in enumerate(table.values[:k], start=1):
-            z = complex(v)
-            records.append({"k": i, "value_re": z.real, "value_im": z.imag})
+        records = _complex_records(
+            _head(fam, args.k, coeffs.a_coeffs(args.a, args.b).values))
     elif fam == "C":
-        k = 6 if args.k is None else args.k
-        if not 1 <= k <= 6:
-            raise HypersumError(f"family C has depth 6, got --k {k}")
-        for i, v in enumerate(coeffs.c_coeffs().values[:k], start=1):
-            records.append({"k": i, "value_re": float(v), "value_im": 0.0,
-                            "exact": str(v)})
+        records = [{"k": i, "value_re": float(v), "value_im": 0.0,
+                    "exact": str(v)}
+                   for i, v in enumerate(
+                       _head(fam, args.k, coeffs.c_coeffs().values), start=1)]
     elif fam == "g":
-        k = 3 if args.k is None else args.k
-        if not 1 <= k <= 3:
-            raise HypersumError(f"family g has depth 3, got --k {k}")
-        for i, poly in enumerate(coeffs._G_POLYS[:k], start=1):
-            records.append({"k": i, "coeffs": [str(c) for c in poly]})
+        records = [{"k": i, "coeffs": [str(c) for c in poly]}
+                   for i, poly in enumerate(
+                       _head(fam, args.k, coeffs._G_POLYS), start=1)]
     elif fam == "lambda":
-        deep = 5 if (args.a == 0.5 and args.b == 0.5) else 2
-        k = deep if args.k is None else args.k
-        # the depth-k term at index 1 is the coefficient itself
-        for i in range(1, k + 1):
-            e = (coeffs.lambda_series(args.a, args.b, 1, i)
-                 - coeffs.lambda_series(args.a, args.b, 1, i - 1))
-            records.append({"k": i, "value_re": e.real, "value_im": e.imag})
+        records = _complex_records(
+            _head(fam, args.k, coeffs._lambda_coeffs(args.a, args.b)))
     else:
         raise HypersumError(f"unknown family {fam!r}")
     _emit(records, args, out)
@@ -289,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", parents=[fmt],
                        help="reproduce the published truncation-error grid")
     p.add_argument("--digits", type=int,
-                   help="working precision (default: oracle digits)")
+                   help="working precision (default 40)")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("verify", parents=[fmt],

@@ -58,6 +58,7 @@ _LAMBDA_HALF = (
     Fraction(-5, 2048),
     Fraction(-23, 8192),
 )
+_LAMBDA_HALF_FLOATS = tuple(map(float, _LAMBDA_HALF))
 
 # Ascending-power coefficients of the shift polynomials g_1..g_3; a float h
 # takes the float copies, since Fraction-times-float arithmetic is slow.
@@ -161,6 +162,17 @@ def g_poly(k: int, h: Number):
     return value
 
 
+def _lambda_coeffs(a: Number, b: Number) -> tuple:
+    """Inverse-power coefficients lambda_1, lambda_2, ... of lambda_n: five
+    printed for the (1/2, 1/2) pair, two for a general pair."""
+    av, bv = _numeric(a), _numeric(b)
+    if av == 0.5 and bv == 0.5:
+        return _LAMBDA_HALF_FLOATS
+    ab = av * bv
+    # 0 - ab rather than -ab: a real pair keeps an imaginary part of +0.0
+    return (0 - ab, ab * (av + bv - 1 + ab) / 2)
+
+
 def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:
     """Truncated inverse-power estimate of lambda_n.
 
@@ -170,23 +182,15 @@ def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:
     """
     _check_index(n)
     _check_index(order, "order", minimum=0)
-    av, bv = _numeric(a), _numeric(b)
-    if av == 0.5 and bv == 0.5:
-        if order > len(_LAMBDA_HALF):
-            raise DomainError(f"order {order} exceeds the known depth "
-                              f"{len(_LAMBDA_HALF)} for (1/2, 1/2)")
-        total = 1.0 + 0.0j
-        for k in range(1, order + 1):
-            total += float(_LAMBDA_HALF[k - 1]) / float(n) ** k
-        return total
-    if order > 2:
-        raise DomainError(f"order {order} exceeds the known depth 2 for "
-                          "general parameters")
+    table = _lambda_coeffs(a, b)
+    if order > len(table):
+        pair = ("(1/2, 1/2)" if table is _LAMBDA_HALF_FLOATS
+                else "general parameters")
+        raise DomainError(f"order {order} exceeds the known depth "
+                          f"{len(table)} for {pair}")
     total = 1.0 + 0.0j
-    if order >= 1:
-        total -= av * bv / n
-    if order >= 2:
-        total += av * bv * (av + bv - 1 + av * bv) / (2.0 * n * n)
+    for k in range(1, order + 1):
+        total += table[k - 1] / float(n) ** k
     return total
 
 

@@ -412,14 +412,14 @@ def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) ->
     bits of a, up to 8e-10 relative at n = 1e6: ratios with an n-dependent
     argument go through log_gamma_diff with their exact offsets instead.
     """
-    nums = [_as_complex(v, "numerator") for v in numerators]
-    dens = [_as_complex(v, "denominator") for v in denominators]
+    nums = [_off_pole(v, "gamma_ratio") for v in numerators]
+    dens = [_off_pole(v, "gamma_ratio") for v in denominators]
     total = 0.0 + 0.0j
     paired = min(len(nums), len(dens))
     for i in range(paired):
-        total += log_gamma_diff(0, nums[i], dens[i])
+        total += _log_gamma_diff(0, nums[i], dens[i])
     for v in nums[paired:]:
-        total += log_gamma(v)
+        total += _log_gamma(v)
     for v in dens[paired:]:
-        total -= log_gamma(v)
+        total -= _log_gamma(v)
     return exp_log(total)

@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import coeffs
-from ._series import (_sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
-                      predicted_terms, sum_alt_kernel, sum_direct)
+from ._series import (SeriesResult, _sum_hyp3f2, _sum_psi_kernel, check_tol,
+                      finite_sum, predicted_terms, sum_alt_kernel, sum_direct)
 from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
                         gamma_ratio, log_gamma, nonpos_int_distance)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
@@ -133,8 +134,23 @@ def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
     return cls
 
 
-def _unit_report(cls: ExcessClass, extra: tuple = ()) -> EvalReport:
-    return EvalReport(1.0 + 0.0j, cls, 1, 0.0, cls.warnings + extra)
+def _report(body, p: ParamSet, n: int, cls: ExcessClass,
+            tol: Tolerance) -> EvalReport:
+    """Run a branch body and report its SeriesResult.
+
+    S_1 = 1 needs no body.  The warnings are the classification's, then
+    "conjectural" on the degenerate branch and "max_terms_reached" when a
+    series hit its cap.
+    """
+    warnings = cls.warnings
+    if cls.kind == DEGENERATE_NEG_INTEGER:
+        warnings += ("conjectural",)
+    if n == 1:
+        return EvalReport(1.0 + 0.0j, cls, 1, 0.0, warnings)
+    res = body(p, n, cls, tol)
+    if res.hit_max:
+        warnings += ("max_terms_reached",)
+    return EvalReport(res.value, cls, res.terms_used, res.est_error, warnings)
 
 
 # Each branch body sums its prefactors in log space and exponentiates each
@@ -172,13 +188,12 @@ def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
     zero (reciprocal-gamma pole) and the tail series terminates on its own;
     classification flags this with a gamma_pole warning rather than refusing.
     """
-    return _generic(p, n, _checked(p, n, GENERIC, "eval_generic"), tol)
+    return _report(_generic, p, n, _checked(p, n, GENERIC, "eval_generic"),
+                   tol)
 
 
 def _generic(p: ParamSet, n: int, cls: ExcessClass,
-             tol: Tolerance) -> EvalReport:
-    if n == 1:
-        return _unit_report(cls)
+             tol: Tolerance) -> SeriesResult:
     a, b, c = p.a, p.b, p.c
     s = p.s
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
@@ -203,9 +218,6 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
     lg_tail = log_omega + lg_c - lg_a - lg_b
     series = _sum_hyp3f2(ca, cb, 1.0 + 0.0j, n + c, 1.0 + s, tol.rel_tol,
                          tol.max_terms)
-    warnings = cls.warnings
-    if series.hit_max:
-        warnings = warnings + ("max_terms_reached",)
     if lg_tail.real < _EXP_MIN:
         # The tail lies below the double range: |tail| <= e^Re(lg_tail)
         # (|series| + its error) / |s|, taken in log space.  Next to a
@@ -217,15 +229,15 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass,
                               f"prefactor| = {lg_tail.real:.6g}")
         size = (abs(series.value) + series.est_error) / abs(s)
         lost = math.exp(lg_tail.real + math.log(size)) if size else 0.0
-        return EvalReport(gauss, cls, series.terms_used, gauss_err + lost,
-                          warnings)
+        return SeriesResult(gauss, series.terms_used, gauss_err + lost,
+                            series.hit_max)
     pref = _exp(lg_tail) / s
     tail = pref * series.value
     value = gauss - tail
     tail_size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
     est = (abs(pref) * series.est_error + gauss_err
            + abs(tail) * _rel_floor(tail_size))
-    return EvalReport(value, cls, series.terms_used, est, warnings)
+    return SeriesResult(value, series.terms_used, est, series.hit_max)
 
 
 def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
@@ -239,13 +251,11 @@ def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
     cls = _checked(p, n, LOGARITHMIC, "eval_log")
     if form not in ("psi_series", "alternative"):
         raise InvalidParameterError(f"unknown form {form!r}")
-    return _log(p, n, cls, tol, form)
+    return _report(partial(_log, form=form), p, n, cls, tol)
 
 
 def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
-         form: str = "psi_series") -> EvalReport:
-    if n == 1:
-        return _unit_report(cls)
+         form: str = "psi_series") -> SeriesResult:
     a, b = p.a, p.b
     w = _nab_off_pole(n + a + b)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
@@ -254,7 +264,6 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
     pref = _exp(lg_ab - lg_a - lg_b)
     pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
     tail_floor = _rel_floor(_pair_size(n, a, b, a + b) + pref_size)
-    warnings = cls.warnings
     if form == "psi_series":
         ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
         value = lam * pref * ker.value
@@ -268,9 +277,7 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
         est = (abs(lam * pref) * ker.est_error
                + abs(head) * _rel_floor(pref_size)
                + abs(tail) * tail_floor)
-    if ker.hit_max:
-        warnings = warnings + ("max_terms_reached",)
-    return EvalReport(value, cls, ker.terms_used, est, warnings)
+    return SeriesResult(value, ker.terms_used, est, ker.hit_max)
 
 
 def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
@@ -279,13 +286,13 @@ def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
     Needs Re(n+a+b) >= 1: the sum divides by (n+a+b)_k, which vanishes at
     the poles of Gamma(n+a+b) and amplifies the rounding of a+b near them.
     """
-    return _pos_int(p, n, _checked(p, n, POSITIVE_INTEGER, "eval_pos_int"))
+    return _report(_pos_int, p, n,
+                   _checked(p, n, POSITIVE_INTEGER, "eval_pos_int"),
+                   _DEFAULT_TOL)
 
 
 def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
-             tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
-    if n == 1:
-        return _unit_report(cls)
+             tol: Tolerance) -> SeriesResult:
     a, b, c = p.a, p.b, p.c
     m = cls.m
     w = n + a + b
@@ -302,18 +309,17 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s) + abs(lg_ca)
             + abs(lg_cb))
     est = abs(pref) * absum * _rel_floor(size)
-    return EvalReport(value, cls, m, est, cls.warnings)
+    return SeriesResult(value, m, est, False)
 
 
 def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Excess s = -m, neither a nor b in {1..m}: finite sum plus psi-series."""
-    return _neg_int(p, n, _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int"), tol)
+    return _report(_neg_int, p, n,
+                   _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int"), tol)
 
 
 def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
-             tol: Tolerance) -> EvalReport:
-    if n == 1:
-        return _unit_report(cls)
+             tol: Tolerance) -> SeriesResult:
     a, b, c = p.a, p.b, p.c
     m = cls.m
     finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m)
@@ -328,16 +334,13 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     head = pref1 * finite
     tail = pref2 * ker.value
     value = head + tail
-    warnings = cls.warnings
-    if ker.hit_max:
-        warnings = warnings + ("max_terms_reached",)
     size1 = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
     size2 = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
              + lg_m)
     est = (abs(pref2) * ker.est_error
            + (abs(head) + abs(pref1) * absum) * _rel_floor(size1)
            + abs(tail) * _rel_floor(size2))
-    return EvalReport(value, cls, m + ker.terms_used, est, warnings)
+    return SeriesResult(value, m + ker.terms_used, est, ker.hit_max)
 
 
 def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
@@ -347,14 +350,13 @@ def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
     the truncation self-enforcing; flagged conjectural, since this form rests
     on numerical evidence rather than proof.
     """
-    return _conjectured(p, n, _checked(p, n, DEGENERATE_NEG_INTEGER,
-                                       "eval_conjectured"))
+    return _report(_conjectured, p, n,
+                   _checked(p, n, DEGENERATE_NEG_INTEGER, "eval_conjectured"),
+                   _DEFAULT_TOL)
 
 
 def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
-                 tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
-    if n == 1:
-        return _unit_report(cls, ("conjectural",))
+                 tol: Tolerance) -> SeriesResult:
     a, b, c = p.a, p.b, p.c
     m = cls.m
     total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
@@ -364,8 +366,7 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
     value = pref * total
     size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
     est = abs(pref) * absum * _rel_floor(size)
-    return EvalReport(value, cls, m - cls.p + 1, est,
-                      cls.warnings + ("conjectural",))
+    return SeriesResult(value, m - cls.p + 1, est, False)
 
 
 # The branch bodies behind eval_auto, on the classification it made once.
@@ -422,7 +423,7 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
             res = sum_direct(a, b, c, n)
             return EvalReport(res.value, cls, res.terms_used, res.est_error,
                               cls.warnings, "direct_sum")
-    return _BRANCHES[kind](p, n, cls, tol)
+    return _report(_BRANCHES[kind], p, n, cls, tol)
 
 
 def leading_term(p: ParamSet, n: int) -> complex:

@@ -14,15 +14,14 @@ working precision, the sum is redone in mpmath.  Gamma, digamma and the
 Landau constants run in mpmath.  mpmath is imported by the functions that
 use it, so importing this module does not load it.
 
-Requests are small tagged tuples, e.g. ``("partial_sum", a, b, c, n)``;
-convenience wrappers build them.  The working precision carries ten guard
-digits beyond what is reported.
+Each quantity has one function, which takes its precision as ``digits``
+(default 40).  The working precision carries ten guard digits beyond what
+is reported.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -34,8 +33,6 @@ __all__ = [
     "OracleValue",
     "ErrorReport",
     "DEFAULT_DIGITS",
-    "default_digits",
-    "oracle_eval",
     "partial_sum_ref",
     "gamma_ref",
     "digamma_ref",
@@ -50,31 +47,15 @@ _MIN_DIGITS = 30
 _MAX_DIGITS = 100_000
 _GUARD_DIGITS = 10
 _MAX_PARTIAL_SUM_N = 100_000
-_REQUEST_KINDS = ("partial_sum", "gamma", "digamma", "landau")
 _ZERO = Fraction(0)
-
-
-def default_digits() -> int:
-    """Oracle precision: HYPERSUM_ORACLE_DIGITS when set, else 40."""
-    raw = os.environ.get("HYPERSUM_ORACLE_DIGITS")
-    if raw is None:
-        return DEFAULT_DIGITS
-    try:
-        digits = int(raw)
-    except ValueError as exc:
-        raise InvalidParameterError(
-            f"HYPERSUM_ORACLE_DIGITS must be an integer, got {raw!r}"
-        ) from exc
-    return digits
 
 
 @dataclass(frozen=True)
 class OracleValue:
-    """A reference value together with its request and stated precision."""
+    """A reference value together with its stated precision."""
 
     value: object  # an mpmath mpc
     digits: int
-    request: tuple
 
     def as_complex(self) -> complex:
         import mpmath as mp
@@ -120,7 +101,11 @@ def _to_mp(x: Number, name: str):
     return _mp_of(_exact(x, name))
 
 
-def _check_digits(digits: int) -> None:
+def _checked_digits(digits: int | None) -> int:
+    """The stated precision: DEFAULT_DIGITS for None, else digits once it
+    is an integer in the supported range."""
+    if digits is None:
+        return DEFAULT_DIGITS
     if not isinstance(digits, Integral):
         raise InvalidParameterError("digits must be an integer")
     if digits < _MIN_DIGITS:
@@ -129,6 +114,7 @@ def _check_digits(digits: int) -> None:
         raise PrecisionUnavailableError(
             f"digits = {digits} exceeds the supported maximum {_MAX_DIGITS}"
         )
+    return digits
 
 
 def _partial_sum_mp(a, b, c, n: int):
@@ -239,64 +225,45 @@ def _landau_mp(n: int):
     return total
 
 
-def oracle_eval(request: tuple, digits: int | None = None) -> OracleValue:
-    """Evaluate a tagged reference request at the given decimal precision.
-
-    Requests: ("partial_sum", a, b, c, n) with 1 <= n <= 1e5;
-    ("gamma", z); ("digamma", z); ("landau", n) with n >= 0.
-    """
-    import mpmath as mp
-    if digits is None:
-        digits = default_digits()
-    _check_digits(digits)
-    if not isinstance(request, tuple) or not request or request[0] not in _REQUEST_KINDS:
-        raise InvalidParameterError(
-            f"request must be a tuple tagged with one of {_REQUEST_KINDS}"
-        )
-    kind = request[0]
-    with mp.workdps(digits + _GUARD_DIGITS):
-        if kind == "partial_sum":
-            if len(request) != 5:
-                raise InvalidParameterError("partial_sum request takes (a, b, c, n)")
-            a, b, c, n = request[1:]
-            if not isinstance(n, Integral) or n < 1:
-                raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-            if n > _MAX_PARTIAL_SUM_N:
-                raise InvalidParameterError(
-                    f"n = {n} exceeds the partial_sum limit {_MAX_PARTIAL_SUM_N}"
-                )
-            value = _partial_sum(_exact(a, "a"), _exact(b, "b"),
-                                 _exact(c, "c"), int(n), digits)
-        elif kind == "landau":
-            if len(request) != 2:
-                raise InvalidParameterError("landau request takes (n,)")
-            n = request[1]
-            if not isinstance(n, Integral) or n < 0:
-                raise InvalidParameterError(f"n must be >= 0, got {n!r}")
-            value = _landau_mp(int(n))
-        else:
-            if len(request) != 2:
-                raise InvalidParameterError(f"{kind} request takes (z,)")
-            z = _to_mp(request[1], "z")
-            value = mp.gamma(z) if kind == "gamma" else mp.digamma(z)
-        return OracleValue(value=mp.mpc(value), digits=digits, request=request)
-
-
 def partial_sum_ref(a: Number, b: Number, c: Number, n: int,
                     digits: int | None = None) -> OracleValue:
-    return oracle_eval(("partial_sum", a, b, c, n), digits)
+    """S_n(a, b; c), the first n terms of the Gauss series at unit argument,
+    for 1 <= n <= 1e5."""
+    digits = _checked_digits(digits)
+    if not isinstance(n, Integral) or n < 1:
+        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+    if n > _MAX_PARTIAL_SUM_N:
+        raise InvalidParameterError(
+            f"n = {n} exceeds the partial_sum limit {_MAX_PARTIAL_SUM_N}"
+        )
+    value = _partial_sum(_exact(a, "a"), _exact(b, "b"), _exact(c, "c"),
+                         int(n), digits)
+    return OracleValue(value=value, digits=digits)
 
 
 def gamma_ref(z: Number, digits: int | None = None) -> OracleValue:
-    return oracle_eval(("gamma", z), digits)
+    import mpmath as mp
+    digits = _checked_digits(digits)
+    with mp.workdps(digits + _GUARD_DIGITS):
+        return OracleValue(value=mp.mpc(mp.gamma(_to_mp(z, "z"))), digits=digits)
 
 
 def digamma_ref(z: Number, digits: int | None = None) -> OracleValue:
-    return oracle_eval(("digamma", z), digits)
+    import mpmath as mp
+    digits = _checked_digits(digits)
+    with mp.workdps(digits + _GUARD_DIGITS):
+        return OracleValue(value=mp.mpc(mp.digamma(_to_mp(z, "z"))),
+                           digits=digits)
 
 
 def landau_ref(n: int, digits: int | None = None) -> OracleValue:
-    return oracle_eval(("landau", n), digits)
+    """The Landau constant G_n for n >= 0."""
+    import mpmath as mp
+    digits = _checked_digits(digits)
+    if not isinstance(n, Integral) or n < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n!r}")
+    with mp.workdps(digits + _GUARD_DIGITS):
+        return OracleValue(value=mp.mpc(_landau_mp(int(n))), digits=digits)
 
 
 def compare(x: Number, ref: OracleValue) -> ErrorReport:

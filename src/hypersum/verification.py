@@ -104,12 +104,11 @@ def table_errors(digits: int | None = None):
 
     Each estimate is the shipped formula run in mpmath, and S_n is the
     oracle's raw term-by-term sum.  Returns (rows, ok), ok when every cell
-    is within 1% of its printed value.  digits defaults to the oracle's.
+    is within 1% of its printed value.  digits defaults to the oracle's 40.
     """
     import mpmath as mp
     arith = _mp_arith()
-    digits = oracle.default_digits() if digits is None else digits
-    oracle._check_digits(digits)
+    digits = oracle._checked_digits(digits)
     rows = []
     with mp.workdps(digits):
         for exact, n, printed in LOG_ROWS + NEG_ROWS:

@@ -175,6 +175,18 @@ class TestCoeffs:
         assert abs(recs[0]["value_re"] - 3.0) < 1e-15
         assert abs(recs[1]["value_re"] - 23.0 / 6.0) < 1e-15
 
+    def test_lambda_prints_the_coefficients(self):
+        # lambda_1 = -ab and lambda_2 = ab (a + b - 1 + ab) / 2 themselves,
+        # not differences of truncated series, which round in the last digits
+        rc, recs = run_json("coeffs", "--family", "lambda",
+                            "-a", "0.01", "-b", "0.3")
+        assert rc == 0
+        assert [(r["k"], r["value_re"], r["value_im"]) for r in recs] == [
+            (1, -0.003, 0.0), (2, -0.0010305, 0.0)]
+        rc, _ = run_cli("coeffs", "--family", "lambda",
+                        "-a", "0.01", "-b", "0.3", "--k", "3")
+        assert rc == 1
+
     def test_g_polynomials(self):
         rc, recs = run_json("coeffs", "--family", "g")
         assert rc == 0

@@ -13,47 +13,29 @@ from hypersum.oracle import (
     DEFAULT_DIGITS,
     _partial_sum_mp,
     compare,
-    default_digits,
     digamma_ref,
     gamma_ref,
     landau_ref,
-    oracle_eval,
     partial_sum_ref,
 )
 
+# Each reference function with arguments it accepts.
+_REFERENCES = [
+    (partial_sum_ref, (0.5, 0.5, 1.0, 10)),
+    (gamma_ref, (2.5,)),
+    (digamma_ref, (2.5,)),
+    (landau_ref, (5,)),
+]
+
 
 class TestDefaultDigits:
-    def test_unset(self, monkeypatch):
-        monkeypatch.delenv("HYPERSUM_ORACLE_DIGITS", raising=False)
-        assert default_digits() == DEFAULT_DIGITS == 40
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HYPERSUM_ORACLE_DIGITS", "60")
-        assert default_digits() == 60
-        ref = landau_ref(5)
-        assert ref.digits == 60
-
-    def test_env_garbage(self, monkeypatch):
-        monkeypatch.setenv("HYPERSUM_ORACLE_DIGITS", "lots")
-        with pytest.raises(InvalidParameterError):
-            default_digits()
+    def test_unset(self):
+        assert DEFAULT_DIGITS == 40
+        for ref, args in _REFERENCES:
+            assert ref(*args).digits == 40, ref.__name__
 
 
 class TestRequestValidation:
-    def test_unknown_tag(self):
-        with pytest.raises(InvalidParameterError):
-            oracle_eval(("zeta", 2.0))
-
-    def test_not_a_tuple(self):
-        with pytest.raises(InvalidParameterError):
-            oracle_eval(["gamma", 2.0])
-
-    def test_wrong_arity(self):
-        with pytest.raises(InvalidParameterError):
-            oracle_eval(("partial_sum", 1.0, 2.0, 3.0))
-        with pytest.raises(InvalidParameterError):
-            oracle_eval(("gamma", 1.0, 2.0))
-
     def test_bad_n(self):
         with pytest.raises(InvalidParameterError):
             partial_sum_ref(1.0, 1.0, 2.5, 0)
@@ -74,19 +56,21 @@ class TestRequestValidation:
             partial_sum_ref(0.5, 0.5, -2.0, 5)
 
     def test_digits_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            gamma_ref(2.5, digits=29)
-        with pytest.raises(PrecisionUnavailableError):
-            gamma_ref(2.5, digits=100_001)
-        with pytest.raises(InvalidParameterError):
-            gamma_ref(2.5, digits=40.0)
+        # each reference function checks its own digits
+        for ref, args in _REFERENCES:
+            with pytest.raises(InvalidParameterError):
+                ref(*args, digits=29)
+            with pytest.raises(PrecisionUnavailableError):
+                ref(*args, digits=100_001)
+            with pytest.raises(InvalidParameterError):
+                ref(*args, digits=40.0)
+            assert ref(*args, digits=30).digits == 30
 
 
 class TestValues:
     def test_gamma_integer(self):
         ref = gamma_ref(6)
         assert ref.as_complex() == 120.0
-        assert ref.request == ("gamma", 6)
 
     def test_gamma_half(self):
         ref = gamma_ref(0.5, digits=50)

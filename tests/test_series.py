@@ -64,13 +64,13 @@ class TestHyp3F2:
 
 class TestPsiKernel:
     def test_against_oracle(self):
-        from hypersum.oracle import oracle_eval
+        from hypersum.oracle import partial_sum_ref
 
         # kernel value backing S_40(1/3, 2/3; 1): frozen from the 40-digit run
         res = sum_psi_kernel(1.0 / 3.0, 2.0 / 3.0, 41.0)
         assert isinstance(res, SeriesResult)
         assert res.est_error < 1e-12
-        ref = oracle_eval(("partial_sum", 1.0 / 3.0, 2.0 / 3.0, 1.0, 40))
+        ref = partial_sum_ref(1.0 / 3.0, 2.0 / 3.0, 1.0, 40)
         # reassemble the partial sum the way the engine does
         from hypersum.complexfn import gamma_ratio
 

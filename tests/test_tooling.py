@@ -89,6 +89,13 @@ def test_unchecked_kernel_entries_stay_behind_validation():
     assert not strays, strays
 
 
+def test_package_reads_no_environment_variables():
+    # Precision and tolerances are arguments and CLI options; a setting read
+    # from the environment would change answers without showing in a call.
+    strays = _strays({"environ", "environb", "getenv", "getenvb"}, set())
+    assert not strays, strays
+
+
 def test_oracle_imports_nothing_from_the_package_but_errors():
     # The oracle is evidence only while it shares no code with the double
     # kernels; from the package it may take the error types and nothing else.
