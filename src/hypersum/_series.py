@@ -10,10 +10,15 @@ Gauss ratio (j + X)/(j + Y), whose tail sums in closed form:
 sum_{j>k} |h_j| <= |h_k| (k + X)/(Y - X - 1), infinite while
 Y - X - 1 <= 0.  A digamma bracket is bounded by
 |psi(x + J) - psi(y + J)| <= |x - y| / (J + min(Re x, Re y) - 1).
-Accumulation is compensated (Neumaier) per component, which keeps the
+Accumulation is compensated: each addition's exact rounding error comes
+from Knuth's TwoSum and is carried in a second sum, which keeps the
 roundoff floor at ~eps times the peak term magnitude rather than eps times
-the term count.  The loops keep the compensated sums in local floats, with
-no call per term beyond the term itself.
+the term count.  CPython adds complex numbers one component at a time, so
+on complex terms this is one TwoSum per component.  The loops never split
+a term into parts, so they run unchanged on floats: when every parameter's
+imaginary part is zero, the kernels pass the real parts, and the real part
+of each complex product and quotient then rounds exactly as the float
+operation does, so the bits are the same.
 
 Stop rule: the first k whose proven tail bound is at most
 rel_tol * |partial sum|.  That bound is the tail part of est_error.
@@ -78,32 +83,23 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
     The sum is finite, so there is no tail; est_error is the roundoff part
     of the series estimate.  Callers guarantee no (c)_k vanishes.
     """
-    re, im = 1.0, 0.0
-    cre = cim = 0.0
-    t = 1.0 + 0.0j
+    if not (a.imag or b.imag or c.imag):
+        a, b, c = a.real, b.real, c.real
+    t = total = 1.0
+    comp = 0.0
     peak = 1.0
     drift = 0.0
     for k in range(n - 1):
         t = t * (a + k) * (b + k) / ((c + k) * (k + 1))
-        x = t.real
-        y = re + x
-        if abs(re) >= abs(x):
-            cre += (re - y) + x
-        else:
-            cre += (x - y) + re
-        re = y
-        x = t.imag
-        y = im + x
-        if abs(im) >= abs(x):
-            cim += (im - y) + x
-        else:
-            cim += (x - y) + im
-        im = y
+        u = total + t
+        v = u - total
+        comp += (total - (u - v)) + (t - v)
+        total = u
         t_abs = abs(t)
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k + 1)
-    return SeriesResult(value=complex(re + cre, im + cim), terms_used=n,
+    return SeriesResult(value=complex(total + comp), terms_used=n,
                         est_error=_estimate(0.0, peak, drift), hit_max=False)
 
 
@@ -183,16 +179,17 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
     term for index k+1 and its hypergeometric part; majorant comes from
     _majorant.
 
-    The loop keeps its Neumaier sums (re + cre, im + cim) in local floats:
-    a method call or a helper per term would cost as much as the term's own
-    arithmetic.  So the tail bound runs only at terms that pass its floor,
+    The loop keeps its compensated sum (total + comp) in local variables,
+    floats or complex as the terms are: a method call or a helper per term
+    would cost as much as the term's own arithmetic.  So the tail bound runs
+    only at terms that pass its floor,
     |t_k| (k + floor) <= rel_tol * excess * |partial sum|.
     """
     first, floor, excess, bound = majorant
     scale = rel_tol * excess
     # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
-    re, im = 0.0 + first_term.real, 0.0 + first_term.imag
-    cre = cim = 0.0
+    total = 0.0 + first_term
+    comp = 0.0
     t_abs = peak = abs(first_term)
     hyp = first_hyp
     k = start_k
@@ -202,7 +199,7 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
     last = start_k + max_terms - 1
     while True:
         if k >= first:
-            size = abs(complex(re + cre, im + cim))
+            size = abs(total + comp)
             if t_abs * (k + floor) <= scale * size:
                 tail = bound(k, t_abs, abs(hyp))
                 if tail <= rel_tol * size:
@@ -219,25 +216,15 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
             tail = 0.0
             break
         k += 1
-        x = term.real
-        y = re + x
-        if abs(re) >= abs(x):
-            cre += (re - y) + x
-        else:
-            cre += (x - y) + re
-        re = y
-        x = term.imag
-        y = im + x
-        if abs(im) >= abs(x):
-            cim += (im - y) + x
-        else:
-            cim += (x - y) + im
-        im = y
+        u = total + term
+        v = u - total
+        comp += (total - (u - v)) + (term - v)
+        total = u
         t_abs = abs(term)
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k - start_k)
-    return SeriesResult(value=complex(re + cre, im + cim),
+    return SeriesResult(value=complex(total + comp),
                         terms_used=k - start_k + 1,
                         est_error=_estimate(tail, peak, drift), hit_max=hit_max)
 
@@ -280,7 +267,9 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
                 d2: complex, rel_tol: float, max_terms: int) -> SeriesResult:
     # sum_hyp3f2 without its checks, for a convergent or terminating series
     # with no denominator at a pole and a valid truncation control.
-    t = 1.0 + 0.0j
+    if not (n1.imag or n2.imag or n3.imag or d1.imag or d2.imag):
+        n1, n2, n3, d1, d2 = n1.real, n2.real, n3.real, d1.real, d2.real
+    t = 1.0
 
     def step(k: int) -> tuple:
         nonlocal t
@@ -311,7 +300,9 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
     # sum_psi_kernel without its checks, for finite complex a, b, w off the
     # poles and a valid truncation control.
     br = _digamma(w) - EULER_GAMMA - _digamma(a) - _digamma(b)
-    t = 1.0 + 0.0j
+    if not (a.imag or b.imag or w.imag or br.imag):
+        a, b, w, br = a.real, b.real, w.real, br.real
+    t = 1.0
 
     def step(k: int) -> tuple:
         nonlocal t, br

@@ -411,6 +411,9 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
         a, b, c = p.a, p.b, p.c
         if kind == POSITIVE_INTEGER:
             direct = (n + a + b).real < 1.0
+        elif n < _EXPANSION_FIXED_COST + _SERIES_TERM_COST:
+            # the predicted count below is at least 1
+            direct = True
         else:
             if kind == GENERIC:
                 need = (predicted_terms(n + 1, tol.rel_tol)

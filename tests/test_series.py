@@ -166,10 +166,11 @@ def _reference_direct(a, b, c, n):
 
 
 def _fields(res):
-    # repr tells -0.0 from 0.0 and compares nan to nan
+    # repr tells -0.0 from 0.0 and compares nan to nan; the type keeps a
+    # float result from a real-parameter loop apart from a complex one
     if isinstance(res, SeriesResult):
-        return (repr(res.value), res.terms_used, repr(res.est_error),
-                res.hit_max)
+        return (repr(res.value), type(res.value), res.terms_used,
+                repr(res.est_error), res.hit_max)
     return repr(res)
 
 
@@ -183,22 +184,35 @@ def _outcome(call):
 class TestInlinedLoops:
     def test_bit_identical_to_reference_loop(self, monkeypatch):
         rng = random.Random(3)
-        runs = 0
+        draws = []
         for i in range(400):
             cplx = i % 2 == 1
+            # real draws carry +0.0 or -0.0 imaginary parts
             a, b, c = (complex(rng.uniform(-5.0, 5.0),
-                               rng.uniform(-5.0, 5.0) if cplx else 0.0)
+                               rng.uniform(-5.0, 5.0) if cplx
+                               else 0.0 if i % 4 == 0 else -0.0)
                        for _ in range(3))
             n = rng.randint(2, 200)
             rel_tol = 10.0 ** rng.uniform(-15.0, -6.0)
-            cap = rng.choice((2000, 40, 3, 1))
+            cap = rng.choice((2000, 40, 3))
+            draws.append((a, b, c, n, rel_tol, cap))
+        # real parameters at the smallest indices
+        draws += [(2.3 + 0j, 1.9 + 0j, 0.7 + 0j, n, 1e-15, 2000)
+                  for n in (1, 2)]
+        draws += [(complex(-1.7, -0.0), 2.3 + 0j, complex(0.4, -0.0), n,
+                   1e-15, 2000) for n in (1, 2)]
+        runs = 0
+        for a, b, c, n, rel_tol, cap in draws:
             w = n + a + b
+            tol = Tolerance(rel_tol, cap)
             calls = (
                 lambda: sum_psi_kernel(a, b, w, rel_tol, cap),
                 lambda: sum_alt_kernel(a, b, w, rel_tol, cap),
                 lambda: sum_hyp3f2((c - a, c - b, 1.0), (n + c, 1.0 + c - a - b),
                                    rel_tol, cap),
-                lambda: landau.landau_ck(14 + n % 60, Tolerance(rel_tol, cap)),
+                lambda: landau.landau_ck(14 + n % 60, tol),
+                # the psi kernel at real parameters
+                lambda: landau.landau_watson(14 + n % 60, tol),
             )
             for call in calls:
                 got = _outcome(call)
@@ -208,8 +222,9 @@ class TestInlinedLoops:
                     want = _outcome(call)
                 assert got == want, (a, b, c, n)
                 runs += isinstance(got, tuple)
-            assert (_fields(sum_direct(a, b, c, n))
-                    == _fields(_reference_direct(a, b, c, n))), (a, b, c, n)
+            got = _fields(sum_direct(a, b, c, n))
+            assert got == _fields(_reference_direct(a, b, c, n)), (a, b, c, n)
+            assert got[1] is complex
         assert runs > 1000
 
     def test_terminating_sums_match_reference_loop(self, monkeypatch):
