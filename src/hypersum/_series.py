@@ -325,9 +325,16 @@ def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,
     than the psi-kernel form: k^-(Re(w-a-b)+1).
     """
     check_tol(rel_tol, max_terms)
-    a = complex(a)
-    b = complex(b)
-    w = complex(w)
+    w = _off_pole(w, "digamma")
+    a = _off_pole(a, "digamma")
+    b = _off_pole(b, "digamma")
+    return _sum_alt_kernel(a, b, w, rel_tol, max_terms)
+
+
+def _sum_alt_kernel(a: complex, b: complex, w: complex, rel_tol: float,
+                    max_terms: int) -> SeriesResult:
+    # sum_alt_kernel without its checks, for finite complex a, b, w off the
+    # poles and a valid truncation control.
     t = a * b / w
     h = 1.0 / w
     s = 1.0 / a + 1.0 / b - 1.0

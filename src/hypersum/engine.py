@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import coeffs
-from ._series import (SeriesResult, _sum_hyp3f2, _sum_psi_kernel, check_tol,
-                      finite_sum, predicted_terms, sum_alt_kernel, sum_direct)
+from ._series import (SeriesResult, _sum_alt_kernel, _sum_hyp3f2,
+                      _sum_psi_kernel, check_tol, finite_sum, predicted_terms,
+                      sum_direct)
 from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
                         gamma_ratio, log_gamma, nonpos_int_distance)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
@@ -270,7 +271,7 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
         est = (abs(lam * pref) * ker.est_error
                + abs(value) * tail_floor)
     else:
-        ker = sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
+        ker = _sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
         head = pref * _digamma(w) + coeffs.c0(a, b)
         tail = lam * pref * ker.value
         value = head + tail

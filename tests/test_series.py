@@ -19,7 +19,7 @@ from hypersum.engine import (Tolerance, eval_auto, eval_conjectured,
                              eval_generic, eval_log, eval_neg_int,
                              eval_pos_int)
 from hypersum.errors import (DivergentSeriesError, DomainError,
-                             InvalidParameterError)
+                             InvalidParameterError, PoleError)
 from hypersum.params import ParamSet, _log_seq_ratios, classify_params
 
 
@@ -93,6 +93,19 @@ class TestAltKernel:
         alt_form = (pref * digamma(w) + c0(a, b)
                     + lam * pref * sum_alt_kernel(a, b, w).value)
         assert abs(psi_form - alt_form) <= 1e-13 * abs(psi_form)
+
+
+    @pytest.mark.parametrize("kernel", [sum_psi_kernel, sum_alt_kernel])
+    def test_kernels_check_their_parameters(self, kernel):
+        # a pole of a, b or w would divide by zero in the bracket's
+        # recurrence; a NaN must not reach the loop
+        for a, b, w in ((0.0, 1.5, 2.5), (1.5, -2.0, 2.5), (1.5, 0.5, -3.0)):
+            with pytest.raises(PoleError):
+                kernel(a, b, w)
+        with pytest.raises(InvalidParameterError):
+            kernel(1.5, math.nan, 2.5)
+        with pytest.raises(InvalidParameterError):
+            kernel(1.5, 0.5, 2.5, rel_tol=0.0)
 
 
 class _ReferenceSum:
