@@ -9,7 +9,8 @@ and k + Re x > 0, |x + j| <= j + Re x + (Im x)^2 / (2 (k + Re x)), and
 Gauss ratio (j + X)/(j + Y), whose tail sums in closed form:
 sum_{j>k} |h_j| <= |h_k| (k + X)/(Y - X - 1), infinite while
 Y - X - 1 <= 0.  A digamma bracket is bounded by
-|psi(x + J) - psi(y + J)| <= |x - y| / (J + min(Re x, Re y) - 1).
+|psi(x + J) - psi(y + J)| <= |x - y| log1p(D/(J + m))/D, with
+D = |Re x - Re y| and m = min(Re x, Re y) - 1, or |x - y|/(J + m) at D = 0.
 Accumulation is compensated: each addition's exact rounding error comes
 from Knuth's TwoSum and is carried in a second sum, which keeps the
 roundoff floor at ~eps times the peak term magnitude rather than eps times
@@ -129,6 +130,15 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
     Returns (first, floor, excess, bound).  For k >= first,
     bound(k, |t_k|, |h_k|) >= sum_{j>k} |t_j|.  It is also at least
     |t_k| (k + floor) / excess, the test _run makes before calling it.
+
+    A bracket's move: for j > k, psi(x + j) - psi(y + j) differs from its
+    value at k, and from its limit 0, by a part of
+    sum_{i>=k} (x - y)/((x + i)(y + i)).  With p = Re x, q = Re y and
+    k + m > 0, m = min(p, q) - 1, each |x + i| >= i + p > 0, so that is at
+    most |x - y| sum_{i>=k} 1/((i + p)(i + q)).  The summand decreases in
+    i, so each term is at most its integral over [i - 1, i], and the sum
+    is at most the integral of 1/((t + p)(t + q)) from k - 1 to infinity,
+    log1p(D/(k + m))/D with D = |p - q|, or 1/(k + m) at D = 0.
     """
     pairs = zip(nums, dens)
     x, y = next(pairs)
@@ -144,8 +154,9 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
         rest.append((xr, 0.5 * x.imag * x.imag, yr))
         floor += xr - yr
         low = min(low, xr, yr)
-    widths = [(abs(x - y), min(x.real, y.real) - 1.0) for x, y in brackets]
-    for _, m in widths:
+    widths = [(abs(x - y), abs(x.real - y.real), min(x.real, y.real) - 1.0)
+              for x, y in brackets]
+    for _, _, m in widths:
         low = min(low, m)
 
     def bound(k: int, t_abs: float, h_abs: float) -> float:
@@ -163,11 +174,14 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
         gap = y1 - x - 1.0
         if gap <= 0.0:
             return math.inf
-        # sup_{j>k} |beta_j|: the digamma differences move by at most
-        # |x - y| / (k + min(Re x, Re y) - 1) from beta_k, or from 0
+        # sup_{j>k} |beta_j|: the digamma differences move from beta_k,
+        # or from 0, by at most the bound in the docstring
         bracket = 0.0 if vanishing else t_abs
-        for width, m in widths:
-            bracket += h_abs * width / (k + m)
+        for width, d, m in widths:
+            if d:
+                bracket += h_abs * width * math.log1p(d / (k + m)) / d
+            else:
+                bracket += h_abs * width / (k + m)
         return bracket * (k + x) / gap
 
     return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
