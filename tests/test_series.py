@@ -94,7 +94,6 @@ class TestAltKernel:
                     + lam * pref * sum_alt_kernel(a, b, w).value)
         assert abs(psi_form - alt_form) <= 1e-13 * abs(psi_form)
 
-
     @pytest.mark.parametrize("kernel", [sum_psi_kernel, sum_alt_kernel])
     def test_kernels_check_their_parameters(self, kernel):
         # a pole of a, b or w would divide by zero in the bracket's
@@ -207,7 +206,7 @@ class TestInlinedLoops:
                        for _ in range(3))
             n = rng.randint(2, 200)
             rel_tol = 10.0 ** rng.uniform(-15.0, -6.0)
-            cap = rng.choice((2000, 40, 3))
+            cap = rng.choice((2000, 40, 3, 1))
             draws.append((a, b, c, n, rel_tol, cap))
         # real parameters at the smallest indices
         draws += [(2.3 + 0j, 1.9 + 0j, 0.7 + 0j, n, 1e-15, 2000)
