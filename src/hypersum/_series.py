@@ -17,9 +17,9 @@ roundoff floor at ~eps times the peak term magnitude rather than eps times
 the term count.  CPython adds complex numbers one component at a time, so
 on complex terms this is one TwoSum per component.  The loops never split
 a term into parts, so they run unchanged on floats: when every parameter's
-imaginary part is zero, the kernels pass the real parts, and the real part
-of each complex product and quotient then rounds exactly as the float
-operation does, so the bits are the same.
+imaginary part is zero, sum_direct, the 3F2 sum and the psi kernel pass
+the real parts, and the real part of each complex product and quotient
+then rounds exactly as the float operation does, so the bits are the same.
 
 Stop rule: the first k whose proven tail bound is at most
 rel_tol * |partial sum|.  That bound is the tail part of est_error.
