@@ -32,12 +32,13 @@ the two ways from that count.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .complexfn import (EULER_GAMMA, POLE_TOL, _digamma, _off_pole,
                         nonpos_int_distance)
-from .errors import DivergentSeriesError, InvalidParameterError
+from .errors import DivergentSeriesError, DomainError, InvalidParameterError
 
 __all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
            "sum_direct", "predicted_terms"]
@@ -82,7 +83,9 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
     """The first n terms of Sum_k (a)_k (b)_k / ((c)_k k!), i.e. S_n itself.
 
     The sum is finite, so there is no tail; est_error is the roundoff part
-    of the series estimate.  Callers guarantee no (c)_k vanishes.
+    of the series estimate.  Callers guarantee no (c)_k vanishes.  Raises
+    DomainError when a term, the sum or its estimate overflows the double
+    range.
     """
     if not (a.imag or b.imag or c.imag):
         a, b, c = a.real, b.real, c.real
@@ -100,8 +103,13 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k + 1)
-    return SeriesResult(value=complex(total + comp), terms_used=n,
-                        est_error=_estimate(0.0, peak, drift), hit_max=False)
+    value = complex(total + comp)
+    est = _estimate(0.0, peak, drift)
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        raise DomainError("S_n or a term of it lies outside the double "
+                          "range: the direct sum overflowed")
+    return SeriesResult(value=value, terms_used=n, est_error=est,
+                        hit_max=False)
 
 
 def finite_sum(x, y, u, v, count: int):
@@ -294,6 +302,34 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
                 _majorant((n1, n2, n3), (d1, d2, 1.0)))
 
 
+def _bracket_rounding(dw: complex, da: complex, db: complex) -> float:
+    """Bound on the rounding of psi(w) - gamma - psi(a) - psi(b) formed in
+    double from the digamma values dw, da, db: 2 eps times the moduli it
+    sums.  Where the bracket cancels, this is far above eps times its
+    modulus."""
+    return 2.0 * _EPS * (abs(dw) + EULER_GAMMA + abs(da) + abs(db))
+
+
+def _hyp_abs_sum(a, b, w, count: int) -> float:
+    """A bound on sum_{k<count} |h_k|, h_k = (a)_k (b)_k / ((w)_k k!).
+
+    With A = |a|, B = |b|, R = Re w > 0, |h_{j+1}/h_j| <= (A + j)(B + j)
+    / ((R + j)(j + 1)), which _majorant's fold puts below (j + x)/(j + R)
+    for every j >= 0, x = A + B - 1 + max(0, (1 - A)(1 - B)) >= 0.  That
+    Gauss ratio sums to (R - 1)/(R - x - 1) from h_0 = 1 when R > x + 1;
+    otherwise the count terms are summed.
+    """
+    big_a, big_b, re_w = abs(a), abs(b), w.real
+    x = big_a + big_b - 1.0 + max(0.0, (1.0 - big_a) * (1.0 - big_b))
+    if re_w > x + 1.0:
+        return (re_w - 1.0) / (re_w - x - 1.0)
+    h = total = 1.0
+    for k in range(count - 1):
+        h *= abs((a + k) * (b + k) / ((w + k) * (k + 1)))
+        total += h
+    return total
+
+
 def sum_psi_kernel(a, b, w, rel_tol: float = 1e-15,
                    max_terms: int = 1_000_000) -> SeriesResult:
     """Sum_{k>=0} (a)_k (b)_k / ((w)_k k!) * {psi(w+k)+psi(1+k)-psi(a+k)-psi(b+k)}.
@@ -313,7 +349,9 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
                     max_terms: int) -> SeriesResult:
     # sum_psi_kernel without its checks, for finite complex a, b, w off the
     # poles and a valid truncation control.
-    br = _digamma(w) - EULER_GAMMA - _digamma(a) - _digamma(b)
+    dw, da, db = _digamma(w), _digamma(a), _digamma(b)
+    br = dw - EULER_GAMMA - da - db
+    br_err = _bracket_rounding(dw, da, db)
     if not (a.imag or b.imag or w.imag or br.imag):
         a, b, w, br = a.real, b.real, w.real, br.real
     t = 1.0
@@ -325,9 +363,14 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
         return t * br, t
 
     # br = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) tends to 0
-    return _run(step, rel_tol, max_terms, 0, br, t,
-                _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
-                          vanishing=True))
+    res = _run(step, rel_tol, max_terms, 0, br, t,
+               _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
+                         vanishing=True))
+    # every term carries the starting bracket's rounding times h_k
+    return SeriesResult(res.value, res.terms_used,
+                        res.est_error
+                        + br_err * _hyp_abs_sum(a, b, w, res.terms_used),
+                        res.hit_max)
 
 
 def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,

@@ -8,11 +8,15 @@ Tolerance, and that bound is the tail part of the error estimate.  The
 identity S_1 = 1 is returned directly in every branch.
 
 The series decay like k^-(n+1) or k^-(n+2), so at small n they need more
-terms than the n-term sum they replace, and up to n ~ 100 their fixed cost
-of gamma-function prefactors outweighs n direct terms.  eval_auto predicts
-the count before any series runs, prices both ways and adds the n terms
-directly when that is cheaper; the report's path field says which way it
-answered.  The explicit eval_* routines always run their expansion.
+terms than the n-term sum they replace, and the fixed cost of the
+gamma-function prefactors outweighs n direct terms up to n ~ 100 on the
+branches with a series and n ~ 35 on the positive-integer and degenerate
+branches, which have only a finite sum.  eval_auto prices every branch's
+expansion (prefactors, finite-sum terms, predicted series terms) before
+running it and adds the n terms directly when that is cheaper; the
+report's path field says which way it answered.  The explicit eval_*
+routines always run their expansion, and refuse a finite sum longer than
+Tolerance.max_terms.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import coeffs
-from ._series import (SeriesResult, _sum_alt_kernel, _sum_hyp3f2,
-                      _sum_psi_kernel, check_tol, finite_sum, predicted_terms,
-                      sum_direct)
+from ._series import (SeriesResult, _bracket_rounding, _sum_alt_kernel,
+                      _sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
+                      predicted_terms, sum_direct)
 from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
                         gamma_ratio, log_gamma, nonpos_int_distance)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
@@ -182,6 +186,15 @@ def _exp(lg: complex) -> complex:
     return cmath.exp(lg)
 
 
+def _finite_sum(x, y, u, v, count: int, tol: Tolerance):
+    """_series.finite_sum over count terms, or DomainError past
+    tol.max_terms."""
+    if count > tol.max_terms:
+        raise DomainError(f"the finite sum has {count} terms, more than "
+                          f"max_terms = {tol.max_terms}")
+    return finite_sum(x, y, u, v, count)
+
+
 def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Noninteger excess: closed Gauss piece minus a weighted 3F2(1) tail.
 
@@ -272,11 +285,16 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
                + abs(value) * tail_floor)
     else:
         ker = _sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
-        head = pref * _digamma(w) + coeffs.c0(a, b)
+        dw = _digamma(w)
+        lead, const = pref * dw, coeffs.c0(a, b)
+        head = lead + const
         tail = lam * pref * ker.value
         value = head + tail
+        # head is pref (psi(w) - gamma - psi(a) - psi(b)), which can cancel
+        # far below its two pieces and the digamma moduli it sums
         est = (abs(lam * pref) * ker.est_error
-               + abs(head) * _rel_floor(pref_size)
+               + (abs(lead) + abs(const)) * _rel_floor(pref_size)
+               + abs(pref) * _bracket_rounding(dw, _digamma(a), _digamma(b))
                + abs(tail) * tail_floor)
     return SeriesResult(value, ker.terms_used, est, ker.hit_max)
 
@@ -301,7 +319,7 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
         raise DomainError(f"Re(n+a+b) = {w.real:.6g} < 1: the expansion "
                           f"divides by (n+a+b)_k, which vanishes or nearly "
                           f"so there; eval_auto adds the n terms directly")
-    total, absum = finite_sum(a, b, w, 1, m)
+    total, absum = _finite_sum(a, b, w, 1, m, tol)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
     lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
@@ -323,7 +341,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
              tol: Tolerance) -> SeriesResult:
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m)
+    finite, absum = _finite_sum(c - a, c - b, n + c, 1 - m, m, tol)
     w = _nab_off_pole(n + a + b)
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
@@ -360,7 +378,8 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
                  tol: Tolerance) -> SeriesResult:
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    total, absum = finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1)
+    total, absum = _finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1,
+                               tol)
     log_omega, = _log_seq_ratios(n, a, b, c)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     pref = _exp(log_omega + lg_c - lg_a - lg_b) / m
@@ -380,54 +399,79 @@ _BRANCHES = {
 }
 
 
-# eval_auto's cost model, in units of one direct-sum term (0.55-0.93 us
-# each at Python 3.11 on a shared 2-core x86-64 host, timeit best of 5).
-# There, the expansion's branch body at n in {20, 40, 70, 100, 150, 250}
-# (generic, logarithmic and s = -2 draws, real and complex, |parameter|
-# <= 7, 144 timings) cost, by least squares, 72 direct terms + 2.2 per
-# predicted series term (medians of ten fits): its prefactors and the
-# costlier psi-kernel terms fall into these two figures.
+# eval_auto's cost model, in units of one direct-sum term at the same
+# parameters.  Re-measured for the finite-only branches below (Python 3.11
+# on a shared 2-core x86-64 host, timeit best of 5, slope of sum_direct
+# between n = 20 and 70, 24 draws per fit): 0.31-0.41 us at real
+# parameters and 0.50-0.69 us at complex ones (the medians of ten fits).
+# The series branches' body at n in {20, 40, 70, 100, 150, 250} (generic,
+# logarithmic and s = -2 draws, real and complex, |parameter| <= 7, 144
+# timings) cost, by least squares, 72 direct terms + 2.2 per predicted
+# series term (medians of ten fits): its prefactors and the costlier
+# psi-kernel terms fall into these two figures.  The finite-only branches
+# (positive integer, degenerate) cost their prefactors plus one direct term
+# per finite-sum term: their bodies at the same n (positive-integer and
+# degenerate draws, real and complex, |parameter| <= 7, up to 144 timings
+# per fit, each in its own draw's unit) cost 32.6 direct terms past their
+# finite sum, by least squares of that one constant (median of ten fits).
 _EXPANSION_FIXED_COST = 72.0
 _SERIES_TERM_COST = 2.2
+_FINITE_FIXED_COST = 32.6
+
+
+def _expansion_cost(p: ParamSet, n: int, cls: ExcessClass,
+                    tol: Tolerance) -> float:
+    """What the branch's expansion costs at n, in direct-sum terms: its
+    fixed cost, one per finite-sum term and _SERIES_TERM_COST per predicted
+    series term; infinite where it cannot answer."""
+    kind = cls.kind
+    a, b, c = p.a, p.b, p.c
+    if kind == POSITIVE_INTEGER:
+        if (n + a + b).real < 1.0:
+            return math.inf
+        return _FINITE_FIXED_COST + cls.m
+    if kind == DEGENERATE_NEG_INTEGER:
+        return _FINITE_FIXED_COST + (cls.m - cls.p + 1)
+    fixed = _EXPANSION_FIXED_COST
+    if kind == NEGATIVE_INTEGER:
+        fixed += cls.m
+    if n < fixed + _SERIES_TERM_COST:
+        # the predicted count below is at least 1
+        return fixed + _SERIES_TERM_COST
+    if kind == GENERIC:
+        need = (predicted_terms(n + 1, tol.rel_tol)
+                * (1.0 + max(abs(c - a), abs(c - b))))
+    else:
+        need = (predicted_terms(n + 2, tol.rel_tol)
+                * (1.0 + max(abs(a), abs(b))))
+    return fixed + _SERIES_TERM_COST * need
 
 
 def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Evaluate by the branch the excess selects, or by the n terms themselves.
 
-    The generic tail series decays like k^-(n+1) and the psi kernel (log and
-    negative-integer branches) like k^-(n+2); large c-a, c-b (generic) or a, b
-    (psi kernel) delay the decay further.  The count so predicted is
-    rel_tol^(-1/n) or rel_tol^(-1/(n+1)) times 1 + the largest of those
-    moduli.  When n direct terms cost less than the expansion's fixed cost
-    plus the predicted terms (so always when the count exceeds n), the n
-    terms of S_n are added directly instead and the report's path is
-    "direct_sum".  The positive-integer branch's finite sum divides by
-    (n+a+b)_k, which can vanish only when Re(n+a+b) < 1; there the n terms,
-    fewer than 1 + |a| + |b|, are added directly too.
+    The expansion's cost is priced in direct-sum terms: a fixed cost for
+    its gamma-function prefactors, one per term of its finite sum (m on
+    the integer branches, m - p + 1 on the degenerate one), and a multiple
+    of its predicted series terms.  The generic tail series decays like
+    k^-(n+1) and the psi kernel (log and negative-integer branches) like
+    k^-(n+2); large c-a, c-b (generic) or a, b (psi kernel) delay the decay
+    further.  The count so predicted is rel_tol^(-1/n) or
+    rel_tol^(-1/(n+1)) times 1 + the largest of those moduli.  When n is
+    below the expansion's cost, the n terms of S_n are added directly
+    instead and the report's path is "direct_sum".  The positive-integer
+    branch's finite sum divides by (n+a+b)_k, which can vanish only when
+    Re(n+a+b) < 1; there the direct sum always answers.  A degenerate
+    answer by the direct sum does not rest on the conjectured form, so it
+    carries the classification's warnings without "conjectural".
     """
     cls = classify_params(p)
     _check_index(n)
-    kind = cls.kind
-    if n >= 2 and kind != DEGENERATE_NEG_INTEGER:
-        a, b, c = p.a, p.b, p.c
-        if kind == POSITIVE_INTEGER:
-            direct = (n + a + b).real < 1.0
-        elif n < _EXPANSION_FIXED_COST + _SERIES_TERM_COST:
-            # the predicted count below is at least 1
-            direct = True
-        else:
-            if kind == GENERIC:
-                need = (predicted_terms(n + 1, tol.rel_tol)
-                        * (1.0 + max(abs(c - a), abs(c - b))))
-            else:
-                need = (predicted_terms(n + 2, tol.rel_tol)
-                        * (1.0 + max(abs(a), abs(b))))
-            direct = n < _EXPANSION_FIXED_COST + _SERIES_TERM_COST * need
-        if direct:
-            res = sum_direct(a, b, c, n)
-            return EvalReport(res.value, cls, res.terms_used, res.est_error,
-                              cls.warnings, "direct_sum")
-    return _report(_BRANCHES[kind], p, n, cls, tol)
+    if n >= 2 and n < _expansion_cost(p, n, cls, tol):
+        res = sum_direct(p.a, p.b, p.c, n)
+        return EvalReport(res.value, cls, res.terms_used, res.est_error,
+                          cls.warnings, "direct_sum")
+    return _report(_BRANCHES[cls.kind], p, n, cls, tol)
 
 
 def leading_term(p: ParamSet, n: int) -> complex:

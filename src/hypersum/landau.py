@@ -20,6 +20,7 @@ converts so that all methods answer for the same constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -54,6 +55,22 @@ def _check_cap(hit_max: bool, route: str, tol: Tolerance) -> None:
         raise DomainError(f"{route}: series stopped at max_terms = "
                           f"{tol.max_terms} before reaching rel_tol = "
                           f"{tol.rel_tol:g}")
+
+
+@functools.cache
+def _c0_half() -> float:
+    """c_0(1/2, 1/2), computed on first use."""
+    return coeffs.c0(0.5, 0.5).real
+
+
+@functools.cache
+def _sigma_half(M: int) -> tuple:
+    """sigma_1..sigma_{M-1} at (1/2, 1/2) as floats, the table of
+    landau_theorem3 at order M: summed in exact fractions on first use."""
+    if M < 2:
+        return ()
+    half = Fraction(1, 2)
+    return tuple(map(float, coeffs.sigma_coeffs(half, half, M - 1).values))
 
 
 def landau_direct(n: int) -> float:
@@ -134,16 +151,16 @@ def landau_theorem3(n: int, M: int):
         raise DomainError(f"M must be <= {_MAX_THEOREM_M}, got {M}")
     if n <= M:
         raise DomainError(f"need n > M = {M}, got n = {n}")
-    value = (digamma(n + 1.0).real / _PI + coeffs.c0(0.5, 0.5).real
+    value = (digamma(n + 1.0).real / _PI + _c0_half()
              + coeffs.rearranged_tail(0.5, 0.5, n, M).real / _PI)
     if M >= 2:
-        sigma = coeffs.sigma_coeffs(Fraction(1, 2), Fraction(1, 2), M - 1)
+        sigma = _sigma_half(M)
         lam = exp_log(_log_seq_ratios(n, 0.5, 0.5, 1.0)[0]).real
         u = 0.25 / (n + 1.0)
-        ksum = u * float(sigma.values[0])
+        ksum = u * sigma[0]
         for k in range(1, M - 1):
             u = u * (k + 0.5) ** 2 / ((n + 1.0 + k) * (k + 1.0))
-            ksum += u * float(sigma.values[k])
+            ksum += u * sigma[k]
         value -= lam * ksum / _PI
     return value, coeffs.remainder_bound(n, M)
 
@@ -153,15 +170,14 @@ def landau_asymptotic(n: int, K: int) -> float:
     _check_index(n)
     if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 6:
         raise InvalidParameterError(f"K must be in 0..6, got {K!r}")
-    return _asymptotic(coeffs._DOUBLE, n, K)
+    return _asymptotic(coeffs._DOUBLE, n, K, _c0_half())
 
 
-def _asymptotic(ns: coeffs._Arith, n: int, K: int):
-    # psi(n+1)/pi + c_0(1/2, 1/2) + sum_{k<=K} (-1)^k C_k / (pi n^k), in the
-    # arithmetic ns; the C_k have power-of-two denominators.
-    half = ns.real(1) / 2
-    total = (ns.digamma(ns.real(n + 1)).real / ns.pi
-             + coeffs._c0(ns, half, half).real)
+def _asymptotic(ns: coeffs._Arith, n: int, K: int, c0):
+    # psi(n+1)/pi + c0 + sum_{k<=K} (-1)^k C_k / (pi n^k), in the arithmetic
+    # ns, where c0 is c_0(1/2, 1/2) in ns; the C_k have power-of-two
+    # denominators.
+    total = ns.digamma(ns.real(n + 1)).real / ns.pi + c0
     for k, ck in enumerate(coeffs.c_coeffs().values[:K], start=1):
         total += ((-1) ** k * (ns.real(ck.numerator) / ck.denominator)
                   / (ns.pi * ns.real(n) ** k))

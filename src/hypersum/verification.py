@@ -380,8 +380,10 @@ def check_asymptotic_orders() -> CheckResult:
     # its double-precision error is already sub-roundoff at these indices,
     # so the shipped formula runs at 40 digits
     with mp.workdps(40):
+        arith, half = _mp_arith(), mp.mpf(1) / 2
+        c0 = coeffs._c0(arith, half, half).real
         sn = (50, 100, 200)
-        errs = [abs(landau._asymptotic(_mp_arith(), n, 6)
+        errs = [abs(landau._asymptotic(arith, n, 6, c0)
                     - oracle.landau_ref(n - 1).value) for n in sn]
         slope = _lsq_slope(sn, errs)
     if abs(slope + 7) > 0.3:

@@ -1,5 +1,10 @@
+import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -335,6 +340,23 @@ def _generic_formula_mp(a, b, c, n):
         return complex(gauss - pref * total)
 
 
+class TestBracketRounding:
+    @pytest.mark.parametrize("form", ["psi_series", "alternative"])
+    def test_cancelling_bracket_covered(self, form):
+        # At this logarithmic case the bracket psi(w) - gamma - psi(a)
+        # - psi(b) = 9.372 - 0.577 - 6.380 - 2.382 cancels to 0.0325, and
+        # its rounding (5.2e-14 relative against mpmath) was outside
+        # est_error: err/est read 1.30 and 3.82 before the bound counted it.
+        a, b = -4.1834384439975025, -1.3372799049085848
+        n = 11_761
+        p = ParamSet(a, b, a + b)
+        rep = eval_log(p, n, form=form)
+        err = compare(rep.value, partial_sum_ref(a, b, a + b, n))
+        assert err.abs_err <= rep.est_error
+        if form == "psi_series":
+            assert eval_auto(p, n).est_error == rep.est_error
+
+
 class TestBeyondTheOracle:
     # At n = 10^15 the pair logarithms in omega_n reach (|a| + |b-c|) log n
     # ~ 300, and their rounding alone is up to 1.3e-13 relative.  The first
@@ -415,9 +437,11 @@ class TestAuto:
             (ParamSet(2.0, 0.5, 4.25), 7, eval_generic, "direct_sum"),
             (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 20, eval_log, "direct_sum"),
             (ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 100, eval_log, "expansion"),
-            (ParamSet(1.75, 0.25, 4.0), 9, eval_pos_int, "expansion"),
+            (ParamSet(1.75, 0.25, 4.0), 9, eval_pos_int, "direct_sum"),
+            (ParamSet(1.75, 0.25, 4.0), 100, eval_pos_int, "expansion"),
             (ParamSet(1.5, -0.25, 0.25), 5, eval_neg_int, "direct_sum"),
-            (ParamSet(1.0, 0.5, -0.5), 10, eval_conjectured, "expansion"),
+            (ParamSet(1.0, 0.5, -0.5), 10, eval_conjectured, "direct_sum"),
+            (ParamSet(1.0, 0.5, -0.5), 100, eval_conjectured, "expansion"),
             (ParamSet(2.0, 0.5, 4.25), 40, eval_generic, "direct_sum"),
             (ParamSet(2.0, 0.5, 4.25), 100, eval_generic, "expansion"),
             (ParamSet(1.5, -0.25, 0.25), 100, eval_neg_int, "expansion"),
@@ -460,6 +484,85 @@ class TestAuto:
         assert rep.terms_used == 2
         assert rep.path == "direct_sum"
         assert not any("max_terms" in w for w in rep.warnings)
+
+    @pytest.mark.parametrize("branch", ["positive_integer", "degenerate"])
+    def test_finite_branches_answer_small_n_directly(self, branch):
+        # their prefactors cost about 33 direct terms, so up to n = 20 the
+        # n terms answer, and a degenerate answer then rests on no conjecture
+        rng = random.Random(17)
+        for n in (2, 5, 10, 20):
+            for complex_draw in (False, False, True, True):
+                a, b, c = _draw_triple(rng, branch, complex_draw)
+                rep = eval_auto(ParamSet(a, b, c), n)
+                where = (a, b, c, n)
+                assert rep.path == "direct_sum", where
+                assert "conjectural" not in rep.warnings, where
+                err = compare(rep.value, partial_sum_ref(a, b, c, n))
+                assert err.abs_err <= rep.est_error, where
+
+    @pytest.mark.parametrize("branch, explicit", [
+        ("positive_integer", eval_pos_int), ("degenerate", eval_conjectured)])
+    def test_finite_branches_expand_at_large_n(self, branch, explicit):
+        rng = random.Random(19)
+        for n in (100, 1000, 10**5):
+            for complex_draw in (False, True):
+                a, b, c = _draw_triple(rng, branch, complex_draw)
+                p = ParamSet(a, b, c)
+                auto, want = eval_auto(p, n), explicit(p, n)
+                assert auto.path == "expansion", (a, b, c, n)
+                assert (repr(auto.value), repr(auto.est_error), auto.terms_used,
+                        auto.warnings) == (repr(want.value),
+                                           repr(want.est_error),
+                                           want.terms_used, want.warnings)
+
+    @pytest.mark.parametrize("call, answers", [
+        # a positive-integer excess of 10^15: its finite sum has m terms
+        ("eval_auto(ParamSet(0.5, 0.5, 1e15 + 1), 1000)", True),
+        # degenerate with m - p + 1 ~ 10^100; its direct sum overflows
+        ("eval_auto(ParamSet(1e100, 1e100, 0.5), 5)", False),
+        ("eval_conjectured(ParamSet(1e100, 1e100, 0.5), 5)", False),
+        # direct-sum terms overflow to inf - inf = nan
+        ("eval_auto(ParamSet(1e200 + 0.5j, 3e199, 0.5), 5)", False),
+    ])
+    def test_huge_parameters_return_or_raise(self, call, answers):
+        # in a subprocess, so that a hang fails the test instead of the run
+        code = ("from hypersum.engine import eval_auto, eval_conjectured\n"
+                "from hypersum.errors import DomainError\n"
+                "from hypersum.params import ParamSet\n"
+                "try:\n"
+                f"    rep = {call}\n"
+                "except DomainError as err:\n"
+                "    print('DomainError:', err)\n"
+                "else:\n"
+                "    print(repr(rep.value), repr(rep.est_error))\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        if answers:
+            value, est = done.stdout.split()
+            assert cmath.isfinite(complex(value)) and math.isfinite(float(est))
+        else:
+            assert done.stdout.startswith("DomainError:"), done.stdout
+
+    @pytest.mark.parametrize("c, n, path", [
+        (0.75 - 200, 150, "direct_sum"), (0.75 - 200, 400, "expansion"),
+        (0.75 + 200, 150, "direct_sum"), (0.75 + 200, 300, "expansion")])
+    def test_finite_sum_terms_priced(self, c, n, path):
+        # s = -200 or +200: the expansion's finite sum alone has 200 terms
+        rep = eval_auto(ParamSet(0.5, 0.25, c), n)
+        assert rep.path == path
+        if path == "direct_sum":
+            err = compare(rep.value, partial_sum_ref(0.5, 0.25, c, n))
+            assert err.abs_err <= rep.est_error
+
+    def test_finite_sum_capped_at_max_terms(self):
+        p = ParamSet(0.5, 0.25, -19.25)  # s = -20
+        assert eval_neg_int(p, 200).terms_used > 20
+        with pytest.raises(DomainError, match="max_terms = 10"):
+            eval_neg_int(p, 200, Tolerance(max_terms=10))
 
     def test_large_n_never_takes_direct_sum(self):
         # n direct terms cost more than any expansion of these parameters

@@ -5,6 +5,7 @@ digits from the defining sum of squared central-binomial weights.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -121,6 +122,16 @@ class TestTheorem3:
         # landau_theorem3(n, M) targets the constant of index n - 1.
         v, _ = landau_theorem3(101, 10)
         assert rel(v, G_100) <= 1e-12
+
+    def test_cached_tables_match_exact_ones(self):
+        # landau_theorem3 reads sigma_k and c_0 at (1/2, 1/2) from tables
+        # built once; they must be the exact values rounded to floats
+        half = Fraction(1, 2)
+        assert landau._sigma_half(1) == ()
+        for M in range(2, 31):
+            exact = coeffs.sigma_coeffs(half, half, M - 1).values
+            assert landau._sigma_half(M) == tuple(map(float, exact)), M
+        assert landau._c0_half() == coeffs.c0(0.5, 0.5).real
 
     def test_needs_large_index(self):
         with pytest.raises(DomainError):

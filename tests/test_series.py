@@ -80,6 +80,41 @@ class TestPsiKernel:
         assert abs(got - ref.as_complex()) <= 5e-14 * abs(got)
 
 
+    def test_bracket_rounding_bound(self):
+        # the starting bracket's rounding enters est_error times a bound on
+        # sum |h_k| over the terms used: in closed form where a Gauss ratio
+        # majorizes |h_{k+1}/h_k|, summed otherwise
+        rng = random.Random(23)
+        closed = 0
+        for i in range(400):
+            a, b = (complex(rng.uniform(-6.0, 6.0),
+                            rng.uniform(-4.0, 4.0) if i % 2 else 0.0)
+                    for _ in range(2))
+            w = a + b + rng.choice((2, 5, 20, 100, 10**4))
+            count = rng.randint(1, 60)
+            h = total = 1.0
+            for k in range(count - 1):
+                h *= abs((a + k) * (b + k) / ((w + k) * (k + 1)))
+                total += h
+            bound = _series._hyp_abs_sum(a, b, w, count)
+            assert total <= bound * (1 + 1e-12), (a, b, w, count)
+            closed += bound != total
+        assert closed > 100
+        res = sum_psi_kernel(1.5, 0.25, 7.75)
+        dw, da, db = digamma(7.75), digamma(1.5), digamma(0.25)
+        assert res.est_error >= (_series._bracket_rounding(dw, da, db)
+                                 * _series._hyp_abs_sum(1.5, 0.25, 7.75, 1))
+
+
+class TestDirectSum:
+    def test_overflow_is_domain_error(self):
+        # inf - inf in the compensated sum would otherwise return nan
+        with pytest.raises(DomainError, match="double range"):
+            sum_direct(1e200 + 0.5j, 3e199, 0.5, 5)
+        with pytest.raises(DomainError, match="double range"):
+            sum_direct(1e100, 1e100, 0.5, 5)
+
+
 class TestAltKernel:
     def test_consistent_with_psi_route(self):
         from hypersum.coeffs import c0
@@ -555,26 +590,33 @@ class TestSharedFormulas:
                     == repr(_reference_asym_neg_int(p, n, m, K))), (a, b, m, n)
 
     def test_finite_sum_branches_bit_identical(self):
-        expanded = 0
+        # eval_auto adds the n terms directly where that is cheaper (at n
+        # below about 33 + m on the finite-only branches); where its
+        # expansion answers, it must be the explicit entry's bit for bit
+        expanded = {"pos": 0, "neg": 0, "conj": 0}
+
+        def check_auto(p, n, want, branch):
+            auto = eval_auto(p, n)
+            if auto.path == "expansion":
+                assert _report_fields(auto) == want, (p, n)
+                expanded[branch] += 1
+
         for rng, a, b in self._draws(12, 300):
             n = self._index(rng)
             m = rng.randint(1, 6)
             p = ParamSet(a, b, a + b + m)
             want = _reference_fields(_reference_pos_int(p, n, m))
             assert _report_fields(eval_pos_int(p, n)) == want, (a, b, m)
-            assert _report_fields(eval_auto(p, n)) == want, (a, b, m)
+            check_auto(p, n, want, "pos")
             p = ParamSet(a, b, a + b - m)
             want = _reference_fields(_reference_neg_int(p, n, m))
             assert _report_fields(eval_neg_int(p, n)) == want, (a, b, m)
-            auto = eval_auto(p, n)
-            if auto.path == "expansion":
-                assert _report_fields(auto) == want, (a, b, m)
-                expanded += 1
+            check_auto(p, n, want, "neg")
             p_int = rng.randint(1, m)
             p = ParamSet(complex(p_int), b, p_int + b - m)
             cls = classify_params(p)
             assert (cls.m, cls.p) == (m, p_int)
             want = _reference_fields(_reference_conjectured(p, n, m, p_int))
             assert _report_fields(eval_conjectured(p, n)) == want, (p_int, b, m)
-            assert _report_fields(eval_auto(p, n)) == want, (p_int, b, m)
-        assert expanded > 100
+            check_auto(p, n, want, "conj")
+        assert min(expanded.values()) > 100, expanded
