@@ -40,8 +40,8 @@ from .complexfn import (EULER_GAMMA, POLE_TOL, _digamma, _off_pole,
                         nonpos_int_distance)
 from .errors import DivergentSeriesError, DomainError, InvalidParameterError
 
-__all__ = ["SeriesResult", "sum_hyp3f2", "sum_psi_kernel", "sum_alt_kernel",
-           "sum_direct", "predicted_terms"]
+__all__ = ["SeriesResult", "Tolerance", "sum_hyp3f2", "sum_psi_kernel",
+           "sum_alt_kernel", "sum_direct", "predicted_terms"]
 
 _EPS = 2.0 ** -52
 
@@ -196,10 +196,12 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
 
 
 def _run(step, rel_tol: float, max_terms: int, start_k: int,
-         first_term: complex, first_hyp: complex, majorant) -> SeriesResult:
+         first_term: complex, first_hyp: complex, majorant,
+         rounding=None) -> SeriesResult:
     """Shared accumulation loop.  step(k) returns (t_{k+1}, h_{k+1}), the
     term for index k+1 and its hypergeometric part; majorant comes from
-    _majorant.
+    _majorant.  rounding, when given, maps the number of terms summed to an
+    error the terms carry from their inputs, added to the estimate.
 
     The loop keeps its compensated sum (total + comp) in local variables,
     floats or complex as the terms are: a method call or a helper per term
@@ -246,9 +248,11 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
         if t_abs > peak:
             peak = t_abs
         drift += t_abs * (k - start_k)
-    return SeriesResult(value=complex(total + comp),
-                        terms_used=k - start_k + 1,
-                        est_error=_estimate(tail, peak, drift), hit_max=hit_max)
+    terms_used = k - start_k + 1
+    est = _estimate(tail, peak, drift)
+    if rounding is not None:
+        est += rounding(terms_used)
+    return SeriesResult(complex(total + comp), terms_used, est, hit_max)
 
 
 def check_tol(rel_tol: float, max_terms: int) -> None:
@@ -259,6 +263,17 @@ def check_tol(rel_tol: float, max_terms: int) -> None:
     if not isinstance(max_terms, int) or max_terms < 1:
         raise InvalidParameterError(
             f"max_terms must be a positive integer, got {max_terms!r}")
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Truncation control: target relative term size and a hard term cap."""
+
+    rel_tol: float = 1e-15
+    max_terms: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        check_tol(self.rel_tol, self.max_terms)
 
 
 def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
@@ -362,15 +377,12 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
         br = br + 1.0 / (w + k) + 1.0 / (1.0 + k) - 1.0 / (a + k) - 1.0 / (b + k)
         return t * br, t
 
-    # br = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) tends to 0
-    res = _run(step, rel_tol, max_terms, 0, br, t,
-               _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
-                         vanishing=True))
-    # every term carries the starting bracket's rounding times h_k
-    return SeriesResult(res.value, res.terms_used,
-                        res.est_error
-                        + br_err * _hyp_abs_sum(a, b, w, res.terms_used),
-                        res.hit_max)
+    # br = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) tends to 0, and every
+    # term carries the starting bracket's rounding times h_k
+    return _run(step, rel_tol, max_terms, 0, br, t,
+                _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
+                          vanishing=True),
+                rounding=lambda count: br_err * _hyp_abs_sum(a, b, w, count))
 
 
 def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,

@@ -16,7 +16,14 @@ expansion (prefactors, finite-sum terms, predicted series terms) before
 running it and adds the n terms directly when that is cheaper; the
 report's path field says which way it answered.  The explicit eval_*
 routines always run their expansion, and refuse a finite sum longer than
-Tolerance.max_terms.
+Tolerance.max_terms; eval_auto adds the n terms directly only when n is
+within that cap too.
+
+Every expansion is one or two pieces, each a gamma-function prefactor
+exp(L) times a finite or convergent sum, and _piece holds the one rule for
+a piece: it exponentiates L once, refuses a piece above the double range,
+bounds one below it, and forms the piece's error.  S_n is the sum of the
+pieces in range, and lies below the double range when none is.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from . import coeffs
-from ._series import (SeriesResult, _bracket_rounding, _sum_alt_kernel,
-                      _sum_hyp3f2, _sum_psi_kernel, check_tol, finite_sum,
+from ._series import (Tolerance, _bracket_rounding, _sum_alt_kernel,
+                      _sum_hyp3f2, _sum_psi_kernel, finite_sum,
                       predicted_terms, sum_direct)
-from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _digamma, _log_gamma,
-                        gamma_ratio, log_gamma, nonpos_int_distance)
+from .complexfn import (_EXP_MAX, _EXP_MIN, EULER_GAMMA, POLE_TOL, _digamma,
+                        _log_gamma, gamma_ratio, log_gamma,
+                        nonpos_int_distance)
 from .errors import DomainError, InvalidParameterError, WrongBranchError
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
@@ -84,17 +91,6 @@ def _pair_size(n: int, a, b, x) -> float:
     return (abs(a) + abs(b - x)) * math.log(n)
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Truncation control: target relative term size and a hard term cap."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        check_tol(self.rel_tol, self.max_terms)
-
-
 @dataclass(frozen=True, init=False)
 class EvalReport:
     """An evaluated partial sum.  path is "expansion" when the branch's
@@ -141,27 +137,37 @@ def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
 
 def _report(body, p: ParamSet, n: int, cls: ExcessClass,
             tol: Tolerance) -> EvalReport:
-    """Run a branch body and report its SeriesResult.
+    """Run a branch body and report the sum of its pieces.
 
-    S_1 = 1 needs no body.  The warnings are the classification's, then
-    "conjectural" on the degenerate branch and "max_terms_reached" when a
-    series hit its cap.
+    S_1 = 1 needs no body.  A body returns (pieces, terms_used, hit_max),
+    each piece a (value, error) pair from _piece.  The warnings are the
+    classification's, then "conjectural" on the degenerate branch and
+    "max_terms_reached" when a series hit its cap.
     """
     warnings = cls.warnings
     if cls.kind == DEGENERATE_NEG_INTEGER:
         warnings += ("conjectural",)
     if n == 1:
         return EvalReport(1.0 + 0.0j, cls, 1, 0.0, warnings)
-    res = body(p, n, cls, tol)
-    if res.hit_max:
+    pieces, terms_used, hit_max = body(p, n, cls, tol)
+    value = None
+    est = 0.0
+    for piece, err in pieces:
+        est += err
+        if piece is not None:
+            value = piece if value is None else value + piece
+    if value is None:
+        raise DomainError("S_n lies below the double range: each piece of "
+                          "it is zero or below that range")
+    if hit_max:
         warnings += ("max_terms_reached",)
-    return EvalReport(res.value, cls, res.terms_used, res.est_error, warnings)
+    return EvalReport(value, cls, terms_used, est, warnings)
 
 
-# Each branch body sums its prefactors in log space and exponentiates each
-# once: log omega_n or log lambda_n from params._log_seq_ratios (which forms
-# the large gamma pairs from the exact offsets) plus one log_gamma per
-# parameter-only argument; log Gamma(c) is shared where two pieces need it.
+# A piece's log prefactor L sums one log_gamma per parameter-only argument
+# and, for the n-dependent pieces, log omega_n or log lambda_n from
+# params._log_seq_ratios (which forms the large gamma pairs from the exact
+# offsets); log Gamma(c) is shared where two pieces need it.
 #
 # The bodies run on a ParamSet and its classification, which already prove
 # most of what the kernel's public functions check: a, b and c are finite
@@ -174,16 +180,32 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
 # Re(n+a+b) >= 1 on the positive-integer branch.
 
 
-def _exp(lg: complex) -> complex:
-    """exp(lg) for the log of a piece of S_n, or DomainError when the piece
-    lies outside the double range."""
-    if lg.real > _EXP_MAX:
+def _piece(lg: complex, size: float, x=1.0, x_err: float = 0.0,
+           absum: float = 0.0, d=1) -> tuple:
+    """(value, error) of the piece exp(lg) x / d of S_n.
+
+    size sums the moduli of the terms in lg, x_err is x's own error, and
+    absum is Sum |t_k| when x is a finite sum Sum t_k.  In range the error
+    is |pref| x_err + (|piece| + |pref| absum) _rel_floor(size), pref being
+    exp(lg) / d.  Above the double range the piece is a DomainError; below
+    it, its value is None and its error the bound
+    e^Re(lg) (|x| + x_err + absum _rel_floor(size)) / |d|, taken in log
+    space.
+    """
+    log_abs = lg.real
+    if log_abs > _EXP_MAX:
         raise DomainError(f"S_n lies above the double range: log |prefactor| "
-                          f"= {lg.real:.6g}")
-    if lg.real < _EXP_MIN:
-        raise DomainError(f"a prefactor of S_n lies below the double range: "
-                          f"log |prefactor| = {lg.real:.6g}")
-    return cmath.exp(lg)
+                          f"= {log_abs:.6g}")
+    floor = _rel_floor(size)
+    if log_abs < _EXP_MIN:
+        bound = (abs(x) + x_err + absum * floor) / abs(d)
+        return None, math.exp(log_abs + math.log(bound)) if bound else 0.0
+    pref = cmath.exp(lg)
+    if d != 1:
+        pref /= d
+    value = pref * x
+    pref_abs = abs(pref)
+    return value, pref_abs * x_err + (abs(value) + pref_abs * absum) * floor
 
 
 def _finite_sum(x, y, u, v, count: int, tol: Tolerance):
@@ -206,52 +228,28 @@ def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
                    tol)
 
 
-def _generic(p: ParamSet, n: int, cls: ExcessClass,
-             tol: Tolerance) -> SeriesResult:
+def _generic(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     s = p.s
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
-    # Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)), zero at a pole of 1/Gamma
+    # the Gauss piece Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) is zero at
+    # a pole of 1/Gamma, and then S_n is the tail alone
     ca, cb = c - a, c - b
     if (nonpos_int_distance(ca) <= POLE_TOL
             or nonpos_int_distance(cb) <= POLE_TOL):
-        gauss = 0.0 + 0.0j
-        gauss_err = 0.0
+        pieces = ()
     else:
         lg_s, lg_ca, lg_cb = _log_gamma(s), _log_gamma(ca), _log_gamma(cb)
-        lg_gauss = lg_c + lg_s - lg_ca - lg_cb
-        if lg_gauss.real < _EXP_MIN:
-            # below the double range: the piece's bound is part of the error
-            gauss = 0.0 + 0.0j
-            gauss_err = math.exp(lg_gauss.real)
-        else:
-            gauss = _exp(lg_gauss)
-            gauss_err = abs(gauss) * _rel_floor(abs(lg_c) + abs(lg_s)
-                                                + abs(lg_ca) + abs(lg_cb))
+        pieces = (_piece(lg_c + lg_s - lg_ca - lg_cb,
+                         abs(lg_c) + abs(lg_s) + abs(lg_ca) + abs(lg_cb)),)
     log_omega, = _log_seq_ratios(n, a, b, c)
-    lg_tail = log_omega + lg_c - lg_a - lg_b
     series = _sum_hyp3f2(ca, cb, 1.0 + 0.0j, n + c, 1.0 + s, tol.rel_tol,
                          tol.max_terms)
-    if lg_tail.real < _EXP_MIN:
-        # The tail lies below the double range: |tail| <= e^Re(lg_tail)
-        # (|series| + its error) / |s|, taken in log space.  Next to a
-        # nonzero Gauss piece that is part of the error; without one the
-        # tail is the whole answer, and it cannot be represented.
-        if gauss == 0:
-            raise DomainError(f"S_n lies below the double range: the Gauss "
-                              f"piece is zero or below it, and log |tail "
-                              f"prefactor| = {lg_tail.real:.6g}")
-        size = (abs(series.value) + series.est_error) / abs(s)
-        lost = math.exp(lg_tail.real + math.log(size)) if size else 0.0
-        return SeriesResult(gauss, series.terms_used, gauss_err + lost,
-                            series.hit_max)
-    pref = _exp(lg_tail) / s
-    tail = pref * series.value
-    value = gauss - tail
-    tail_size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
-    est = (abs(pref) * series.est_error + gauss_err
-           + abs(tail) * _rel_floor(tail_size))
-    return SeriesResult(value, series.terms_used, est, series.hit_max)
+    # the tail enters with a minus sign, so it divides by -s
+    tail = _piece(log_omega + lg_c - lg_a - lg_b,
+                  _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b),
+                  series.value, series.est_error, d=-s)
+    return pieces + (tail,), series.terms_used, series.hit_max
 
 
 def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
@@ -269,34 +267,26 @@ def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
 
 
 def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
-         form: str = "psi_series") -> SeriesResult:
+         form: str = "psi_series") -> tuple:
     a, b = p.a, p.b
     w = _nab_off_pole(n + a + b)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
-    lam = _exp(log_lambda)
     lg_ab, lg_a, lg_b = log_gamma(a + b), _log_gamma(a), _log_gamma(b)
-    pref = _exp(lg_ab - lg_a - lg_b)
+    lg_pref = lg_ab - lg_a - lg_b
     pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
-    tail_floor = _rel_floor(_pair_size(n, a, b, a + b) + pref_size)
+    tail_size = _pair_size(n, a, b, a + b) + pref_size
     if form == "psi_series":
         ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
-        value = lam * pref * ker.value
-        est = (abs(lam * pref) * ker.est_error
-               + abs(value) * tail_floor)
+        pieces = ()
     else:
         ker = _sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
-        dw = _digamma(w)
-        lead, const = pref * dw, coeffs.c0(a, b)
-        head = lead + const
-        tail = lam * pref * ker.value
-        value = head + tail
-        # head is pref (psi(w) - gamma - psi(a) - psi(b)), which can cancel
-        # far below its two pieces and the digamma moduli it sums
-        est = (abs(lam * pref) * ker.est_error
-               + (abs(lead) + abs(const)) * _rel_floor(pref_size)
-               + abs(pref) * _bracket_rounding(dw, _digamma(a), _digamma(b))
-               + abs(tail) * tail_floor)
-    return SeriesResult(value, ker.terms_used, est, ker.hit_max)
+        # head: the prefactor times psi(w) - gamma - psi(a) - psi(b), which
+        # can cancel far below the digamma moduli it sums
+        dw, da, db = _digamma(w), _digamma(a), _digamma(b)
+        pieces = (_piece(lg_pref, pref_size, dw - EULER_GAMMA - da - db,
+                         _bracket_rounding(dw, da, db)),)
+    tail = _piece(log_lambda + lg_pref, tail_size, ker.value, ker.est_error)
+    return pieces + (tail,), ker.terms_used, ker.hit_max
 
 
 def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
@@ -310,8 +300,7 @@ def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
                    _DEFAULT_TOL)
 
 
-def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
-             tol: Tolerance) -> SeriesResult:
+def _pos_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     m = cls.m
     w = n + a + b
@@ -323,12 +312,11 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass,
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
     lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
-    pref = _exp(log_lambda + lg_c + lg_s - lg_ca - lg_cb)
-    value = pref * total
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s) + abs(lg_ca)
             + abs(lg_cb))
-    est = abs(pref) * absum * _rel_floor(size)
-    return SeriesResult(value, m, est, False)
+    piece = _piece(log_lambda + lg_c + lg_s - lg_ca - lg_cb, size, total,
+                   absum=absum)
+    return (piece,), m, False
 
 
 def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
@@ -337,8 +325,7 @@ def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
                    _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int"), tol)
 
 
-def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
-             tol: Tolerance) -> SeriesResult:
+def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     m = cls.m
     finite, absum = _finite_sum(c - a, c - b, n + c, 1 - m, m, tol)
@@ -346,20 +333,16 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass,
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     lg_ca, lg_cb, lg_m = log_gamma(c - a), log_gamma(c - b), math.lgamma(m + 1)
-    pref1 = _exp(log_omega + lg_c - lg_a - lg_b) / m
-    sign = -1.0 if m % 2 else 1.0
-    pref2 = sign * _exp(log_lambda + lg_c - lg_ca - lg_cb - lg_m)
+    head = _piece(log_omega + lg_c - lg_a - lg_b,
+                  _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b),
+                  finite, absum=absum, d=m)
     ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
-    head = pref1 * finite
-    tail = pref2 * ker.value
-    value = head + tail
-    size1 = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
-    size2 = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
-             + lg_m)
-    est = (abs(pref2) * ker.est_error
-           + (abs(head) + abs(pref1) * absum) * _rel_floor(size1)
-           + abs(tail) * _rel_floor(size2))
-    return SeriesResult(value, m + ker.terms_used, est, ker.hit_max)
+    size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
+            + lg_m)
+    # the tail's sign (-1)^m, as its divisor
+    tail = _piece(log_lambda + lg_c - lg_ca - lg_cb - lg_m, size, ker.value,
+                  ker.est_error, d=-1.0 if m % 2 else 1)
+    return (head, tail), m + ker.terms_used, ker.hit_max
 
 
 def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
@@ -375,18 +358,17 @@ def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
 
 
 def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
-                 tol: Tolerance) -> SeriesResult:
+                 tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    total, absum = _finite_sum(a - m, b - m, n + c, 1 - m, m - cls.p + 1,
-                               tol)
+    count = m - cls.p + 1
+    total, absum = _finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
     log_omega, = _log_seq_ratios(n, a, b, c)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
-    pref = _exp(log_omega + lg_c - lg_a - lg_b) / m
-    value = pref * total
     size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
-    est = abs(pref) * absum * _rel_floor(size)
-    return SeriesResult(value, m - cls.p + 1, est, False)
+    piece = _piece(log_omega + lg_c - lg_a - lg_b, size, total, absum=absum,
+                   d=m)
+    return (piece,), count, False
 
 
 # The branch bodies behind eval_auto, on the classification it made once.
@@ -458,16 +440,18 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     k^-(n+2); large c-a, c-b (generic) or a, b (psi kernel) delay the decay
     further.  The count so predicted is rel_tol^(-1/n) or
     rel_tol^(-1/(n+1)) times 1 + the largest of those moduli.  When n is
-    below the expansion's cost, the n terms of S_n are added directly
-    instead and the report's path is "direct_sum".  The positive-integer
+    below the expansion's cost and at most tol.max_terms, the n terms of
+    S_n are added directly instead and the report's path is "direct_sum";
+    past max_terms the expansion answers or refuses.  The positive-integer
     branch's finite sum divides by (n+a+b)_k, which can vanish only when
-    Re(n+a+b) < 1; there the direct sum always answers.  A degenerate
-    answer by the direct sum does not rest on the conjectured form, so it
-    carries the classification's warnings without "conjectural".
+    Re(n+a+b) < 1; there the direct sum answers within max_terms.  A
+    degenerate answer by the direct sum does not rest on the conjectured
+    form, so it carries the classification's warnings without
+    "conjectural".
     """
     cls = classify_params(p)
     _check_index(n)
-    if n >= 2 and n < _expansion_cost(p, n, cls, tol):
+    if 2 <= n <= tol.max_terms and n < _expansion_cost(p, n, cls, tol):
         res = sum_direct(p.a, p.b, p.c, n)
         return EvalReport(res.value, cls, res.terms_used, res.est_error,
                           cls.warnings, "direct_sum")

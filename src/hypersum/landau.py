@@ -25,9 +25,9 @@ import math
 from fractions import Fraction
 
 from . import coeffs
-from ._series import _majorant, _run, predicted_terms, sum_psi_kernel
+from ._series import (Tolerance, _majorant, _run, predicted_terms,
+                      sum_psi_kernel)
 from .complexfn import EULER_GAMMA, digamma, exp_log
-from .engine import Tolerance
 from .errors import DomainError, InvalidParameterError
 from .params import _check_index, _log_seq_ratios
 

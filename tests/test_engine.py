@@ -9,7 +9,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from hypersum import params
+from hypersum import coeffs, params
 from hypersum.engine import (
     EvalReport,
     Tolerance,
@@ -158,6 +158,18 @@ class TestLog:
     def test_bad_form_rejected(self):
         with pytest.raises(InvalidParameterError):
             eval_log(ParamSet(0.5, 0.5, 1.0), 5, form="fourier")
+
+    def test_alternative_head_needs_no_c0(self, monkeypatch):
+        # the head is the prefactor times psi(w) - gamma - psi(a) - psi(b),
+        # formed from values the body already has
+        def refuse(*args):
+            raise AssertionError("coeffs.c0 called")
+
+        monkeypatch.setattr(coeffs, "c0", refuse)
+        monkeypatch.setattr(coeffs, "_c0", refuse)
+        rep = eval_log(ParamSet(1.0 / 3.0, 2.0 / 3.0, 1.0), 20,
+                       form="alternative")
+        assert cmath.isfinite(rep.value)
 
     def test_half_pair_is_pi_times_landau(self):
         from hypersum.landau import landau_direct
@@ -563,6 +575,25 @@ class TestAuto:
         assert eval_neg_int(p, 200).terms_used > 20
         with pytest.raises(DomainError, match="max_terms = 10"):
             eval_neg_int(p, 200, Tolerance(max_terms=10))
+
+    def test_direct_sum_obeys_max_terms(self):
+        # s = 10^15: 10^6 direct terms are cheaper than the 10^15-term
+        # finite sum, but they are past max_terms, so the expansion answers
+        # and refuses its finite sum
+        with pytest.raises(DomainError, match="max_terms = 1000"):
+            eval_auto(ParamSet(0.5, 0.5, 1e15 + 1), 10**6,
+                      Tolerance(max_terms=1000))
+
+    def test_expansion_answers_past_max_terms(self):
+        # the 50 direct terms are cheaper, but past max_terms = 5; the
+        # generic tail series stops at that cap and says so
+        p = ParamSet(0.5, 0.5, 30.7)
+        assert eval_auto(p, 50).path == "direct_sum"
+        rep = eval_auto(p, 50, Tolerance(max_terms=5))
+        assert rep.path == "expansion" and rep.terms_used == 5
+        assert rep.warnings == ("max_terms_reached",)
+        err = compare(rep.value, partial_sum_ref(0.5, 0.5, 30.7, 50))
+        assert err.abs_err <= rep.est_error
 
     def test_large_n_never_takes_direct_sum(self):
         # n direct terms cost more than any expansion of these parameters

@@ -169,7 +169,7 @@ class _ReferenceSum:
 
 
 def _reference_run(step, rel_tol, max_terms, start_k, first_term, first_hyp,
-                   majorant):
+                   majorant, rounding=None):
     # the stop rule written out: the tail bound at every k from `first` on,
     # and a stop at the first k where it is at most rel_tol * |partial sum|
     first, _, _, bound = majorant
@@ -194,8 +194,10 @@ def _reference_run(step, rel_tol, max_terms, start_k, first_term, first_hyp,
         t_abs = abs(term)
         peak = max(peak, t_abs)
         drift += t_abs * (k - start_k)
-    return SeriesResult(acc.total, k - start_k + 1,
-                        _series._estimate(tail, peak, drift), hit_max)
+    est = _series._estimate(tail, peak, drift)
+    if rounding is not None:
+        est += rounding(k - start_k + 1)
+    return SeriesResult(acc.total, k - start_k + 1, est, hit_max)
 
 
 def _reference_direct(a, b, c, n):
@@ -344,8 +346,8 @@ class TestProvenTailBound:
         runs = []
         run = _series._run
 
-        def spy(*args):
-            runs.append((args, run(*args)))
+        def spy(*args, **kwargs):
+            runs.append((args, run(*args, **kwargs)))
             return runs[-1][1]
 
         with monkeypatch.context() as m:
@@ -499,7 +501,8 @@ def _reference_pos_int(p, n, m):
                    - lg_ca - lg_cb)
     size = (engine._pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s)
             + abs(lg_ca) + abs(lg_cb))
-    return pref * total, m, abs(pref) * absum * engine._rel_floor(size)
+    est = (abs(pref * total) + abs(pref) * absum) * engine._rel_floor(size)
+    return pref * total, m, est
 
 
 def _reference_neg_int(p, n, m):
@@ -522,9 +525,9 @@ def _reference_neg_int(p, n, m):
     size1 = engine._pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
     size2 = (engine._pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca)
              + abs(lg_cb) + lg_m)
-    est = (abs(pref2) * ker.est_error
-           + (abs(head) + abs(pref1) * absum) * engine._rel_floor(size1)
-           + abs(tail) * engine._rel_floor(size2))
+    est = ((abs(head) + abs(pref1) * absum) * engine._rel_floor(size1)
+           + (abs(pref2) * ker.est_error
+              + abs(tail) * engine._rel_floor(size2)))
     return head + tail, m + ker.terms_used, est
 
 
@@ -540,7 +543,7 @@ def _reference_conjectured(p, n, m, p_int):
     lg_c, lg_a, lg_b = log_gamma(c), log_gamma(a), log_gamma(b)
     pref = exp_log(_log_seq_ratios(n, a, b, c)[0] + lg_c - lg_a - lg_b) / m
     size = engine._pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
-    est = abs(pref) * absum * engine._rel_floor(size)
+    est = (abs(pref * total) + abs(pref) * absum) * engine._rel_floor(size)
     return pref * total, m - p_int + 1, est
 
 

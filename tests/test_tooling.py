@@ -96,6 +96,34 @@ def test_package_reads_no_environment_variables():
     assert not strays, strays
 
 
+def _names_module(path: Path, module: str) -> list[str]:
+    """Places in the module at path that import, import from or name the
+    package module `module`."""
+    places = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            parts += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.Name):
+            parts = [node.id]
+        else:
+            continue
+        if module in parts:
+            places.append(f"{path.name}:{node.lineno}")
+    return places
+
+
+def test_engine_and_landau_layering():
+    # The engine takes nothing from the coefficient tables, and the Landau
+    # routes nothing from the engine: Tolerance lives with the series.
+    strays = (_names_module(PACKAGE / "engine.py", "coeffs")
+              + _names_module(PACKAGE / "landau.py", "engine"))
+    assert not strays, strays
+
+
 def test_oracle_imports_nothing_from_the_package_but_errors():
     # The oracle is evidence only while it shares no code with the double
     # kernels; from the package it may take the error types and nothing else.
