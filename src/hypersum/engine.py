@@ -307,7 +307,8 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     if w.real < 1.0:
         raise DomainError(f"Re(n+a+b) = {w.real:.6g} < 1: the expansion "
                           f"divides by (n+a+b)_k, which vanishes or nearly "
-                          f"so there; eval_auto adds the n terms directly")
+                          f"so there; eval_auto adds the n terms directly "
+                          f"when n <= max_terms")
     total, absum = _finite_sum(a, b, w, 1, m, tol)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
