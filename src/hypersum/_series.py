@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .complexfn import (EULER_GAMMA, POLE_TOL, _digamma, _off_pole,
                         nonpos_int_distance)
-from .errors import DivergentSeriesError, DomainError, InvalidParameterError
+from .errors import (DivergentSeriesError, DomainError, InvalidParameterError,
+                     Record)
 
 __all__ = ["SeriesResult", "Tolerance", "sum_hyp3f2", "sum_psi_kernel",
            "sum_alt_kernel", "sum_direct", "predicted_terms"]
@@ -46,14 +46,9 @@ __all__ = ["SeriesResult", "Tolerance", "sum_hyp3f2", "sum_psi_kernel",
 _EPS = 2.0 ** -52
 
 
-@dataclass(frozen=True, init=False)
-class SeriesResult:
-    value: complex
-    terms_used: int
-    est_error: float
-    hit_max: bool
+class SeriesResult(Record):
+    _fields = ("value", "terms_used", "est_error", "hit_max")
 
-    # Fills __dict__ directly, as params.ParamSet does and says why.
     def __init__(self, value: complex, terms_used: int, est_error: float,
                  hit_max: bool):
         d = self.__dict__
@@ -260,20 +255,22 @@ def check_tol(rel_tol: float, max_terms: int) -> None:
     if not 0.0 < rel_tol < 1.0:
         raise InvalidParameterError(
             f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    if not isinstance(max_terms, int) or max_terms < 1:
+    if (not isinstance(max_terms, int) or isinstance(max_terms, bool)
+            or max_terms < 1):
         raise InvalidParameterError(
             f"max_terms must be a positive integer, got {max_terms!r}")
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record):
     """Truncation control: target relative term size and a hard term cap."""
 
-    rel_tol: float = 1e-15
-    max_terms: int = 1_000_000
+    _fields = ("rel_tol", "max_terms")
 
-    def __post_init__(self) -> None:
-        check_tol(self.rel_tol, self.max_terms)
+    def __init__(self, rel_tol: float = 1e-15, max_terms: int = 1_000_000):
+        check_tol(rel_tol, max_terms)
+        d = self.__dict__
+        d["rel_tol"] = rel_tol
+        d["max_terms"] = max_terms
 
 
 def sum_hyp3f2(num, den, rel_tol: float = 1e-15,

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -76,6 +75,7 @@ def _cell(v) -> str:
 def _emit(records, args, out) -> None:
     """One dict -> JSON object / CSV row; a list -> JSON array / CSV rows."""
     if getattr(args, "csv", False):
+        import csv  # only here: JSON, the default, should not pay for it
         rows = records if isinstance(records, list) else [records]
         fields = []
         for row in rows:

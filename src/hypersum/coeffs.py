@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from ._series import finite_sum
 from .complexfn import EULER_GAMMA, POLE_TOL, digamma, exp_log, gamma_ratio
-from .errors import DomainError, InvalidParameterError, PoleError, WrongBranchError
+from .errors import (DomainError, InvalidParameterError, PoleError, Record,
+                     WrongBranchError)
 from .params import (NEGATIVE_INTEGER, ParamSet, _check_index, _log_seq_ratios,
                      classify_params)
 
@@ -80,13 +80,16 @@ _DOUBLE = _Arith(lambda num, den: gamma_ratio(num, den),
                  lambda n, a, b, x: exp_log(_log_seq_ratios(n, a, b, x)[0]))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     """A coefficient family; values[i] is the coefficient of index k = i+1."""
 
-    kind: str
-    params: tuple | None
-    values: tuple
+    _fields = ("kind", "params", "values")
+
+    def __init__(self, kind: str, params: tuple | None, values: tuple):
+        d = self.__dict__
+        d["kind"] = kind
+        d["params"] = params
+        d["values"] = values
 
 
 def _is_exact(x) -> bool:

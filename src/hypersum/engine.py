@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from ._series import (Tolerance, _bracket_rounding, _sum_alt_kernel,
@@ -39,7 +38,8 @@ from ._series import (Tolerance, _bracket_rounding, _sum_alt_kernel,
 from .complexfn import (_EXP_MAX, _EXP_MIN, EULER_GAMMA, POLE_TOL, _digamma,
                         _log_gamma, gamma_ratio, log_gamma,
                         nonpos_int_distance)
-from .errors import DomainError, InvalidParameterError, WrongBranchError
+from .errors import (DomainError, InvalidParameterError, Record,
+                     WrongBranchError)
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
@@ -91,19 +91,13 @@ def _pair_size(n: int, a, b, x) -> float:
     return (abs(a) + abs(b - x)) * math.log(n)
 
 
-@dataclass(frozen=True, init=False)
-class EvalReport:
+class EvalReport(Record):
     """An evaluated partial sum.  path is "expansion" when the branch's
     expansion answered and "direct_sum" when eval_auto added the n terms."""
 
-    value: complex
-    branch: ExcessClass
-    terms_used: int
-    est_error: float
-    warnings: tuple = ()
-    path: str = "expansion"
+    _fields = ("value", "branch", "terms_used", "est_error", "warnings",
+               "path")
 
-    # Fills __dict__ directly, as params.ParamSet does and says why.
     def __init__(self, value: complex, branch: ExcessClass, terms_used: int,
                  est_error: float, warnings: tuple = (),
                  path: str = "expansion"):

@@ -22,12 +22,11 @@ is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 from typing import Union
 
-from .errors import InvalidParameterError, PrecisionUnavailableError
+from .errors import InvalidParameterError, PrecisionUnavailableError, Record
 
 __all__ = [
     "OracleValue",
@@ -50,25 +49,32 @@ _MAX_PARTIAL_SUM_N = 100_000
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class OracleValue:
+class OracleValue(Record):
     """A reference value together with its stated precision."""
 
-    value: object  # an mpmath mpc
-    digits: int
+    _fields = ("value", "digits")
+
+    def __init__(self, value, digits: int):
+        d = self.__dict__
+        d["value"] = value  # an mpmath mpc
+        d["digits"] = digits
 
     def as_complex(self) -> complex:
         import mpmath as mp
         return complex(float(mp.re(self.value)), float(mp.im(self.value)))
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Record):
     """Deviation of a double-precision value from a reference value."""
 
-    abs_err: float
-    rel_err: float
-    reference_precision: int
+    _fields = ("abs_err", "rel_err", "reference_precision")
+
+    def __init__(self, abs_err: float, rel_err: float,
+                 reference_precision: int):
+        d = self.__dict__
+        d["abs_err"] = abs_err
+        d["rel_err"] = rel_err
+        d["reference_precision"] = reference_precision
 
 
 def _exact(x: Number, name: str) -> tuple[Fraction, Fraction]:

@@ -12,13 +12,12 @@ the exact offsets, never from n+a rounded to double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .complexfn import (POLE_TOL, _as_complex, _log_gamma_diff, exp_log,
                         nonpos_int_distance)
-from .errors import InvalidParameterError, PoleError
+from .errors import InvalidParameterError, PoleError, Record
 
 __all__ = [
     "INTEGER_TOL",
@@ -54,22 +53,14 @@ NEGATIVE_INTEGER = "negative_integer"
 DEGENERATE_NEG_INTEGER = "degenerate_negative_integer"
 
 
-# ParamSet and ExcessClass, like _series.SeriesResult and engine.EvalReport,
-# are frozen dataclasses whose __init__ fills the instance __dict__ directly:
-# the generated __init__ of a frozen dataclass pays an object.__setattr__ per
-# field, and every engine call builds these records.  The dataclass still
-# supplies equality, hashing, repr, fields() and the frozen setattr.
-@dataclass(frozen=True, init=False)
-class ParamSet:
+class ParamSet(Record):
     """Validated parameter triple (a, b, c) of the series.
 
     None of a, b, c may lie within INTEGER_TOL of zero or a negative integer;
     at such points the series coefficients (or the sum itself) degenerate.
     """
 
-    a: complex
-    b: complex
-    c: complex
+    _fields = ("a", "b", "c")
 
     def __init__(self, a: Number, b: Number, c: Number):
         d = self.__dict__
@@ -94,8 +85,7 @@ def _parameter(z: Number, name: str) -> complex:
     return w
 
 
-@dataclass(frozen=True, init=False)
-class ExcessClass:
+class ExcessClass(Record):
     """Branch decision for an excess value, with conditioning warnings.
 
     kind is one of the module constants; m >= 1 for the integer kinds;
@@ -103,11 +93,7 @@ class ExcessClass:
     a/b within tolerance of the positive integer p <= m).
     """
 
-    kind: str
-    m: int | None = None
-    p: int | None = None
-    which: str | None = None
-    warnings: tuple[str, ...] = ()
+    _fields = ("kind", "m", "p", "which", "warnings")
 
     def __init__(self, kind: str, m: int | None = None, p: int | None = None,
                  which: str | None = None, warnings: tuple[str, ...] = ()):
@@ -119,10 +105,13 @@ class ExcessClass:
         d["warnings"] = warnings
 
 
-@dataclass(frozen=True)
-class SeqFactors:
-    omega_n: complex
-    lambda_n: complex
+class SeqFactors(Record):
+    _fields = ("omega_n", "lambda_n")
+
+    def __init__(self, omega_n: complex, lambda_n: complex):
+        d = self.__dict__
+        d["omega_n"] = omega_n
+        d["lambda_n"] = lambda_n
 
 
 def classify(a: Number, b: Number, c: Number) -> ExcessClass:

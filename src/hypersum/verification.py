@@ -18,12 +18,11 @@ import math
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coeffs, engine, landau, oracle
 from .complexfn import digamma, gamma, nonpos_int_distance
-from .errors import DomainError
+from .errors import DomainError, Record
 from .params import ParamSet
 
 DEFAULT_SEED = 20260815
@@ -55,12 +54,15 @@ def _exact_pair(x):
     return x if isinstance(x, tuple) else (x, Fraction(0))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class CheckResult(Record):
+    _fields = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        d = self.__dict__
+        d["name"] = name
+        d["ok"] = ok
+        d["detail"] = detail
+        d["seconds"] = seconds
 
 
 def _result(name: str, start: float, ok: bool, detail: str) -> CheckResult:

@@ -45,6 +45,8 @@ class TestTolerance:
             Tolerance(rel_tol=0.0)
         with pytest.raises(InvalidParameterError):
             Tolerance(max_terms=0)
+        with pytest.raises(InvalidParameterError):
+            Tolerance(max_terms=True)
 
 
 class TestGeneric:

@@ -167,6 +167,14 @@ def test_import_leaves_mpmath_unloaded():
     assert not any(map(_is_mpmath, loaded))
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # The records build on errors.Record: dataclasses and the inspect chain
+    # it pulls in cost a third of the package import.
+    loaded = _modules_after("import hypersum.cli")
+    assert "hypersum.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
 def test_oracle_loads_mpmath_on_first_use():
     proc = _python("-c", (
         "import sys, hypersum\n"
