@@ -8,6 +8,10 @@ to the Landau constants, which get five independent routes, a truncation
 bound, and the published coefficient families.  An extended-precision oracle
 backs every claim; ``verification.run_all`` (or ``hypersum verify``) re-runs
 the whole battery.
+
+``import hypersum`` loads what evaluation and perfbench's tracer need; the
+property suite in ``verification`` loads on first use, when ``run_all`` or
+``CheckResult`` is first asked of this package or the module is imported.
 """
 
 from .coeffs import (
@@ -80,7 +84,6 @@ from .params import (
     classify,
     seq_factors,
 )
-from .verification import CheckResult, run_all
 
 __version__ = "0.1.0"
 
@@ -105,3 +108,11 @@ __all__ = [
     "CheckResult", "run_all",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the two names of the property suite import it when asked for.
+    if name in ("CheckResult", "run_all"):
+        from . import verification
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -131,13 +131,18 @@ def _pick(radii: tuple[float, ...], series: tuple, w: complex) -> tuple:
     return series[bisect.bisect_right(radii, abs(w)) - 1]
 
 
-_BERNOULLI = bernoulli_numbers(_SERIES_TERMS + 1)
-# B_2k / (2k (2k-1)) for the log-gamma series, B_2k / 2k for the digamma one.
+# bernoulli_numbers(_SERIES_TERMS + 1), B_2 ... B_26, as exact (numerator,
+# denominator) pairs, so that the import runs no rational recurrence.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+              (854513, 138), (-236364091, 2730), (8553103, 6))
+# B_2k / (2k (2k-1)) for the log-gamma series, B_2k / 2k for the digamma one;
+# int / int division rounds correctly, as Fraction.__float__ does.
 _LOG_RADII, _LOG_SERIES = _size_matched(
-    tuple(float(b / (2 * k * (2 * k - 1)))
-          for k, b in enumerate(_BERNOULLI, start=1)), odd=1)
+    tuple(p / (q * 2 * k * (2 * k - 1))
+          for k, (p, q) in enumerate(_BERNOULLI, start=1)), odd=1)
 _PSI_RADII, _PSI_SERIES = _size_matched(
-    tuple(float(b / (2 * k)) for k, b in enumerate(_BERNOULLI, start=1)),
+    tuple(p / (q * 2 * k) for k, (p, q) in enumerate(_BERNOULLI, start=1)),
     odd=0)
 
 

@@ -8,7 +8,9 @@ against the oracle's raw sum, and check_table_errors holds the double build
 to that.  The depth-6 Landau decay order is measured at 40 digits too;
 everything else runs on the shipped double-precision routines.  mpmath is
 imported on first use, as in the oracle, so importing this module does not
-load it.
+load it.  Nor does ``import hypersum`` load this module: the package imports
+it the first time ``run_all`` or ``CheckResult`` is asked of it, and the CLI
+only inside ``table1`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from . import coeffs, engine, landau, oracle
 from .complexfn import digamma, gamma, nonpos_int_distance
 from .errors import DomainError, Record
-from .params import ParamSet
+from .params import ParamSet, _check_index
 
 DEFAULT_SEED = 20260815
 
@@ -179,6 +181,7 @@ def _draw_param(rng: random.Random) -> complex:
 def check_engine_vs_oracle(seed: int = DEFAULT_SEED,
                            cases: int = 500) -> CheckResult:
     """Random generic-branch sums against the extended-precision oracle."""
+    _check_index(cases, "cases")
     start = time.perf_counter()
     rng = random.Random(seed)
     worst_rel = 0.0

@@ -11,8 +11,11 @@ import sys
 from fractions import Fraction
 from io import StringIO
 
+import pytest
+
 from hypersum import cli, verification
 from hypersum.coeffs import g_poly
+from hypersum.errors import InvalidParameterError
 
 G_10 = 1.8223893427202711
 
@@ -231,6 +234,27 @@ class TestVerify:
         assert rc == 3
         bad = [r for r in recs if not r["ok"]]
         assert [r["name"] for r in bad] == ["landau_agreement"]
+
+    def test_bare_verify_uses_the_suite_seed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verification, "run_all",
+                            lambda **kw: calls.append(kw) or [])
+        assert run_json("verify") == (0, [])
+        assert run_json("verify", "--seed", "7") == (0, [])
+        assert calls == [{"seed": verification.DEFAULT_SEED, "cases": 500},
+                         {"seed": 7, "cases": 500}]
+
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_oracle_sweep_needs_a_positive_count(self, cases):
+        # an empty sweep checks nothing, so it must not report ok
+        with pytest.raises(InvalidParameterError, match="cases"):
+            verification.check_engine_vs_oracle(cases=cases)
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_nonpositive_cases_is_domain_error(self, cases):
+        rc, text = run_cli("verify", "--cases", cases)
+        assert rc == 1
+        assert text == ""
 
 
 class TestEntryPoint:

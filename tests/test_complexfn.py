@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -350,9 +351,24 @@ class TestNearPole:
 
 class TestBernoulli:
     def test_even_index_values(self):
-        from fractions import Fraction
-
         b = bernoulli_numbers(8)
         assert b[:4] == (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
                          Fraction(-1, 30))
         assert b[7] == Fraction(-3617, 510)
+
+    def test_kernel_table_is_the_recurrence(self):
+        # The Stirling series take their coefficients from a literal table; a
+        # mistyped digit there must fail here, and the size-matched tables
+        # built from it must hold the same doubles as the recurrence's.
+        ref = bernoulli_numbers(complexfn._SERIES_TERMS + 1)
+        assert tuple(Fraction(p, q) for p, q in complexfn._BERNOULLI) == ref
+        log_radii, log_series = complexfn._size_matched(
+            tuple(float(b / (2 * k * (2 * k - 1)))
+                  for k, b in enumerate(ref, start=1)), odd=1)
+        psi_radii, psi_series = complexfn._size_matched(
+            tuple(float(b / (2 * k)) for k, b in enumerate(ref, start=1)),
+            odd=0)
+        assert complexfn._LOG_RADII == log_radii
+        assert complexfn._LOG_SERIES == log_series
+        assert complexfn._PSI_RADII == psi_radii
+        assert complexfn._PSI_SERIES == psi_series

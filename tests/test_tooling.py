@@ -7,8 +7,10 @@ benchmark runs.  The table is read from the source, not imported.
 
 Only the oracle and the verification suite use mpmath, and they import it
 on first use, so ``import hypersum`` and the commands that run on the
-double-precision expansions start without it.  Those checks run in fresh
-interpreters, since this one has long since loaded mpmath.
+double-precision expansions start without it.  The verification suite
+itself loads on first use too; the oracle stays eager because the tracer
+looks it up in ``sys.modules``.  Those checks run in fresh interpreters,
+since this one has long since loaded mpmath.
 
 README's "Library use" block runs here, and its commented results are
 checked, so that the figures the cost model sets cannot drift from the code.
@@ -163,8 +165,33 @@ def _is_mpmath(name: str) -> bool:
 
 def test_import_leaves_mpmath_unloaded():
     loaded = _modules_after("import hypersum")
-    assert "hypersum.oracle" in loaded and "hypersum.verification" in loaded
+    assert "hypersum.oracle" in loaded
+    assert "hypersum.verification" not in loaded
     assert not any(map(_is_mpmath, loaded))
+    # the suite, once imported, still defers mpmath to its first check
+    loaded = _modules_after("import hypersum.verification")
+    assert "hypersum.verification" in loaded
+    assert not any(map(_is_mpmath, loaded))
+
+
+def test_suite_names_load_the_suite_on_first_use():
+    proc = _python("-c", (
+        "import sys, hypersum\n"
+        "assert 'hypersum.verification' not in sys.modules\n"
+        "from hypersum import verification\n"
+        "assert hypersum.run_all is verification.run_all\n"
+        "assert hypersum.CheckResult is verification.CheckResult\n"
+        "namespace = {}\n"
+        "exec('from hypersum import *', namespace)\n"
+        "assert namespace['run_all'] is verification.run_all\n"
+        "assert set(hypersum.__all__) <= set(namespace)\n"
+        "try:\n"
+        "    hypersum.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('hypersum.no_such_name resolved')\n"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
@@ -196,6 +223,21 @@ def test_tracer_targets_are_loaded_by_the_package_import():
     assert not missing, missing
 
 
+def test_package_import_loads_exactly_these_modules():
+    # What `import hypersum` pays for: evaluation and the tracer's targets.
+    # A new eager import, or a new module on the import path, lands here.
+    loaded = _modules_after("import hypersum")
+    assert {name for name in loaded if name.split(".")[0] == "hypersum"} == {
+        "hypersum", "hypersum._series", "hypersum.coeffs",
+        "hypersum.complexfn", "hypersum.engine", "hypersum.errors",
+        "hypersum.landau", "hypersum.oracle", "hypersum.params"}
+
+
+# The commands that import the verification suite; every other one runs
+# without it.
+SUITE_COMMANDS = {"table1", "verify"}
+
+
 @pytest.mark.parametrize("argv, uses_mpmath", [
     (["eval", "-a", "2.3", "-b", "1.9", "-c", "0.7", "-n", "1000000"], False),
     (["classify", "-a", "2.3", "-b", "1.9", "-c", "0.7"], False),
@@ -211,6 +253,7 @@ def test_cli_loads_mpmath_only_where_it_needs_it(argv, uses_mpmath):
                 if line.startswith("import time:")}
     assert "hypersum.engine" in imported
     assert any(map(_is_mpmath, imported)) == uses_mpmath
+    assert ("hypersum.verification" in imported) == (argv[0] in SUITE_COMMANDS)
 
 
 def _mpmath_imports(tree: ast.AST) -> list[tuple[int, bool]]:
