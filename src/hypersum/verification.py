@@ -22,8 +22,8 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
-from . import coeffs, engine, landau, oracle
-from .complexfn import digamma, gamma, nonpos_int_distance
+from . import coeffs, complexfn, engine, landau, oracle
+from .complexfn import nonpos_int_distance
 from .errors import DomainError, Record
 from .params import ParamSet, _check_index
 
@@ -408,6 +408,10 @@ def check_asymptotic_orders() -> CheckResult:
 def check_kernel_properties(seed: int = DEFAULT_SEED,
                             points: int = 10_000) -> CheckResult:
     """Recurrence and conjugation identities of the gamma/digamma kernel."""
+    # Looked up per call, not bound at import: this module may first load
+    # while perfbench's tracer has wrapped complexfn.digamma, and the tracer
+    # restores only the modules that were loaded when it started.
+    gamma, digamma = complexfn.gamma, complexfn.digamma
     start = time.perf_counter()
     rng = random.Random(seed)
     worst_g = 0.0

@@ -223,6 +223,25 @@ def test_tracer_targets_are_loaded_by_the_package_import():
     assert not missing, missing
 
 
+def test_modules_loaded_on_first_use_bind_no_tracer_target():
+    # A module that loads on first use may load inside a running tracer. A
+    # target it bound by name would then be the wrapper, and the tracer,
+    # which restores only the modules loaded when it started, would leave
+    # it there.
+    eager = _modules_after("import hypersum, hypersum.cli")
+    lazy = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem not in ("__init__", "__main__")
+            and f"hypersum.{path.stem}" not in eager]
+    assert lazy == ["verification"]
+    targets = {id(getattr(importlib.import_module(f"hypersum.{module}"), func))
+               for module, func in _tracer_targets()}
+    strays = [f"{name}.{attr}" for name in lazy
+              for attr, value in vars(importlib.import_module(
+                  f"hypersum.{name}")).items()
+              if id(value) in targets]
+    assert not strays, strays
+
+
 def test_package_import_loads_exactly_these_modules():
     # What `import hypersum` pays for: evaluation and the tracer's targets.
     # A new eager import, or a new module on the import path, lands here.
