@@ -336,6 +336,7 @@ def check_coefficient_tables() -> CheckResult:
 def check_degenerate_conjecture(seed: int = DEFAULT_SEED,
                                 cases: int = 50) -> CheckResult:
     """Random degenerate sets against the oracle (conjectured closed form)."""
+    _check_index(cases, "cases")
     start = time.perf_counter()
     rng = random.Random(seed)
     worst = 0.0
@@ -408,6 +409,7 @@ def check_asymptotic_orders() -> CheckResult:
 def check_kernel_properties(seed: int = DEFAULT_SEED,
                             points: int = 10_000) -> CheckResult:
     """Recurrence and conjugation identities of the gamma/digamma kernel."""
+    _check_index(points, "points")
     # Looked up per call, not bound at import: this module may first load
     # while perfbench's tracer has wrapped complexfn.digamma, and the tracer
     # restores only the modules that were loaded when it started.

@@ -244,11 +244,16 @@ class TestVerify:
         assert calls == [{"seed": verification.DEFAULT_SEED, "cases": 500},
                          {"seed": 7, "cases": 500}]
 
-    @pytest.mark.parametrize("cases", [0, -3])
-    def test_oracle_sweep_needs_a_positive_count(self, cases):
+    @pytest.mark.parametrize("check, count", [
+        ("check_engine_vs_oracle", "cases"),
+        ("check_degenerate_conjecture", "cases"),
+        ("check_kernel_properties", "points"),
+    ])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_sweeps_need_a_positive_count(self, check, count, value):
         # an empty sweep checks nothing, so it must not report ok
-        with pytest.raises(InvalidParameterError, match="cases"):
-            verification.check_engine_vs_oracle(cases=cases)
+        with pytest.raises(InvalidParameterError, match=count):
+            getattr(verification, check)(**{count: value})
 
     @pytest.mark.parametrize("cases", ["0", "-3"])
     def test_nonpositive_cases_is_domain_error(self, cases):
