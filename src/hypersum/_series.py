@@ -22,7 +22,8 @@ the real parts, and the real part of each complex product and quotient
 then rounds exactly as the float operation does, so the bits are the same.
 
 Stop rule: the first k whose proven tail bound is at most
-rel_tol * |partial sum|.  That bound is the tail part of est_error.
+rel_tol * |partial sum|.  That bound is the tail part of est_error.  Every
+kernel and _run take rel_tol and max_terms as one Tolerance, checked once.
 
 For small n the decay, k^-(n+1) or faster, is too slow to pay:
 predicted_terms gives the count such a series needs before it runs, and
@@ -39,6 +40,7 @@ from .complexfn import (EULER_GAMMA, POLE_TOL, _digamma, _off_pole,
                         nonpos_int_distance)
 from .errors import (DivergentSeriesError, DomainError, InvalidParameterError,
                      Record)
+from .params import _check_index
 
 __all__ = ["SeriesResult", "Tolerance", "sum_hyp3f2", "sum_psi_kernel",
            "sum_alt_kernel", "sum_direct", "predicted_terms"]
@@ -56,6 +58,24 @@ class SeriesResult(Record):
         d["terms_used"] = terms_used
         d["est_error"] = est_error
         d["hit_max"] = hit_max
+
+
+class Tolerance(Record):
+    """Truncation control: target relative term size and a hard term cap,
+    checked when built: rel_tol in (0, 1), max_terms an integer >= 1."""
+
+    _fields = ("rel_tol", "max_terms")
+
+    def __init__(self, rel_tol: float = 1e-15, max_terms: int = 1_000_000):
+        if not 0.0 < rel_tol < 1.0:
+            raise InvalidParameterError(
+                f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+        d = self.__dict__
+        d["rel_tol"] = rel_tol
+        d["max_terms"] = _check_index(max_terms, "max_terms")
+
+
+_DEFAULT_TOL = Tolerance()
 
 
 def _estimate(tail: float, peak: float, drift: float) -> float:
@@ -190,9 +210,8 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
     return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
 
 
-def _run(step, rel_tol: float, max_terms: int, start_k: int,
-         first_term: complex, first_hyp: complex, majorant,
-         rounding=None) -> SeriesResult:
+def _run(step, tol: Tolerance, start_k: int, first_term: complex,
+         first_hyp: complex, majorant, rounding=None) -> SeriesResult:
     """Shared accumulation loop.  step(k) returns (t_{k+1}, h_{k+1}), the
     term for index k+1 and its hypergeometric part; majorant comes from
     _majorant.  rounding, when given, maps the number of terms summed to an
@@ -205,6 +224,7 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
     |t_k| (k + floor) <= rel_tol * excess * |partial sum|.
     """
     first, floor, excess, bound = majorant
+    rel_tol = tol.rel_tol
     scale = rel_tol * excess
     # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
     total = 0.0 + first_term
@@ -215,7 +235,7 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
     hit_max = False
     tail = math.inf
     drift = 0.0
-    last = start_k + max_terms - 1
+    last = start_k + tol.max_terms - 1
     while True:
         if k >= first:
             size = abs(total + comp)
@@ -250,37 +270,12 @@ def _run(step, rel_tol: float, max_terms: int, start_k: int,
     return SeriesResult(complex(total + comp), terms_used, est, hit_max)
 
 
-def check_tol(rel_tol: float, max_terms: int) -> None:
-    """Reject a truncation control outside rel_tol in (0, 1), max_terms >= 1."""
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidParameterError(
-            f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    if (not isinstance(max_terms, int) or isinstance(max_terms, bool)
-            or max_terms < 1):
-        raise InvalidParameterError(
-            f"max_terms must be a positive integer, got {max_terms!r}")
-
-
-class Tolerance(Record):
-    """Truncation control: target relative term size and a hard term cap."""
-
-    _fields = ("rel_tol", "max_terms")
-
-    def __init__(self, rel_tol: float = 1e-15, max_terms: int = 1_000_000):
-        check_tol(rel_tol, max_terms)
-        d = self.__dict__
-        d["rel_tol"] = rel_tol
-        d["max_terms"] = max_terms
-
-
-def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
-               max_terms: int = 1_000_000) -> SeriesResult:
+def sum_hyp3f2(num, den, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:
     """Sum_k (n1)_k (n2)_k (n3)_k / ((d1)_k (d2)_k k!) at unit argument.
 
     Requires positive real parametric excess d1+d2-n1-n2-n3 unless a
     numerator parameter is a nonpositive integer (terminating sum).
     """
-    check_tol(rel_tol, max_terms)
     n1, n2, n3 = (complex(v) for v in num)
     d1, d2 = (complex(v) for v in den)
     for v in (d1, d2):
@@ -294,13 +289,13 @@ def sum_hyp3f2(num, den, rel_tol: float = 1e-15,
         raise DivergentSeriesError(
             f"series excess {excess!r} has nonpositive real part"
         )
-    return _sum_hyp3f2(n1, n2, n3, d1, d2, rel_tol, max_terms)
+    return _sum_hyp3f2(n1, n2, n3, d1, d2, tol)
 
 
 def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
-                d2: complex, rel_tol: float, max_terms: int) -> SeriesResult:
+                d2: complex, tol: Tolerance) -> SeriesResult:
     # sum_hyp3f2 without its checks, for a convergent or terminating series
-    # with no denominator at a pole and a valid truncation control.
+    # with no denominator at a pole
     if not (n1.imag or n2.imag or n3.imag or d1.imag or d2.imag):
         n1, n2, n3, d1, d2 = n1.real, n2.real, n3.real, d1.real, d2.real
     t = 1.0
@@ -310,8 +305,7 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
         t = t * (n1 + k) * (n2 + k) * (n3 + k) / ((d1 + k) * (d2 + k) * (k + 1))
         return t, t
 
-    return _run(step, rel_tol, max_terms, 0, t, t,
-                _majorant((n1, n2, n3), (d1, d2, 1.0)))
+    return _run(step, tol, 0, t, t, _majorant((n1, n2, n3), (d1, d2, 1.0)))
 
 
 def _bracket_rounding(dw: complex, da: complex, db: complex) -> float:
@@ -342,25 +336,23 @@ def _hyp_abs_sum(a, b, w, count: int) -> float:
     return total
 
 
-def sum_psi_kernel(a, b, w, rel_tol: float = 1e-15,
-                   max_terms: int = 1_000_000) -> SeriesResult:
+def sum_psi_kernel(a, b, w, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:
     """Sum_{k>=0} (a)_k (b)_k / ((w)_k k!) * {psi(w+k)+psi(1+k)-psi(a+k)-psi(b+k)}.
 
     The digamma values are advanced by their recurrence, so each term costs
     four reciprocals.  The bracket decays like (w-a-b+1)/k, giving overall
     term decay k^-(Re(w-a-b)+2).
     """
-    check_tol(rel_tol, max_terms)
     w = _off_pole(w, "digamma")
     a = _off_pole(a, "digamma")
     b = _off_pole(b, "digamma")
-    return _sum_psi_kernel(a, b, w, rel_tol, max_terms)
+    return _sum_psi_kernel(a, b, w, tol)
 
 
-def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
-                    max_terms: int) -> SeriesResult:
+def _sum_psi_kernel(a: complex, b: complex, w: complex,
+                    tol: Tolerance) -> SeriesResult:
     # sum_psi_kernel without its checks, for finite complex a, b, w off the
-    # poles and a valid truncation control.
+    # poles
     dw, da, db = _digamma(w), _digamma(a), _digamma(b)
     br = dw - EULER_GAMMA - da - db
     br_err = _bracket_rounding(dw, da, db)
@@ -376,31 +368,29 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex, rel_tol: float,
 
     # br = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) tends to 0, and every
     # term carries the starting bracket's rounding times h_k
-    return _run(step, rel_tol, max_terms, 0, br, t,
+    return _run(step, tol, 0, br, t,
                 _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
                           vanishing=True),
                 rounding=lambda count: br_err * _hyp_abs_sum(a, b, w, count))
 
 
-def sum_alt_kernel(a, b, w, rel_tol: float = 1e-15,
-                   max_terms: int = 1_000_000) -> SeriesResult:
+def sum_alt_kernel(a, b, w, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:
     """Sum_{k>=1} (a)_k (b)_k / ((w)_k k!) * {h_k - sigma_k} with
     h_k = sum_{r<k} 1/(w+r) and sigma_k = sum_{r<k} (1/(a+r)+1/(b+r)-1/(r+1)).
 
     The bracket tends to a nonzero constant, so terms decay one power slower
     than the psi-kernel form: k^-(Re(w-a-b)+1).
     """
-    check_tol(rel_tol, max_terms)
     w = _off_pole(w, "digamma")
     a = _off_pole(a, "digamma")
     b = _off_pole(b, "digamma")
-    return _sum_alt_kernel(a, b, w, rel_tol, max_terms)
+    return _sum_alt_kernel(a, b, w, tol)
 
 
-def _sum_alt_kernel(a: complex, b: complex, w: complex, rel_tol: float,
-                    max_terms: int) -> SeriesResult:
+def _sum_alt_kernel(a: complex, b: complex, w: complex,
+                    tol: Tolerance) -> SeriesResult:
     # sum_alt_kernel without its checks, for finite complex a, b, w off the
-    # poles and a valid truncation control.
+    # poles
     t = a * b / w
     h = 1.0 / w
     s = 1.0 / a + 1.0 / b - 1.0
@@ -413,5 +403,5 @@ def _sum_alt_kernel(a: complex, b: complex, w: complex, rel_tol: float,
         return t * (h - s), t
 
     # h - s = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) minus its value at 0
-    return _run(step, rel_tol, max_terms, 1, t * (h - s), t,
+    return _run(step, tol, 1, t * (h - s), t,
                 _majorant((a, b), (w, 1.0), ((w, a), (1.0, b))))

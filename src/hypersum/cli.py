@@ -252,7 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=_complex_arg, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--tol", type=_positive_float,
-                   help="relative series tolerance (default 1e-15)")
+                   help="relative series tolerance (default "
+                        f"{Tolerance().rel_tol:g})")
     p.add_argument("--form", choices=("psi", "alt"),
                    help="logarithmic-branch form (ignored on other branches)")
     p.set_defaults(func=_cmd_eval)

@@ -18,8 +18,7 @@ from typing import Union
 
 from ._series import finite_sum
 from .complexfn import EULER_GAMMA, POLE_TOL, digamma, exp_log, gamma_ratio
-from .errors import (DomainError, InvalidParameterError, PoleError, Record,
-                     WrongBranchError)
+from .errors import DomainError, PoleError, Record, WrongBranchError
 from .params import (NEGATIVE_INTEGER, ParamSet, _check_index, _log_seq_ratios,
                      classify_params)
 
@@ -154,8 +153,7 @@ def c_coeffs() -> CoefficientTable:
 
 def g_poly(k: int, h: Number):
     """Shifted-expansion polynomials g_1..g_3; exact for exact h."""
-    if k not in (1, 2, 3):
-        raise InvalidParameterError(f"k must be 1, 2, or 3, got {k!r}")
+    _check_index(k, "k", 1, 3)
     exact = _is_exact(h)
     poly = (_G_POLYS if exact else _G_FLOATS)[k - 1]
     hv = Fraction(h) if exact else h
@@ -212,8 +210,10 @@ def remainder_bound(n: int, M: int) -> float:
 
 
 def _check_asym_args(n, K) -> None:
+    # three A_k are printed: a deeper K is a request past the known depth
     _check_index(n)
-    if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
+    _check_index(K, "K", 0)
+    if K > 3:
         raise DomainError(f"K must be in 0..3, got {K!r}")
 
 

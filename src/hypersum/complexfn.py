@@ -92,7 +92,8 @@ def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
     arithmetic.  ``count`` is capped at 64; beyond that the numbers grow
     factorially and nothing in this package needs them.
     """
-    if not isinstance(count, int) or count < 1:
+    # complexfn sits below params, so it checks its one count itself
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise InvalidParameterError("count must be a positive integer")
     if count > _MAX_BERNOULLI:
         raise InvalidParameterError(f"count must be <= {_MAX_BERNOULLI}")

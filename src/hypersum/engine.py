@@ -32,9 +32,9 @@ import cmath
 import math
 from functools import partial
 
-from ._series import (Tolerance, _bracket_rounding, _sum_alt_kernel,
-                      _sum_hyp3f2, _sum_psi_kernel, finite_sum,
-                      predicted_terms, sum_direct)
+from ._series import (_DEFAULT_TOL, Tolerance, _bracket_rounding,
+                      _sum_alt_kernel, _sum_hyp3f2, _sum_psi_kernel,
+                      finite_sum, predicted_terms, sum_direct)
 from .complexfn import (_EXP_MAX, _EXP_MIN, EULER_GAMMA, POLE_TOL, _digamma,
                         _log_gamma, gamma_ratio, log_gamma,
                         nonpos_int_distance)
@@ -108,9 +108,6 @@ class EvalReport(Record):
         d["est_error"] = est_error
         d["warnings"] = warnings
         d["path"] = path
-
-
-_DEFAULT_TOL = Tolerance()
 
 
 def _require(cls: ExcessClass, kind: str, op: str) -> None:
@@ -237,8 +234,7 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
         pieces = (_piece(lg_c + lg_s - lg_ca - lg_cb,
                          abs(lg_c) + abs(lg_s) + abs(lg_ca) + abs(lg_cb)),)
     log_omega, = _log_seq_ratios(n, a, b, c)
-    series = _sum_hyp3f2(ca, cb, 1.0 + 0.0j, n + c, 1.0 + s, tol.rel_tol,
-                         tol.max_terms)
+    series = _sum_hyp3f2(ca, cb, 1.0 + 0.0j, n + c, 1.0 + s, tol)
     # the tail enters with a minus sign, so it divides by -s
     tail = _piece(log_omega + lg_c - lg_a - lg_b,
                   _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b),
@@ -270,10 +266,10 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
     pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
     tail_size = _pair_size(n, a, b, a + b) + pref_size
     if form == "psi_series":
-        ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
+        ker = _sum_psi_kernel(a, b, w, tol)
         pieces = ()
     else:
-        ker = _sum_alt_kernel(a, b, w, tol.rel_tol, tol.max_terms)
+        ker = _sum_alt_kernel(a, b, w, tol)
         # head: the prefactor times psi(w) - gamma - psi(a) - psi(b), which
         # can cancel far below the digamma moduli it sums
         dw, da, db = _digamma(w), _digamma(a), _digamma(b)
@@ -331,7 +327,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     head = _piece(log_omega + lg_c - lg_a - lg_b,
                   _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b),
                   finite, absum=absum, d=m)
-    ker = _sum_psi_kernel(a, b, w, tol.rel_tol, tol.max_terms)
+    ker = _sum_psi_kernel(a, b, w, tol)
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
             + lg_m)
     # the tail's sign (-1)^m, as its divisor

@@ -16,6 +16,12 @@ Indexing: landau_direct / landau_watson / landau_ck / the fixed asymptotics
 take the index of the constant itself.  landau_theorem3 and landau_asymptotic
 take the partial-sum index and estimate the constant one below it; the CLI
 converts so that all methods answer for the same constant.
+
+Two specialisations stay on purpose.  landau_watson_asymptotic(n) is
+landau_nemes(n, 1.0, 2) bit for bit at a fifth of its cost.  landau_direct
+is sum_direct(1/2, 1/2, 1, n + 1) at half its cost (1.3 against 3.2 us at
+index 5, 179 against 353 us at 1,000; Python 3.11, timeit), and at index
+10^6 it errs by 9.5e-15 relative against 2.5e-14.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import math
 from fractions import Fraction
 
 from . import coeffs
-from ._series import (Tolerance, _majorant, _run, predicted_terms,
-                      sum_psi_kernel)
+from ._series import (_DEFAULT_TOL, Tolerance, _majorant, _run,
+                      predicted_terms, sum_psi_kernel)
 from .complexfn import EULER_GAMMA, digamma, exp_log
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError
 from .params import _check_index, _log_seq_ratios
 
 __all__ = [
@@ -41,7 +47,6 @@ __all__ = [
     "landau_nemes",
 ]
 
-_DEFAULT_TOL = Tolerance()
 _MAX_DIRECT_N = 1_000_000
 _MAX_THEOREM_M = 30
 _PI = math.pi
@@ -75,9 +80,7 @@ def _sigma_half(M: int) -> tuple:
 
 def landau_direct(n: int) -> float:
     """Direct sum of the defining series; exact up to summation roundoff."""
-    _check_index(n, minimum=0)
-    if n > _MAX_DIRECT_N:
-        raise InvalidParameterError(f"n must be <= {_MAX_DIRECT_N}, got {n}")
+    _check_index(n, minimum=0, maximum=_MAX_DIRECT_N)
     total = 0.0
     comp = 0.0
     t = 1.0
@@ -105,7 +108,7 @@ def landau_watson(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
     _check_index(n, minimum=0)
     if predicted_terms(n + 3.0, tol.rel_tol) * _DELAY_SCALE > n:
         return landau_direct(n)
-    ker = sum_psi_kernel(0.5, 0.5, n + 2.0, tol.rel_tol, tol.max_terms)
+    ker = sum_psi_kernel(0.5, 0.5, n + 2.0, tol)
     _check_cap(ker.hit_max, "landau_watson", tol)
     pref = exp_log(_log_seq_ratios(n + 1, 0.5, 0.5, 1.0)[0]).real / _PI
     return pref * ker.value.real
@@ -130,8 +133,7 @@ def landau_ck(n: int, tol: Tolerance = _DEFAULT_TOL) -> float:
         t = t * (k + 0.5) ** 2 * k / ((k + 1.0) ** 2 * (w + k))
         return t, t
 
-    res = _run(step, tol.rel_tol, tol.max_terms, 1, t, t,
-               _majorant((0.5, 0.5, 0.0), (w, 1.0, 1.0)))
+    res = _run(step, tol, 1, t, t, _majorant((0.5, 0.5, 0.0), (w, 1.0, 1.0)))
     _check_cap(res.hit_max, "landau_ck", tol)
     head = (digamma(w).real + EULER_GAMMA + _LOG4) / _PI
     return head - res.value.real / _PI
@@ -168,8 +170,7 @@ def landau_theorem3(n: int, M: int):
 def landau_asymptotic(n: int, K: int) -> float:
     """Inverse-power estimate of S_n(1/2,1/2;1) = G_{n-1}, depth K <= 6."""
     _check_index(n)
-    if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 6:
-        raise InvalidParameterError(f"K must be in 0..6, got {K!r}")
+    _check_index(K, "K", 0, 6)
     return _asymptotic(coeffs._DOUBLE, n, K, _c0_half())
 
 
@@ -195,8 +196,7 @@ def landau_watson_asymptotic(n: int) -> float:
 def landau_nemes(n: int, h: float = 1.0, K: int = 3) -> float:
     """Shifted log estimate of G_n with polynomial corrections g_k(h)."""
     _check_index(n)
-    if not isinstance(K, int) or isinstance(K, bool) or not 0 <= K <= 3:
-        raise InvalidParameterError(f"K must be in 0..3, got {K!r}")
+    _check_index(K, "K", 0, 3)
     h = float(h)
     if not 0.0 < h < 1.5:
         raise DomainError(f"h must lie in (0, 3/2), got {h!r}")

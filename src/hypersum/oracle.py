@@ -10,9 +10,9 @@ Partial sums run on Python integers in fixed point: the parameters become
 exact integers over one common denominator, and the term and the running sum
 are Gaussian integers scaled by a power of two, with a bound on the
 floor-rounding error carried beside them.  When that bound does not prove the
-working precision, the sum is redone in mpmath.  Gamma, digamma and the
-Landau constants run in mpmath.  mpmath is imported by the functions that
-use it, so importing this module does not load it.
+working precision, the sum is redone in mpmath; the Landau constants are
+such sums too.  Gamma and digamma run in mpmath.  mpmath is imported by
+the functions that use it, so importing this module does not load it.
 
 Each quantity has one function, which takes its precision as ``digits``
 (default 40).  The working precision carries ten guard digits beyond what
@@ -220,23 +220,12 @@ def _partial_sum(a, b, c, n: int, digits: int):
         return value
 
 
-def _landau_mp(n: int):
-    # G_n = sum_{k<=n} t_k with t_0 = 1, t_{k+1} = t_k ((2k+1)/(2k+2))^2.
-    import mpmath as mp
-    total = mp.mpf(1)
-    term = mp.mpf(1)
-    for k in range(n):
-        term = term * (2 * k + 1) ** 2 / mp.mpf((2 * k + 2) ** 2)
-        total += term
-    return total
-
-
 def partial_sum_ref(a: Number, b: Number, c: Number, n: int,
                     digits: int | None = None) -> OracleValue:
     """S_n(a, b; c), the first n terms of the Gauss series at unit argument,
     for 1 <= n <= 1e5."""
     digits = _checked_digits(digits)
-    if not isinstance(n, Integral) or n < 1:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
     if n > _MAX_PARTIAL_SUM_N:
         raise InvalidParameterError(
@@ -263,13 +252,13 @@ def digamma_ref(z: Number, digits: int | None = None) -> OracleValue:
 
 
 def landau_ref(n: int, digits: int | None = None) -> OracleValue:
-    """The Landau constant G_n for n >= 0."""
-    import mpmath as mp
+    """The Landau constant G_n = S_{n+1}(1/2, 1/2; 1) for any n >= 0."""
     digits = _checked_digits(digits)
-    if not isinstance(n, Integral) or n < 0:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n!r}")
-    with mp.workdps(digits + _GUARD_DIGITS):
-        return OracleValue(value=mp.mpc(_landau_mp(int(n))), digits=digits)
+    half = (Fraction(1, 2), _ZERO)
+    value = _partial_sum(half, half, (Fraction(1), _ZERO), int(n) + 1, digits)
+    return OracleValue(value=value, digits=digits)
 
 
 def compare(x: Number, ref: OracleValue) -> ErrorReport:

@@ -163,12 +163,16 @@ def classify_params(p: ParamSet) -> ExcessClass:
     return ExcessClass(kind=NEGATIVE_INTEGER, m=m, warnings=tuple(warnings))
 
 
-def _check_index(value, name: str = "n", minimum: int = 1) -> int:
-    """value, when it is an int (not a bool) >= minimum; InvalidParameterError
-    otherwise."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+def _check_index(value, name: str = "n", minimum: int = 1,
+                 maximum: int | None = None) -> int:
+    """value, when it is an int (not a bool) in minimum..maximum (no upper
+    limit when maximum is None); InvalidParameterError otherwise."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or value < minimum or (maximum is not None and value > maximum)):
+        bounds = (f">= {minimum}" if maximum is None
+                  else f"in {minimum}..{maximum}")
         raise InvalidParameterError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+            f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
 

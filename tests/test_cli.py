@@ -6,10 +6,12 @@ goes through the real interpreter entry point as a smoke check.
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -264,9 +266,15 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child runs this checkout's package, not whichever one the
+        # environment would find
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src,
+                                             os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "hypersum", "landau", "-n", "3"],
-            capture_output=True, text=True)
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True)
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
         assert rec["value_re"] == 1.48828125

@@ -17,7 +17,8 @@ from hypersum.coeffs import (
     remainder_bound,
     sigma_coeffs,
 )
-from hypersum.errors import DomainError, PoleError, WrongBranchError
+from hypersum.errors import (DomainError, InvalidParameterError, PoleError,
+                             WrongBranchError)
 from hypersum.params import ParamSet
 
 HALF = Fraction(1, 2)
@@ -80,10 +81,9 @@ class TestG:
             assert g_poly(k, h) == (-1) ** k * g_poly(k, Fraction(3, 2) - h)
 
     def test_bad_k(self):
-        from hypersum.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            g_poly(4, HALF)
+        for k in (4, 0, True, 1.0):
+            with pytest.raises(InvalidParameterError):
+                g_poly(k, HALF)
 
 
 class TestLambdaSeries:
@@ -137,6 +137,16 @@ class TestAsymLog:
     def test_depth_cap(self):
         with pytest.raises(DomainError):
             asym_log(0.5, 0.5, 20, 4)
+
+    def test_malformed_depth(self):
+        # a K that is no depth at all is a bad parameter, not a request
+        # past the three printed A_k
+        p = ParamSet(1.5, -0.25, 0.25)
+        for K in (-1, True, 2.0):
+            with pytest.raises(InvalidParameterError):
+                asym_log(0.5, 0.5, 20, K)
+            with pytest.raises(InvalidParameterError):
+                asym_neg_int(p, 5, K)
 
 
 class TestAsymNegInt:

@@ -21,7 +21,7 @@ from hypersum.complexfn import (
     log_gamma_diff,
     nonpos_int_distance,
 )
-from hypersum.errors import PoleError
+from hypersum.errors import InvalidParameterError, PoleError
 
 EULER = 0.5772156649015329
 EPS = 2.0 ** -52
@@ -350,6 +350,11 @@ class TestNearPole:
 
 
 class TestBernoulli:
+    def test_bool_count(self):
+        # bool is an int subclass, but True is no count
+        with pytest.raises(InvalidParameterError):
+            bernoulli_numbers(True)
+
     def test_even_index_values(self):
         b = bernoulli_numbers(8)
         assert b[:4] == (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),

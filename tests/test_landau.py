@@ -182,6 +182,12 @@ class TestWatsonAsymptotic:
         assert abs(landau_watson_asymptotic(50) - G_50) <= 1e-6
         assert abs(landau_watson_asymptotic(100) - G_100) <= 2e-7
 
+    def test_is_nemes_at_unit_shift_and_depth_two(self):
+        # The closed form stays for its cost (a fifth of Nemes' g_poly
+        # calls); it must stay this identity, bit for bit.
+        for n in range(1, 2001):
+            assert landau_watson_asymptotic(n) == landau_nemes(n, 1.0, 2), n
+
 
 class TestNemes:
     def test_default_shift(self):

@@ -44,6 +44,16 @@ class TestRequestValidation:
         with pytest.raises(InvalidParameterError):
             landau_ref(-1)
 
+    def test_partial_sum_bool_index(self):
+        # bool is an Integral, but True is no index
+        with pytest.raises(InvalidParameterError):
+            partial_sum_ref(0.5, 0.5, 1.0, True)
+
+    def test_landau_bool_index(self):
+        for n in (True, False):
+            with pytest.raises(InvalidParameterError):
+                landau_ref(n)
+
     def test_nonfinite_argument(self):
         with pytest.raises(InvalidParameterError):
             gamma_ref(float("inf"))
@@ -241,6 +251,18 @@ class TestFixedPointSum:
             with pytest.raises(InvalidParameterError):
                 partial_sum_ref(0.5, 0.5, c, 4)
         partial_sum_ref(0.5, 0.5, -2.0 + 2.0 ** -50, 4)
+
+    def test_landau_constants_are_the_partial_sum(self, fallbacks):
+        # G_n against its defining series summed term by term in mpmath,
+        # t_0 = 1, t_{k+1} = t_k ((2k+1)/(2k+2))^2, k = 0..n
+        for n in (0, 1, 2, 13, 100, 2000):
+            with mp.workdps(70):
+                want = term = mp.mpf(1)
+                for k in range(n):
+                    term = term * (2 * k + 1) ** 2 / mp.mpf((2 * k + 2) ** 2)
+                    want += term
+            assert _rel(landau_ref(n).value, want) <= 1e-45, n
+        assert not fallbacks
 
     def test_table_grid_sums_in_fixed_point(self, fallbacks):
         rows, ok = verification.table_errors(40)

@@ -1,18 +1,22 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersum.coeffs import g_poly
 from hypersum.complexfn import gamma_ratio
 from hypersum.engine import eval_auto
 from hypersum.errors import InvalidParameterError
+from hypersum.landau import landau_asymptotic, landau_direct, landau_nemes
 from hypersum.params import (
     INTEGER_TOL,
     NEAR_INTEGER_WARN,
     ParamSet,
+    _check_index,
     classify,
     seq_factors,
 )
@@ -159,6 +163,29 @@ class TestClassify:
 
     def test_tolerances_exposed(self):
         assert 0 < INTEGER_TOL < NEAR_INTEGER_WARN < 1
+
+
+class TestCheckIndex:
+    def test_message_without_maximum(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^M must be an integer >= 1, got 0$"):
+            _check_index(0, "M")
+        assert _check_index(10**30, "M") == 10**30
+
+    @pytest.mark.parametrize("call, name, low, high", [
+        (landau_direct, "n", 0, 1_000_000),
+        (lambda K: landau_asymptotic(10, K), "K", 0, 6),
+        (lambda K: landau_nemes(10, 1.0, K), "K", 0, 3),
+        (lambda k: g_poly(k, 0.5), "k", 1, 3),
+    ], ids=["landau_direct", "landau_asymptotic", "landau_nemes", "g_poly"])
+    def test_bounded_arguments_share_the_check(self, call, name, low, high):
+        call(low)
+        call(high)
+        for bad in (low - 1, high + 1, True, float(low)):
+            message = f"{name} must be an integer in {low}..{high}, got {bad!r}"
+            with pytest.raises(InvalidParameterError,
+                               match=f"^{re.escape(message)}$"):
+                call(bad)
 
 
 class TestSeqFactors:

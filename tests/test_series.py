@@ -54,7 +54,8 @@ class TestHyp3F2:
             sum_hyp3f2([0.5, 0.5, 1.0], [-3.0, 1.75])
 
     def test_max_terms_flag(self):
-        res = sum_hyp3f2([1.0, 1.0, 1.0], [2.5, 2.5], max_terms=50)
+        res = sum_hyp3f2([1.0, 1.0, 1.0], [2.5, 2.5],
+                         Tolerance(max_terms=50))
         assert res.hit_max
         assert res.terms_used == 50
         # the estimate must cover the abandoned tail
@@ -138,8 +139,9 @@ class TestAltKernel:
                 kernel(a, b, w)
         with pytest.raises(InvalidParameterError):
             kernel(1.5, math.nan, 2.5)
+        # a bad truncation control stops at the record, before any kernel
         with pytest.raises(InvalidParameterError):
-            kernel(1.5, 0.5, 2.5, rel_tol=0.0)
+            kernel(1.5, 0.5, 2.5, Tolerance(rel_tol=0.0))
 
 
 class _ReferenceSum:
@@ -168,8 +170,8 @@ class _ReferenceSum:
         return complex(self.re + self.cre, self.im + self.cim)
 
 
-def _reference_run(step, rel_tol, max_terms, start_k, first_term, first_hyp,
-                   majorant, rounding=None):
+def _reference_run(step, tol, start_k, first_term, first_hyp, majorant,
+                   rounding=None):
     # the stop rule written out: the tail bound at every k from `first` on,
     # and a stop at the first k where it is at most rel_tol * |partial sum|
     first, _, _, bound = majorant
@@ -180,9 +182,9 @@ def _reference_run(step, rel_tol, max_terms, start_k, first_term, first_hyp,
     while True:
         if k >= first:
             tail = bound(k, t_abs, abs(hyp))
-            if tail <= rel_tol * abs(acc.total):
+            if tail <= tol.rel_tol * abs(acc.total):
                 break
-        if k - start_k + 1 >= max_terms:
+        if k - start_k + 1 >= tol.max_terms:
             hit_max = True
             break
         term, hyp = step(k)
@@ -255,10 +257,10 @@ class TestInlinedLoops:
             w = n + a + b
             tol = Tolerance(rel_tol, cap)
             calls = (
-                lambda: sum_psi_kernel(a, b, w, rel_tol, cap),
-                lambda: sum_alt_kernel(a, b, w, rel_tol, cap),
+                lambda: sum_psi_kernel(a, b, w, tol),
+                lambda: sum_alt_kernel(a, b, w, tol),
                 lambda: sum_hyp3f2((c - a, c - b, 1.0), (n + c, 1.0 + c - a - b),
-                                   rel_tol, cap),
+                                   tol),
                 lambda: landau.landau_ck(14 + n % 60, tol),
                 # the psi kernel at real parameters
                 lambda: landau.landau_watson(14 + n % 60, tol),
@@ -355,7 +357,7 @@ class TestProvenTailBound:
             m.setattr(landau, "_run", spy)
             call()
         (args, res), = runs
-        start_k, (first, _, _, bound) = args[3], args[-1]
+        start_k, (first, _, _, bound) = args[2], args[-1]
         stop = start_k + res.terms_used - 1
         with mp.workdps(40):
             rows = []
