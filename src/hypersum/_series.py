@@ -24,6 +24,8 @@ then rounds exactly as the float operation does, so the bits are the same.
 Stop rule: the first k whose proven tail bound is at most
 rel_tol * |partial sum|.  That bound is the tail part of est_error.  Every
 kernel and _run take rel_tol and max_terms as one Tolerance, checked once.
+The finite sums of the integer-excess forms stop at max_terms in one place,
+finite_sum, which refuses a longer sum before summing it.
 
 For small n the decay, k^-(n+1) or faster, is too slow to pay:
 predicted_terms gives the count such a series needs before it runs, and
@@ -127,10 +129,17 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
                         hit_max=False)
 
 
-def finite_sum(x, y, u, v, count: int):
+def finite_sum(x, y, u, v, count: int, tol: Tolerance = _DEFAULT_TOL):
     """Sum_{k<count} t_k and Sum_{k<count} |t_k| for the terminating
     t_k = (x)_k (y)_k / ((u)_k (v)_k) of the integer-excess branches, in
-    double precision or in any arithmetic that mixes with complex."""
+    double precision or in any arithmetic that mixes with complex.
+
+    Every finite sum of the package stops here at tol.max_terms: a count
+    above it raises DomainError before any term is summed.
+    """
+    if count > tol.max_terms:
+        raise DomainError(f"the finite sum has {count} terms, more than "
+                          f"max_terms = {tol.max_terms}")
     term = 1.0 + 0.0j
     total = term
     absum = 1.0

@@ -15,9 +15,9 @@ branches, which have only a finite sum.  eval_auto prices every branch's
 expansion (prefactors, finite-sum terms, predicted series terms) before
 running it and adds the n terms directly when that is cheaper; the
 report's path field says which way it answered.  The explicit eval_*
-routines always run their expansion, and refuse a finite sum longer than
-Tolerance.max_terms; eval_auto adds the n terms directly only when n is
-within that cap too.
+routines always run their expansion; _series.finite_sum, the one place
+finite sums stop, refuses one longer than Tolerance.max_terms, and eval_auto
+adds the n terms directly only when n is within that cap too.
 
 Every expansion is one or two pieces, each a gamma-function prefactor
 exp(L) times a finite or convergent sum, and _piece holds the one rule for
@@ -199,15 +199,6 @@ def _piece(lg: complex, size: float, x=1.0, x_err: float = 0.0,
     return value, pref_abs * x_err + (abs(value) + pref_abs * absum) * floor
 
 
-def _finite_sum(x, y, u, v, count: int, tol: Tolerance):
-    """_series.finite_sum over count terms, or DomainError past
-    tol.max_terms."""
-    if count > tol.max_terms:
-        raise DomainError(f"the finite sum has {count} terms, more than "
-                          f"max_terms = {tol.max_terms}")
-    return finite_sum(x, y, u, v, count)
-
-
 def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Noninteger excess: closed Gauss piece minus a weighted 3F2(1) tail.
 
@@ -299,7 +290,7 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
                           f"divides by (n+a+b)_k, which vanishes or nearly "
                           f"so there; eval_auto adds the n terms directly "
                           f"when n <= max_terms")
-    total, absum = _finite_sum(a, b, w, 1, m, tol)
+    total, absum = finite_sum(a, b, w, 1, m, tol)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
     lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
@@ -319,7 +310,7 @@ def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
 def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    finite, absum = _finite_sum(c - a, c - b, n + c, 1 - m, m, tol)
+    finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m, tol)
     w = _nab_off_pole(n + a + b)
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
@@ -353,7 +344,7 @@ def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
     a, b, c = p.a, p.b, p.c
     m = cls.m
     count = m - cls.p + 1
-    total, absum = _finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
+    total, absum = finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
     log_omega, = _log_seq_ratios(n, a, b, c)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)

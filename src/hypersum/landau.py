@@ -147,12 +147,11 @@ def landau_theorem3(n: int, M: int):
     ((n+1)_k k!), K = floor((M+1)/2).  Returns (value, error_bound); the
     bound is the a-priori remainder bound, which decays like n^(-M).
     """
-    _check_index(n)
     _check_index(M, "M")
     if M > _MAX_THEOREM_M:
         raise DomainError(f"M must be <= {_MAX_THEOREM_M}, got {M}")
-    if n <= M:
-        raise DomainError(f"need n > M = {M}, got n = {n}")
+    # remainder_bound checks n and n > M
+    bound = coeffs.remainder_bound(n, M)
     value = (digamma(n + 1.0).real / _PI + _c0_half()
              + coeffs.rearranged_tail(0.5, 0.5, n, M).real / _PI)
     if M >= 2:
@@ -164,7 +163,7 @@ def landau_theorem3(n: int, M: int):
             u = u * (k + 0.5) ** 2 / ((n + 1.0 + k) * (k + 1.0))
             ksum += u * sigma[k]
         value -= lam * ksum / _PI
-    return value, coeffs.remainder_bound(n, M)
+    return value, bound
 
 
 def landau_asymptotic(n: int, K: int) -> float:

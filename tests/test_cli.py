@@ -87,6 +87,21 @@ class TestEval:
         rc, _ = run_cli("eval", "-a", "1", "-b", "1", "-n", "5")
         assert rc == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1.5"])
+    def test_tol_refused_by_tolerance_alone(self, tol, capsys):
+        rc, text = run_cli("eval", "-a", "2.3", "-b", "1.9", "-c", "0.7",
+                           "-n", "50", f"--tol={tol}")
+        assert rc == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith(
+            "error: rel_tol must lie in (0, 1), got ")
+
+    def test_tol_not_a_number_is_usage_error(self):
+        rc, text = run_cli("eval", "-a", "2.3", "-b", "1.9", "-c", "0.7",
+                           "-n", "50", "--tol", "abc")
+        assert rc == 2
+        assert text == ""
+
     def test_bad_index_is_domain_error(self):
         rc, text = run_cli("eval", "-a", "1", "-b", "1", "-c", "2.5",
                            "-n", "0")

@@ -160,6 +160,13 @@ class TestAsymNegInt:
         with pytest.raises(WrongBranchError):
             asym_neg_int(ParamSet(0.5, 0.25, 1.5), 10, 2)
 
+    def test_finite_sum_capped_at_max_terms(self):
+        # s = -2e6: the finite sum would have 2e6 terms, past the default
+        # cap of 10^6, so it is refused before any term is summed (summed,
+        # it overflows in the prefactor after about a second)
+        with pytest.raises(DomainError, match="max_terms"):
+            asym_neg_int(ParamSet(0.3, 0.4, 0.7 - 2e6), 100, 2)
+
 
 class TestRearrangedTail:
     # lambda_60 * (harmonic-weighted double tail) at (1/2,1/2), 50-digit run

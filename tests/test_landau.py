@@ -4,12 +4,13 @@ Frozen reference values were computed with mpmath at 35 significant
 digits from the defining sum of squared central-binomial weights.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
-from hypersum import coeffs, landau, oracle
+from hypersum import coeffs, landau, oracle, params
 from hypersum.complexfn import digamma
 from hypersum.engine import Tolerance
 from hypersum.errors import DomainError, InvalidParameterError
@@ -134,16 +135,49 @@ class TestTheorem3:
         assert landau._c0_half() == coeffs.c0(0.5, 0.5).real
 
     def test_needs_large_index(self):
-        with pytest.raises(DomainError):
-            landau_theorem3(10, 10)
-        with pytest.raises(DomainError):
-            landau_theorem3(3, 8)
+        for n, M in ((10, 10), (3, 8), (2, 10), (1, 1)):
+            with pytest.raises(DomainError, match="need n > M"):
+                landau_theorem3(n, M)
+
+    def test_bad_index(self):
+        for bad in (0, -3, 2.5, True, "51"):
+            with pytest.raises(InvalidParameterError, match="n must be"):
+                landau_theorem3(bad, 10)
 
     def test_bad_depth(self):
-        with pytest.raises(InvalidParameterError):
-            landau_theorem3(51, 0)
-        with pytest.raises(DomainError):
-            landau_theorem3(51, 31)
+        for bad in (0, -3, 2.5, True, "10"):
+            with pytest.raises(InvalidParameterError, match="M must be"):
+                landau_theorem3(51, bad)
+        # a huge M is refused by the cap, never reaching gamma_ratio,
+        # where Gamma(M + 1/2)^2 would overflow
+        for n, M in ((51, 31), (2 * 10**6, 10**6)):
+            with pytest.raises(DomainError, match="M must be <= 30"):
+                landau_theorem3(n, M)
+
+    def test_bound_is_remainder_bound(self):
+        for n, M in ((2, 1), (51, 10), (101, 3), (31, 30), (10**6, 12)):
+            _, bound = landau_theorem3(n, M)
+            assert repr(bound) == repr(coeffs.remainder_bound(n, M))
+
+    def test_index_checks_per_call(self, monkeypatch):
+        # the depth is checked here, n and n > M in remainder_bound; the
+        # only others are rearranged_tail's two and, on a cold call,
+        # sigma_coeffs' one
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return params._check_index(*args, **kwargs)
+
+        for module in (landau, coeffs):
+            monkeypatch.setattr(module, "_check_index", spy)
+        monkeypatch.setattr(landau, "_sigma_half",
+                            functools.cache(landau._sigma_half.__wrapped__))
+        landau_theorem3(51, 10)
+        assert len(calls) <= 6, calls
+        calls.clear()
+        landau_theorem3(51, 10)
+        assert len(calls) <= 5, calls
 
 
 class TestAsymptotic:

@@ -7,6 +7,7 @@ import pytest
 from hypersum import _series, engine, landau
 from hypersum._series import (
     SeriesResult,
+    finite_sum,
     sum_alt_kernel,
     sum_direct,
     sum_hyp3f2,
@@ -114,6 +115,25 @@ class TestDirectSum:
             sum_direct(1e200 + 0.5j, 3e199, 0.5, 5)
         with pytest.raises(DomainError, match="double range"):
             sum_direct(1e100, 1e100, 0.5, 5)
+
+
+class TestFiniteSum:
+    def test_refuses_past_max_terms_before_summing(self):
+        # operands that fail on any arithmetic: the cap is checked first
+        poison = object()
+        with pytest.raises(DomainError,
+                           match="has 11 terms, more than max_terms = 10"):
+            finite_sum(poison, poison, poison, poison, 11,
+                       Tolerance(max_terms=10))
+        with pytest.raises(DomainError, match="max_terms = 1000000"):
+            finite_sum(poison, poison, poison, poison, 10**9)
+
+    def test_sums_up_to_the_cap(self):
+        # (1)_k (1)_k / ((2)_k (1)_k) = 1/(k + 1): the harmonic number H_10
+        total, absum = finite_sum(1.0, 1.0, 2.0, 1.0, 10,
+                                  Tolerance(max_terms=10))
+        assert total == pytest.approx(7381 / 2520, rel=1e-15)
+        assert absum == pytest.approx(7381 / 2520, rel=1e-15)
 
 
 class TestAltKernel:

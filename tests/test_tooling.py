@@ -17,15 +17,22 @@ wrong at unit argument for some parameters.
 
 README's "Library use" block runs here, and its commented results are
 checked, so that the figures the cost model sets cannot drift from the code.
+
+argparse's ``choices`` are the only check of ``landau --method`` and
+``coeffs --family``, and the last branch of each dispatch takes whatever is
+left, so every choice is run and its record traced to its own route.
 """
 
+import argparse
 import ast
+import json
 import importlib
 import os
 import re
 import subprocess
 import sys
 import types
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -367,3 +374,65 @@ def test_readme_library_use_block_runs_as_commented():
             assert paths == ["direct_sum"] * (len(paths) - 1) + ["expansion"]
             firsts += 1
     assert (literals, firsts) == (3, 1)
+
+
+def _cli_choices(cli, command, option):
+    parser = cli._build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    action, = (a for a in sub.choices[command]._actions
+               if option in a.option_strings)
+    return action.choices
+
+
+def _cli_records(cli, *argv):
+    buf = StringIO()
+    assert cli.run(list(argv), out=buf) == 0, argv
+    return json.loads(buf.getvalue())
+
+
+def test_every_cli_choice_dispatches_to_its_own_route():
+    from hypersum import cli, coeffs, landau
+
+    # at Landau index 50, with the CLI's default depths and shift
+    routes = {
+        "direct": lambda n: landau.landau_direct(n),
+        "watson": lambda n: landau.landau_watson(n),
+        "ck": lambda n: landau.landau_ck(n),
+        "thm3": lambda n: landau.landau_theorem3(n + 1, 10)[0],
+        "asym": lambda n: landau.landau_asymptotic(n + 1, 6),
+        "nemes": lambda n: landau.landau_nemes(n, 1.0, 3),
+    }
+    methods = [m for m in _cli_choices(cli, "landau", "--method")
+               if m != "all"]
+    assert sorted(methods) == sorted(routes)
+    want = {m: route(50) for m, route in routes.items()}
+    # distinct, so a choice answered by another route would show
+    assert len(set(want.values())) == len(want)
+    for method in methods:
+        rec = _cli_records(cli, "landau", "-n", "50", "--method", method)
+        assert rec["method"] == method
+        assert rec["value_re"] == want[method], method
+        assert ("bound" in rec) == (method == "thm3")
+
+    a, b = 0.3, 0.45
+    fields = {
+        "sigma": [complex(v) for v in coeffs.sigma_coeffs(a, b, 6).values],
+        "A": [complex(v) for v in coeffs.a_coeffs(a, b).values],
+        "C": [str(v) for v in coeffs.c_coeffs().values],
+        "g": [[str(c) for c in poly] for poly in coeffs._G_POLYS],
+        "lambda": [complex(v) for v in coeffs._lambda_coeffs(a, b)],
+    }
+    families = _cli_choices(cli, "coeffs", "--family")
+    assert sorted(families) == sorted(fields)
+    for fam in families:
+        recs = _cli_records(cli, "coeffs", "--family", fam,
+                            "-a", str(a), "-b", str(b))
+        assert [r["k"] for r in recs] == list(range(1, len(recs) + 1))
+        if fam == "C":
+            got = [r["exact"] for r in recs]
+        elif fam == "g":
+            got = [r["coeffs"] for r in recs]
+        else:
+            got = [complex(r["value_re"], r["value_im"]) for r in recs]
+        assert got == fields[fam], fam
