@@ -8,11 +8,11 @@ so agreement between the two is meaningful evidence rather than a tautology.
 
 Partial sums run on Python integers in fixed point: the parameters become
 exact integers over one common denominator, and the term and the running sum
-are Gaussian integers scaled by a power of two, with a bound on the
-floor-rounding error carried beside them.  When that bound does not prove the
-working precision, the sum is redone in mpmath; the Landau constants are
-such sums too.  Gamma and digamma run in mpmath.  mpmath is imported by
-the functions that use it, so importing this module does not load it.
+are Gaussian integers scaled by a power of two, with a rounding bound beside
+them.  The scale grows until the bound proves the working precision; past a
+cap the sum raises PrecisionUnavailableError.  The Landau constants are such
+sums too.  Gamma and digamma run in mpmath, imported by the functions that
+use it, so importing this module does not load it.
 
 Each quantity has one function, which takes its precision as ``digits``
 (default 40).  The working precision carries ten guard digits beyond what
@@ -46,6 +46,7 @@ _MIN_DIGITS = 30
 _MAX_DIGITS = 100_000
 _GUARD_DIGITS = 10
 _MAX_PARTIAL_SUM_N = 100_000
+_MAX_EXTRA_BITS = 1 << 16
 _ZERO = Fraction(0)
 
 
@@ -123,43 +124,23 @@ def _checked_digits(digits: int | None) -> int:
     return digits
 
 
-def _partial_sum_mp(a, b, c, n: int):
-    # t_{k+1} = t_k (a+k)(b+k) / ((c+k)(k+1)); sum the first n terms.
-    import mpmath as mp
-    total = mp.mpf(1)
-    term = mp.mpf(1)
-    for k in range(n - 1):
-        den = (c + k) * (k + 1)
-        if den == 0:
-            raise InvalidParameterError(
-                f"series coefficient pole: c + {k} = 0 with c = {c}"
-            )
-        term = term * (a + k) * (b + k) / den
-        total += term
-    return total
+def _fixed_point_pass(ar, ai, br, bi, cr, ci, d, n: int, scale: int):
+    """(sr, si, bound): S_n = (sr + i si) 2**-scale within bound 2**-scale.
 
-
-def _fixed_point_sum(a, b, c, n: int, work: int):
-    """S_n at exact (re, im) parameters to `work` bits, or None.
-
-    The term and the running sum are Gaussian integers scaled by 2**scale.
-    Each step floors, which adds under one ulp to the term's error (under
-    sqrt 2 for complex terms; the bound carries 1.5) and scales the error it
-    carries by |ratio|.  The summed bound must fall below 2**-work |S_n|,
-    tested on bit lengths; when it does not (cancellation, an exact zero, a
-    bound past the float range), the result is None.  The bound itself is
-    summed in floats; its relative rounding, about n 2**-53, is far inside
-    the guard digits.
+    The parameters are integers over the common denominator d, and the term
+    and the running sum are Gaussian integers scaled by 2**scale.  Each step
+    scales the term's error by |ratio|, and one that leaves a remainder adds
+    under one ulp to it (under sqrt 2 for complex terms; the bound carries
+    1.5), so bound == 0 means the sum is exact.  The bound is summed in
+    floats; its relative rounding, about n 2**-53, is far inside the guard
+    digits.
     """
-    parts = a + b + c
-    d = math.lcm(*(p.denominator for p in parts))
-    ar, ai, br, bi, cr, ci = (p.numerator * (d // p.denominator) for p in parts)
-    scale = work + 20 + 2 * n.bit_length()
     tr = sr = 1 << scale
     ti = si = 0
     # ar, br, cr and dk run as d (a+k), d (b+k), d (c+k) and d (k+1)
     dk = d
     err = bound = 0.0
+    div = divmod
     try:
         if ai == bi == ci == 0:
             for _ in range(n - 1):
@@ -167,9 +148,9 @@ def _fixed_point_sum(a, b, c, n: int, work: int):
                 if not num:
                     break  # a + k or b + k is 0: every later term is 0
                 den = cr * dk
-                tr = tr * num // den
+                tr, rem = div(tr * num, den)
                 sr += tr
-                err = err * abs(num / den) + 1.0
+                err = err * abs(num / den) + (1.0 if rem else 0.0)
                 bound += err
                 ar += d
                 br += d
@@ -185,39 +166,58 @@ def _fixed_point_sum(a, b, c, n: int, work: int):
                 if not (pr or pi):
                     break  # (a+k)(b+k) is 0
                 q = (cr * cr + ci * ci) * dk
-                tr, ti = (tr * pr - ti * pi) // q, (tr * pi + ti * pr) // q
+                xr = tr * pr - ti * pi
+                ti, ri = div(tr * pi + ti * pr, q)
+                tr, rr = div(xr, q)
                 sr += tr
                 si += ti
-                err = err * math.hypot(pr, pi) / q + 1.5
+                try:
+                    ratio = math.hypot(pr, pi) / q
+                except OverflowError:  # p is past the float range, p / q not
+                    ratio = math.hypot(pr / q, pi / q)
+                err = err * ratio + (1.5 if rr or ri else 0.0)
                 bound += err
                 ar += d
                 br += d
                 cr += d
                 dk += d
-    except OverflowError:
-        return None
-    size = max(abs(sr), abs(si)).bit_length()
-    if not math.isfinite(bound) or math.ceil(bound).bit_length() + work >= size:
-        return None
-    import mpmath as mp
-    return mp.mpc(mp.ldexp(sr, -scale), mp.ldexp(si, -scale))
+    except OverflowError:  # a ratio past the float range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise PrecisionUnavailableError(
+            "the partial sum's rounding bound is past the float range")
+    return sr, si, bound
 
 
 def _partial_sum(a, b, c, n: int, digits: int):
     """S_n at exact (re, im) parameters, to digits plus the guard digits.
 
-    Sums in fixed point, and in mpmath when the fixed-point rounding bound
-    does not prove the working precision.
+    Sums in fixed point until a pass's bound proves the working precision.
+    The bound in ulps hardly moves with the scale, so a retry adds the bits
+    the last pass fell short plus a margin, at least doubling the extra bits.
     """
     import mpmath as mp
     if c[1] == 0 and c[0].denominator == 1 and 0 <= -c[0] < n - 1:
         raise InvalidParameterError(
             f"series coefficient pole: c + {-c[0]} = 0 with c = {c[0]}")
+    parts = a + b + c
+    d = math.lcm(*(p.denominator for p in parts))
+    ints = [p.numerator * (d // p.denominator) for p in parts]
     with mp.workdps(digits + _GUARD_DIGITS):
-        value = _fixed_point_sum(a, b, c, n, mp.mp.prec)
-        if value is None:
-            value = mp.mpc(_partial_sum_mp(*map(_mp_of, (a, b, c)), n))
-        return value
+        work = mp.mp.prec
+        extra = 0
+        while True:
+            scale = work + 20 + 2 * n.bit_length() + extra
+            sr, si, bound = _fixed_point_pass(*ints, d, n, scale)
+            size = max(abs(sr), abs(si)).bit_length()
+            shortfall = math.ceil(bound).bit_length() + work - size
+            if bound == 0 or shortfall < 0:
+                return mp.mpc(mp.ldexp(sr, -scale), mp.ldexp(si, -scale))
+            extra += max(shortfall + 32, extra)
+            if extra > _MAX_EXTRA_BITS:
+                raise PrecisionUnavailableError(
+                    f"{_MAX_EXTRA_BITS} extra bits do not prove {digits} "
+                    "digits of the partial sum")
 
 
 def partial_sum_ref(a: Number, b: Number, c: Number, n: int,

@@ -11,7 +11,6 @@ from hypersum import engine, landau, oracle, params, verification
 from hypersum.errors import InvalidParameterError, PrecisionUnavailableError
 from hypersum.oracle import (
     DEFAULT_DIGITS,
-    _partial_sum_mp,
     compare,
     digamma_ref,
     gamma_ref,
@@ -154,8 +153,14 @@ def _mp(x):
 
 
 def _mp_sum(a, b, c, n, dps):
+    # t_{k+1} = t_k (a+k)(b+k) / ((c+k)(k+1)); sum the first n terms.
     with mp.workdps(dps):
-        return _partial_sum_mp(_mp(a), _mp(b), _mp(c), n)
+        a, b, c = _mp(a), _mp(b), _mp(c)
+        total = term = mp.mpf(1)
+        for k in range(n - 1):
+            term = term * (a + k) * (b + k) / ((c + k) * (k + 1))
+            total += term
+        return total
 
 
 def _rel(got, want):
@@ -184,20 +189,21 @@ def _draw_triple(rng, kind):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """The argument tuples of every mpmath fallback sum taken meanwhile."""
-    calls = []
+def passes(monkeypatch):
+    """The scale of every fixed-point pass run meanwhile, in order."""
+    scales = []
+    fixed_point_pass = oracle._fixed_point_pass
 
     def spy(*args):
-        calls.append(args)
-        return _partial_sum_mp(*args)
+        scales.append(args[-1])
+        return fixed_point_pass(*args)
 
-    monkeypatch.setattr(oracle, "_partial_sum_mp", spy)
-    return calls
+    monkeypatch.setattr(oracle, "_fixed_point_pass", spy)
+    return scales
 
 
 class TestFixedPointSum:
-    def test_agrees_with_mpmath_sum(self, fallbacks):
+    def test_agrees_with_mpmath_sum(self, passes):
         rng = random.Random(8)
         cases = [(*_draw_triple(rng, kind), 20_000)
                  for kind in ("real", "complex")]
@@ -208,41 +214,80 @@ class TestFixedPointSum:
         for a, b, c, n in cases:
             got = partial_sum_ref(a, b, c, n, digits=60).value
             assert _rel(got, _mp_sum(a, b, c, n, 70)) <= 1e-45, (a, b, c, n)
-        assert not fallbacks
+        assert len(passes) == len(cases)
 
-    def test_result_keeps_the_working_precision(self, fallbacks):
+    def test_result_keeps_the_working_precision(self, passes):
         # At 80 digits the agreement tightens with the precision; a result
         # rounded to double on the way out would stop at ~1e-16.
-        for a, b, c, n in ((0.7, -1.3, 2.2, 300),
-                           (0.5 + 1.0j, -0.25, 0.75 - 2.0j, 300),
-                           (Fraction(1, 3), Fraction(-7, 5), 3, 100)):
+        cases = ((0.7, -1.3, 2.2, 300),
+                 (0.5 + 1.0j, -0.25, 0.75 - 2.0j, 300),
+                 (Fraction(1, 3), Fraction(-7, 5), 3, 100))
+        for a, b, c, n in cases:
             got = partial_sum_ref(a, b, c, n, digits=80).value
             assert _rel(got, _mp_sum(a, b, c, n, 110)) <= 1e-85, (a, b, c, n)
-        assert not fallbacks
+        assert len(passes) == len(cases)
 
     def test_exact_zero_stays_zero(self):
+        # Every division is exact, so the bound is 0 and proves the zero.
         assert partial_sum_ref(-2.0, 1.0, 1.0, 3).value == 0
         assert partial_sum_ref(-2, 1, Fraction(1), 3).value == 0
+        assert partial_sum_ref(-2, 1j, 1j, 3).value == 0
 
-    def test_extreme_magnitudes_return(self):
-        # Integers of thousands of bits; never converted to float whole.
-        for a, n in ((1e300, 3), (1e300, 10), (1e-300, 50),
-                     (Fraction(10**400 + 1, 3), 4)):
+    def test_extreme_magnitudes_return(self, passes):
+        # Integers of thousands of bits; never converted to float whole.  At
+        # 1e-300 + 1j the complex ratio's numerator is past the float range,
+        # the ratio is not.
+        rows = ((1e300, 3), (1e-300, 50), (1e-300 + 1j, 20))
+        for a, n in rows:
             got = partial_sum_ref(a, 0.5, 1.5, n, digits=60).value
             assert _rel(got, _mp_sum(a, 0.5, 1.5, n, 70)) <= 1e-45, (a, n)
+        assert len(passes) == len(rows)
+        # Ratios near 1e300 compound past the float range in the rounding
+        # bound, and at 1e400 / 3 the ratio itself is past it: no digit of
+        # these is proven.
+        for a, n in ((1e300, 10), (Fraction(10**400 + 1, 3), 4)):
+            with pytest.raises(PrecisionUnavailableError):
+                partial_sum_ref(a, 0.5, 1.5, n, digits=60)
 
-    def test_cancellation_takes_the_fallback(self, fallbacks):
-        # 1 + a + a(a+1)/2 = (a+1)(a+2)/2 is ~2^-41 against terms of 2, more
-        # cancellation than the fixed-point guard bits prove.
-        a = -2.0 + 2.0 ** -40
-        with mp.workdps(60):
-            assert oracle._fixed_point_sum(
-                *(oracle._exact(x, "x") for x in (a, 1.0, 1.0)), 3,
-                mp.mp.prec) is None
-        got = partial_sum_ref(a, 1.0, 1.0, 3, digits=40).value
-        assert len(fallbacks) == 1
-        exact = (Fraction(a) + 1) * (Fraction(a) + 2) / 2
-        assert _rel(got, _mp(exact)) <= 1e-45
+    def test_cancellation_escalates(self, passes):
+        # 1 + a + a(a+1)/2 = (a+1)(a+2)/2 is ~2^-41 against terms of 2.  At a
+        # binary a every division is exact, and the one pass proves it with
+        # bound 0.  A third in a makes the first pass's bound fall 20 bits
+        # short; the second pass, 52 bits finer, proves it.
+        for a, scales in ((-2.0 + 2.0 ** -40, [193]),
+                          (Fraction(-2) + Fraction(1, 3 * 2 ** 40), [193, 245])):
+            passes.clear()
+            got = partial_sum_ref(a, 1.0, 1.0, 3, digits=40).value
+            assert passes == scales, a
+            exact = (Fraction(a) + 1) * (Fraction(a) + 2) / 2
+            with mp.workdps(60):
+                assert _rel(got, _mp(exact)) <= 1e-45, a
+
+    def test_heavy_cancellation_is_proven(self, passes):
+        # These cancel by up to ~400 bits, past the first pass's scale:
+        # summed at the working precision alone they come out 3.5e-40 to
+        # 4e22 relative off.
+        for a, b, c, n in (
+                (-97.88175688944858, -99.27897310872645, -197.16072999817504,
+                 1000),
+                (5.243089730993816, -18.9203793687074, -8.677289637713585, 200),
+                (-24.352592626246892 - 2.948981060632118j, -24.559767750489634,
+                 -29.963688314705873 - 2.948981060632118j, 200),
+                (-52.790382052513095, -79.36679315385683, -152.5755266842337,
+                 200)):
+            want = _mp_sum(a, b, c, n, 400)
+            assert _rel(_mp_sum(a, b, c, n, 300), want) <= 1e-100
+            passes.clear()
+            got = partial_sum_ref(a, b, c, n).value
+            assert _rel(got, want) <= 1e-45, (a, b, c, n)
+            assert len(passes) >= 2, (a, b, c, n)
+
+    def test_unproven_zero_raises(self, passes):
+        # 1 + 4/3 - 7/3 is exactly 0, but the thirds never divide exactly, so
+        # no scale proves a digit of it.
+        with pytest.raises(PrecisionUnavailableError):
+            partial_sum_ref(-2, Fraction(2, 5), Fraction(-3, 5), 3)
+        assert len(passes) > 1
 
     def test_pole_is_exact(self):
         # c = -2 makes c + k vanish at k = 2, the step to the fourth term.
@@ -252,7 +297,7 @@ class TestFixedPointSum:
                 partial_sum_ref(0.5, 0.5, c, 4)
         partial_sum_ref(0.5, 0.5, -2.0 + 2.0 ** -50, 4)
 
-    def test_landau_constants_are_the_partial_sum(self, fallbacks):
+    def test_landau_constants_are_the_partial_sum(self, passes):
         # G_n against its defining series summed term by term in mpmath,
         # t_0 = 1, t_{k+1} = t_k ((2k+1)/(2k+2))^2, k = 0..n
         for n in (0, 1, 2, 13, 100, 2000):
@@ -262,9 +307,9 @@ class TestFixedPointSum:
                     term = term * (2 * k + 1) ** 2 / mp.mpf((2 * k + 2) ** 2)
                     want += term
             assert _rel(landau_ref(n).value, want) <= 1e-45, n
-        assert not fallbacks
+        assert len(passes) == 6
 
-    def test_table_grid_sums_in_fixed_point(self, fallbacks):
+    def test_table_grid_sums_in_fixed_point(self, passes):
         rows, ok = verification.table_errors(40)
         assert ok and len(rows) == 6
-        assert not fallbacks
+        assert len(passes) == 6
