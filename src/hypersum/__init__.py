@@ -53,7 +53,6 @@ from .errors import (
     InvalidParameterError,
     PoleError,
     PrecisionUnavailableError,
-    VerificationFailure,
     WrongBranchError,
 )
 from .landau import (
@@ -98,7 +97,7 @@ __all__ = [
     "leading_term",
     "DivergentSeriesError", "DomainError", "HypersumError",
     "InvalidParameterError", "PoleError", "PrecisionUnavailableError",
-    "VerificationFailure", "WrongBranchError",
+    "WrongBranchError",
     "landau_asymptotic", "landau_ck", "landau_direct", "landau_nemes",
     "landau_theorem3", "landau_watson", "landau_watson_asymptotic",
     "DEFAULT_DIGITS", "ErrorReport", "OracleValue", "compare", "digamma_ref",

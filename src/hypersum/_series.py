@@ -317,12 +317,14 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
     return _run(step, tol, 0, t, t, _majorant((n1, n2, n3), (d1, d2, 1.0)))
 
 
-def _bracket_rounding(dw: complex, da: complex, db: complex) -> float:
-    """Bound on the rounding of psi(w) - gamma - psi(a) - psi(b) formed in
-    double from the digamma values dw, da, db: 2 eps times the moduli it
-    sums.  Where the bracket cancels, this is far above eps times its
-    modulus."""
-    return 2.0 * _EPS * (abs(dw) + EULER_GAMMA + abs(da) + abs(db))
+def _psi_bracket(a: complex, b: complex, w: complex) -> tuple:
+    """psi(w) - gamma - psi(a) - psi(b) and a bound on its rounding in
+    double: 2 eps times the moduli it sums.  Where the bracket cancels,
+    that bound is far above eps times its modulus.  a, b and w are finite
+    complex numbers off the poles."""
+    dw, da, db = _digamma(w), _digamma(a), _digamma(b)
+    return (dw - EULER_GAMMA - da - db,
+            2.0 * _EPS * (abs(dw) + EULER_GAMMA + abs(da) + abs(db)))
 
 
 def _hyp_abs_sum(a, b, w, count: int) -> float:
@@ -362,9 +364,7 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex,
                     tol: Tolerance) -> SeriesResult:
     # sum_psi_kernel without its checks, for finite complex a, b, w off the
     # poles
-    dw, da, db = _digamma(w), _digamma(a), _digamma(b)
-    br = dw - EULER_GAMMA - da - db
-    br_err = _bracket_rounding(dw, da, db)
+    br, br_err = _psi_bracket(a, b, w)
     if not (a.imag or b.imag or w.imag or br.imag):
         a, b, w, br = a.real, b.real, w.real, br.real
     t = 1.0

@@ -2,8 +2,7 @@
 
 Provides ``log_gamma`` / ``gamma`` / ``digamma`` for complex arguments, plus
 overflow-safe products of gamma ratios built on top of them
-(``log_gamma_diff`` for pairs n+x1, n+x2 given by a real n and their exact
-offsets, ``exp_log`` for the range check).  The implementation is
+(``gamma_ratio``, and ``exp_log`` for the range check).  The implementation is
 deliberately free of external special-function libraries: arguments are
 lifted by the functional recurrences until the real part reaches the
 asymptotic zone, where a Stirling-type series with exact Bernoulli-number
@@ -25,9 +24,10 @@ the lift would give it; the parameters of the paper's headline cases are
 real.
 
 Each public function checks its input and then calls a private twin
-(``_log_gamma``, ``_digamma``, ``_log_gamma_diff``) that takes a finite
-complex argument known to be off the poles.  The engine and ``params``,
-whose callers hold a validated ``ParamSet``, call the twins directly.
+(``_log_gamma``, ``_digamma``) that takes a finite complex argument known
+to be off the poles.  The engine and ``params``, whose callers hold a
+validated ``ParamSet``, call the twins directly, and ``params`` forms the
+n-dependent gamma pairs with the pair kernel ``_log_gamma_diff``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "bernoulli_numbers",
     "nonpos_int_distance",
     "log_gamma",
-    "log_gamma_diff",
     "exp_log",
     "gamma",
     "digamma",
@@ -74,7 +73,7 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# Left of this real part log_gamma, digamma and log_gamma_diff reflect
+# Left of this real part log_gamma, digamma and _log_gamma_diff reflect
 # (z -> 1-z) instead of lifting, so no call takes more than
 # _ASYMPTOTIC_SHIFT - _REFLECT lift steps.
 _REFLECT = -4.0
@@ -358,27 +357,11 @@ def _log_gamma_diff_upper(z1: complex, z2: complex,
     )
 
 
-def log_gamma_diff(n: float, x1: Number, x2: Number) -> complex:
-    """log_gamma(n+x1) - log_gamma(n+x2) for real n, accurate even when
-    both are huge.
-
-    The Stirling main terms of the two arguments are combined before they
-    are summed, and their difference is formed from the offsets x1 - x2,
-    not from the rounded n+x1 and n+x2, so the error scales with
-    |x1 - x2| log n rather than with n log n.  This is the one path for
-    pairs like (n+a, n) at large n; n = 0 takes x1 and x2 as they are.
-    """
-    x1 = _as_complex(x1, "x1")
-    x2 = _as_complex(x2, "x2")
-    for x in (x1, x2):
-        z = x + n if n else x
-        if nonpos_int_distance(z) <= POLE_TOL:
-            raise PoleError(f"gamma_ratio pole at argument {z!r}")
-    return _log_gamma_diff(n, x1, x2)
-
-
 def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
-    # log_gamma_diff without its checks, for n + x1 and n + x2 off the poles.
+    # log_gamma(n+x1) - log_gamma(n+x2) for real n (n = 0 takes x1 and x2 as
+    # they are), n + x1 and n + x2 off the poles.  The difference of the
+    # Stirling main terms is formed from the exact offsets x1 - x2, so the
+    # error scales with |x1 - x2| log n rather than with n log n.
     # Half-planes as in log_gamma: an imaginary part of -0.0 counts as lower.
     # Its sign matters only on the negative real axis, the cut of log, so a
     # positive real argument joins its partner's half-plane.
@@ -410,13 +393,13 @@ def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) ->
     """prod Gamma(numerators) / prod Gamma(denominators) in log space.
 
     Arguments are paired off numerator-against-denominator through
-    log_gamma_diff at n = 0; the unpaired rest take one log_gamma each.  For
+    _log_gamma_diff at n = 0; the unpaired rest take one log_gamma each.  For
     the arguments it is given, a ratio like Gamma(n+a)/Gamma(n+b) is
     accurate to 3 eps times max(1, |log of the ratio|) relative (measured
     against mpmath with n up to 1e6 and n+a, n+b exactly representable).
     An argument formed as n+a in double precision has already lost the low
     bits of a, up to 8e-10 relative at n = 1e6: ratios with an n-dependent
-    argument go through log_gamma_diff with their exact offsets instead.
+    argument go through _log_gamma_diff with their exact offsets instead.
     """
     nums = [_off_pole(v, "gamma_ratio") for v in numerators]
     dens = [_off_pole(v, "gamma_ratio") for v in denominators]

@@ -32,12 +32,11 @@ import cmath
 import math
 from functools import partial
 
-from ._series import (_DEFAULT_TOL, Tolerance, _bracket_rounding,
-                      _sum_alt_kernel, _sum_hyp3f2, _sum_psi_kernel,
-                      finite_sum, predicted_terms, sum_direct)
-from .complexfn import (_EXP_MAX, _EXP_MIN, EULER_GAMMA, POLE_TOL, _digamma,
-                        _log_gamma, gamma_ratio, log_gamma,
-                        nonpos_int_distance)
+from ._series import (_DEFAULT_TOL, Tolerance, _psi_bracket, _sum_alt_kernel,
+                      _sum_hyp3f2, _sum_psi_kernel, finite_sum,
+                      predicted_terms, sum_direct)
+from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _log_gamma, gamma_ratio,
+                        log_gamma, nonpos_int_distance)
 from .errors import (DomainError, InvalidParameterError, Record,
                      WrongBranchError)
 # classify itself is unused here but stays reachable as engine.classify,
@@ -263,9 +262,7 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
         ker = _sum_alt_kernel(a, b, w, tol)
         # head: the prefactor times psi(w) - gamma - psi(a) - psi(b), which
         # can cancel far below the digamma moduli it sums
-        dw, da, db = _digamma(w), _digamma(a), _digamma(b)
-        pieces = (_piece(lg_pref, pref_size, dw - EULER_GAMMA - da - db,
-                         _bracket_rounding(dw, da, db)),)
+        pieces = (_piece(lg_pref, pref_size, *_psi_bracket(a, b, w)),)
     tail = _piece(log_lambda + lg_pref, tail_size, ker.value, ker.est_error)
     return pieces + (tail,), ker.terms_used, ker.hit_max
 

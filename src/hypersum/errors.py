@@ -21,7 +21,6 @@ __all__ = [
     "WrongBranchError",
     "DomainError",
     "PrecisionUnavailableError",
-    "VerificationFailure",
     "Record",
 ]
 
@@ -52,10 +51,6 @@ class DomainError(HypersumError):
 
 class PrecisionUnavailableError(HypersumError):
     """The reference oracle cannot honor the requested precision."""
-
-
-class VerificationFailure(HypersumError):
-    """A verification run found at least one failing check."""
 
 
 class Record:

@@ -23,14 +23,13 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import coeffs, complexfn, engine, landau, oracle
-from .complexfn import nonpos_int_distance
+from .complexfn import EULER_GAMMA, nonpos_int_distance
 from .errors import DomainError, Record
 from .params import ParamSet, _check_index
 
 DEFAULT_SEED = 20260815
-
-# correctly rounded double of Euler's constant
-_EULER = 0.5772156649015329
+_DEGENERATE_CASES = 50
+_KERNEL_POINTS = 10_000
 
 # published absolute truncation errors of the two expansions; parameters kept
 # as rationals (or rational pairs for complex values) so each consumer can
@@ -333,15 +332,13 @@ def check_coefficient_tables() -> CheckResult:
     return _result("coefficient_tables", start, ok, detail)
 
 
-def check_degenerate_conjecture(seed: int = DEFAULT_SEED,
-                                cases: int = 50) -> CheckResult:
+def check_degenerate_conjecture(seed: int = DEFAULT_SEED) -> CheckResult:
     """Random degenerate sets against the oracle (conjectured closed form)."""
-    _check_index(cases, "cases")
     start = time.perf_counter()
     rng = random.Random(seed)
     worst = 0.0
     worst_at = ""
-    for _ in range(cases):
+    for _ in range(_DEGENERATE_CASES):
         m = rng.randint(1, 4)
         p_int = rng.randint(1, m)
         while True:
@@ -361,8 +358,8 @@ def check_degenerate_conjecture(seed: int = DEFAULT_SEED,
                 worst = rel
                 worst_at = f"a={a:.3g} b={b:.3g} c={c:.3g} n={n}"
     ok = worst <= 1e-10
-    detail = (f"{cases} degenerate sets x 3 indices: worst relative error "
-              f"{worst:.2e} (bar 1e-10) at {worst_at}")
+    detail = (f"{_DEGENERATE_CASES} degenerate sets x 3 indices: worst "
+              f"relative error {worst:.2e} (bar 1e-10) at {worst_at}")
     return _result("degenerate_conjecture", start, ok, detail)
 
 
@@ -406,10 +403,8 @@ def check_asymptotic_orders() -> CheckResult:
     return _result("asymptotic_orders", start, ok, "; ".join(parts))
 
 
-def check_kernel_properties(seed: int = DEFAULT_SEED,
-                            points: int = 10_000) -> CheckResult:
+def check_kernel_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     """Recurrence and conjugation identities of the gamma/digamma kernel."""
-    _check_index(points, "points")
     # Looked up per call, not bound at import: this module may first load
     # while perfbench's tracer has wrapped complexfn.digamma, and the tracer
     # restores only the modules that were loaded when it started.
@@ -419,7 +414,7 @@ def check_kernel_properties(seed: int = DEFAULT_SEED,
     worst_g = 0.0
     worst_d = 0.0
     conj_ok = True
-    for _ in range(points):
+    for _ in range(_KERNEL_POINTS):
         while True:
             z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
             if nonpos_int_distance(z) >= 0.1:
@@ -433,10 +428,11 @@ def check_kernel_properties(seed: int = DEFAULT_SEED,
         zc = z.conjugate()
         if gamma(zc) != gamma(z).conjugate() or digamma(zc) != digamma(z).conjugate():
             conj_ok = False
-    psi1 = abs(digamma(1.0).real + _EULER)
+    psi1 = abs(digamma(1.0).real + EULER_GAMMA)
     ok = worst_g <= 1e-12 and worst_d <= 1e-12 and conj_ok and psi1 <= 1e-13
-    detail = (f"{points} points: worst gamma recurrence {worst_g:.1e}, worst "
-              f"digamma recurrence {worst_d:.1e} (bars 1e-12); conjugation "
+    detail = (f"{_KERNEL_POINTS} points: worst gamma recurrence "
+              f"{worst_g:.1e}, worst digamma recurrence {worst_d:.1e} "
+              f"(bars 1e-12); conjugation "
               f"{'exact' if conj_ok else 'BROKEN'}; |psi(1)+euler| = {psi1:.1e}")
     return _result("kernel_properties", start, ok, detail)
 

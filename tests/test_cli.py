@@ -263,8 +263,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("check, count", [
         ("check_engine_vs_oracle", "cases"),
-        ("check_degenerate_conjecture", "cases"),
-        ("check_kernel_properties", "points"),
     ])
     @pytest.mark.parametrize("value", [0, -3])
     def test_sweeps_need_a_positive_count(self, check, count, value):

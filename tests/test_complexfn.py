@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from hypersum import complexfn
 from hypersum.complexfn import (
     POLE_TOL,
+    _log_gamma_diff,
     bernoulli_numbers,
     digamma,
     gamma,
     gamma_ratio,
     log_gamma,
-    log_gamma_diff,
     nonpos_int_distance,
 )
 from hypersum.errors import InvalidParameterError, PoleError
@@ -262,8 +262,8 @@ class TestRealAxis:
     def test_log_gamma_diff_negative_zero_is_lower(self, x1, x2):
         # -0j takes the lower side, as in log_gamma, so the -0j pair is the
         # conjugate of the +0j pair and agrees with the log_gamma difference
-        up = log_gamma_diff(0, complex(x1, 0.0), complex(x2, 0.0))
-        down = log_gamma_diff(0, complex(x1, -0.0), complex(x2, -0.0))
+        up = _log_gamma_diff(0, complex(x1, 0.0), complex(x2, 0.0))
+        down = _log_gamma_diff(0, complex(x1, -0.0), complex(x2, -0.0))
         assert down.real == up.real
         assert repr(down.imag) == repr(-up.imag)
 
@@ -277,7 +277,7 @@ class TestRealAxis:
                 for z1, z2 in ((complex(x1, y1), complex(x2, y2)),
                                (complex(x2, y2), complex(x1, y1))):
                     want = log_gamma(z1) - log_gamma(z2)
-                    got = log_gamma_diff(0, z1, z2)
+                    got = _log_gamma_diff(0, z1, z2)
                     assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), \
                         (z1, z2)
 
@@ -331,13 +331,13 @@ class TestFarLeft:
         (0, complex(-1e5, 0.5), complex(3.5, 0.0)),
     ], ids=repr)
     def test_log_gamma_diff_bounded_cost_and_accurate(self, n, x1, x2):
-        got, seconds = _timed(log_gamma_diff, n, x1, x2)
+        got, seconds = _timed(_log_gamma_diff, n, x1, x2)
         assert seconds < 1e-3
         with mp.workdps(50):
             ref = (mp.loggamma(mp.mpc(x1) + n) - mp.loggamma(mp.mpc(x2) + n))
             assert abs(mp.mpc(got) - ref) <= 1e-14 * max(1.0, abs(ref))
         if x1.imag > 0.0 and x2.imag > 0.0:
-            assert log_gamma_diff(n, x1.conjugate(), x2.conjugate()) \
+            assert _log_gamma_diff(n, x1.conjugate(), x2.conjugate()) \
                 == got.conjugate()
 
 

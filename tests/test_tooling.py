@@ -85,9 +85,8 @@ def _strays(names: set, owners: set) -> list[str]:
 
 def test_large_gamma_pairs_have_one_owner():
     # Every n-dependent gamma pair is formed in params from exact offsets;
-    # a log_gamma_diff call anywhere else could round n + x again.
-    strays = _strays({"log_gamma_diff", "_log_gamma_diff"},
-                     {"complexfn.py", "params.py"})
+    # a _log_gamma_diff call anywhere else could round n + x again.
+    strays = _strays({"_log_gamma_diff"}, {"complexfn.py", "params.py"})
     assert not strays, strays
 
 
@@ -99,6 +98,24 @@ def test_unchecked_kernel_entries_stay_behind_validation():
     strays = _strays(unchecked, {"complexfn.py", "params.py", "_series.py",
                                  "engine.py"})
     assert not strays, strays
+
+
+def test_every_exported_error_is_raised():
+    # An exception class that nothing raises promises callers a failure mode
+    # the package does not have.
+    from hypersum import errors
+    exported = {name for name in errors.__all__
+                if isinstance(getattr(errors, name), type)
+                and issubclass(getattr(errors, name), BaseException)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert exported
+    assert not exported - raised, sorted(exported - raised)
 
 
 def test_no_code_calls_mpmaths_hyp3f2():
