@@ -2,12 +2,12 @@
 
 The evaluators dispatch on the parametric excess s = c - a - b: a convergent
 inverse-factorial tail for non-integer excess, psi-series forms on the
-logarithmic line s = 0, finite closed forms at integer excess, and a
-conjectured short form on the degenerate line.  The same machinery specializes
-to the Landau constants, which get five independent routes, a truncation
-bound, and the published coefficient families.  An extended-precision oracle
-backs every claim; ``verification.run_all`` (or ``hypersum verify``) re-runs
-the whole battery.
+logarithmic line s = 0, and finite closed forms at integer excess, with a
+psi-series tail at s = -m that vanishes when a or b is an integer in 1..m.
+The same machinery specializes to the Landau constants, which get five
+independent routes, a truncation bound, and the published coefficient
+families.  An extended-precision oracle backs every claim;
+``verification.run_all`` (or ``hypersum verify``) re-runs the whole battery.
 
 ``import hypersum`` loads what evaluation and perfbench's tracer need; the
 property suite in ``verification`` loads on first use, when ``run_all`` or

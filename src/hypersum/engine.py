@@ -131,12 +131,9 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
 
     S_1 = 1 needs no body.  A body returns (pieces, terms_used, hit_max),
     each piece a (value, error) pair from _piece.  The warnings are the
-    classification's, then "conjectural" on the degenerate branch and
-    "max_terms_reached" when a series hit its cap.
+    classification's, then "max_terms_reached" when a series hit its cap.
     """
     warnings = cls.warnings
-    if cls.kind == DEGENERATE_NEG_INTEGER:
-        warnings += ("conjectural",)
     if n == 1:
         return EvalReport(1.0 + 0.0j, cls, 1, 0.0, warnings)
     pieces, terms_used, hit_max = body(p, n, cls, tol)
@@ -164,10 +161,10 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
 # and INTEGER_TOL (more than POLE_TOL) from every pole, and so are n+a, n+c
 # and n; a generic s keeps INTEGER_TOL from every integer, and the generic
 # tail's exact excess is n >= 2.  So they call the unchecked private
-# kernels there, and keep the checks that can change an answer: the Gauss
-# piece's pole test on c-a and c-b, the checked log_gamma on a+b, c-a and
-# c-b in the integer branches, and one test on n+a+b: a pole test, or
-# Re(n+a+b) >= 1 on the positive-integer branch.
+# kernels there, and keep the checks that can change an answer: the pole
+# test on c-a and c-b that drops a piece, the checked log_gamma on a+b and
+# on the positive-integer branch's c-a and c-b, and one test on n+a+b: a
+# pole test, or Re(n+a+b) >= 1 on the positive-integer branch.
 
 
 def _piece(lg: complex, size: float, x=1.0, x_err: float = 0.0,
@@ -216,8 +213,7 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     # the Gauss piece Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) is zero at
     # a pole of 1/Gamma, and then S_n is the tail alone
     ca, cb = c - a, c - b
-    if (nonpos_int_distance(ca) <= POLE_TOL
-            or nonpos_int_distance(cb) <= POLE_TOL):
+    if min(nonpos_int_distance(ca), nonpos_int_distance(cb)) <= POLE_TOL:
         pieces = ()
     else:
         lg_s, lg_ca, lg_cb = _log_gamma(s), _log_gamma(ca), _log_gamma(cb)
@@ -304,17 +300,47 @@ def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
                    _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int"), tol)
 
 
+def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
+    """Degenerate s = -m with a or b a positive integer p <= m.
+
+    At a = p, S_n is eval_neg_int's finite sum alone, over m-p+1 terms:
+    omega_n Gamma(c) / (m Gamma(a) Gamma(b)) Sum_{k<=m-p} (p-m)_k (b-m)_k
+    / ((n+c)_k (1-m)_k).  Proof: let a tend to p from outside {1..m} at
+    fixed b and s = -m, where eval_neg_int's expansion holds.  Both sides
+    are continuous in a: S_n sums terms rational in a with (c)_k off zero,
+    and the psi kernel's series converges uniformly near p.  The tail's
+    factor 1/Gamma(c-b) = 1/Gamma(a-m) tends to 1/Gamma(p-m) = 0 while its
+    other factors stay finite, and (c-b)_k = (p-m)_k is zero from k = m-p+1
+    on, (1-m)_k not for k < m.  Likewise for b = p.  The body drops the
+    tail within POLE_TOL of that pole, and sums m-p+1 terms at exactly p.
+    """
+    return _report(_neg_int, p, n,
+                   _checked(p, n, DEGENERATE_NEG_INTEGER, "eval_conjectured"),
+                   _DEFAULT_TOL)
+
+
 def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     m = cls.m
-    finite, absum = finite_sum(c - a, c - b, n + c, 1 - m, m, tol)
-    w = _nab_off_pole(n + a + b)
-    log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
+    # at s = -m, a-m and b-m are c-b and c-a; (p-m)_k is 0 from k = m-p+1 on
+    exact = cls.p is not None and getattr(p, cls.which) == cls.p
+    count = m - cls.p + 1 if exact else m
+    finite, absum = finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
+    ca, cb = c - a, c - b
+    # on the degenerate line the tail's 1/(Gamma(c-a) Gamma(c-b)) is zero
+    pole = min(nonpos_int_distance(ca), nonpos_int_distance(cb)) <= POLE_TOL
+    if pole:
+        log_omega, = _log_seq_ratios(n, a, b, c)
+    else:
+        w = _nab_off_pole(n + a + b)
+        log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
-    lg_ca, lg_cb, lg_m = log_gamma(c - a), log_gamma(c - b), math.lgamma(m + 1)
     head = _piece(log_omega + lg_c - lg_a - lg_b,
                   _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b),
                   finite, absum=absum, d=m)
+    if pole:
+        return (head,), count, False
+    lg_ca, lg_cb, lg_m = _log_gamma(ca), _log_gamma(cb), math.lgamma(m + 1)
     ker = _sum_psi_kernel(a, b, w, tol)
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
             + lg_m)
@@ -324,39 +350,13 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     return (head, tail), m + ker.terms_used, ker.hit_max
 
 
-def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
-    """Degenerate s = -m with a or b a positive integer p <= m.
-
-    Finite sum over k = 0..m-p whose numerator factors (a-m)_k (b-m)_k make
-    the truncation self-enforcing; flagged conjectural, since this form rests
-    on numerical evidence rather than proof.
-    """
-    return _report(_conjectured, p, n,
-                   _checked(p, n, DEGENERATE_NEG_INTEGER, "eval_conjectured"),
-                   _DEFAULT_TOL)
-
-
-def _conjectured(p: ParamSet, n: int, cls: ExcessClass,
-                 tol: Tolerance) -> tuple:
-    a, b, c = p.a, p.b, p.c
-    m = cls.m
-    count = m - cls.p + 1
-    total, absum = finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
-    log_omega, = _log_seq_ratios(n, a, b, c)
-    lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
-    size = _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b)
-    piece = _piece(log_omega + lg_c - lg_a - lg_b, size, total, absum=absum,
-                   d=m)
-    return (piece,), count, False
-
-
 # The branch bodies behind eval_auto, on the classification it made once.
 _BRANCHES = {
     GENERIC: _generic,
     LOGARITHMIC: _log,
     POSITIVE_INTEGER: _pos_int,
     NEGATIVE_INTEGER: _neg_int,
-    DEGENERATE_NEG_INTEGER: _conjectured,
+    DEGENERATE_NEG_INTEGER: _neg_int,
 }
 
 
@@ -423,10 +423,7 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     S_n are added directly instead and the report's path is "direct_sum";
     past max_terms the expansion answers or refuses.  The positive-integer
     branch's finite sum divides by (n+a+b)_k, which can vanish only when
-    Re(n+a+b) < 1; there the direct sum answers within max_terms.  A
-    degenerate answer by the direct sum does not rest on the conjectured
-    form, so it carries the classification's warnings without
-    "conjectural".
+    Re(n+a+b) < 1; there the direct sum answers within max_terms.
     """
     cls = classify_params(p)
     _check_index(n)

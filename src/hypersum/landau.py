@@ -7,11 +7,10 @@ digamma-weighted one and a single-sum variant), the theorem-grade rearranged
 form with an a-priori remainder bound, and three fixed-depth asymptotic
 estimates.
 
-landau_watson and landau_ck run their series at rel_tol 1e-15, and only
-where it needs fewer terms than the direct sum: the engine's predicted
-count, with the kernel-delay scale 1 + |1/2|, against the index.  That
-sends indices up to 13 to the direct sum and runs the series from index 14,
-where they take at most 35 (watson) and 45 (ck) terms, far below the cap.
+landau_watson and landau_ck answer by the direct sum below index 14 and run
+their series at rel_tol 1e-15 from there, the first index where the engine's
+predicted count, scaled by 1 + max(|a|, |b|) = 3/2, is at most the index for
+both.  There they take at most 35 (watson) and 45 (ck) terms.
 
 Indexing: landau_direct / landau_watson / landau_ck / the fixed asymptotics
 take the index of the constant itself.  landau_theorem3 and landau_asymptotic
@@ -32,8 +31,7 @@ import math
 from fractions import Fraction
 
 from . import coeffs
-from ._series import (_DEFAULT_TOL, _majorant, _run, predicted_terms,
-                      sum_psi_kernel)
+from ._series import _DEFAULT_TOL, _majorant, _run, sum_psi_kernel
 from .complexfn import EULER_GAMMA, digamma, exp_log
 from .errors import DomainError
 from .params import _check_index, _log_seq_ratios
@@ -52,8 +50,7 @@ _MAX_DIRECT_N = 1_000_000
 _MAX_THEOREM_M = 30
 _PI = math.pi
 _LOG4 = 4.0 * math.log(2.0)
-# 1 + max(|a|, |b|) at a = b = 1/2: how far the parameters delay the decay.
-_DELAY_SCALE = 1.5
+_FIRST_SERIES_INDEX = 14
 
 
 @functools.cache
@@ -99,7 +96,7 @@ def landau_watson(n: int) -> float:
     Where that needs more terms than the index, the direct sum answers.
     """
     _check_index(n, minimum=0)
-    if predicted_terms(n + 3.0, _DEFAULT_TOL.rel_tol) * _DELAY_SCALE > n:
+    if n < _FIRST_SERIES_INDEX:
         return landau_direct(n)
     ker = sum_psi_kernel(0.5, 0.5, n + 2.0)
     pref = exp_log(_log_seq_ratios(n + 1, 0.5, 0.5, 1.0)[0]).real / _PI
@@ -114,7 +111,7 @@ def landau_ck(n: int) -> float:
     that needs more terms than the index, the direct sum answers.
     """
     _check_index(n, minimum=0)
-    if predicted_terms(n + 2.5, _DEFAULT_TOL.rel_tol) * _DELAY_SCALE > n:
+    if n < _FIRST_SERIES_INDEX:
         return landau_direct(n)
     w = n + 1.5
     t = 0.25 / w

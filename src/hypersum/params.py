@@ -144,8 +144,8 @@ def classify_params(p: ParamSet) -> ExcessClass:
 
     m = -m0
     # Degenerate when a or b sits at a positive integer p <= m.  The largest
-    # such p is the tight choice: the conjectured sum's upper limit m-p then
-    # matches where its numerator factors vanish anyway.
+    # such p is the tight choice: (p-m)_k ends the finite sum after m-p+1
+    # terms, the fewest either parameter gives.
     best: tuple[int, str] | None = None
     for name, value in (("a", a), ("b", b)):
         k = round(value.real)

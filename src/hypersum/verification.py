@@ -333,11 +333,12 @@ def check_coefficient_tables() -> CheckResult:
 
 
 def check_degenerate_conjecture(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Random degenerate sets against the oracle (conjectured closed form)."""
+    """Random degenerate sets against the oracle, to 1e-10 and est_error."""
     start = time.perf_counter()
     rng = random.Random(seed)
     worst = 0.0
     worst_at = ""
+    worst_ratio = 0.0
     for _ in range(_DEGENERATE_CASES):
         m = rng.randint(1, 4)
         p_int = rng.randint(1, m)
@@ -353,13 +354,16 @@ def check_degenerate_conjecture(seed: int = DEFAULT_SEED) -> CheckResult:
         pset = ParamSet(a, b, c)
         for n in (3, 10, 50):
             rep = engine.eval_conjectured(pset, n)
-            rel = oracle.compare(rep.value, oracle.partial_sum_ref(a, b, c, n)).rel_err
-            if rel > worst:
-                worst = rel
+            err = oracle.compare(rep.value, oracle.partial_sum_ref(a, b, c, n))
+            if err.rel_err > worst:
+                worst = err.rel_err
                 worst_at = f"a={a:.3g} b={b:.3g} c={c:.3g} n={n}"
-    ok = worst <= 1e-10
+            ratio = err.abs_err / max(rep.est_error, 5e-324)
+            worst_ratio = max(worst_ratio, ratio)
+    ok = worst <= 1e-10 and worst_ratio <= 1.0
     detail = (f"{_DEGENERATE_CASES} degenerate sets x 3 indices: worst "
-              f"relative error {worst:.2e} (bar 1e-10) at {worst_at}")
+              f"relative error {worst:.2e} (bar 1e-10) at {worst_at}; worst "
+              f"true-error/estimate ratio {worst_ratio:.3f}")
     return _result("degenerate_conjecture", start, ok, detail)
 
 

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -229,16 +230,73 @@ class TestNegInt:
         assert "eval_conjectured" in str(info.value)
 
 
+def _poch(x, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= x + i
+    return out
+
+
 class TestConjectured:
     def test_closed_value(self):
         p = ParamSet(1.0, 0.5, -0.5)  # s = -2, a = 1 <= m
         rep = eval_conjectured(p, 10)
         assert rel(rep.value, -80.0) < 1e-12
-        assert "conjectural" in rep.warnings
+        assert rep.warnings == params.classify_params(p).warnings
 
     def test_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             eval_conjectured(ParamSet(3.0, 0.5, 1.5), 6)
+
+    def test_exact_parameter_ends_the_sum(self):
+        # a = p = m: one term, and no tail or psi kernel to run
+        rep = eval_conjectured(ParamSet(2e6, 0.5, 0.5), 10)
+        assert rep.terms_used == 1
+
+    def test_closed_form_is_an_identity(self):
+        # a = p, c = b - q, q = m - p.  The closed form, with Gamma(n+a) /
+        # Gamma(n) = (n)_p, Gamma(n+b) / Gamma(n+c) = (n+c)_q and Gamma(c) /
+        # (Gamma(p) Gamma(b)) = 1 / ((p-1)! (c)_q), and S_n are polynomials in
+        # n of degree m, and times (c)_q polynomials in b of degree <= q; so
+        # exact agreement at n = 1..m+1 and q+1 values of b proves it for
+        # this (m, p).
+        points = 0
+        for m in range(1, 9):
+            for p in range(1, m + 1):
+                q = m - p
+                for j in range(q + 1):
+                    b = j + Fraction(1, 3)
+                    c = b - q
+                    for n in range(1, m + 2):
+                        t = total = Fraction(1)
+                        for k in range(n - 1):
+                            t = t * (p + k) * (b + k) / ((c + k) * (k + 1))
+                            total += t
+                        finite = sum(
+                            _poch(p - m, k) * _poch(b - m, k)
+                            / (_poch(n + c, k) * _poch(1 - m, k))
+                            for k in range(q + 1))
+                        closed = (_poch(n, p) * _poch(n + c, q) * finite
+                                  / (math.factorial(p - 1) * _poch(c, q) * m))
+                        assert total == closed, (m, p, b, n)
+                        points += 1
+        assert points == 870
+
+    @pytest.mark.parametrize("a, b, m", [
+        (2 + 5e-10, 0.3, 3), (2 - 3e-10, 0.3, 3), (1 + 8e-10, 0.5, 2),
+        (0.7, 1 + 2e-10, 1)])
+    def test_error_within_estimate_next_to_the_line(self, a, b, m):
+        # classified degenerate, but off p by more than POLE_TOL: the tail,
+        # of the size of that distance, stays in the answer
+        c = a + b - m
+        p = ParamSet(a, b, c)
+        assert params.classify_params(p).kind == "degenerate_negative_integer"
+        for n in (50, 200, 1000):
+            ref = partial_sum_ref(a, b, c, n)
+            for rep in (eval_auto(p, n), eval_conjectured(p, n)):
+                assert rep.path == "expansion", n
+                err = compare(rep.value, ref).abs_err
+                assert err <= rep.est_error, (n, err / rep.est_error)
 
 
 def _pole_distance(z):
@@ -502,7 +560,7 @@ class TestAuto:
     @pytest.mark.parametrize("branch", ["positive_integer", "degenerate"])
     def test_finite_branches_answer_small_n_directly(self, branch):
         # their prefactors cost about 33 direct terms, so up to n = 20 the
-        # n terms answer, and a degenerate answer then rests on no conjecture
+        # n terms answer
         rng = random.Random(17)
         for n in (2, 5, 10, 20):
             for complex_draw in (False, False, True, True):
@@ -510,7 +568,6 @@ class TestAuto:
                 rep = eval_auto(ParamSet(a, b, c), n)
                 where = (a, b, c, n)
                 assert rep.path == "direct_sum", where
-                assert "conjectural" not in rep.warnings, where
                 err = compare(rep.value, partial_sum_ref(a, b, c, n))
                 assert err.abs_err <= rep.est_error, where
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hypersum import coeffs, landau, oracle, params
+from hypersum._series import predicted_terms
 from hypersum.complexfn import digamma
 from hypersum.errors import DomainError, InvalidParameterError
 from hypersum.landau import (
@@ -71,6 +72,25 @@ class TestConvergentSeries:
         # answer, agreeing with the plain sum.
         assert abs(landau_watson(0) - 1.0) <= 1e-12
         assert abs(landau_ck(0) - 1.0) <= 1e-12
+
+    def test_direct_sum_answers_below_index_14(self, monkeypatch):
+        # 14 is the first index where both series' predicted counts at
+        # rel_tol 1e-15, scaled by 1 + max(|a|, |b|) = 3/2, fall to the
+        # index; the counts fall as the index grows
+        def series_longer(n):
+            return (predicted_terms(n + 3.0, 1e-15) * 1.5 > n
+                    or predicted_terms(n + 2.5, 1e-15) * 1.5 > n)
+
+        first = next(n for n in range(1000) if not series_longer(n))
+        assert first == landau._FIRST_SERIES_INDEX == 14
+        assert not any(series_longer(n) for n in range(first, 10**4))
+        calls = []
+        monkeypatch.setattr(landau, "landau_direct",
+                            lambda n: calls.append(n) or 1.0)
+        for route in (landau_watson, landau_ck):
+            route(13)
+            route(14)
+        assert calls == [13, 13]
 
     def test_series_answer_without_direct_sum(self, monkeypatch):
         # From index 14 both routes run their own series; with the direct

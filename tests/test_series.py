@@ -533,7 +533,7 @@ def _reference_neg_int(p, n, m):
     finite = term
     absum = 1.0
     for k in range(m - 1):
-        term = term * (c - a + k) * (c - b + k) / ((n + c + k) * (1 - m + k))
+        term = term * (a - m + k) * (b - m + k) / ((n + c + k) * (1 - m + k))
         finite += term
         absum += abs(term)
     log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
