@@ -327,24 +327,21 @@ def _psi_bracket(a: complex, b: complex, w: complex) -> tuple:
             2.0 * _EPS * (abs(dw) + EULER_GAMMA + abs(da) + abs(db)))
 
 
-def _hyp_abs_sum(a, b, w, count: int) -> float:
+def _hyp_abs_sum(a, b, w, count: int,
+                 tol: Tolerance = _DEFAULT_TOL) -> float:
     """A bound on sum_{k<count} |h_k|, h_k = (a)_k (b)_k / ((w)_k k!).
 
     With A = |a|, B = |b|, R = Re w > 0, |h_{j+1}/h_j| <= (A + j)(B + j)
     / ((R + j)(j + 1)), which _majorant's fold puts below (j + x)/(j + R)
     for every j >= 0, x = A + B - 1 + max(0, (1 - A)(1 - B)) >= 0.  That
     Gauss ratio sums to (R - 1)/(R - x - 1) from h_0 = 1 when R > x + 1;
-    otherwise the count terms are summed.
+    otherwise finite_sum sums the count terms.
     """
     big_a, big_b, re_w = abs(a), abs(b), w.real
     x = big_a + big_b - 1.0 + max(0.0, (1.0 - big_a) * (1.0 - big_b))
     if re_w > x + 1.0:
         return (re_w - 1.0) / (re_w - x - 1.0)
-    h = total = 1.0
-    for k in range(count - 1):
-        h *= abs((a + k) * (b + k) / ((w + k) * (k + 1)))
-        total += h
-    return total
+    return finite_sum(a, b, w, 1.0, count, tol)[1]
 
 
 def sum_psi_kernel(a, b, w, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:
@@ -380,7 +377,8 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex,
     return _run(step, tol, 0, br, t,
                 _majorant((a, b), (w, 1.0), ((w, a), (1.0, b)),
                           vanishing=True),
-                rounding=lambda count: br_err * _hyp_abs_sum(a, b, w, count))
+                rounding=lambda count: br_err * _hyp_abs_sum(a, b, w, count,
+                                                             tol))
 
 
 def sum_alt_kernel(a, b, w, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:

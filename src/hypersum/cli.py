@@ -3,7 +3,10 @@
 Subcommands: ``eval`` (one partial sum with branch dispatch), ``classify``
 (branch diagnosis only), ``landau`` (the Landau constant routes), ``coeffs``
 (coefficient tables), ``table1`` (the published error grid), and ``verify``
-(the property suite).  JSON is the default output; ``--csv`` switches to CSV.
+(the property suite).  JSON (``json.dumps``) is the default output; ``--csv``
+switches to CSV (``csv.DictWriter``, list values joined with ``|``).  Floats
+print as Python's shortest round-trip repr, and non-finite values as
+``Infinity``/``NaN`` in JSON, which Python's ``json`` reads back.
 Exit codes: 0 success; 1 when a library check refuses a value (``--tol``
 included: ``Tolerance`` is its only check); 2 when argparse cannot parse the
 command line; 3 when ``table1`` or ``verify`` finds a failed check.
@@ -32,42 +35,13 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"invalid complex value: {text!r}")
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(u) for u in v) + "]"
-    if isinstance(v, dict):
-        return ("{" + ", ".join(f"{json.dumps(k)}: {_json_value(u)}"
-                                for k, u in v.items()) + "}")
-    raise TypeError(f"unserializable value {v!r}")
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return _fmt(v)
-    if isinstance(v, (list, tuple)):
-        return "|".join(_cell(u) for u in v)
-    return str(v)
+def _cell(v):
+    return "|".join(map(str, v)) if isinstance(v, list) else v
 
 
 def _emit(records, args, out) -> None:
     """One dict -> JSON object / CSV row; a list -> JSON array / CSV rows."""
-    if getattr(args, "csv", False):
+    if args.csv:
         import csv  # only here: JSON, the default, should not pay for it
         rows = records if isinstance(records, list) else [records]
         fields = []
@@ -81,13 +55,13 @@ def _emit(records, args, out) -> None:
         for row in rows:
             writer.writerow({k: _cell(v) for k, v in row.items()})
     else:
-        out.write(_json_value(records) + "\n")
+        out.write(json.dumps(records) + "\n")
 
 
 def _complex_str(z: complex) -> str:
     if z.imag == 0.0:
-        return _fmt(z.real)
-    return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}i"
+        return repr(z.real)
+    return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i"
 
 
 def _report_record(rep: engine.EvalReport) -> dict:
@@ -228,10 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "starting with a minus sign need the = form, e.g. -c=-2+2i.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentParser(add_help=False)
-    group = fmt.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true",
-                       help="JSON output (the default)")
-    group.add_argument("--csv", action="store_true", help="CSV output")
+    fmt.add_argument("--csv", action="store_true",
+                     help="CSV output instead of JSON")
 
     p = sub.add_parser("eval", parents=[fmt],
                        help="evaluate one partial sum with branch dispatch")

@@ -206,6 +206,13 @@ def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
                    tol)
 
 
+def _gamma_pole(p: ParamSet) -> bool:
+    """Whether c-a or c-b lies within POLE_TOL of a pole of Gamma, where
+    the pieces divided by Gamma(c-a) Gamma(c-b) are zero."""
+    return min(nonpos_int_distance(p.c - p.a),
+               nonpos_int_distance(p.c - p.b)) <= POLE_TOL
+
+
 def _generic(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
     s = p.s
@@ -213,7 +220,7 @@ def _generic(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     # the Gauss piece Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) is zero at
     # a pole of 1/Gamma, and then S_n is the tail alone
     ca, cb = c - a, c - b
-    if min(nonpos_int_distance(ca), nonpos_int_distance(cb)) <= POLE_TOL:
+    if _gamma_pole(p):
         pieces = ()
     else:
         lg_s, lg_ca, lg_cb = _log_gamma(s), _log_gamma(ca), _log_gamma(cb)
@@ -326,9 +333,8 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     exact = cls.p is not None and getattr(p, cls.which) == cls.p
     count = m - cls.p + 1 if exact else m
     finite, absum = finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
-    ca, cb = c - a, c - b
     # on the degenerate line the tail's 1/(Gamma(c-a) Gamma(c-b)) is zero
-    pole = min(nonpos_int_distance(ca), nonpos_int_distance(cb)) <= POLE_TOL
+    pole = _gamma_pole(p)
     if pole:
         log_omega, = _log_seq_ratios(n, a, b, c)
     else:
@@ -340,7 +346,8 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
                   finite, absum=absum, d=m)
     if pole:
         return (head,), count, False
-    lg_ca, lg_cb, lg_m = _log_gamma(ca), _log_gamma(cb), math.lgamma(m + 1)
+    lg_ca, lg_cb, lg_m = (_log_gamma(c - a), _log_gamma(c - b),
+                          math.lgamma(m + 1))
     ker = _sum_psi_kernel(a, b, w, tol)
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
             + lg_m)
@@ -391,10 +398,12 @@ def _expansion_cost(p: ParamSet, n: int, cls: ExcessClass,
         if (n + a + b).real < 1.0:
             return math.inf
         return _FINITE_FIXED_COST + cls.m
-    if kind == DEGENERATE_NEG_INTEGER:
+    # _neg_int drops the tail on a pole; a negative-integer input keeps
+    # INTEGER_TOL from the poles and from {1..m}, so it never meets one
+    if kind == DEGENERATE_NEG_INTEGER and _gamma_pole(p):
         return _FINITE_FIXED_COST + (cls.m - cls.p + 1)
     fixed = _EXPANSION_FIXED_COST
-    if kind == NEGATIVE_INTEGER:
+    if kind in (NEGATIVE_INTEGER, DEGENERATE_NEG_INTEGER):
         fixed += cls.m
     if n < fixed + _SERIES_TERM_COST:
         # the predicted count below is at least 1
@@ -414,7 +423,8 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     The expansion's cost is priced in direct-sum terms: a fixed cost for
     its gamma-function prefactors, one per term of its finite sum (m on
     the integer branches, m - p + 1 on the degenerate one), and a multiple
-    of its predicted series terms.  The generic tail series decays like
+    of its predicted series terms; a degenerate input whose tail does not
+    vanish (_gamma_pole) is priced as a negative-integer one.  The generic tail series decays like
     k^-(n+1) and the psi kernel (log and negative-integer branches) like
     k^-(n+2); large c-a, c-b (generic) or a, b (psi kernel) delay the decay
     further.  The count so predicted is rel_tol^(-1/n) or

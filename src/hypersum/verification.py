@@ -177,36 +177,41 @@ def _draw_param(rng: random.Random) -> complex:
             return z
 
 
+def _oracle_sweep(triples, ns, evaluate) -> tuple:
+    """Run evaluate(ParamSet(a, b, c), n) on every triple at every n against
+    the oracle: the worst relative error, where it falls, and the worst
+    true-error/estimate ratio."""
+    worst_rel, worst_at, worst_ratio = 0.0, "", 0.0
+    for a, b, c in triples:
+        p = ParamSet(a, b, c)
+        for n in ns:
+            rep = evaluate(p, n)
+            err = oracle.compare(rep.value, oracle.partial_sum_ref(a, b, c, n))
+            if err.rel_err > worst_rel:
+                worst_rel = err.rel_err
+                worst_at = f"a={a:.3g} b={b:.3g} c={c:.3g} n={n}"
+            worst_ratio = max(worst_ratio,
+                              err.abs_err / max(rep.est_error, 5e-324))
+    return worst_rel, worst_at, worst_ratio
+
+
 def check_engine_vs_oracle(seed: int = DEFAULT_SEED,
                            cases: int = 500) -> CheckResult:
     """Random generic-branch sums against the extended-precision oracle."""
     _check_index(cases, "cases")
     start = time.perf_counter()
     rng = random.Random(seed)
-    worst_rel = 0.0
-    worst_at = ""
-    worst_ratio = 0.0
-    made = 0
-    while made < cases:
-        a = _draw_param(rng)
-        b = _draw_param(rng)
-        c = _draw_param(rng)
-        if nonpos_int_distance(c - a) < 0.1 or nonpos_int_distance(c - b) < 0.1:
-            continue
+    triples = []
+    while len(triples) < cases:
+        a, b, c = _draw_param(rng), _draw_param(rng), _draw_param(rng)
         s = c - a - b
-        if abs(s - round(s.real)) < 1e-4:
-            continue  # keep clear of the integer-excess branch boundaries
-        made += 1
-        p = ParamSet(a, b, c)
-        for n in (5, 20, 100):
-            rep = engine.eval_auto(p, n)
-            ref = oracle.partial_sum_ref(a, b, c, n)
-            err = oracle.compare(rep.value, ref)
-            if err.rel_err > worst_rel:
-                worst_rel = err.rel_err
-                worst_at = f"a={a:.3g} b={b:.3g} c={c:.3g} n={n}"
-            ratio = err.abs_err / max(rep.est_error, 5e-324)
-            worst_ratio = max(worst_ratio, ratio)
+        # off the poles of c-a, c-b and clear of the integer-excess branches
+        if (nonpos_int_distance(c - a) >= 0.1
+                and nonpos_int_distance(c - b) >= 0.1
+                and abs(s - round(s.real)) >= 1e-4):
+            triples.append((a, b, c))
+    worst_rel, worst_at, worst_ratio = _oracle_sweep(triples, (5, 20, 100),
+                                                     engine.eval_auto)
     ok = worst_rel <= 1e-10 and worst_ratio <= 1.0
     detail = (f"{cases} sets x 3 indices: worst relative error {worst_rel:.2e} "
               f"(bar 1e-10) at {worst_at}; worst true-error/estimate ratio "
@@ -336,30 +341,18 @@ def check_degenerate_conjecture(seed: int = DEFAULT_SEED) -> CheckResult:
     """Random degenerate sets against the oracle, to 1e-10 and est_error."""
     start = time.perf_counter()
     rng = random.Random(seed)
-    worst = 0.0
-    worst_at = ""
-    worst_ratio = 0.0
+    triples = []
     for _ in range(_DEGENERATE_CASES):
         m = rng.randint(1, 4)
-        p_int = rng.randint(1, m)
+        p_int = float(rng.randint(1, m))
         while True:
             other = rng.uniform(0.1, 4.75)
             if abs(other - round(other)) >= 0.1:
                 break
-        if rng.random() < 0.5:
-            a, b = float(p_int), other
-        else:
-            a, b = other, float(p_int)
-        c = a + b - m
-        pset = ParamSet(a, b, c)
-        for n in (3, 10, 50):
-            rep = engine.eval_conjectured(pset, n)
-            err = oracle.compare(rep.value, oracle.partial_sum_ref(a, b, c, n))
-            if err.rel_err > worst:
-                worst = err.rel_err
-                worst_at = f"a={a:.3g} b={b:.3g} c={c:.3g} n={n}"
-            ratio = err.abs_err / max(rep.est_error, 5e-324)
-            worst_ratio = max(worst_ratio, ratio)
+        a, b = (p_int, other) if rng.random() < 0.5 else (other, p_int)
+        triples.append((a, b, a + b - m))
+    worst, worst_at, worst_ratio = _oracle_sweep(triples, (3, 10, 50),
+                                                 engine.eval_conjectured)
     ok = worst <= 1e-10 and worst_ratio <= 1.0
     detail = (f"{_DEGENERATE_CASES} degenerate sets x 3 indices: worst "
               f"relative error {worst:.2e} (bar 1e-10) at {worst_at}; worst "

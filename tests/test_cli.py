@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hypersum import cli, verification
+from hypersum import cli, coeffs, verification
 from hypersum.coeffs import g_poly
 from hypersum.errors import InvalidParameterError
 
@@ -182,6 +182,23 @@ class TestCoeffs:
         for r in rows:
             assert float(Fraction(r["exact"])) == float(r["value_re"])
         assert rows[0]["exact"] == "3/4"
+
+    def test_non_finite_values_parse(self):
+        # A overflows at these parameters: JSON writes Infinity and NaN,
+        # which json reads, and each CSV cell is one float reads
+        want = [repr(complex(z)) for z in
+                coeffs.a_coeffs(complex(1e200), complex(1e200)).values]
+        assert "inf" in want[0] and "nan" in want[1]
+        argv = ("coeffs", "--family", "A", "-a", "1e200", "-b", "1e200")
+        rc, recs = run_json(*argv)
+        assert rc == 0
+        assert [repr(complex(r["value_re"], r["value_im"]))
+                for r in recs] == want
+        rc, text = run_cli(*argv, "--csv")
+        assert rc == 0
+        rows = list(csv.DictReader(StringIO(text)))
+        assert [repr(complex(float(r["value_re"]), float(r["value_im"])))
+                for r in rows] == want
 
     def test_sigma_needs_parameters(self):
         rc, _ = run_cli("coeffs", "--family", "sigma")

@@ -17,6 +17,8 @@ wrong at unit argument for some parameters.
 
 README's "Library use" block runs here, and its commented results are
 checked, so that the figures the cost model sets cannot drift from the code.
+Every line of its "Command line" block runs through ``cli.run``, so that an
+example cannot keep a deleted flag or print what its format cannot parse.
 
 argparse's ``choices`` are the only check of ``landau --method`` and
 ``coeffs --family``, and the last branch of each dispatch takes whatever is
@@ -25,10 +27,12 @@ left, so every choice is run and its record traced to its own route.
 
 import argparse
 import ast
+import csv
 import json
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -391,6 +395,31 @@ def test_readme_library_use_block_runs_as_commented():
             assert paths == ["direct_sum"] * (len(paths) - 1) + ["expansion"]
             firsts += 1
     assert (literals, firsts) == (3, 1)
+
+
+def _command_line_block() -> list:
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.strip()]
+
+
+def test_readme_command_line_block_runs():
+    from hypersum import cli
+
+    commands = _command_line_block()
+    assert len(commands) == 7
+    for argv in commands:
+        assert argv[0] == "hypersum", argv
+        buf = StringIO()
+        assert cli.run(argv[1:], out=buf) == 0, argv
+        text = buf.getvalue()
+        if "--csv" in argv:
+            rows = list(csv.reader(StringIO(text)))
+            assert len(rows) > 1, argv
+            assert all(len(row) == len(rows[0]) for row in rows), argv
+        else:
+            json.loads(text)
 
 
 def _cli_choices(cli, command, option):
