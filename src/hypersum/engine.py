@@ -423,8 +423,7 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     The expansion's cost is priced in direct-sum terms: a fixed cost for
     its gamma-function prefactors, one per term of its finite sum (m on
     the integer branches, m - p + 1 on the degenerate one), and a multiple
-    of its predicted series terms; a degenerate input whose tail does not
-    vanish (_gamma_pole) is priced as a negative-integer one.  The generic tail series decays like
+    of its predicted series terms.  The generic tail series decays like
     k^-(n+1) and the psi kernel (log and negative-integer branches) like
     k^-(n+2); large c-a, c-b (generic) or a, b (psi kernel) delay the decay
     further.  The count so predicted is rel_tol^(-1/n) or
@@ -433,7 +432,9 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     S_n are added directly instead and the report's path is "direct_sum";
     past max_terms the expansion answers or refuses.  The positive-integer
     branch's finite sum divides by (n+a+b)_k, which can vanish only when
-    Re(n+a+b) < 1; there the direct sum answers within max_terms.
+    Re(n+a+b) < 1; there the direct sum answers within max_terms.  A
+    degenerate input whose tail does not vanish (_gamma_pole) is priced as
+    a negative-integer one.
     """
     cls = classify_params(p)
     _check_index(n)

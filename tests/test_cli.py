@@ -185,7 +185,7 @@ class TestCoeffs:
 
     def test_non_finite_values_parse(self):
         # A overflows at these parameters: JSON writes Infinity and NaN,
-        # which json reads, and each CSV cell is one float reads
+        # which json reads, and CSV writes inf and nan, which float reads
         want = [repr(complex(z)) for z in
                 coeffs.a_coeffs(complex(1e200), complex(1e200)).values]
         assert "inf" in want[0] and "nan" in want[1]
