@@ -11,6 +11,7 @@ in double precision, the verification suite in mpmath.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -106,6 +107,15 @@ def _numeric(x) -> complex:
     return complex(float(x)) if isinstance(x, Fraction) else complex(x)
 
 
+def _finite(values: tuple, kind: str) -> tuple:
+    """values, double-precision coefficients, when each is finite; else
+    DomainError, as the engine raises for a value past the double range."""
+    if not all(map(cmath.isfinite, values)):
+        raise DomainError(f"{kind} coefficients lie outside the double "
+                          f"range: {values!r}")
+    return values
+
+
 def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
     """sigma_k = sum_{r<k} (1/(a+r) + 1/(b+r) - 1/(r+1)) for k = 1..K."""
     _check_index(K, "K")
@@ -144,7 +154,10 @@ def _a_formulas(a, b):
 def a_coeffs(a: Number, b: Number) -> CoefficientTable:
     """The three printed inverse-power coefficients of the logarithmic case."""
     av, bv = _coerce_pair(a, b)
-    return CoefficientTable(kind="A", params=(a, b), values=_a_formulas(av, bv))
+    values = _a_formulas(av, bv)
+    if not isinstance(av, Fraction):
+        values = _finite(values, "A")
+    return CoefficientTable(kind="A", params=(a, b), values=values)
 
 
 def c_coeffs() -> CoefficientTable:
@@ -171,7 +184,7 @@ def _lambda_coeffs(a: Number, b: Number) -> tuple:
         return _LAMBDA_HALF_FLOATS
     ab = av * bv
     # 0 - ab rather than -ab: a real pair keeps an imaginary part of +0.0
-    return (0 - ab, ab * (av + bv - 1 + ab) / 2)
+    return _finite((0 - ab, ab * (av + bv - 1 + ab) / 2), "lambda")
 
 
 def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:

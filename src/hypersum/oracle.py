@@ -11,8 +11,11 @@ exact integers over one common denominator, and the term and the running sum
 are Gaussian integers scaled by a power of two, with a rounding bound beside
 them.  The scale grows until the bound proves the working precision; past a
 cap the sum raises PrecisionUnavailableError.  The Landau constants are such
-sums too.  Gamma and digamma run in mpmath, imported by the functions that
-use it, so importing this module does not load it.
+sums too.  ``compare`` also runs on integers: it measures a value against a
+reference exactly and rounds each error once.  Only gamma, digamma and the
+rounding of a sum to its mpc result use mpmath, imported by the functions
+that use it, so importing this module does not load it; no function but
+gamma_ref and digamma_ref enters an mpmath context.
 
 Each quantity has one function, which takes its precision as ``digits``
 (default 40).  The working precision carries ten guard digits beyond what
@@ -47,7 +50,8 @@ _MAX_DIGITS = 100_000
 _GUARD_DIGITS = 10
 _MAX_PARTIAL_SUM_N = 100_000
 _MAX_EXTRA_BITS = 1 << 16
-_ZERO = Fraction(0)
+# least bits of the integer square root that compare rounds to a float
+_ROOT_BITS = 140
 
 
 class OracleValue(Record):
@@ -78,13 +82,13 @@ class ErrorReport(Record):
         d["reference_precision"] = reference_precision
 
 
-def _exact(x: Number, name: str) -> tuple[Fraction, Fraction]:
-    """Real and imaginary parts of x as exact rationals (floats by their
-    binary value), after the type and finiteness checks."""
+def _exact(x: Number, name: str) -> tuple:
+    """Real and imaginary parts of x as given (int, float or Fraction), after
+    the type and finiteness checks; each is exact by its as_integer_ratio()."""
     if isinstance(x, Fraction):
-        return x, _ZERO
+        return x, 0
     if isinstance(x, Integral):
-        return Fraction(int(x)), _ZERO
+        return int(x), 0
     if isinstance(x, complex):
         parts = (x.real, x.imag)
     elif isinstance(x, float):
@@ -94,13 +98,14 @@ def _exact(x: Number, name: str) -> tuple[Fraction, Fraction]:
             f"{name} has unsupported type {type(x).__name__}")
     if not all(map(math.isfinite, parts)):
         raise InvalidParameterError(f"{name} must be finite, got {x!r}")
-    return Fraction(parts[0]), Fraction(parts[1])
+    return parts
 
 
-def _mp_of(z: tuple[Fraction, Fraction]):
+def _mp_of(z: tuple):
     """An exact (re, im) pair at the current precision; real when im is 0."""
     import mpmath as mp
-    re, im = (mp.mpf(p.numerator) / mp.mpf(p.denominator) for p in z)
+    re, im = (mp.mpf(num) / mp.mpf(den)
+              for num, den in (p.as_integer_ratio() for p in z))
     return re if im == 0 else mp.mpc(re, im)
 
 
@@ -195,29 +200,33 @@ def _partial_sum(a, b, c, n: int, digits: int):
     Sums in fixed point until a pass's bound proves the working precision.
     The bound in ulps hardly moves with the scale, so a retry adds the bits
     the last pass fell short plus a margin, at least doubling the extra bits.
+    The result is the proven sum rounded once to the working precision.
     """
     import mpmath as mp
-    if c[1] == 0 and c[0].denominator == 1 and 0 <= -c[0] < n - 1:
+    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+    ratios = [p.as_integer_ratio() for p in a + b + c]
+    (cr, cd), (ci, _) = ratios[4:]
+    if ci == 0 and cd == 1 and 0 <= -cr < n - 1:
         raise InvalidParameterError(
-            f"series coefficient pole: c + {-c[0]} = 0 with c = {c[0]}")
-    parts = a + b + c
-    d = math.lcm(*(p.denominator for p in parts))
-    ints = [p.numerator * (d // p.denominator) for p in parts]
-    with mp.workdps(digits + _GUARD_DIGITS):
-        work = mp.mp.prec
-        extra = 0
-        while True:
-            scale = work + 20 + 2 * n.bit_length() + extra
-            sr, si, bound = _fixed_point_pass(*ints, d, n, scale)
-            size = max(abs(sr), abs(si)).bit_length()
-            shortfall = math.ceil(bound).bit_length() + work - size
-            if bound == 0 or shortfall < 0:
-                return mp.mpc(mp.ldexp(sr, -scale), mp.ldexp(si, -scale))
-            extra += max(shortfall + 32, extra)
-            if extra > _MAX_EXTRA_BITS:
-                raise PrecisionUnavailableError(
-                    f"{_MAX_EXTRA_BITS} extra bits do not prove {digits} "
-                    "digits of the partial sum")
+            f"series coefficient pole: c + {-cr} = 0 with c = {cr}")
+    d = math.lcm(*(den for _, den in ratios))
+    ints = [num * (d // den) for num, den in ratios]
+    work = dps_to_prec(digits + _GUARD_DIGITS)
+    extra = 0
+    while True:
+        scale = work + 20 + 2 * n.bit_length() + extra
+        sr, si, bound = _fixed_point_pass(*ints, d, n, scale)
+        size = max(abs(sr), abs(si)).bit_length()
+        shortfall = math.ceil(bound).bit_length() + work - size
+        if bound == 0 or shortfall < 0:
+            return mp.mp.make_mpc(
+                (from_man_exp(sr, -scale, work, round_nearest),
+                 from_man_exp(si, -scale, work, round_nearest)))
+        extra += max(shortfall + 32, extra)
+        if extra > _MAX_EXTRA_BITS:
+            raise PrecisionUnavailableError(
+                f"{_MAX_EXTRA_BITS} extra bits do not prove {digits} "
+                "digits of the partial sum")
 
 
 def partial_sum_ref(a: Number, b: Number, c: Number, n: int,
@@ -256,24 +265,62 @@ def landau_ref(n: int, digits: int | None = None) -> OracleValue:
     digits = _checked_digits(digits)
     if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n!r}")
-    half = (Fraction(1, 2), _ZERO)
-    value = _partial_sum(half, half, (Fraction(1), _ZERO), int(n) + 1, digits)
+    half = (Fraction(1, 2), 0)
+    value = _partial_sum(half, half, (1, 0), int(n) + 1, digits)
     return OracleValue(value=value, digits=digits)
 
 
+def _dyadic(part) -> tuple[int, int]:
+    """(man, exp) with an mpmath mpf tuple's value man 2**exp exactly."""
+    sign, man, exp, _ = part
+    if not man and exp:
+        raise InvalidParameterError("the reference value must be finite")
+    return (-int(man) if sign else int(man)), exp
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, rounded once to
+    the nearest float (inf past the float range).
+
+    isqrt takes the root of num / den scaled by 4**k, k chosen so that the
+    integer root has at least _ROOT_BITS bits.  An inexact root gets its
+    last bit set, far below a float's: that keeps it on the true root's side
+    of every midpoint between floats, so the one rounding of root / 2**k
+    goes the way the true root's would.
+    """
+    if not num:
+        return 0.0
+    k = max(0, (2 * _ROOT_BITS + 2 - num.bit_length() + den.bit_length()) // 2)
+    y, rem = divmod(num << 2 * k, den)
+    root = math.isqrt(y)
+    if rem or root * root != y:
+        root |= 1
+    try:
+        return root / (1 << k)
+    except OverflowError:
+        return math.inf
+
+
 def compare(x: Number, ref: OracleValue) -> ErrorReport:
-    """Absolute and relative deviation of x from the reference value."""
-    import mpmath as mp
-    with mp.workdps(ref.digits + _GUARD_DIGITS):
-        xm = _to_mp(x, "x")
-        abs_err = mp.fabs(xm - ref.value)
-        mag = mp.fabs(ref.value)
-        if mag == 0:
-            rel = mp.mpf(0) if abs_err == 0 else mp.inf
-        else:
-            rel = abs_err / mag
-        return ErrorReport(
-            abs_err=float(abs_err),
-            rel_err=float(rel),
-            reference_precision=ref.digits,
-        )
+    """Absolute and relative deviation of x from the reference value, each
+    the exact deviation rounded once to a float."""
+    (xr, xrd), (xi, xid) = (p.as_integer_ratio() for p in _exact(x, "x"))
+    (rr, rre), (ri, rie) = map(_dyadic, ref.value._mpc_)
+    # x and ref as integers over the common denominator d 2**shift
+    d = math.lcm(xrd, xid)
+    shift = max(0, -rre, -rie)
+    rr = rr * d << rre + shift
+    ri = ri * d << rie + shift
+    dr = (xr * (d // xrd) << shift) - rr
+    di = (xi * (d // xid) << shift) - ri
+    err2 = dr * dr + di * di
+    mag2 = rr * rr + ri * ri
+    if mag2:
+        rel = _sqrt_ratio(err2, mag2)
+    else:
+        rel = 0.0 if err2 == 0 else math.inf
+    return ErrorReport(
+        abs_err=_sqrt_ratio(err2, (d << shift) ** 2),
+        rel_err=rel,
+        reference_precision=ref.digits,
+    )

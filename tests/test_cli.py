@@ -4,8 +4,10 @@ Everything drives ``cli.run`` in process with a StringIO sink; one test
 goes through the real interpreter entry point as a smoke check.
 """
 
+import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,21 +186,28 @@ class TestCoeffs:
         assert rows[0]["exact"] == "3/4"
 
     def test_non_finite_values_parse(self):
-        # A overflows at these parameters: JSON writes Infinity and NaN,
-        # which json reads, and CSV writes inf and nan, which float reads
-        want = [repr(complex(z)) for z in
-                coeffs.a_coeffs(complex(1e200), complex(1e200)).values]
-        assert "inf" in want[0] and "nan" in want[1]
-        argv = ("coeffs", "--family", "A", "-a", "1e200", "-b", "1e200")
-        rc, recs = run_json(*argv)
-        assert rc == 0
+        # JSON writes Infinity and NaN, which json reads, and CSV writes inf
+        # and nan, which float reads
+        records = [{"k": 1, "value_re": math.inf, "value_im": -math.inf},
+                   {"k": 2, "value_re": math.nan, "value_im": 0.0}]
+        want = [repr(complex(r["value_re"], r["value_im"])) for r in records]
+        buf = StringIO()
+        cli._emit(records, argparse.Namespace(csv=False), buf)
         assert [repr(complex(r["value_re"], r["value_im"]))
-                for r in recs] == want
-        rc, text = run_cli(*argv, "--csv")
-        assert rc == 0
-        rows = list(csv.DictReader(StringIO(text)))
+                for r in json.loads(buf.getvalue())] == want
+        buf = StringIO()
+        cli._emit(records, argparse.Namespace(csv=True), buf)
+        rows = list(csv.DictReader(StringIO(buf.getvalue())))
         assert [repr(complex(float(r["value_re"]), float(r["value_im"])))
                 for r in rows] == want
+
+    @pytest.mark.parametrize("family", ["A", "lambda"])
+    def test_coefficients_past_the_double_range_exit_1(self, family):
+        # A and lambda overflow at these parameters: the library refuses the
+        # values, as eval does, instead of printing inf and nan
+        rc, text = run_cli("coeffs", "--family", family,
+                           "-a", "1e200", "-b", "1e200")
+        assert rc == 1 and text == ""
 
     def test_sigma_needs_parameters(self):
         rc, _ = run_cli("coeffs", "--family", "sigma")

@@ -67,6 +67,16 @@ class TestAC:
     def test_c_golden(self):
         assert c_coeffs().values == GOLDEN_C
 
+    def test_double_range(self):
+        # Past the double range A raises, as the engine does; exact inputs
+        # stay exact at any size.
+        for a, b in ((1e200, 1e200), (complex(1e200), 0.5), (math.inf, 0.5),
+                     (math.nan, 0.5)):
+            with pytest.raises(DomainError):
+                a_coeffs(a, b)
+        big = Fraction(10 ** 200)
+        assert a_coeffs(big, big).values[0] == big * big - 2 * big
+
 
 class TestG:
     def test_values_at_one(self):
@@ -105,6 +115,18 @@ class TestLambdaSeries:
         ab = 2.0 / 9.0
         want = 1 - ab / 40 + ab * (1.0 / 3.0 + 2.0 / 3.0 - 1 + ab) / 3200
         assert got.real == pytest.approx(want, rel=1e-15)
+
+    def test_double_range(self):
+        # The general pair's coefficients past the double range raise, as
+        # the engine does; so does the estimate built from them.
+        from hypersum.coeffs import _lambda_coeffs
+
+        for a, b in ((1e200, 1e200), (Fraction(10 ** 200), 1), (math.nan, 0.5),
+                     (0.5, complex(0.0, math.inf))):
+            with pytest.raises(DomainError):
+                _lambda_coeffs(a, b)
+            with pytest.raises(DomainError):
+                lambda_series(a, b, 10, 1)
 
     def test_depth_caps(self):
         with pytest.raises(DomainError):

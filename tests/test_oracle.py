@@ -11,6 +11,7 @@ from hypersum import engine, landau, oracle, params, verification
 from hypersum.errors import InvalidParameterError, PrecisionUnavailableError
 from hypersum.oracle import (
     DEFAULT_DIGITS,
+    OracleValue,
     compare,
     digamma_ref,
     gamma_ref,
@@ -142,6 +143,58 @@ class TestCompare:
         rep = compare(2.0, gamma_ref(3.0, digits=35))
         assert rep.reference_precision == 35
 
+    def test_correctly_rounded(self):
+        # Each error is the exact deviation rounded once: mpmath at three
+        # times the reference's digits, rounded to a float, must agree.
+        def want(x, ref):
+            parts = ((x, 0) if isinstance(x, Fraction)
+                     else (complex(x).real, complex(x).imag))
+            with mp.workdps(3 * ref.digits):
+                xm = mp.mpc(*(mp.mpf(Fraction(p).numerator)
+                              / Fraction(p).denominator for p in parts))
+                err = mp.fabs(xm - ref.value)
+                mag = mp.fabs(ref.value)
+                rel = err / mag if mag else (0 if err == 0 else mp.inf)
+                return float(err), float(rel)
+
+        def at(value):
+            # a reference at 40 digits of value(), formed at that precision
+            with mp.workdps(50):
+                return OracleValue(mp.mpc(value()), 40)
+
+        cases = [(120.0, gamma_ref(6)),
+                 (0.0, partial_sum_ref(-2.0, 1.0, 1.0, 3)),
+                 (1e-20, partial_sum_ref(-2.0, 1.0, 1.0, 3))]
+        for exp10 in (-300, 0, 300):
+            ref = at(lambda: mp.sqrt(2) * mp.mpf(10) ** exp10)
+            near = ref.as_complex().real
+            cases += [(math.nextafter(near, math.inf), ref),
+                      (math.nextafter(near, -math.inf), ref)]
+        # just above the midpoint between 1 and the next float: one rounding
+        # goes up, a root cut to fewer bits would tie to even and go down
+        cases.append(
+            (0.0, at(lambda: (1 + mp.ldexp(1, -53)) * (1 + mp.ldexp(1, -150)))))
+        ref = at(lambda: mp.mpc(mp.pi, -mp.e))
+        cases += [(complex(-0.0, -2.718281828459045), ref),
+                  (complex(3.141592653589793, -0.0), ref),
+                  (complex(-0.0, -0.0), ref),
+                  (Fraction(22, 7), ref),
+                  (Fraction(355, 113), landau_ref(1))]
+        for digits in (35, 100):
+            ref = gamma_ref(2.5 + 1.0j, digits=digits)
+            cases += [(ref.as_complex(), ref),
+                      (ref.as_complex() * (1 + 2.0 ** -40), ref)]
+        for x, ref in cases:
+            rep = compare(x, ref)
+            assert (rep.abs_err, rep.rel_err) == want(x, ref), (x, ref.value)
+        assert compare(0.0, cases[1][1]).rel_err == 0.0
+        assert compare(1e-20, cases[1][1]).rel_err == math.inf
+        assert 0.0 < compare(*cases[3]).abs_err < 1e-315  # subnormal
+        assert compare(*cases[9]).abs_err == 1 + 2.0 ** -52
+        for bad in (mp.inf, mp.nan, mp.mpc(1, mp.inf)):
+            with pytest.raises(InvalidParameterError):
+                compare(1.0, OracleValue(mp.mpc(bad), 40))
+
 
 # The fixed-point partial sum against mpmath's term-by-term sum: a second,
 # independent raw sum, converting its parameters on its own.
@@ -188,15 +241,25 @@ def _draw_triple(rng, kind):
             return a, b, c
 
 
+class _Passes(list):
+    """The scale of every fixed-point pass, in order; `sums` keeps each
+    pass's (sr, si, scale)."""
+
+    sums: list
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """The scale of every fixed-point pass run meanwhile, in order."""
-    scales = []
+    scales = _Passes()
+    scales.sums = []
     fixed_point_pass = oracle._fixed_point_pass
 
     def spy(*args):
         scales.append(args[-1])
-        return fixed_point_pass(*args)
+        sr, si, bound = fixed_point_pass(*args)
+        scales.sums.append((sr, si, args[-1]))
+        return sr, si, bound
 
     monkeypatch.setattr(oracle, "_fixed_point_pass", spy)
     return scales
@@ -211,10 +274,37 @@ class TestFixedPointSum:
             for _ in range(4):
                 n = round(10.0 ** rng.uniform(0.0, math.log10(2e4)))
                 cases.append((*_draw_triple(rng, kind), n))
+        values = []
         for a, b, c, n in cases:
             got = partial_sum_ref(a, b, c, n, digits=60).value
             assert _rel(got, _mp_sum(a, b, c, n, 70)) <= 1e-45, (a, b, c, n)
+            values.append(got)
         assert len(passes) == len(cases)
+        # the value is the pass's sum rounded once to the working precision
+        for got, (sr, si, scale) in zip(values, passes.sums):
+            with mp.workdps(60 + 10):
+                assert got == mp.mpc(mp.ldexp(sr, -scale),
+                                     mp.ldexp(si, -scale))
+
+    def test_ignores_the_ambient_precision(self, monkeypatch):
+        # The oracle sets its own precision and enters no mpmath context.
+        args = (0.5 + 1.0j, -0.25, 0.75 - 2.0j, 300)
+        ref, land = partial_sum_ref(*args), landau_ref(40)
+        x = ref.as_complex() * (1 + 2.0 ** -45)
+        err = compare(x, ref)
+
+        def no_context(*_):
+            raise AssertionError("entered an mpmath context")
+
+        monkeypatch.setattr(mp, "workdps", no_context)
+        monkeypatch.setattr(mp, "workprec", no_context)
+        for dps in (15, 300):
+            with mp.mp.workdps(dps):
+                prec = mp.mp.prec
+                assert partial_sum_ref(*args).value._mpc_ == ref.value._mpc_
+                assert landau_ref(40).value._mpc_ == land.value._mpc_
+                assert compare(x, ref) == err
+                assert mp.mp.prec == prec
 
     def test_result_keeps_the_working_precision(self, passes):
         # At 80 digits the agreement tightens with the precision; a result
