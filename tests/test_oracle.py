@@ -162,9 +162,8 @@ class TestCompare:
             with mp.workdps(50):
                 return OracleValue(mp.mpc(value()), 40)
 
-        cases = [(120.0, gamma_ref(6)),
-                 (0.0, partial_sum_ref(-2.0, 1.0, 1.0, 3)),
-                 (1e-20, partial_sum_ref(-2.0, 1.0, 1.0, 3))]
+        zero = partial_sum_ref(-2.0, 1.0, 1.0, 3)
+        cases = [(120.0, gamma_ref(6)), (0.0, zero), (1e-20, zero)]
         for exp10 in (-300, 0, 300):
             ref = at(lambda: mp.sqrt(2) * mp.mpf(10) ** exp10)
             near = ref.as_complex().real
@@ -172,10 +171,10 @@ class TestCompare:
                       (math.nextafter(near, -math.inf), ref)]
         # just above the midpoint between 1 and the next float: one rounding
         # goes up, a root cut to fewer bits would tie to even and go down
-        cases.append(
-            (0.0, at(lambda: (1 + mp.ldexp(1, -53)) * (1 + mp.ldexp(1, -150)))))
+        tie = at(lambda: (1 + mp.ldexp(1, -53)) * (1 + mp.ldexp(1, -150)))
         ref = at(lambda: mp.mpc(mp.pi, -mp.e))
-        cases += [(complex(-0.0, -2.718281828459045), ref),
+        cases += [(0.0, tie),
+                  (complex(-0.0, -2.718281828459045), ref),
                   (complex(3.141592653589793, -0.0), ref),
                   (complex(-0.0, -0.0), ref),
                   (Fraction(22, 7), ref),
@@ -187,10 +186,8 @@ class TestCompare:
         for x, ref in cases:
             rep = compare(x, ref)
             assert (rep.abs_err, rep.rel_err) == want(x, ref), (x, ref.value)
-        assert compare(0.0, cases[1][1]).rel_err == 0.0
-        assert compare(1e-20, cases[1][1]).rel_err == math.inf
         assert 0.0 < compare(*cases[3]).abs_err < 1e-315  # subnormal
-        assert compare(*cases[9]).abs_err == 1 + 2.0 ** -52
+        assert compare(0.0, tie).abs_err == 1 + 2.0 ** -52
         for bad in (mp.inf, mp.nan, mp.mpc(1, mp.inf)):
             with pytest.raises(InvalidParameterError):
                 compare(1.0, OracleValue(mp.mpc(bad), 40))
