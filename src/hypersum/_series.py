@@ -317,12 +317,12 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
     return _run(step, tol, 0, t, t, _majorant((n1, n2, n3), (d1, d2, 1.0)))
 
 
-def _psi_bracket(a: complex, b: complex, w: complex) -> tuple:
-    """psi(w) - gamma - psi(a) - psi(b) and a bound on its rounding in
-    double: 2 eps times the moduli it sums.  Where the bracket cancels,
-    that bound is far above eps times its modulus.  a, b and w are finite
-    complex numbers off the poles."""
-    dw, da, db = _digamma(w), _digamma(a), _digamma(b)
+def _psi_bracket(w: complex, da: complex, db: complex) -> tuple:
+    """psi(w) - gamma - psi(a) - psi(b), given da = psi(a) and db = psi(b),
+    and a bound on its rounding in double: 2 eps times the moduli it sums.
+    Where the bracket cancels, that bound is far above eps times its
+    modulus.  w is a finite complex number off the poles."""
+    dw = _digamma(w)
     return (dw - EULER_GAMMA - da - db,
             2.0 * _EPS * (abs(dw) + EULER_GAMMA + abs(da) + abs(db)))
 
@@ -354,14 +354,14 @@ def sum_psi_kernel(a, b, w, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:
     w = _off_pole(w, "digamma")
     a = _off_pole(a, "digamma")
     b = _off_pole(b, "digamma")
-    return _sum_psi_kernel(a, b, w, tol)
+    return _sum_psi_kernel(a, b, w, tol, _digamma(a), _digamma(b))
 
 
-def _sum_psi_kernel(a: complex, b: complex, w: complex,
-                    tol: Tolerance) -> SeriesResult:
+def _sum_psi_kernel(a: complex, b: complex, w: complex, tol: Tolerance,
+                    da: complex, db: complex) -> SeriesResult:
     # sum_psi_kernel without its checks, for finite complex a, b, w off the
-    # poles
-    br, br_err = _psi_bracket(a, b, w)
+    # poles, given da = psi(a) and db = psi(b)
+    br, br_err = _psi_bracket(w, da, db)
     if not (a.imag or b.imag or w.imag or br.imag):
         a, b, w, br = a.real, b.real, w.real, br.real
     t = 1.0

@@ -111,10 +111,11 @@ def _size_matched(coeffs: tuple[float, ...], odd: int):
     coeffs[k-1] / w^(2k - odd).
 
     Returns (radii, series).  For each count from len(coeffs) - 1 down to 1,
-    series holds the first count coefficients, reversed for Horner's rule,
-    and radii the smallest |w| at which the first omitted term is at most
-    _TRUNCATION, so radii increases.  The longest truncation gets radius 0,
-    so that every |w| finds one.
+    series holds the first count coefficients in Horner's order, as the
+    last one and a tuple of the others reversed, and radii the smallest |w|
+    at which the first omitted term is at most _TRUNCATION, so radii
+    increases.  The longest truncation gets radius 0, so that every |w|
+    finds one.
     """
     radii, series = [], []
     for count in range(len(coeffs) - 1, 0, -1):
@@ -122,13 +123,9 @@ def _size_matched(coeffs: tuple[float, ...], odd: int):
         radius = (abs(coeffs[count]) / _TRUNCATION) ** (
             1.0 / (2 * count + 2 - odd))
         radii.append(radius if series else 0.0)
-        series.append(tuple(reversed(coeffs[:count])))
+        series.append((coeffs[count - 1],
+                       tuple(reversed(coeffs[:count - 1]))))
     return tuple(radii), tuple(series)
-
-
-def _pick(radii: tuple[float, ...], series: tuple, w: complex) -> tuple:
-    # The fewest terms whose radius |w| reaches.
-    return series[bisect.bisect_right(radii, abs(w)) - 1]
 
 
 # bernoulli_numbers(_SERIES_TERMS + 1), B_2 ... B_26, as exact (numerator,
@@ -171,15 +168,33 @@ def _in_lower_half(w: complex) -> bool:
     return w.imag < 0.0 or (w.imag == 0.0 and math.copysign(1.0, w.imag) < 0.0)
 
 
-def _stirling_tail(w: complex) -> complex:
-    # sum B_2k / (2k(2k-1) w^(2k-1)) for Re w >= _ASYMPTOTIC_SHIFT, to the
-    # size-matched number of terms.
-    u = 1.0 / w
-    u2 = u * u
-    s = 0.0 + 0.0j
-    for c in _pick(_LOG_RADII, _LOG_SERIES, w):
-        s = s * u2 + c
-    return s * u
+def _horner(radii: tuple[float, ...], series: tuple, w: complex,
+            u2: complex) -> complex:
+    # The size-matched truncation |w| reaches, summed by Horner's rule in
+    # u2 = 1/w^2.  Products take the complex factor on the left (the same
+    # bits), where CPython multiplies without first trying float
+    # multiplication.
+    s, rest = series[bisect.bisect_right(radii, abs(w)) - 1]
+    for c in rest:
+        s = u2 * s + c
+    return s
+
+
+def _lift(w: complex, lg: bool, psi: bool, g=0.0) -> tuple:
+    """(w + k, g + sum_j log(w + j), sum_j 1/(w + j)), j < k, for the
+    fewest unit steps k that bring Re w to _ASYMPTOTIC_SHIFT.  The
+    reciprocal sum runs when psi, the log sum when lg or not psi; a sum
+    that does not run stays at its start."""
+    p = 0.0
+    while w.real < _ASYMPTOTIC_SHIFT:
+        if psi:
+            p += 1.0 / w
+            if lg:
+                g += cmath.log(w)
+        else:
+            g += cmath.log(w)
+        w += 1.0
+    return w, g, p
 
 
 def _one_minus_exp_2pi_i(z: complex) -> complex:
@@ -193,28 +208,148 @@ def _one_minus_exp_2pi_i(z: complex) -> complex:
                    -math.exp(re_u) * math.sin(im_u))
 
 
-def _log_gamma_upper(z: complex) -> complex:
-    # Principal log-gamma for Im z >= 0 (or real z).  Each recurrence step
-    # stays off the negative real axis when Im z != 0, so summing principal
-    # logs introduces no spurious 2*pi*i jumps; for real negative z the +i*pi
-    # contributions of the negative factors encode the sign of gamma.
+def _stirling(z: complex, lg: bool, psi: bool):
+    """log Gamma(z), psi(z), or both as a pair, as asked, for Im z >= 0,
+    from one lift or reflection and one Stirling evaluation.
+
+    log Gamma is the principal branch.  Each lift step stays off the
+    negative real axis when Im z != 0, so summing principal logs adds no
+    2 pi i jumps; for real negative z the +i pi of each negative factor
+    encodes the sign of Gamma.
+    """
     if z.real < _REFLECT:
-        # log pi - log sin(pi z) - log Gamma(1-z) (DLMF 5.5.3), with
-        # log sin(pi z) = -i pi z + Log(1 - e^(2 pi i z)) - log 2 + i pi/2.
-        # On Im z >= 0 this is the principal branch with no 2 pi i k term:
-        # both sides are analytic there and agree at z = 1/2 (D. E. G. Hare,
-        # J. Algorithms 25 (1997)).  1-z lies in the lower half plane.
-        return (complex(_LOG_TWO_PI - math.pi * z.imag,
-                        math.pi * (z.real - 0.5))
-                - cmath.log(_one_minus_exp_2pi_i(z))
-                - _log_gamma_upper(1.0 - z.conjugate()).conjugate())
-    shift = 0.0 + 0.0j
-    w = z
-    while w.real < _ASYMPTOTIC_SHIFT:
-        shift += cmath.log(w)
-        w += 1.0
-    return ((w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + _stirling_tail(w)
-            - shift)
+        # 1 - conj z lies right of 5, in the upper half plane with z, so
+        # it lifts at most two steps.  log Gamma is log pi - log sin(pi z)
+        # - log Gamma(1-z) (DLMF 5.5.3), with log sin(pi z) = -i pi z
+        # + Log(1 - e^(2 pi i z)) - log 2 + i pi/2.  On Im z >= 0 this is
+        # the principal branch with no 2 pi i k term: both sides are
+        # analytic there and agree at z = 1/2 (D. E. G. Hare, J. Algorithms
+        # 25 (1997)).  psi is psi(1-z) - pi cot(pi z) (DLMF 5.5.4), the
+        # cotangent taken at z - round(Re z).
+        v = _stirling(1.0 - z.conjugate(), lg, psi)
+        g, p = v if lg and psi else (v, v)
+        if lg:
+            g = (complex(_LOG_TWO_PI - math.pi * z.imag,
+                         math.pi * (z.real - 0.5))
+                 - cmath.log(_one_minus_exp_2pi_i(z)) - g.conjugate())
+        if psi:
+            p = (p.conjugate()
+                 - math.pi / cmath.tan(math.pi * (z - round(z.real))))
+        return (g, p) if lg and psi else g if lg else p
+    if z.real < _ASYMPTOTIC_SHIFT:
+        w, g, p = _lift(z, lg, psi)
+    else:
+        w, g, p = z, 0.0, 0.0
+    log_w = cmath.log(w)
+    u = 1.0 / w
+    u2 = u * u
+    if lg:
+        g = ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI
+             + u * _horner(_LOG_RADII, _LOG_SERIES, w, u2) - g)
+    if psi:
+        p = log_w - u * 0.5 - u2 * _horner(_PSI_RADII, _PSI_SERIES, w, u2) - p
+    return (g, p) if lg and psi else g if lg else p
+
+
+def _log1p_c(u: complex) -> complex:
+    # Principal log(1+u) without the 1+u rounding loss for small |u|.
+    w = 1.0 + u
+    if w == 1.0:
+        return u
+    return cmath.log(w) * (u / (w - 1.0))
+
+
+def _stirling_diff(z1: complex, z2: complex, delta: complex) -> complex:
+    """log Gamma(z1) - log Gamma(z2) for Im z1, Im z2 >= 0, given delta,
+    the exact z1 - z2.
+
+    The Stirling main terms are combined as
+      delta Log w2 + (w1 - 1/2) Log(w1/w2) - delta,
+    which stays O(|delta| log|w|) instead of O(|w| log|w|).  A lift step
+    runs only below _ASYMPTOTIC_SHIFT, where n is small and the rounding of
+    n + x negligible, so delta is then taken as w1 - w2.  A pair left of
+    _REFLECT is reflected as a pair, by the difference of DLMF 5.5.3 at z1
+    and z2, which keeps delta exact; a pair straddling it is far apart,
+    and each value is taken on its own.
+    """
+    shift = 0.0
+    w1, w2 = z1, z2
+    if w1.real < _ASYMPTOTIC_SHIFT or w2.real < _ASYMPTOTIC_SHIFT:
+        if w1.real < _REFLECT and w2.real < _REFLECT:
+            return (1j * math.pi * delta
+                    - cmath.log(_one_minus_exp_2pi_i(z1))
+                    + cmath.log(_one_minus_exp_2pi_i(z2))
+                    - _stirling_diff(1.0 - z1.conjugate(),
+                                     1.0 - z2.conjugate(),
+                                     -delta.conjugate()).conjugate())
+        if w1.real < _REFLECT or w2.real < _REFLECT:
+            return _stirling(w1, True, False) - _stirling(w2, True, False)
+        # shift runs from 0 down by the w1 steps' logs, then up by w2's
+        w1, shift, _ = _lift(w1, True, False)
+        w2, shift, _ = _lift(w2, True, False, 0.0 - shift)
+        delta = w1 - w2
+    log_w2 = cmath.log(w2)
+    u = delta / w2
+    if abs(u) <= 0.25:
+        ratio_log = _log1p_c(u)
+    else:
+        # well-separated arguments: no cancellation to protect against
+        ratio_log = cmath.log(w1) - log_w2
+    u1, u2 = 1.0 / w1, 1.0 / w2
+    return (delta * log_w2
+            + (w1 - 0.5) * ratio_log
+            - delta
+            + u1 * _horner(_LOG_RADII, _LOG_SERIES, w1, u1 * u1)
+            - u2 * _horner(_LOG_RADII, _LOG_SERIES, w2, u2 * u2)
+            + shift)
+
+
+# The real twin: psi and the pair difference in float arithmetic, the same
+# operations as the complex kernel above on a zero imaginary part, so psi
+# keeps its bits.  It is its own code rather than the complex code run on
+# floats: CPython specializes each operation to the operand types it sees,
+# and one copy serving both arithmetics measured slower in both.
+
+def _horner_real(radii: tuple[float, ...], series: tuple, x: float,
+                 u2: float) -> float:
+    # _horner in float arithmetic
+    s, rest = series[bisect.bisect_right(radii, x) - 1]
+    for c in rest:
+        s = s * u2 + c
+    return s
+
+
+def _psi_real(x: float) -> float:
+    # _stirling's psi for real x off the poles: one reflection, one lift
+    if x < _REFLECT:
+        return (_psi_real(1.0 - x)
+                - math.pi / math.tan(math.pi * (x - round(x))))
+    p = 0.0
+    while x < _ASYMPTOTIC_SHIFT:
+        p += 1.0 / x
+        x += 1.0
+    u = 1.0 / x
+    u2 = u * u
+    return (math.log(x) - 0.5 * u
+            - _horner_real(_PSI_RADII, _PSI_SERIES, x, u2) * u2 - p)
+
+
+def _stirling_diff_real(x1: float, x2: float, delta: float) -> float:
+    # _stirling_diff for x1, x2 >= _ASYMPTOTIC_SHIFT, which lift no step;
+    # math.log1p and math.log take the places of _log1p_c and cmath.log,
+    # so the last bits can differ from the complex kernel's
+    log_x2 = math.log(x2)
+    u = delta / x2
+    if abs(u) <= 0.25:
+        ratio_log = math.log1p(u)
+    else:
+        ratio_log = math.log(x1) - log_x2
+    u1, u2 = 1.0 / x1, 1.0 / x2
+    return (delta * log_x2
+            + (x1 - 0.5) * ratio_log
+            - delta
+            + _horner_real(_LOG_RADII, _LOG_SERIES, x1, u1 * u1) * u1
+            - _horner_real(_LOG_RADII, _LOG_SERIES, x2, u2 * u2) * u2)
 
 
 def _off_pole(z: Number, what: str) -> complex:
@@ -254,9 +389,9 @@ def _log_gamma(w: complex) -> complex:
                 if _in_lower_half(w):
                     im = -im
             return complex(re, im)
-    if _in_lower_half(w):
-        return _log_gamma_upper(w.conjugate()).conjugate()
-    return _log_gamma_upper(w)
+    if w.imag > 0.0 or not _in_lower_half(w):
+        return _stirling(w, True, False)
+    return _stirling(w.conjugate(), True, False).conjugate()
 
 
 def exp_log(lg: complex, what: str = "gamma_ratio") -> complex:
@@ -274,98 +409,46 @@ def gamma(z: Number) -> complex:
     return exp_log(log_gamma(z), "gamma")
 
 
-def _digamma_upper(z: complex) -> complex:
-    if z.real < _REFLECT:
-        # psi(1-z) - pi cot(pi z) (DLMF 5.5.4), cot taken at z - round(Re z)
-        return (_digamma_upper(1.0 - z.conjugate()).conjugate()
-                - math.pi / cmath.tan(math.pi * (z - round(z.real))))
-    shift = 0.0 + 0.0j
-    w = z
-    while w.real < _ASYMPTOTIC_SHIFT:
-        shift += 1.0 / w
-        w += 1.0
-    u = 1.0 / w
-    u2 = u * u
-    s = 0.0 + 0.0j
-    for c in _pick(_PSI_RADII, _PSI_SERIES, w):
-        s = s * u2 + c
-    return cmath.log(w) - 0.5 * u - s * u2 - shift
-
-
 def digamma(z: Number) -> complex:
     """psi(z), the logarithmic derivative of gamma, for complex z off the poles."""
     return _digamma(_off_pole(z, "digamma"))
 
 
 def _digamma(w: complex) -> complex:
-    # digamma without its checks, for a finite complex w off the poles.
-    if _in_lower_half(w):
-        return _digamma_upper(w.conjugate()).conjugate()
-    return _digamma_upper(w)
+    # digamma without its checks, for a finite complex w off the poles.  A
+    # real w runs in real arithmetic and keeps its zero's sign, so that the
+    # two sides of the axis stay conjugate.
+    if w.imag == 0.0:
+        return complex(_psi_real(w.real), w.imag)
+    if w.imag < 0.0:
+        return _stirling(w.conjugate(), False, True).conjugate()
+    return _stirling(w, False, True)
 
 
-def _log1p_c(u: complex) -> complex:
-    # Principal log(1+u) without the 1+u rounding loss for small |u|.
-    w = 1.0 + u
-    if w == 1.0:
-        return u
-    return cmath.log(w) * (u / (w - 1.0))
-
-
-def _log_gamma_diff_upper(z1: complex, z2: complex,
-                          delta: complex) -> complex:
-    # log_gamma(z1) - log_gamma(z2) for Im z1, Im z2 >= 0, given delta, the
-    # exact z1 - z2.  The Stirling main terms are combined as
-    #   delta Log w2 + (w1-1/2) Log(w1/w2) - delta,
-    # which stays O(|delta| log|w|) instead of O(|w| log|w|).  A lift step
-    # runs only below _ASYMPTOTIC_SHIFT, where n is small and the rounding
-    # of n + x negligible, so delta is then taken as w1 - w2.  A pair left
-    # of _REFLECT is reflected as a pair, which keeps delta exact; a pair
-    # straddling it is far apart, and each value is taken on its own.
-    shift = 0.0 + 0.0j
-    w1, w2 = z1, z2
-    if w1.real < _ASYMPTOTIC_SHIFT or w2.real < _ASYMPTOTIC_SHIFT:
-        if w1.real < _REFLECT and w2.real < _REFLECT:
-            return (1j * math.pi * delta
-                    - cmath.log(_one_minus_exp_2pi_i(z1))
-                    + cmath.log(_one_minus_exp_2pi_i(z2))
-                    - _log_gamma_diff_upper(1.0 - z1.conjugate(),
-                                            1.0 - z2.conjugate(),
-                                            -delta.conjugate()).conjugate())
-        if w1.real < _REFLECT or w2.real < _REFLECT:
-            return _log_gamma_upper(w1) - _log_gamma_upper(w2)
-        while w1.real < _ASYMPTOTIC_SHIFT:
-            shift -= cmath.log(w1)
-            w1 += 1.0
-        while w2.real < _ASYMPTOTIC_SHIFT:
-            shift += cmath.log(w2)
-            w2 += 1.0
-        delta = w1 - w2
-    u = delta / w2
-    if abs(u) <= 0.25:
-        ratio_log = _log1p_c(u)
-    else:
-        # well-separated arguments: no cancellation to protect against
-        ratio_log = cmath.log(w1) - cmath.log(w2)
-    return (
-        delta * cmath.log(w2)
-        + (w1 - 0.5) * ratio_log
-        - delta
-        + _stirling_tail(w1)
-        - _stirling_tail(w2)
-        + shift
-    )
+def _log_gamma_psi(w: complex) -> tuple:
+    # (_log_gamma(w), _digamma(w)), off the real axis from one pass.
+    if w.imag == 0.0:
+        return _log_gamma(w), _digamma(w)
+    if w.imag < 0.0:
+        g, p = _stirling(w.conjugate(), True, True)
+        return g.conjugate(), p.conjugate()
+    return _stirling(w, True, True)
 
 
 def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
     # log_gamma(n+x1) - log_gamma(n+x2) for real n (n = 0 takes x1 and x2 as
     # they are), n + x1 and n + x2 off the poles.  The difference of the
     # Stirling main terms is formed from the exact offsets x1 - x2, so the
-    # error scales with |x1 - x2| log n rather than with n log n.
+    # error scales with |x1 - x2| log n rather than with n log n.  Positive
+    # real arguments run in real arithmetic.
     # Half-planes as in log_gamma: an imaginary part of -0.0 counts as lower.
     # Its sign matters only on the negative real axis, the cut of log, so a
     # positive real argument joins its partner's half-plane.
     z1, z2 = (x1 + n, x2 + n) if n else (x1, x2)
+    if (not (z1.imag or z2.imag) and z1.real >= _ASYMPTOTIC_SHIFT
+            and z2.real >= _ASYMPTOTIC_SHIFT):
+        return complex(_stirling_diff_real(z1.real, z2.real,
+                                           x1.real - x2.real), z2.imag)
     lower1, lower2 = _in_lower_half(z1), _in_lower_half(z2)
     if lower1 != lower2:
         if z1.imag == 0.0 and z1.real > 0.0:
@@ -373,20 +456,19 @@ def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
         elif z2.imag == 0.0 and z2.real > 0.0:
             lower2 = lower1
     if not (lower1 or lower2):
-        return _log_gamma_diff_upper(z1, z2, x1 - x2)
+        return _stirling_diff(z1, z2, x1 - x2)
     if lower1 and lower2:
-        return _log_gamma_diff_upper(z1.conjugate(), z2.conjugate(),
-                                     x1.conjugate() - x2.conjugate()
-                                     ).conjugate()
+        return _stirling_diff(z1.conjugate(), z2.conjugate(),
+                              x1.conjugate() - x2.conjugate()).conjugate()
     # Opposite half-planes: reflect the lower argument up and patch with the
     # imaginary part, which stays O(|Im z| log|z|) while the real part (the
     # piece that would lose precision to cancellation) is shared exactly:
     # log_gamma(conj z) = conj log_gamma(z), so only 2i Im log_gamma moves.
     if lower1:
-        d = _log_gamma_diff_upper(z1.conjugate(), z2, x1.conjugate() - x2)
-        return d.conjugate() - 2.0j * _log_gamma_upper(z2).imag
-    d = _log_gamma_diff_upper(z2.conjugate(), z1, x2.conjugate() - x1)
-    return 2.0j * _log_gamma_upper(z1).imag - d.conjugate()
+        d = _stirling_diff(z1.conjugate(), z2, x1.conjugate() - x2)
+        return d.conjugate() - 2.0j * _stirling(z2, True, False).imag
+    d = _stirling_diff(z2.conjugate(), z1, x2.conjugate() - x1)
+    return 2.0j * _stirling(z1, True, False).imag - d.conjugate()
 
 
 def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) -> complex:

@@ -211,8 +211,8 @@ def _lifted(z: complex) -> complex:
     """log_gamma by its path off the real axis: the recurrence lift, or
     reflection left of Re z = -4."""
     if complexfn._in_lower_half(z):
-        return complexfn._log_gamma_upper(z.conjugate()).conjugate()
-    return complexfn._log_gamma_upper(z)
+        return complexfn._stirling(z.conjugate(), True, False).conjugate()
+    return complexfn._stirling(z, True, False)
 
 
 def _real_grid():

@@ -103,7 +103,7 @@ class TestPsiKernel:
             closed += bound != total
         assert closed > 100
         res = sum_psi_kernel(1.5, 0.25, 7.75)
-        _, br_err = _series._psi_bracket(1.5 + 0j, 0.25 + 0j, 7.75 + 0j)
+        _, br_err = _series._psi_bracket(7.75 + 0j, digamma(1.5), digamma(0.25))
         bound = br_err * _series._hyp_abs_sum(1.5, 0.25, 7.75, 1)
         assert res.est_error >= bound
 
