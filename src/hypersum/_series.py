@@ -161,7 +161,10 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
 
     Returns (first, floor, excess, bound).  For k >= first,
     bound(k, |t_k|, |h_k|) >= sum_{j>k} |t_j|.  It is also at least
-    |t_k| (k + floor) / excess, the test _run makes before calling it.
+    |t_k| (k + floor) / excess, the test _run makes before calling it.  A
+    numerator at a nonpositive integer -m ends the series at index m, and
+    then first is m + 1: _run stops there on the zero term and never needs
+    the bound.
 
     A bracket's move: for j > k, psi(x + j) - psi(y + j) differs from its
     value at k, and from its limit 0, by a part of
@@ -190,6 +193,10 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
               for x, y in brackets]
     for _, _, m in widths:
         low = min(low, m)
+    first = math.floor(-low) + 1
+    for x in nums:
+        if not x.imag and x.real <= 0.0 and x.real.is_integer():
+            first = min(first, 1 - int(x.real))
 
     def bound(k: int, t_abs: float, h_abs: float) -> float:
         # (j + x)/(j + y1) bounds the ratio folded so far, for all j >= k;
@@ -216,7 +223,7 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
                 bracket += h_abs * width / (k + m)
         return bracket * (k + x) / gap
 
-    return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
+    return first, floor, y1 - floor - 1.0, bound
 
 
 def _run(step, tol: Tolerance, start_k: int, first_term: complex,
@@ -226,6 +233,10 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     _majorant.  rounding, when given, maps the number of terms summed to an
     error the terms carry from their inputs, added to the estimate.
 
+    A series whose tail bound applies only past its last admissible index,
+    start_k + max_terms - 1, could not prove its tail: it raises
+    DomainError naming that index before summing a term.
+
     The loop keeps its compensated sum (total + comp) in local variables,
     floats or complex as the terms are: a method call or a helper per term
     would cost as much as the term's own arithmetic.  So the tail bound runs
@@ -233,6 +244,12 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     |t_k| (k + floor) <= rel_tol * excess * |partial sum|.
     """
     first, floor, excess, bound = majorant
+    last = start_k + tol.max_terms - 1
+    if first > last:
+        raise DomainError(
+            f"the series' tail bound holds from term index {first} on, past "
+            f"its last index {last} under max_terms = {tol.max_terms}: its "
+            f"tail cannot be proven")
     rel_tol = tol.rel_tol
     scale = rel_tol * excess
     # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
@@ -244,7 +261,6 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     hit_max = False
     tail = math.inf
     drift = 0.0
-    last = start_k + tol.max_terms - 1
     while True:
         if k >= first:
             size = abs(total + comp)

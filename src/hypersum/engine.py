@@ -133,6 +133,7 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
     S_1 = 1 needs no body.  A body returns (pieces, terms_used, hit_max),
     each piece a (value, error) pair from _piece.  The warnings are the
     classification's, then "max_terms_reached" when a series hit its cap.
+    A value or estimate that is not finite is no answer: DomainError.
     """
     warnings = cls.warnings
     if n == 1:
@@ -147,6 +148,9 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
     if value is None:
         raise DomainError("S_n lies below the double range: each piece of "
                           "it is zero or below that range")
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        raise DomainError(f"S_n = {value!r} with est_error {est!r}: the "
+                          f"expansion gave no finite answer and error bound")
     if hit_max:
         warnings += ("max_terms_reached",)
     return EvalReport(value, cls, terms_used, est, warnings)

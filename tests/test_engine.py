@@ -5,10 +5,13 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypersum import coeffs, params
 from hypersum.engine import (
@@ -28,7 +31,8 @@ from hypersum.errors import (
     WrongBranchError,
 )
 from hypersum.oracle import compare, partial_sum_ref
-from hypersum.params import ParamSet, _log_seq_ratios
+from hypersum.complexfn import nonpos_int_distance
+from hypersum.params import ParamSet, _log_seq_ratios, classify_params
 
 
 def rel(x, want):
@@ -705,6 +709,116 @@ class TestAuto:
             eval_auto(ParamSet(2.0, 0.5, 4.25), 0)
         with pytest.raises(InvalidParameterError):
             eval_auto(ParamSet(2.0, 0.5, 4.25), 2.5)
+
+
+# Inputs whose series' tail bound applies only from an index past the term
+# cap: (a, b, c, n, that index).  They were found by a fuzz of eval_auto,
+# where each summed its 10^6 terms for 1-3 s and returned a NaN estimate or
+# value.  generic (n + c = -1.79e7); negative integer, m = 8 (n + a + b =
+# -4.59e6); logarithmic, s snapped to 0 (n + a + b = -1.12e6; its terms
+# overflowed); negative integer, real, next to a gamma pole of c - a.
+UNPROVABLE_TAILS = [
+    (-0.2683318283277032, 4313.54258201372 - 0.21404063073620275j,
+     -25942379.106268995, 8045093, 25946693),
+    (-8310978.993303888 - 12900.009996302624j, -0.9109342079346394,
+     -8310987.9042380955 - 12900.009996302624j, 3721556, 8310980),
+    (-2834509.288472149, 0.002911438355753578 - 1.7713568592419588e-06j,
+     -2834509.285560711 - 1.7713568592419588e-06j, 1710611, 2834511),
+    (-2.661351302750992, -73052583.999999, -73052593.66135031, 41186777,
+     73052585),
+]
+
+
+class TestUnprovableTail:
+    @pytest.mark.parametrize("a, b, c, n, first", UNPROVABLE_TAILS)
+    def test_refused_at_once(self, a, b, c, n, first):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"term index {first} on"):
+            eval_auto(ParamSet(a, b, c), n)
+        assert time.perf_counter() - start < 0.5
+
+    def test_explicit_cap_below_the_bound(self):
+        # the psi kernel's bound holds from index 22 (Re a = -20.3); with
+        # ten terms allowed it is refused, and by default it answers
+        p = ParamSet(-20.3, 0.4, -19.9)
+        with pytest.raises(DomainError,
+                           match="index 22 on, past its last index 9"):
+            eval_log(p, 100, Tolerance(max_terms=10))
+        rep = eval_log(p, 100)
+        err = compare(rep.value, partial_sum_ref(-20.3, 0.4, -19.9, 100))
+        assert err.abs_err <= rep.est_error
+
+    def test_terminating_series_is_not_refused(self):
+        # c - a = -3 ends the generic tail after 4 terms, though n + c puts
+        # its bound's first index near 2e6
+        c = -2000000.25
+        rep = eval_generic(ParamSet(c + 3, 0.4, c), 1000)
+        assert rep.terms_used == 4 and math.isfinite(rep.est_error)
+
+    def test_infinite_estimate_is_refused(self):
+        # a cap of 3 terms stops the series before its bound is finite
+        with pytest.raises(DomainError, match="est_error inf"):
+            eval_generic(ParamSet(0.5, 0.5 + 30j, 0.3 + 10j), 5,
+                         Tolerance(max_terms=3))
+
+
+# Exact-excess draws for the error-bar property: parts on a 2^-20 grid, so
+# that c = a + b + s is exact in double precision and every branch sees
+# its excess as drawn.  Real parts keep a fractional part in [0.1, 0.9], so
+# a and b stay off the poles.
+_GRID = 2.0 ** -20
+
+
+def _grid_part(lo, hi):
+    return st.integers(round(lo / _GRID), round(hi / _GRID)).map(
+        lambda k: k * _GRID)
+
+
+def _off_integer(draw, lo, hi):
+    return draw(st.integers(lo, hi)) + draw(_grid_part(0.1, 0.9))
+
+
+@st.composite
+def _exact_excess_draw(draw):
+    kind = draw(st.sampled_from((params.GENERIC, params.LOGARITHMIC,
+                                 params.POSITIVE_INTEGER,
+                                 params.NEGATIVE_INTEGER,
+                                 params.DEGENERATE_NEG_INTEGER)))
+    imag = draw(st.booleans())
+    a, b = (complex(_off_integer(draw, -5, 4),
+                    draw(_grid_part(-3.0, 3.0)) if imag else 0.0)
+            for _ in range(2))
+    m = draw(st.integers(1, 4))
+    if kind == params.GENERIC:
+        s = _off_integer(draw, -4, 3)
+    elif kind == params.LOGARITHMIC:
+        s = 0.0
+    elif kind == params.POSITIVE_INTEGER:
+        s = float(m)
+    else:
+        s = -float(m)
+        if kind == params.DEGENERATE_NEG_INTEGER:
+            # c - b = p - m sits on a pole: the tail vanishes
+            a = complex(draw(st.integers(1, m)))
+    c = a + b + s
+    near = [c] if kind == params.DEGENERATE_NEG_INTEGER else [c, c - a,
+                                                             c - b]
+    assume(min(map(nonpos_int_distance, near)) >= 0.05)
+    return kind, ParamSet(a, b, c), draw(st.integers(100, 10_000))
+
+
+class TestErrorBarProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_exact_excess_draw())
+    def test_true_error_within_estimate(self, draw):
+        # every branch, real and complex, on the expansion path: the true
+        # error against the oracle stays within est_error
+        kind, p, n = draw
+        assert classify_params(p).kind == kind
+        rep = eval_auto(p, n)
+        assume(rep.path == "expansion")
+        err = compare(rep.value, partial_sum_ref(p.a, p.b, p.c, n))
+        assert err.abs_err <= rep.est_error, (p, n)
 
 
 class TestLeadingTerm:

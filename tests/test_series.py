@@ -128,6 +128,16 @@ class TestFiniteSum:
         with pytest.raises(DomainError, match="max_terms = 1000000"):
             finite_sum(poison, poison, poison, poison, 10**9)
 
+    def test_unprovable_tail_refused_before_summing(self):
+        # the bound of (-20.3)_k (0.4)_k / ((80.1)_k k!) holds from index
+        # 21 on, past the last index 9 that ten terms allow
+        def step(k):
+            raise AssertionError("a term was summed")
+        with pytest.raises(DomainError, match="index 21 on, past its last "
+                                              "index 9"):
+            _series._run(step, Tolerance(max_terms=10), 0, 1.0, 1.0,
+                         _series._majorant((-20.3, 0.4), (80.1, 1.0)))
+
     def test_sums_up_to_the_cap(self):
         # (1)_k (1)_k / ((2)_k (1)_k) = 1/(k + 1): the harmonic number H_10
         total, absum = finite_sum(1.0, 1.0, 2.0, 1.0, 10,
@@ -192,9 +202,12 @@ class _ReferenceSum:
 
 def _reference_run(step, tol, start_k, first_term, first_hyp, majorant,
                    rounding=None):
-    # the stop rule written out: the tail bound at every k from `first` on,
-    # and a stop at the first k where it is at most rel_tol * |partial sum|
+    # the stop rule written out: a refusal when the tail bound applies only
+    # past the cap, the tail bound at every k from `first` on, and a stop
+    # at the first k where it is at most rel_tol * |partial sum|
     first, _, _, bound = majorant
+    if first > start_k + tol.max_terms - 1:
+        raise DomainError("the tail bound applies only past the cap")
     acc = _ReferenceSum()
     acc.add(first_term)
     t_abs = peak = abs(first_term)
@@ -256,7 +269,7 @@ class TestInlinedLoops:
     def test_bit_identical_to_reference_loop(self, monkeypatch):
         rng = random.Random(3)
         draws = []
-        for i in range(400):
+        for i in range(520):
             cplx = i % 2 == 1
             # real draws carry +0.0 or -0.0 imaginary parts
             a, b, c = (complex(rng.uniform(-5.0, 5.0),
