@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Union
 
 from ._series import finite_sum
-from .complexfn import EULER_GAMMA, POLE_TOL, digamma, exp_log, gamma_ratio
+from .complexfn import (EULER_GAMMA, POLE_TOL, _as_complex, digamma,
+                        exp_log, gamma_ratio)
 from .errors import DomainError, PoleError, Record, WrongBranchError
 from .params import (NEGATIVE_INTEGER, ParamSet, _check_index, _log_seq_ratios,
                      classify_params)
@@ -120,6 +121,9 @@ def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
     """sigma_k = sum_{r<k} (1/(a+r) + 1/(b+r) - 1/(r+1)) for k = 1..K."""
     _check_index(K, "K")
     av, bv = _coerce_pair(a, b)
+    if not isinstance(av, Fraction):
+        # a NaN passes the pole test below, and an infinity contributes 0
+        av, bv = _as_complex(av, "a"), _as_complex(bv, "b")
     values = []
     acc = av * 0
     for r in range(K):

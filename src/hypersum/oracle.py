@@ -261,10 +261,15 @@ def digamma_ref(z: Number, digits: int | None = None) -> OracleValue:
 
 
 def landau_ref(n: int, digits: int | None = None) -> OracleValue:
-    """The Landau constant G_n = S_{n+1}(1/2, 1/2; 1) for any n >= 0."""
+    """The Landau constant G_n = S_{n+1}(1/2, 1/2; 1) for 0 <= n with
+    n + 1 within partial_sum_ref's limit."""
     digits = _checked_digits(digits)
     if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n!r}")
+    if n + 1 > _MAX_PARTIAL_SUM_N:
+        raise InvalidParameterError(
+            f"n + 1 = {n + 1} exceeds the partial_sum limit "
+            f"{_MAX_PARTIAL_SUM_N}")
     half = (Fraction(1, 2), 0)
     value = _partial_sum(half, half, (1, 0), int(n) + 1, digits)
     return OracleValue(value=value, digits=digits)

@@ -213,6 +213,11 @@ class TestCoeffs:
         rc, _ = run_cli("coeffs", "--family", "sigma")
         assert rc == 1
 
+    def test_sigma_refuses_nan(self):
+        rc, text = run_cli("coeffs", "--family", "sigma", "-a=nan", "-b",
+                           "0.5", "--k", "2")
+        assert rc == 1 and text == ""
+
     def test_sigma_values(self):
         rc, recs = run_json("coeffs", "--family", "sigma",
                             "-a", "0.5", "-b", "0.5", "--k", "2")

@@ -48,6 +48,14 @@ class TestSigma:
         with pytest.raises(PoleError):
             sigma_coeffs(-2, HALF, 4)  # a + r hits zero at r = 2
 
+    def test_non_finite_parameter_rejected(self):
+        # as ParamSet refuses them; NaN passed the pole test and gave NaN
+        # coefficients
+        for a, b in ((math.nan, 0.5), (0.5, complex(0.0, math.nan)),
+                     (math.inf, 0.5)):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
+                sigma_coeffs(a, b, 2)
+
 
 class TestCZero:
     def test_half_pair(self):

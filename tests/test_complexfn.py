@@ -288,6 +288,51 @@ class TestRealAxis:
         assert log_gamma(1e306).real == math.inf
 
 
+class TestRealTwin:
+    """psi and the pair difference on the real axis run in float
+    arithmetic; the complex kernel at the same points is the reference."""
+
+    def test_psi_real_part_bit_identical(self):
+        rng = random.Random(21)
+        points = [rng.uniform(-50.0, 50.0) for _ in range(3000)]
+        points += [-4.0 - 1e-9, -4.0 + 1e-9, 7.0, 7.0 - 1e-12, 1e5 + 0.5]
+        for x in points:
+            if dist_nonpos_int(complex(x)) < 1e-6:
+                continue
+            want = complexfn._stirling(complex(x, 0.0), False, True)
+            for y in (0.0, -0.0):
+                got = complexfn._digamma(complex(x, y))
+                assert repr(got.real) == repr(want.real), x
+                # the zero imaginary part keeps the input's sign, so the
+                # two sides of the axis stay conjugate
+                assert repr(got.imag) == repr(y), x
+
+    @pytest.mark.parametrize("x1, x2", [(7.0, 9.5), (12.25, 8.0),
+                                        (1e6 + 0.5, 1e6 - 2.25)])
+    def test_pair_conjugate_across_signed_zeros(self, x1, x2):
+        up = _log_gamma_diff(0, complex(x1, 0.0), complex(x2, 0.0))
+        down = _log_gamma_diff(0, complex(x1, -0.0), complex(x2, -0.0))
+        assert down.real == up.real
+        assert repr(down.imag) == repr(-up.imag)
+
+    def test_pair_within_rounding_of_complex_kernel(self):
+        # math.log1p and math.log round differently from the complex
+        # kernel's log1p form and cmath.log, so the last bits may move
+        rng = random.Random(5)
+        moved = 0
+        for _ in range(20000):
+            n = round(10.0 ** rng.uniform(1.0, 7.0))
+            x1, x2 = rng.uniform(-5.0, 5.0), rng.choice((0.0, rng.uniform(
+                -5.0, 5.0)))
+            z1, z2 = complex(n + x1, 0.0), complex(n + x2, 0.0)
+            got = _log_gamma_diff(n, complex(x1), complex(x2))
+            want = complexfn._stirling_diff(z1, z2, complex(x1 - x2))
+            assert abs(got - want) <= 4 * EPS * max(1.0, abs(want)), (n, x1,
+                                                                     x2)
+            moved += got != want
+        assert moved > 0
+
+
 def _timed(fn, *args):
     """fn(*args) and the best time of three calls, in seconds."""
     best = math.inf

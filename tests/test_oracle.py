@@ -49,6 +49,16 @@ class TestRequestValidation:
         with pytest.raises(InvalidParameterError):
             partial_sum_ref(0.5, 0.5, 1.0, True)
 
+    def test_landau_index_capped_as_the_partial_sum(self):
+        # G_n sums n + 1 terms: the last index within the limit answers,
+        # the next is refused at once instead of running for minutes
+        last = oracle._MAX_PARTIAL_SUM_N - 1
+        assert landau_ref(last, 30).as_complex().real > 1.0
+        with pytest.raises(InvalidParameterError, match="partial_sum limit"):
+            landau_ref(last + 1)
+        with pytest.raises(InvalidParameterError, match="partial_sum limit"):
+            landau_ref(10 ** 9)
+
     def test_landau_bool_index(self):
         for n in (True, False):
             with pytest.raises(InvalidParameterError):
