@@ -179,8 +179,12 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
     x, y = next(pairs)
     x0, eta0, y1 = x.real, 0.5 * x.imag * x.imag, y.real
     floor = x0
-    # low: the least real part the validity conditions name
+    # low: the least real part the validity conditions name; end: one past
+    # the index where a numerator at a nonpositive integer ends the series
     low = min(x0, y1)
+    end = math.inf
+    if x0 <= 0.0 and x0 == math.floor(x0) and not x.imag:
+        end = 1 - x0
     rest = []
     for x, y in pairs:
         if x == y:
@@ -189,14 +193,15 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
         rest.append((xr, 0.5 * x.imag * x.imag, yr))
         floor += xr - yr
         low = min(low, xr, yr)
+        if xr <= 0.0 and xr == math.floor(xr) and not x.imag:
+            end = min(end, 1 - xr)
     widths = [(abs(x - y), abs(x.real - y.real), min(x.real, y.real) - 1.0)
               for x, y in brackets]
     for _, _, m in widths:
         low = min(low, m)
     first = math.floor(-low) + 1
-    for x in nums:
-        if not x.imag and x.real <= 0.0 and x.real.is_integer():
-            first = min(first, 1 - int(x.real))
+    if end < first:
+        first = int(end)
 
     def bound(k: int, t_abs: float, h_abs: float) -> float:
         # (j + x)/(j + y1) bounds the ratio folded so far, for all j >= k;

@@ -3,31 +3,45 @@
 Provides ``log_gamma`` / ``gamma`` / ``digamma`` for complex arguments, plus
 overflow-safe products of gamma ratios built on top of them
 (``gamma_ratio``, and ``exp_log`` for the range check).  The implementation is
-deliberately free of external special-function libraries: arguments are
-lifted by the functional recurrences until the real part reaches the
-asymptotic zone, where a Stirling-type series with exact Bernoulli-number
-coefficients, cut to the fewest terms the argument's size allows, finishes
-the job.  Arguments in the lower half plane are handled by conjugation,
-which makes the conjugate-symmetry identities exact at the representation
-level.
+deliberately free of external special-function libraries.
 
-Left of the abscissa Re z = -4 (``_REFLECT``) the upper-half-plane paths
-reflect instead of lifting: log Gamma by DLMF 5.5.3 on its principal branch
-and psi by DLMF 5.5.4, with the sine and cotangent taken at z - round(Re z).
-So no call takes more than 11 lift steps, whatever -Re z is, and accuracy
-does not fall with it.  The abscissa sits where the two paths cost the same.
+One Stirling kernel, ``_stirling``, answers log Gamma, psi, or both from
+one pass, for Im z >= 0.  Right of the abscissa Re z = -4 (``_REFLECT``) it
+lifts z by unit steps until Re z >= 7 (``_lift``, the one lift loop), and
+evaluates the Stirling series with exact Bernoulli-number coefficients,
+cut to the fewest terms the argument's size allows.  Left of it the kernel
+reflects once, log Gamma by DLMF 5.5.3 on its principal branch and psi by
+DLMF 5.5.4, with the sine and cotangent taken at z - round(Re z), so no
+call takes more than 11 lift steps, whatever -Re z is.  The pair
+difference log Gamma(z1) - log Gamma(z2), ``_stirling_diff``, lifts through
+the same loop and combines the two Stirling main terms from the exact
+offset z1 - z2; left of the abscissa it reflects the pair by the
+difference of DLMF 5.5.3 at its two points.  Arguments in the lower half
+plane are handled by conjugation, which makes the conjugate-symmetry
+identities exact at the representation level.
 
-On the real axis ``log_gamma`` takes its real part from the standard
-library's ``math.lgamma``, which is as accurate as the lift and several
-times cheaper, and sets the imaginary part, 0 or -pi ceil(-x), with the sign
-the lift would give it; the parameters of the paper's headline cases are
-real.
+Real arguments take a real twin.  ``log_gamma`` takes its real part from
+``math.lgamma`` and sets the imaginary part, 0 or -pi ceil(-x), with the
+sign the lift would give it.  psi runs ``_psi_real``, the kernel's lift,
+reflection and series in float arithmetic: its value is the complex
+kernel's real part bit for bit, and its zero imaginary part carries the
+input's sign.  The pair difference of two real arguments right of the
+lift target runs ``_stirling_diff_real``, which takes ``math.log1p`` and
+``math.log`` where the complex kernel takes its own log1p form and
+``cmath.log``; its values can differ from the complex kernel's in the last
+bits (by at most 4 eps of max(1, |difference|) on the tests' sweep).
+Complex values and every log Gamma value are those of the three separate
+upper-half-plane routines this kernel replaced, bit for bit.  The real
+twin is code of its own rather than the complex code run on floats:
+CPython specializes each operation to the operand types it meets, and one
+copy serving both arithmetics measured slower in both.
 
 Each public function checks its input and then calls a private twin
 (``_log_gamma``, ``_digamma``) that takes a finite complex argument known
-to be off the poles.  The engine and ``params``, whose callers hold a
-validated ``ParamSet``, call the twins directly, and ``params`` forms the
-n-dependent gamma pairs with the pair kernel ``_log_gamma_diff``.
+to be off the poles; ``_log_gamma_psi`` returns both from one pass.  The
+engine and ``params``, whose callers hold a validated ``ParamSet``, call
+the twins directly, and ``params`` forms the n-dependent gamma pairs with
+the pair kernel ``_log_gamma_diff``.
 """
 
 from __future__ import annotations
@@ -385,9 +399,7 @@ def _log_gamma(w: complex) -> complex:
             if x > 0.0:
                 im = w.imag
             else:
-                im = -math.pi * math.ceil(-x)
-                if _in_lower_half(w):
-                    im = -im
+                im = math.copysign(math.pi * math.ceil(-x), -w.imag)
             return complex(re, im)
     if w.imag > 0.0 or not _in_lower_half(w):
         return _stirling(w, True, False)
@@ -428,7 +440,7 @@ def _digamma(w: complex) -> complex:
 def _log_gamma_psi(w: complex) -> tuple:
     # (_log_gamma(w), _digamma(w)), off the real axis from one pass.
     if w.imag == 0.0:
-        return _log_gamma(w), _digamma(w)
+        return _log_gamma(w), complex(_psi_real(w.real), w.imag)
     if w.imag < 0.0:
         g, p = _stirling(w.conjugate(), True, True)
         return g.conjugate(), p.conjugate()
@@ -439,8 +451,9 @@ def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
     # log_gamma(n+x1) - log_gamma(n+x2) for real n (n = 0 takes x1 and x2 as
     # they are), n + x1 and n + x2 off the poles.  The difference of the
     # Stirling main terms is formed from the exact offsets x1 - x2, so the
-    # error scales with |x1 - x2| log n rather than with n log n.  Positive
-    # real arguments run in real arithmetic.
+    # error scales with |x1 - x2| log n rather than with n log n.  Two real
+    # arguments right of the lift target run in real arithmetic; the zero
+    # imaginary part is then z2's, the sign the half-plane rule below gives.
     # Half-planes as in log_gamma: an imaginary part of -0.0 counts as lower.
     # Its sign matters only on the negative real axis, the cut of log, so a
     # positive real argument joins its partner's half-plane.

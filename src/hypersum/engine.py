@@ -62,8 +62,12 @@ __all__ = [
 # Relative accuracy floor of the double-precision gamma/digamma kernel in
 # the working strip: against mpmath, over 1,500 draws with Re z, Im z in
 # [-15, 15], log_gamma errs by at most 2.1e-14 absolute (so Gamma by that
-# relative) and digamma by 1.0e-14 relative.  Every reported est_error
-# includes this so kernel roundoff cannot escape the estimate.
+# relative) and digamma by 1.0e-14 relative.  The one Stirling kernel gives
+# the same log_gamma and digamma values (digamma's real twin the same real
+# parts); only the real pair difference, a real twin with math.log1p,
+# moved, by at most 4 eps of max(1, |difference|), far inside this floor.
+# Every reported est_error includes this so kernel roundoff cannot escape
+# the estimate.
 _KERNEL_REL = 1e-13
 
 # Each prefactor is exp(L), where L sums log-gamma values and the pair
@@ -445,6 +449,12 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     Re(n+a+b) < 1; there the direct sum answers within max_terms.  A
     degenerate input whose tail does not vanish (_gamma_pole) is priced as
     a negative-integer one.
+
+    A series whose proven tail bound holds only from an index past its
+    term cap cannot answer: such an input (for example n + c or n + a + b
+    far below -max_terms) raises DomainError at once, naming that index,
+    instead of summing max_terms terms toward a NaN or infinite error bar.
+    No answer is returned with a non-finite value or est_error.
     """
     cls = classify_params(p)
     _check_index(n)
