@@ -223,8 +223,8 @@ def _one_minus_exp_2pi_i(z: complex) -> complex:
 
 
 def _stirling(z: complex, lg: bool, psi: bool):
-    """log Gamma(z), psi(z), or both as a pair, as asked, for Im z >= 0,
-    from one lift or reflection and one Stirling evaluation.
+    """log Gamma(z) when lg, psi(z) when psi, or both as a pair, for
+    Im z >= 0, from one lift or reflection and one Stirling evaluation.
 
     log Gamma is the principal branch.  Each lift step stays off the
     negative real axis when Im z != 0, so summing principal logs adds no
@@ -241,7 +241,7 @@ def _stirling(z: complex, lg: bool, psi: bool):
         # 25 (1997)).  psi is psi(1-z) - pi cot(pi z) (DLMF 5.5.4), the
         # cotangent taken at z - round(Re z).
         v = _stirling(1.0 - z.conjugate(), lg, psi)
-        g, p = v if lg and psi else (v, v)
+        g, p = v if lg and psi else (v, v)  # the pair, or the one value
         if lg:
             g = (complex(_LOG_TWO_PI - math.pi * z.imag,
                          math.pi * (z.real - 0.5))
@@ -260,9 +260,10 @@ def _stirling(z: complex, lg: bool, psi: bool):
     if lg:
         g = ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI
              + u * _horner(_LOG_RADII, _LOG_SERIES, w, u2) - g)
-    if psi:
-        p = log_w - u * 0.5 - u2 * _horner(_PSI_RADII, _PSI_SERIES, w, u2) - p
-    return (g, p) if lg and psi else g if lg else p
+        if not psi:
+            return g
+    p = log_w - u * 0.5 - u2 * _horner(_PSI_RADII, _PSI_SERIES, w, u2) - p
+    return (g, p) if lg else p
 
 
 def _log1p_c(u: complex) -> complex:
