@@ -161,10 +161,7 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
 
     Returns (first, floor, excess, bound).  For k >= first,
     bound(k, |t_k|, |h_k|) >= sum_{j>k} |t_j|.  It is also at least
-    |t_k| (k + floor) / excess, the test _run makes before calling it.  A
-    numerator at a nonpositive integer -m ends the series at index m, and
-    then first is m + 1: _run stops there on the zero term and never needs
-    the bound.
+    |t_k| (k + floor) / excess, the test _run makes before calling it.
 
     A bracket's move: for j > k, psi(x + j) - psi(y + j) differs from its
     value at k, and from its limit 0, by a part of
@@ -179,12 +176,8 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
     x, y = next(pairs)
     x0, eta0, y1 = x.real, 0.5 * x.imag * x.imag, y.real
     floor = x0
-    # low: the least real part the validity conditions name; end: one past
-    # the index where a numerator at a nonpositive integer ends the series
+    # low: the least real part the validity conditions name
     low = min(x0, y1)
-    end = math.inf
-    if x0 <= 0.0 and x0 == math.floor(x0) and not x.imag:
-        end = 1 - x0
     rest = []
     for x, y in pairs:
         if x == y:
@@ -193,15 +186,10 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
         rest.append((xr, 0.5 * x.imag * x.imag, yr))
         floor += xr - yr
         low = min(low, xr, yr)
-        if xr <= 0.0 and xr == math.floor(xr) and not x.imag:
-            end = min(end, 1 - xr)
     widths = [(abs(x - y), abs(x.real - y.real), min(x.real, y.real) - 1.0)
               for x, y in brackets]
     for _, _, m in widths:
         low = min(low, m)
-    first = math.floor(-low) + 1
-    if end < first:
-        first = int(end)
 
     def bound(k: int, t_abs: float, h_abs: float) -> float:
         # (j + x)/(j + y1) bounds the ratio folded so far, for all j >= k;
@@ -228,7 +216,7 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
                 bracket += h_abs * width / (k + m)
         return bracket * (k + x) / gap
 
-    return first, floor, y1 - floor - 1.0, bound
+    return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
 
 
 def _run(step, tol: Tolerance, start_k: int, first_term: complex,
@@ -335,7 +323,15 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
         t = t * (n1 + k) * (n2 + k) * (n3 + k) / ((d1 + k) * (d2 + k) * (k + 1))
         return t, t
 
-    return _run(step, tol, 0, t, t, _majorant((n1, n2, n3), (d1, d2, 1.0)))
+    majorant = _majorant((n1, n2, n3), (d1, d2, 1.0))
+    if majorant[0] >= tol.max_terms:
+        # past the cap, _run refuses a series whose bound it cannot reach;
+        # a numerator at a nonpositive integer -m ends this one at index m,
+        # and _run stops there on the zero term without the bound
+        for x in (n1, n2, n3):
+            if not x.imag and x.real <= 0.0 and x.real == math.floor(x.real):
+                majorant = (min(majorant[0], 1 - int(x.real)),) + majorant[1:]
+    return _run(step, tol, 0, t, t, majorant)
 
 
 def _psi_bracket(w: complex, da: complex, db: complex) -> tuple:

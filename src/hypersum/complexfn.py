@@ -7,18 +7,18 @@ deliberately free of external special-function libraries.
 
 One Stirling kernel, ``_stirling``, answers log Gamma, psi, or both from
 one pass, for Im z >= 0.  Right of the abscissa Re z = -4 (``_REFLECT``) it
-lifts z by unit steps until Re z >= 7 (``_lift``, the one lift loop), and
-evaluates the Stirling series with exact Bernoulli-number coefficients,
-cut to the fewest terms the argument's size allows.  Left of it the kernel
-reflects once, log Gamma by DLMF 5.5.3 on its principal branch and psi by
-DLMF 5.5.4, with the sine and cotangent taken at z - round(Re z), so no
-call takes more than 11 lift steps, whatever -Re z is.  The pair
-difference log Gamma(z1) - log Gamma(z2), ``_stirling_diff``, lifts through
-the same loop and combines the two Stirling main terms from the exact
-offset z1 - z2; left of the abscissa it reflects the pair by the
-difference of DLMF 5.5.3 at its two points.  Arguments in the lower half
-plane are handled by conjugation, which makes the conjugate-symmetry
-identities exact at the representation level.
+lifts z by unit steps until Re z >= 7 (the one lift loop), and evaluates
+the Stirling series with exact Bernoulli-number coefficients, cut to the
+fewest terms the argument's size allows.  Left of it the kernel reflects
+once, log Gamma by DLMF 5.5.3 on its principal branch and psi by DLMF
+5.5.4, with the sine and cotangent taken at z - round(Re z), so no call
+takes more than 11 lift steps, whatever -Re z is.  The pair difference log
+Gamma(z1) - log Gamma(z2), ``_stirling_diff``, lifts its two points through
+the same loop (``_stirling``'s lift-only call) and combines the two
+Stirling main terms from the exact offset z1 - z2; left of the abscissa it
+reflects the pair by the difference of DLMF 5.5.3 at its two points.
+Arguments in the lower half plane are handled by conjugation, which makes
+the conjugate-symmetry identities exact at the representation level.
 
 Real arguments take a real twin.  ``log_gamma`` takes its real part from
 ``math.lgamma`` and sets the imaginary part, 0 or -pi ceil(-x), with the
@@ -194,23 +194,6 @@ def _horner(radii: tuple[float, ...], series: tuple, w: complex,
     return s
 
 
-def _lift(w: complex, lg: bool, psi: bool, g=0.0) -> tuple:
-    """(w + k, g + sum_j log(w + j), sum_j 1/(w + j)), j < k, for the
-    fewest unit steps k that bring Re w to _ASYMPTOTIC_SHIFT.  The
-    reciprocal sum runs when psi, the log sum when lg or not psi; a sum
-    that does not run stays at its start."""
-    p = 0.0
-    while w.real < _ASYMPTOTIC_SHIFT:
-        if psi:
-            p += 1.0 / w
-            if lg:
-                g += cmath.log(w)
-        else:
-            g += cmath.log(w)
-        w += 1.0
-    return w, g, p
-
-
 def _one_minus_exp_2pi_i(z: complex) -> complex:
     # 1 - e^(2 pi i z) = -expm1(u), u = 2 pi i f, from f = z - round(Re z),
     # which is exact and keeps the phase accurate at large |Re z|; the real
@@ -222,9 +205,15 @@ def _one_minus_exp_2pi_i(z: complex) -> complex:
                    -math.exp(re_u) * math.sin(im_u))
 
 
-def _stirling(z: complex, lg: bool, psi: bool):
+def _stirling(z: complex, lg: bool, psi: bool, lift=None):
     """log Gamma(z) when lg, psi(z) when psi, or both as a pair, for
     Im z >= 0, from one lift or reflection and one Stirling evaluation.
+
+    The lift is the kernel's one loop: it moves z right by unit steps until
+    Re z >= _ASYMPTOTIC_SHIFT and sums log(z + j) for log Gamma and
+    1/(z + j) for psi.  Given lift, a start for the log sum, the call only
+    lifts (z right of _REFLECT) and returns the lifted point and lift plus
+    the log sum: the pair difference lifts its two points so.
 
     log Gamma is the principal branch.  Each lift step stays off the
     negative real axis when Im z != 0, so summing principal logs adds no
@@ -250,10 +239,17 @@ def _stirling(z: complex, lg: bool, psi: bool):
             p = (p.conjugate()
                  - math.pi / cmath.tan(math.pi * (z - round(z.real))))
         return (g, p) if lg and psi else g if lg else p
-    if z.real < _ASYMPTOTIC_SHIFT:
-        w, g, p = _lift(z, lg, psi)
-    else:
-        w, g, p = z, 0.0, 0.0
+    w, g, p = z, 0.0 if lift is None else lift, 0.0
+    while w.real < _ASYMPTOTIC_SHIFT:
+        if psi:
+            p += 1.0 / w
+            if lg:
+                g += cmath.log(w)
+        else:
+            g += cmath.log(w)
+        w += 1.0
+    if lift is not None:
+        return w, g
     log_w = cmath.log(w)
     u = 1.0 / w
     u2 = u * u
@@ -300,8 +296,8 @@ def _stirling_diff(z1: complex, z2: complex, delta: complex) -> complex:
         if w1.real < _REFLECT or w2.real < _REFLECT:
             return _stirling(w1, True, False) - _stirling(w2, True, False)
         # shift runs from 0 down by the w1 steps' logs, then up by w2's
-        w1, shift, _ = _lift(w1, True, False)
-        w2, shift, _ = _lift(w2, True, False, 0.0 - shift)
+        w1, shift = _stirling(w1, True, False, 0.0)
+        w2, shift = _stirling(w2, True, False, 0.0 - shift)
         delta = w1 - w2
     log_w2 = cmath.log(w2)
     u = delta / w2
