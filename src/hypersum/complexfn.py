@@ -29,10 +29,8 @@ input's sign.  The pair difference of two real arguments right of the
 lift target runs ``_stirling_diff_real``, which takes ``math.log1p`` and
 ``math.log`` where the complex kernel takes its own log1p form and
 ``cmath.log``; its values can differ from the complex kernel's in the last
-bits (by at most 4 eps of max(1, |difference|) on the tests' sweep).
-Complex values and every log Gamma value are those of the three separate
-upper-half-plane routines this kernel replaced, bit for bit.  The real
-twin is code of its own rather than the complex code run on floats:
+bits (by at most 4 eps of max(1, |difference|) on the tests' sweep).  The
+real twin is code of its own rather than the complex code run on floats:
 CPython specializes each operation to the operand types it meets, and one
 copy serving both arithmetics measured slower in both.
 

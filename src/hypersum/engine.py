@@ -62,12 +62,11 @@ __all__ = [
 # Relative accuracy floor of the double-precision gamma/digamma kernel in
 # the working strip: against mpmath, over 1,500 draws with Re z, Im z in
 # [-15, 15], log_gamma errs by at most 2.1e-14 absolute (so Gamma by that
-# relative) and digamma by 1.0e-14 relative.  The one Stirling kernel gives
-# the same log_gamma and digamma values (digamma's real twin the same real
-# parts); only the real pair difference, a real twin with math.log1p,
-# moved, by at most 4 eps of max(1, |difference|), far inside this floor.
-# Every reported est_error includes this so kernel roundoff cannot escape
-# the estimate.
+# relative) and digamma by 1.0e-14 relative.  Real digamma runs a float
+# twin with the same bits as the real part of the complex pass, and the
+# real pair difference's float twin (math.log1p) stays within 4 eps of
+# max(1, |difference|) of that pass, far inside this floor.  Every reported
+# est_error includes this so kernel roundoff cannot escape the estimate.
 _KERNEL_REL = 1e-13
 
 # Each prefactor is exp(L), where L sums log-gamma values and the pair
