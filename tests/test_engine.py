@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersum import coeffs, params
+from hypersum.complexfn import nonpos_int_distance
 from hypersum.engine import (
     EvalReport,
     Tolerance,
@@ -31,7 +32,6 @@ from hypersum.errors import (
     WrongBranchError,
 )
 from hypersum.oracle import compare, partial_sum_ref
-from hypersum.complexfn import nonpos_int_distance
 from hypersum.params import ParamSet, _log_seq_ratios, classify_params
 
 
