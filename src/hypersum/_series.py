@@ -219,6 +219,13 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
     return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
 
 
+def _unproven(first: int, last: int, tol: Tolerance) -> DomainError:
+    return DomainError(
+        f"the series' tail bound holds from term index {first} on, past its "
+        f"last index {last} under max_terms = {tol.max_terms}: its tail "
+        f"cannot be proven")
+
+
 def _run(step, tol: Tolerance, start_k: int, first_term: complex,
          first_hyp: complex, majorant, rounding=None) -> SeriesResult:
     """Shared accumulation loop.  step(k) returns (t_{k+1}, h_{k+1}), the
@@ -227,8 +234,10 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     error the terms carry from their inputs, added to the estimate.
 
     A series whose tail bound applies only past its last admissible index,
-    start_k + max_terms - 1, could not prove its tail: it raises
-    DomainError naming that index before summing a term.
+    start_k + max_terms - 1, cannot prove its tail: it raises DomainError
+    naming that index, before summing a term, unless the bound applies
+    from the very next index.  Then the series must end on a zero term
+    there, a terminating one of exactly max_terms terms, or be refused.
 
     The loop keeps its compensated sum (total + comp) in local variables,
     floats or complex as the terms are: a method call or a helper per term
@@ -238,11 +247,8 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     """
     first, floor, excess, bound = majorant
     last = start_k + tol.max_terms - 1
-    if first > last:
-        raise DomainError(
-            f"the series' tail bound holds from term index {first} on, past "
-            f"its last index {last} under max_terms = {tol.max_terms}: its "
-            f"tail cannot be proven")
+    if first > last + 1:
+        raise _unproven(first, last, tol)
     rel_tol = tol.rel_tol
     scale = rel_tol * excess
     # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
@@ -262,8 +268,13 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
                 if tail <= rel_tol * size:
                     break
         if k >= last:
-            if k >= first:
-                tail = bound(k, t_abs, abs(hyp))
+            if k < first:
+                # first is last + 1: only a zero term ends the series here
+                if step(k)[1] != 0.0:
+                    raise _unproven(first, last, tol)
+                tail = 0.0
+                break
+            tail = bound(k, t_abs, abs(hyp))
             hit_max = True
             break
         term, hyp = step(k)
@@ -334,12 +345,12 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
     return _run(step, tol, 0, t, t, majorant)
 
 
-def _psi_bracket(w: complex, da: complex, db: complex) -> tuple:
-    """psi(w) - gamma - psi(a) - psi(b), given da = psi(a) and db = psi(b),
-    and a bound on its rounding in double: 2 eps times the moduli it sums.
-    Where the bracket cancels, that bound is far above eps times its
-    modulus.  w is a finite complex number off the poles."""
-    dw = _digamma(w)
+def _psi_bracket(a: complex, b: complex, w: complex) -> tuple:
+    """psi(w) - gamma - psi(a) - psi(b) and a bound on its rounding in
+    double: 2 eps times the moduli it sums.  Where the bracket cancels,
+    that bound is far above eps times its modulus.  a, b and w are finite
+    complex numbers off the poles."""
+    dw, da, db = _digamma(w), _digamma(a), _digamma(b)
     return (dw - EULER_GAMMA - da - db,
             2.0 * _EPS * (abs(dw) + EULER_GAMMA + abs(da) + abs(db)))
 
@@ -371,14 +382,14 @@ def sum_psi_kernel(a, b, w, tol: Tolerance = _DEFAULT_TOL) -> SeriesResult:
     w = _off_pole(w, "digamma")
     a = _off_pole(a, "digamma")
     b = _off_pole(b, "digamma")
-    return _sum_psi_kernel(a, b, w, tol, _digamma(a), _digamma(b))
+    return _sum_psi_kernel(a, b, w, tol)
 
 
-def _sum_psi_kernel(a: complex, b: complex, w: complex, tol: Tolerance,
-                    da: complex, db: complex) -> SeriesResult:
+def _sum_psi_kernel(a: complex, b: complex, w: complex,
+                    tol: Tolerance) -> SeriesResult:
     # sum_psi_kernel without its checks, for finite complex a, b, w off the
-    # poles, given da = psi(a) and db = psi(b)
-    br, br_err = _psi_bracket(w, da, db)
+    # poles
+    br, br_err = _psi_bracket(a, b, w)
     if not (a.imag or b.imag or w.imag or br.imag):
         a, b, w, br = a.real, b.real, w.real, br.real
     t = 1.0

@@ -5,41 +5,38 @@ overflow-safe products of gamma ratios built on top of them
 (``gamma_ratio``, and ``exp_log`` for the range check).  The implementation is
 deliberately free of external special-function libraries.
 
-One Stirling kernel, ``_stirling``, answers log Gamma, psi, or both from
-one pass, for Im z >= 0.  Right of the abscissa Re z = -4 (``_REFLECT``) it
-lifts z by unit steps until Re z >= 7 (the one lift loop), and evaluates
-the Stirling series with exact Bernoulli-number coefficients, cut to the
-fewest terms the argument's size allows.  Left of it the kernel reflects
-once, log Gamma by DLMF 5.5.3 on its principal branch and psi by DLMF
-5.5.4, with the sine and cotangent taken at z - round(Re z), so no call
-takes more than 11 lift steps, whatever -Re z is.  The pair difference log
-Gamma(z1) - log Gamma(z2), ``_stirling_diff``, lifts its two points through
-the same loop (``_stirling``'s lift-only call) and combines the two
-Stirling main terms from the exact offset z1 - z2; left of the abscissa it
-reflects the pair by the difference of DLMF 5.5.3 at its two points.
-Arguments in the lower half plane are handled by conjugation, which makes
-the conjugate-symmetry identities exact at the representation level.
+One Stirling kernel, ``_stirling``, answers log Gamma or psi for Im z >=
+0; the lower half plane is taken by conjugation, which makes the
+conjugate-symmetry identities exact at the representation level.  Right
+of Re z = -4 (``_REFLECT``) it lifts z by unit steps to Re z >= 7 (the one
+lift loop) and sums the Stirling series with exact Bernoulli-number
+coefficients, cut to the fewest terms the argument's size allows.  Left of
+it, it reflects once (DLMF 5.5.3, 5.5.4), so no call lifts more than 11
+steps, whatever -Re z is.  The pair difference log Gamma(z1) - log
+Gamma(z2), ``_stirling_diff``, lifts its points through the same loop and
+combines the two Stirling main terms from the exact offset z1 - z2.  A
+pair left of ``_REFLECT`` reflects as a pair, by the difference of DLMF
+5.5.3 at its two points, as reflecting each point alone would drop that
+offset and lose eps |log Gamma| (0.8 at -1e15 + 0.5i, against a
+difference of 8.7).
 
-Real arguments take a real twin.  ``log_gamma`` takes its real part from
-``math.lgamma`` and sets the imaginary part, 0 or -pi ceil(-x), with the
-sign the lift would give it.  psi runs ``_psi_real``, the kernel's lift,
-reflection and series in float arithmetic: its value is the complex
-kernel's real part bit for bit, and its zero imaginary part carries the
-input's sign.  The pair difference of two real arguments right of the
-lift target runs ``_stirling_diff_real``, which takes ``math.log1p`` and
-``math.log`` where the complex kernel takes its own log1p form and
-``cmath.log``; its values can differ from the complex kernel's in the last
-bits (by at most 4 eps of max(1, |difference|) on the tests' sweep).  The
-real twin is code of its own rather than the complex code run on floats:
-CPython specializes each operation to the operand types it meets, and one
-copy serving both arithmetics measured slower in both.
+Real arguments take a float twin of their own: CPython specializes each
+operation to the operand types it meets, and one copy serving both
+arithmetics measured slower in both.  ``log_gamma`` takes its real part
+from ``math.lgamma`` and its imaginary part, 0 or -pi ceil(-x), with the
+sign the lift would give it.  ``_psi_real`` is the kernel's lift,
+reflection and series in floats: its value is the complex pass's real part
+bit for bit, and its zero imaginary part carries the input's sign.
+``_stirling_diff_real``, the pair of two real arguments >= 7, takes
+``math.log1p`` and ``math.log`` and may differ from the complex pass in
+the last bits (by at most 4 eps of max(1, |difference|) on the tests'
+sweep).
 
 Each public function checks its input and then calls a private twin
 (``_log_gamma``, ``_digamma``) that takes a finite complex argument known
-to be off the poles; ``_log_gamma_psi`` returns both from one pass.  The
-engine and ``params``, whose callers hold a validated ``ParamSet``, call
-the twins directly, and ``params`` forms the n-dependent gamma pairs with
-the pair kernel ``_log_gamma_diff``.
+to be off the poles.  The engine and ``params``, whose callers hold a
+validated ``ParamSet``, call the twins directly, and ``params`` forms the
+n-dependent gamma pairs with the pair kernel ``_log_gamma_diff``.
 """
 
 from __future__ import annotations
@@ -203,15 +200,14 @@ def _one_minus_exp_2pi_i(z: complex) -> complex:
                    -math.exp(re_u) * math.sin(im_u))
 
 
-def _stirling(z: complex, lg: bool, psi: bool, lift=None):
-    """log Gamma(z) when lg, psi(z) when psi, or both as a pair, for
-    Im z >= 0, from one lift or reflection and one Stirling evaluation.
+def _stirling(z: complex, psi: bool, lift=None):
+    """psi(z) when psi, else log Gamma(z), for Im z >= 0.
 
     The lift is the kernel's one loop: it moves z right by unit steps until
-    Re z >= _ASYMPTOTIC_SHIFT and sums log(z + j) for log Gamma and
-    1/(z + j) for psi.  Given lift, a start for the log sum, the call only
-    lifts (z right of _REFLECT) and returns the lifted point and lift plus
-    the log sum: the pair difference lifts its two points so.
+    Re z >= _ASYMPTOTIC_SHIFT and sums 1/(z + j) for psi or log(z + j) for
+    log Gamma.  Given lift, a start for the log sum, the call only lifts (z
+    right of _REFLECT) and returns the lifted point and lift plus the log
+    sum: the pair difference lifts its two points so.
 
     log Gamma is the principal branch.  Each lift step stays off the
     negative real axis when Im z != 0, so summing principal logs adds no
@@ -220,44 +216,33 @@ def _stirling(z: complex, lg: bool, psi: bool, lift=None):
     """
     if z.real < _REFLECT:
         # 1 - conj z lies right of 5, in the upper half plane with z, so
-        # it lifts at most two steps.  log Gamma is log pi - log sin(pi z)
-        # - log Gamma(1-z) (DLMF 5.5.3), with log sin(pi z) = -i pi z
-        # + Log(1 - e^(2 pi i z)) - log 2 + i pi/2.  On Im z >= 0 this is
-        # the principal branch with no 2 pi i k term: both sides are
-        # analytic there and agree at z = 1/2 (D. E. G. Hare, J. Algorithms
-        # 25 (1997)).  psi is psi(1-z) - pi cot(pi z) (DLMF 5.5.4), the
-        # cotangent taken at z - round(Re z).
-        v = _stirling(1.0 - z.conjugate(), lg, psi)
-        g, p = v if lg and psi else (v, v)  # the pair, or the one value
-        if lg:
-            g = (complex(_LOG_TWO_PI - math.pi * z.imag,
-                         math.pi * (z.real - 0.5))
-                 - cmath.log(_one_minus_exp_2pi_i(z)) - g.conjugate())
+        # it lifts at most two steps.  psi is psi(1-z) - pi cot(pi z) (DLMF
+        # 5.5.4), the cotangent taken at z - round(Re z).  log Gamma is
+        # log pi - log sin(pi z) - log Gamma(1-z) (DLMF 5.5.3), with
+        # log sin(pi z) = -i pi z + Log(1 - e^(2 pi i z)) - log 2 + i pi/2.
+        # On Im z >= 0 this is the principal branch with no 2 pi i k term:
+        # both sides are analytic there and agree at z = 1/2 (D. E. G.
+        # Hare, J. Algorithms 25 (1997)).
+        v = _stirling(1.0 - z.conjugate(), psi).conjugate()
         if psi:
-            p = (p.conjugate()
-                 - math.pi / cmath.tan(math.pi * (z - round(z.real))))
-        return (g, p) if lg and psi else g if lg else p
-    w, g, p = z, 0.0 if lift is None else lift, 0.0
+            return v - math.pi / cmath.tan(math.pi * (z - round(z.real)))
+        return (complex(_LOG_TWO_PI - math.pi * z.imag,
+                        math.pi * (z.real - 0.5))
+                - cmath.log(_one_minus_exp_2pi_i(z)) - v)
+    w, s = z, 0.0 if lift is None else lift
     while w.real < _ASYMPTOTIC_SHIFT:
-        if psi:
-            p += 1.0 / w
-            if lg:
-                g += cmath.log(w)
-        else:
-            g += cmath.log(w)
+        s += 1.0 / w if psi else cmath.log(w)
         w += 1.0
     if lift is not None:
-        return w, g
+        return w, s
     log_w = cmath.log(w)
     u = 1.0 / w
     u2 = u * u
-    if lg:
-        g = ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI
-             + u * _horner(_LOG_RADII, _LOG_SERIES, w, u2) - g)
-        if not psi:
-            return g
-    p = log_w - u * 0.5 - u2 * _horner(_PSI_RADII, _PSI_SERIES, w, u2) - p
-    return (g, p) if lg else p
+    if psi:
+        return (log_w - u * 0.5
+                - u2 * _horner(_PSI_RADII, _PSI_SERIES, w, u2) - s)
+    return ((w - 0.5) * log_w - w + _HALF_LOG_TWO_PI
+            + u * _horner(_LOG_RADII, _LOG_SERIES, w, u2) - s)
 
 
 def _log1p_c(u: complex) -> complex:
@@ -292,10 +277,10 @@ def _stirling_diff(z1: complex, z2: complex, delta: complex) -> complex:
                                      1.0 - z2.conjugate(),
                                      -delta.conjugate()).conjugate())
         if w1.real < _REFLECT or w2.real < _REFLECT:
-            return _stirling(w1, True, False) - _stirling(w2, True, False)
+            return _stirling(w1, False) - _stirling(w2, False)
         # shift runs from 0 down by the w1 steps' logs, then up by w2's
-        w1, shift = _stirling(w1, True, False, 0.0)
-        w2, shift = _stirling(w2, True, False, 0.0 - shift)
+        w1, shift = _stirling(w1, False, 0.0)
+        w2, shift = _stirling(w2, False, 0.0 - shift)
         delta = w1 - w2
     log_w2 = cmath.log(w2)
     u = delta / w2
@@ -313,11 +298,8 @@ def _stirling_diff(z1: complex, z2: complex, delta: complex) -> complex:
             + shift)
 
 
-# The real twin: psi and the pair difference in float arithmetic, the same
-# operations as the complex kernel above on a zero imaginary part, so psi
-# keeps its bits.  It is its own code rather than the complex code run on
-# floats: CPython specializes each operation to the operand types it sees,
-# and one copy serving both arithmetics measured slower in both.
+# The real twin, in float arithmetic: the same operations as the complex
+# kernel above on a zero imaginary part.
 
 def _horner_real(radii: tuple[float, ...], series: tuple, x: float,
                  u2: float) -> float:
@@ -344,9 +326,8 @@ def _psi_real(x: float) -> float:
 
 
 def _stirling_diff_real(x1: float, x2: float, delta: float) -> float:
-    # _stirling_diff for x1, x2 >= _ASYMPTOTIC_SHIFT, which lift no step;
-    # math.log1p and math.log take the places of _log1p_c and cmath.log,
-    # so the last bits can differ from the complex kernel's
+    # _stirling_diff for x1, x2 >= _ASYMPTOTIC_SHIFT, which lift no step,
+    # with math.log1p and math.log for _log1p_c and cmath.log
     log_x2 = math.log(x2)
     u = delta / x2
     if abs(u) <= 0.25:
@@ -397,8 +378,8 @@ def _log_gamma(w: complex) -> complex:
                 im = math.copysign(math.pi * math.ceil(-x), -w.imag)
             return complex(re, im)
     if w.imag > 0.0 or not _in_lower_half(w):
-        return _stirling(w, True, False)
-    return _stirling(w.conjugate(), True, False).conjugate()
+        return _stirling(w, False)
+    return _stirling(w.conjugate(), False).conjugate()
 
 
 def exp_log(lg: complex, what: str = "gamma_ratio") -> complex:
@@ -428,18 +409,8 @@ def _digamma(w: complex) -> complex:
     if w.imag == 0.0:
         return complex(_psi_real(w.real), w.imag)
     if w.imag < 0.0:
-        return _stirling(w.conjugate(), False, True).conjugate()
-    return _stirling(w, False, True)
-
-
-def _log_gamma_psi(w: complex) -> tuple:
-    # (_log_gamma(w), _digamma(w)), off the real axis from one pass.
-    if w.imag == 0.0:
-        return _log_gamma(w), complex(_psi_real(w.real), w.imag)
-    if w.imag < 0.0:
-        g, p = _stirling(w.conjugate(), True, True)
-        return g.conjugate(), p.conjugate()
-    return _stirling(w, True, True)
+        return _stirling(w.conjugate(), True).conjugate()
+    return _stirling(w, True)
 
 
 def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
@@ -474,9 +445,9 @@ def _log_gamma_diff(n: float, x1: complex, x2: complex) -> complex:
     # log_gamma(conj z) = conj log_gamma(z), so only 2i Im log_gamma moves.
     if lower1:
         d = _stirling_diff(z1.conjugate(), z2, x1.conjugate() - x2)
-        return d.conjugate() - 2.0j * _stirling(z2, True, False).imag
+        return d.conjugate() - 2.0j * _stirling(z2, False).imag
     d = _stirling_diff(z2.conjugate(), z1, x2.conjugate() - x1)
-    return 2.0j * _stirling(z1, True, False).imag - d.conjugate()
+    return 2.0j * _stirling(z1, False).imag - d.conjugate()
 
 
 def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) -> complex:

@@ -35,9 +35,8 @@ from functools import partial
 from ._series import (_DEFAULT_TOL, Tolerance, _psi_bracket, _sum_alt_kernel,
                       _sum_hyp3f2, _sum_psi_kernel, finite_sum,
                       predicted_terms, sum_direct)
-from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _log_gamma,
-                        _log_gamma_psi, gamma_ratio, log_gamma,
-                        nonpos_int_distance)
+from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _log_gamma, gamma_ratio,
+                        log_gamma, nonpos_int_distance)
 from .errors import (DomainError, InvalidParameterError, Record,
                      WrongBranchError)
 # classify itself is unused here but stays reachable as engine.classify,
@@ -262,19 +261,18 @@ def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
     a, b = p.a, p.b
     w = _nab_off_pole(n + a + b)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
-    lg_ab = log_gamma(a + b)
-    (lg_a, da), (lg_b, db) = _log_gamma_psi(a), _log_gamma_psi(b)
+    lg_ab, lg_a, lg_b = log_gamma(a + b), _log_gamma(a), _log_gamma(b)
     lg_pref = lg_ab - lg_a - lg_b
     pref_size = abs(lg_ab) + abs(lg_a) + abs(lg_b)
     tail_size = _pair_size(n, a, b, a + b) + pref_size
     if form == "psi_series":
-        ker = _sum_psi_kernel(a, b, w, tol, da, db)
+        ker = _sum_psi_kernel(a, b, w, tol)
         pieces = ()
     else:
         ker = _sum_alt_kernel(a, b, w, tol)
         # head: the prefactor times psi(w) - gamma - psi(a) - psi(b), which
         # can cancel far below the digamma moduli it sums
-        pieces = (_piece(lg_pref, pref_size, *_psi_bracket(w, da, db)),)
+        pieces = (_piece(lg_pref, pref_size, *_psi_bracket(a, b, w)),)
     tail = _piece(log_lambda + lg_pref, tail_size, ker.value, ker.est_error)
     return pieces + (tail,), ker.terms_used, ker.hit_max
 
@@ -349,11 +347,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     else:
         w = _nab_off_pole(n + a + b)
         log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
-    lg_c = _log_gamma(c)
-    if pole:
-        lg_a, lg_b = _log_gamma(a), _log_gamma(b)
-    else:
-        (lg_a, da), (lg_b, db) = _log_gamma_psi(a), _log_gamma_psi(b)
+    lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     head = _piece(log_omega + lg_c - lg_a - lg_b,
                   _pair_size(n, a, b, c) + abs(lg_c) + abs(lg_a) + abs(lg_b),
                   finite, absum=absum, d=m)
@@ -361,7 +355,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
         return (head,), count, False
     lg_ca, lg_cb, lg_m = (_log_gamma(c - a), _log_gamma(c - b),
                           math.lgamma(m + 1))
-    ker = _sum_psi_kernel(a, b, w, tol, da, db)
+    ker = _sum_psi_kernel(a, b, w, tol)
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
             + lg_m)
     # the tail's sign (-1)^m, as its divisor

@@ -45,6 +45,19 @@ class TestHyp3F2:
         assert res.value.real == pytest.approx(1.0 - 2.0 / 35.0 + 1.0 / 420.0,
                                                rel=1e-15)
 
+    def test_terminating_at_the_cap(self):
+        # (-3)_k ends the series after 4 nonzero terms, and n + c puts its
+        # tail bound's first index near 2e6: a cap of exactly 4 terms
+        # still reaches the zero term and returns the whole sum
+        num, den = [-3.0, 1.0, 1.0], [-2e6 + 0.5, 2.0]
+        res = sum_hyp3f2(num, den, Tolerance(max_terms=4))
+        assert res == sum_hyp3f2(num, den, Tolerance(max_terms=5))
+        assert res.terms_used == 4 and not res.hit_max
+        assert math.isfinite(res.est_error)
+        with pytest.raises(DomainError, match="index 4 on, past its last "
+                                              "index 2"):
+            sum_hyp3f2(num, den, Tolerance(max_terms=3))
+
     def test_divergent_raises(self):
         # excess = sum(den) - sum(num) <= 0 and non-terminating
         with pytest.raises(DivergentSeriesError):
@@ -103,7 +116,7 @@ class TestPsiKernel:
             closed += bound != total
         assert closed > 100
         res = sum_psi_kernel(1.5, 0.25, 7.75)
-        _, br_err = _series._psi_bracket(7.75 + 0j, digamma(1.5), digamma(0.25))
+        _, br_err = _series._psi_bracket(1.5 + 0j, 0.25 + 0j, 7.75 + 0j)
         bound = br_err * _series._hyp_abs_sum(1.5, 0.25, 7.75, 1)
         assert res.est_error >= bound
 
@@ -137,6 +150,14 @@ class TestFiniteSum:
                                               "index 9"):
             _series._run(step, Tolerance(max_terms=10), 0, 1.0, 1.0,
                          _series._majorant((-20.3, 0.4), (80.1, 1.0)))
+
+    def test_unprovable_tail_refused_at_the_cap(self):
+        # with 21 terms the bound would hold from the index just past the
+        # cap; the series has no zero term there, so it is refused
+        with pytest.raises(DomainError, match="index 21 on, past its last "
+                                              "index 20"):
+            sum_hyp3f2([-20.3, 0.4, 1.0], [80.1, 1.0],
+                       Tolerance(max_terms=21))
 
     def test_sums_up_to_the_cap(self):
         # (1)_k (1)_k / ((2)_k (1)_k) = 1/(k + 1): the harmonic number H_10
@@ -203,10 +224,11 @@ class _ReferenceSum:
 def _reference_run(step, tol, start_k, first_term, first_hyp, majorant,
                    rounding=None):
     # the stop rule written out: a refusal when the tail bound applies only
-    # past the cap, the tail bound at every k from `first` on, and a stop
-    # at the first k where it is at most rel_tol * |partial sum|
+    # past the index after the cap, the tail bound at every k from `first`
+    # on, and a stop at the first k where it is at most rel_tol * |partial
+    # sum|
     first, _, _, bound = majorant
-    if first > start_k + tol.max_terms - 1:
+    if first > start_k + tol.max_terms:
         raise DomainError("the tail bound applies only past the cap")
     acc = _ReferenceSum()
     acc.add(first_term)
@@ -218,6 +240,13 @@ def _reference_run(step, tol, start_k, first_term, first_hyp, majorant,
             if tail <= tol.rel_tol * abs(acc.total):
                 break
         if k - start_k + 1 >= tol.max_terms:
+            if k < first:
+                # the bound applies from the next index: only a zero there
+                # ends the series
+                if step(k)[1] != 0.0:
+                    raise DomainError("the tail bound applies past the cap")
+                tail = 0.0
+                break
             hit_max = True
             break
         term, hyp = step(k)

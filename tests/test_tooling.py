@@ -97,9 +97,8 @@ def test_large_gamma_pairs_have_one_owner():
 def test_unchecked_kernel_entries_stay_behind_validation():
     # The private twins skip their public functions' checks; only modules
     # whose callers hold a validated ParamSet may call them.
-    unchecked = {"_log_gamma", "_digamma", "_log_gamma_psi",
-                 "_log_gamma_diff", "_sum_hyp3f2", "_sum_psi_kernel",
-                 "_sum_alt_kernel"}
+    unchecked = {"_log_gamma", "_digamma", "_log_gamma_diff", "_sum_hyp3f2",
+                 "_sum_psi_kernel", "_sum_alt_kernel"}
     strays = _strays(unchecked, {"complexfn.py", "params.py", "_series.py",
                                  "engine.py"})
     assert not strays, strays
