@@ -444,9 +444,10 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     a negative-integer one.
 
     A series whose proven tail bound holds only from an index past its
-    term cap cannot answer: such an input (for example n + c or n + a + b
-    far below -max_terms) raises DomainError at once, naming that index,
-    instead of summing max_terms terms toward a NaN or infinite error bar.
+    term cap, and which does not end on a zero term within the cap, cannot
+    answer: such an input (for example n + c or n + a + b far below
+    -max_terms) raises DomainError at once, naming that index, instead of
+    summing max_terms terms toward a NaN or infinite error bar.
     No answer is returned with a non-finite value or est_error.
     """
     cls = classify_params(p)
