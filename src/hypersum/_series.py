@@ -219,11 +219,10 @@ def _majorant(nums, dens, brackets=(), vanishing=False):
     return math.floor(-low) + 1, floor, y1 - floor - 1.0, bound
 
 
-def _unproven(first: int, last: int, tol: Tolerance) -> DomainError:
-    return DomainError(
-        f"the series' tail bound holds from term index {first} on, past its "
-        f"last index {last} under max_terms = {tol.max_terms}: its tail "
-        f"cannot be proven")
+def _unproven(first: int, last: int, tol: Tolerance) -> str:
+    return (f"the series' tail bound holds from term index {first} on, past "
+            f"its last index {last} under max_terms = {tol.max_terms}: its "
+            f"tail cannot be proven")
 
 
 def _run(step, tol: Tolerance, start_k: int, first_term: complex,
@@ -248,7 +247,7 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     first, floor, excess, bound = majorant
     last = start_k + tol.max_terms - 1
     if first > last + 1:
-        raise _unproven(first, last, tol)
+        raise DomainError(_unproven(first, last, tol))
     rel_tol = tol.rel_tol
     scale = rel_tol * excess
     # 0.0 + turns a -0.0 into the +0.0 a sum started from zero holds
@@ -271,7 +270,7 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
             if k < first:
                 # first is last + 1: only a zero term ends the series here
                 if step(k)[1] != 0.0:
-                    raise _unproven(first, last, tol)
+                    raise DomainError(_unproven(first, last, tol))
                 tail = 0.0
                 break
             tail = bound(k, t_abs, abs(hyp))

@@ -2,7 +2,9 @@
 
 Provides ``log_gamma`` / ``gamma`` / ``digamma`` for complex arguments, plus
 overflow-safe products of gamma ratios built on top of them
-(``gamma_ratio``, and ``exp_log`` for the range check).  The implementation is
+(``gamma_ratio``).  ``exp_log``, which exponentiates a sum of logs, is the
+package's one range check: it refuses a result above or below the double
+range with ``DomainError``.  The implementation is
 deliberately free of external special-function libraries.
 
 One Stirling kernel, ``_stirling``, answers log Gamma or psi for Im z >=
@@ -47,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidParameterError, PoleError
+from .errors import DomainError, InvalidParameterError, PoleError
 
 __all__ = [
     "POLE_TOL",
@@ -383,17 +385,19 @@ def _log_gamma(w: complex) -> complex:
 
 
 def exp_log(lg: complex, what: str = "gamma_ratio") -> complex:
-    """exp(lg) for a sum of log-gamma values, refusing a result outside the
-    double range with an OverflowError that names ``what``."""
+    """exp(lg) for a sum of logs, refusing a result outside the double range
+    with a DomainError that names ``what``."""
     if lg.real > _EXP_MAX:
-        raise OverflowError(f"{what} overflow: Re log = {lg.real:.6g}")
+        raise DomainError(f"{what} lies above the double range: "
+                          f"Re log = {lg.real:.6g}")
     if lg.real < _EXP_MIN:
-        raise OverflowError(f"{what} underflow: Re log = {lg.real:.6g}")
+        raise DomainError(f"{what} lies below the double range: "
+                          f"Re log = {lg.real:.6g}")
     return cmath.exp(lg)
 
 
 def gamma(z: Number) -> complex:
-    """Gamma(z) = exp(log_gamma(z)) with explicit exponent-range checks."""
+    """Gamma(z) = exp(log_gamma(z)); DomainError outside the double range."""
     return exp_log(log_gamma(z), "gamma")
 
 
@@ -461,6 +465,7 @@ def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) ->
     An argument formed as n+a in double precision has already lost the low
     bits of a, up to 8e-10 relative at n = 1e6: ratios with an n-dependent
     argument go through _log_gamma_diff with their exact offsets instead.
+    A ratio outside the double range is a DomainError.
     """
     nums = [_off_pole(v, "gamma_ratio") for v in numerators]
     dens = [_off_pole(v, "gamma_ratio") for v in denominators]

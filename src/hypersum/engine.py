@@ -21,9 +21,10 @@ adds the n terms directly only when n is within that cap too.
 
 Every expansion is one or two pieces, each a gamma-function prefactor
 exp(L) times a finite or convergent sum, and _piece holds the one rule for
-a piece: it exponentiates L once, refuses a piece above the double range,
-bounds one below it, and forms the piece's error.  S_n is the sum of the
-pieces in range, and lies below the double range when none is.
+a piece: it bounds a piece below the double range, exponentiates L once
+through complexfn.exp_log, which refuses a piece above that range, and
+forms the piece's error.  S_n is the sum of the pieces in range, and lies
+below the double range when none is.
 """
 
 from __future__ import annotations
@@ -35,16 +36,15 @@ from functools import partial
 from ._series import (_DEFAULT_TOL, Tolerance, _psi_bracket, _sum_alt_kernel,
                       _sum_hyp3f2, _sum_psi_kernel, finite_sum,
                       predicted_terms, sum_direct)
-from .complexfn import (_EXP_MAX, _EXP_MIN, POLE_TOL, _log_gamma, gamma_ratio,
-                        log_gamma, nonpos_int_distance)
+from .complexfn import (_EXP_MIN, POLE_TOL, _log_gamma, _off_pole, exp_log,
+                        gamma_ratio, log_gamma, nonpos_int_distance)
 from .errors import (DomainError, InvalidParameterError, Record,
                      WrongBranchError)
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     _check_index, _log_seq_ratios, _nab_off_pole, classify,
-                     classify_params)
+                     _check_index, _log_seq_ratios, classify, classify_params)
 
 __all__ = [
     "Tolerance",
@@ -181,20 +181,16 @@ def _piece(lg: complex, size: float, x=1.0, x_err: float = 0.0,
     size sums the moduli of the terms in lg, x_err is x's own error, and
     absum is Sum |t_k| when x is a finite sum Sum t_k.  In range the error
     is |pref| x_err + (|piece| + |pref| absum) _rel_floor(size), pref being
-    exp(lg) / d.  Above the double range the piece is a DomainError; below
-    it, its value is None and its error the bound
+    exp(lg) / d.  Above the double range the piece is exp_log's DomainError;
+    below it, its value is None and its error the bound
     e^Re(lg) (|x| + x_err + absum _rel_floor(size)) / |d|, taken in log
     space.
     """
-    log_abs = lg.real
-    if log_abs > _EXP_MAX:
-        raise DomainError(f"S_n lies above the double range: log |prefactor| "
-                          f"= {log_abs:.6g}")
     floor = _rel_floor(size)
-    if log_abs < _EXP_MIN:
+    if lg.real < _EXP_MIN:
         bound = (abs(x) + x_err + absum * floor) / abs(d)
-        return None, math.exp(log_abs + math.log(bound)) if bound else 0.0
-    pref = cmath.exp(lg)
+        return None, math.exp(lg.real + math.log(bound)) if bound else 0.0
+    pref = exp_log(lg, "S_n")
     if d != 1:
         pref /= d
     value = pref * x
@@ -259,7 +255,7 @@ def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
 def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
          form: str = "psi_series") -> tuple:
     a, b = p.a, p.b
-    w = _nab_off_pole(n + a + b)
+    w = _off_pole(n + a + b, "gamma_ratio")
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
     lg_ab, lg_a, lg_b = log_gamma(a + b), _log_gamma(a), _log_gamma(b)
     lg_pref = lg_ab - lg_a - lg_b
@@ -345,7 +341,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     if pole:
         log_omega, = _log_seq_ratios(n, a, b, c)
     else:
-        w = _nab_off_pole(n + a + b)
+        w = _off_pole(n + a + b, "gamma_ratio")
         log_omega, log_lambda = _log_seq_ratios(n, a, b, c, a + b)
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     head = _piece(log_omega + lg_c - lg_a - lg_b,
@@ -477,5 +473,5 @@ def leading_term(p: ParamSet, n: int) -> complex:
         raise DomainError("no single leading term when Re s = 0 with s != 0")
     if s.real > 0.0:
         return gamma_ratio([c, s], [c - a, c - b])
-    growth = cmath.exp(-s * math.log(n))
+    growth = exp_log(-s * math.log(n), "n^(-s)")
     return gamma_ratio([c], [a, b]) * growth / (-s)

@@ -2,10 +2,6 @@
 
 Everything raised deliberately by this library derives from ``HypersumError``
 so callers (and the CLI) can map library failures to a single exit path.
-The public gamma-kernel functions (``gamma``, ``gamma_ratio``,
-``exp_log``) reuse builtin ``OverflowError`` as-is for exponent-range
-failures; the engine reports an answer outside the double range as
-``DomainError``.
 
 ``Record`` is the base of the package's result records.  It lives here
 because this is the one package module the oracle imports.

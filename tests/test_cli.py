@@ -170,6 +170,27 @@ class TestLandau:
         failed = [r for r in recs if "error" in r]
         assert [r["method"] for r in failed] == ["thm3"]
 
+    def test_bound_below_the_double_range_is_an_error_line(self, capsys):
+        # remainder_bound's gamma ratio underflows at this index and depth
+        rc, text = run_cli("landau", "-n", "1175361495472161", "--method",
+                           "thm3", "--terms", "27")
+        assert rc == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: gamma_ratio lies below the double range: "
+            "Re log = -811.1\n")
+
+    def test_all_records_a_range_refusal(self):
+        rc, recs = run_json("landau", "-n", "188180492708465792", "--method",
+                            "all", "--terms", "22")
+        assert rc == 0
+        errors = {r["method"]: r["error"] for r in recs if "error" in r}
+        assert sorted(errors) == ["asym", "direct", "nemes", "thm3"]
+        assert errors["thm3"].startswith(
+            "gamma_ratio lies below the double range")
+        assert [r["method"] for r in recs if "error" not in r] == [
+            "watson", "ck"]
+
     def test_out_of_range_shift(self):
         rc, _ = run_cli("landau", "-n", "5", "--method", "nemes", "--h", "2")
         assert rc == 1

@@ -11,17 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersum import complexfn
+from hypersum.coeffs import asym_log, asym_neg_int, c0, remainder_bound
 from hypersum.complexfn import (
     POLE_TOL,
     _log_gamma_diff,
     bernoulli_numbers,
     digamma,
+    exp_log,
     gamma,
     gamma_ratio,
     log_gamma,
     nonpos_int_distance,
 )
-from hypersum.errors import InvalidParameterError, PoleError
+from hypersum.engine import leading_term
+from hypersum.errors import DomainError, InvalidParameterError, PoleError
+from hypersum.params import ParamSet, seq_factors
 
 EULER = 0.5772156649015329
 EPS = 2.0 ** -52
@@ -131,6 +135,34 @@ class TestGammaRatio:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             gamma_ratio([-2.0], [1.0])
+
+
+class TestRangeRefusal:
+    # exp_log is the package's one range check: a value past the double
+    # range is a DomainError on every public route that exponentiates a log.
+    def test_exp_log_names_the_side_and_the_value(self):
+        with pytest.raises(DomainError, match=r"^X lies above the double "
+                                              r"range: Re log = 710$"):
+            exp_log(710.0 + 0j, "X")
+        with pytest.raises(DomainError, match=r"^gamma_ratio lies below the "
+                                              r"double range: Re log = -746$"):
+            exp_log(-746.0 + 3j)
+        assert exp_log(709.0 + 0j) == cmath.exp(709.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: gamma(200.0),
+        lambda: gamma_ratio([1000.5], [0.5]),
+        lambda: c0(1000.5, 1000.25),
+        lambda: asym_log(1000.5, 1000.25, 5, 1),
+        lambda: asym_neg_int(ParamSet(1000.5, 1000.25, 1998.75), 5, 1),
+        lambda: seq_factors(ParamSet(400.5, 400.5, 0.5), 10**6),
+        lambda: remainder_bound(10**15, 30),
+        lambda: leading_term(ParamSet(300.5, 300.5, 0.25), 10**6),
+    ], ids=["gamma", "gamma_ratio", "c0", "asym_log", "asym_neg_int",
+            "seq_factors", "remainder_bound", "leading_term"])
+    def test_public_routes_refuse_with_domain_error(self, call):
+        with pytest.raises(DomainError, match="the double range: Re log = "):
+            call()
 
 
 def _far_left_grid():

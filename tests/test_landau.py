@@ -8,11 +8,12 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from hypersum import coeffs, landau, oracle, params
 from hypersum._series import predicted_terms
-from hypersum.complexfn import digamma
+from hypersum.complexfn import EULER_GAMMA, digamma
 from hypersum.errors import DomainError, InvalidParameterError
 from hypersum.landau import (
     landau_asymptotic,
@@ -135,14 +136,22 @@ class TestTheorem3:
         assert rel(v, G_100) <= 1e-12
 
     def test_cached_tables_match_exact_ones(self):
-        # landau_theorem3 reads sigma_k and c_0 at (1/2, 1/2) from tables
-        # built once; they must be the exact values rounded to floats
+        # landau_theorem3 reads sigma_k at (1/2, 1/2) from tables built
+        # once; they must be the exact values rounded to floats
         half = Fraction(1, 2)
         assert landau._sigma_half(1) == ()
         for M in range(2, 31):
             exact = coeffs.sigma_coeffs(half, half, M - 1).values
             assert landau._sigma_half(M) == tuple(map(float, exact)), M
-        assert landau._c0_half() == coeffs.c0(0.5, 0.5).real
+
+    def test_c0_constant_is_the_closed_form(self):
+        # c_0(1/2, 1/2) = (gamma + 4 log 2) / pi, written once as a
+        # constant; it must hold to the double's rounding, and agree with
+        # the general c0 route to that route's own accuracy
+        with mp.workdps(40):
+            want = (mp.euler + 4 * mp.log(2)) / mp.pi
+            assert abs(mp.mpf(landau._C0_HALF) - want) <= 2e-16 * want
+        assert abs(landau._C0_HALF - coeffs.c0(0.5, 0.5)) <= 1e-15
 
     def test_needs_large_index(self):
         for n, M in ((10, 10), (3, 8), (2, 10), (1, 1)):
@@ -204,7 +213,7 @@ class TestAsymptotic:
         # (verify runs it in mpmath); in double it must reproduce the
         # written-out formula bit for bit.
         c_list = coeffs.c_coeffs().values
-        c0 = coeffs.c0(0.5, 0.5).real
+        c0 = landau._C0_HALF
         for n in range(1, 201):
             want = digamma(n + 1.0).real / math.pi + c0
             for K in range(7):
@@ -227,10 +236,16 @@ class TestWatsonAsymptotic:
         assert abs(landau_watson_asymptotic(100) - G_100) <= 2e-7
 
     def test_is_nemes_at_unit_shift_and_depth_two(self):
-        # The closed form stays for its cost (a fifth of Nemes' g_poly
-        # calls); it must stay this identity, bit for bit.
-        for n in range(1, 2001):
+        # The three-term estimate is Nemes' at h = 1, K = 2, from index 0,
+        # where g_1(1) = 1/4 and g_2(1) = -5/192 give Watson's printed form
+        # bit for bit.
+        pi = math.pi
+        for n in range(0, 2001):
+            u = n + 1.0
+            watson = ((math.log(u) + EULER_GAMMA + 4.0 * math.log(2.0)) / pi
+                      - 1.0 / (4.0 * pi * u) + 5.0 / (192.0 * pi * u * u))
             assert landau_watson_asymptotic(n) == landau_nemes(n, 1.0, 2), n
+            assert landau_watson_asymptotic(n) == watson, n
 
 
 class TestNemes:

@@ -27,6 +27,7 @@ left, so every choice is run and its record traced to its own route.
 
 import argparse
 import ast
+import builtins
 import csv
 import json
 import importlib
@@ -120,6 +121,39 @@ def test_every_exported_error_is_raised():
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert exported
     assert not exported - raised, sorted(exported - raised)
+
+
+def _resolve(node, namespace):
+    """The object a Name or dotted Attribute chain names in namespace."""
+    if isinstance(node, ast.Name):
+        return namespace[node.id]
+    return getattr(_resolve(node.value, namespace), node.attr)
+
+
+def test_every_raise_is_a_package_error():
+    # A refusal is a HypersumError, so callers and the CLI need one exit
+    # path.  The two builtins are protocol, not refusal: AttributeError for
+    # the frozen records and the package __getattr__, and argparse's
+    # ArgumentTypeError for a bad CLI value.
+    from hypersum.errors import HypersumError
+    allowed = (AttributeError, argparse.ArgumentTypeError)
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        raises = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Raise)]
+        if not raises:
+            continue
+        name = ("hypersum" if path.stem == "__init__"
+                else f"hypersum.{path.stem}")
+        namespace = {**vars(builtins),
+                     **vars(importlib.import_module(name))}
+        for node in raises:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = None if exc is None else _resolve(exc, namespace)
+            if not (isinstance(cls, type)
+                    and (issubclass(cls, HypersumError) or cls in allowed)):
+                strays.append(f"{path.name}:{node.lineno}")
+    assert not strays, strays
 
 
 def test_no_code_calls_mpmaths_hyp3f2():
