@@ -38,11 +38,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .complexfn import (EULER_GAMMA, POLE_TOL, _digamma, _off_pole,
-                        nonpos_int_distance)
+from .complexfn import (EULER_GAMMA, POLE_TOL, _check_index, _digamma,
+                        _off_pole, nonpos_int_distance)
 from .errors import (DivergentSeriesError, DomainError, InvalidParameterError,
                      Record)
-from .params import _check_index
 
 __all__ = ["SeriesResult", "Tolerance", "sum_hyp3f2", "sum_psi_kernel",
            "sum_alt_kernel", "sum_direct", "predicted_terms"]

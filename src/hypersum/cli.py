@@ -20,6 +20,7 @@ import json
 import sys
 
 from . import coeffs, engine, landau
+from .complexfn import _check_index
 from .engine import Tolerance
 from .errors import HypersumError
 from .params import LOGARITHMIC, ParamSet, classify, classify_params
@@ -122,25 +123,22 @@ def _cmd_landau(args, out) -> int:
         _emit(_landau_one(args.method, args.n, args.terms, args.h), args, out)
         return 0
     records = []
-    failures = 0
     for method in ("direct", "watson", "ck", "thm3", "asym", "nemes"):
         try:
             records.append(_landau_one(method, args.n, args.terms, args.h))
         except HypersumError as exc:
             records.append({"method": method, "index": args.n,
                             "error": str(exc)})
-            failures += 1
     _emit(records, args, out)
-    return 1 if failures == len(records) else 0
+    if all("error" in record for record in records):
+        raise HypersumError("every method refused this index")
+    return 0
 
 
 def _head(fam: str, k: int | None, values: tuple) -> tuple:
     """The first --k of a family's values, all of them by default."""
-    if k is None:
-        return values
-    if not 1 <= k <= len(values):
-        raise HypersumError(f"family {fam} has depth {len(values)}, got --k {k}")
-    return values[:k]
+    return (values if k is None else
+            values[:_check_index(k, f"--k of family {fam}", 1, len(values))])
 
 
 def _complex_records(values) -> list:

@@ -3,6 +3,8 @@
 Coefficients whose defining formulas are rational-in-parameters (sigma_k, the
 A_k list, the g_k polynomials, the fixed C_k list) are kept exact when the
 inputs are ints or Fractions and fall back to complex arithmetic otherwise.
+Every numeric parameter enters through _intake, which refuses a NaN or an
+infinity with InvalidParameterError, and every integer through _check_index.
 The asymptotic forms at the bottom combine those coefficients with the
 digamma leading term; their truncation error decays in inverse powers of n.
 Each is written once over an _Arith namespace: the public functions run it
@@ -18,10 +20,11 @@ from fractions import Fraction
 from typing import Union
 
 from ._series import finite_sum
-from .complexfn import (EULER_GAMMA, POLE_TOL, _as_complex, digamma,
-                        exp_log, gamma_ratio)
+from .complexfn import (_EXP_MIN, EULER_GAMMA, POLE_TOL, _as_complex,
+                        _check_index, _log_gamma_ratio, digamma, exp_log,
+                        gamma_ratio, nonpos_int_distance)
 from .errors import DomainError, PoleError, Record, WrongBranchError
-from .params import (NEGATIVE_INTEGER, ParamSet, _check_index, _log_seq_ratios,
+from .params import (NEGATIVE_INTEGER, ParamSet, _log_seq_ratios,
                      classify_params)
 
 __all__ = [
@@ -93,19 +96,14 @@ class CoefficientTable(Record):
         d["values"] = values
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def _coerce_pair(a: Number, b: Number):
-    """Return (a, b) as Fractions when both are exact, else as complex."""
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a), Fraction(b)
-    return complex(a), complex(b)
-
-
-def _numeric(x) -> complex:
-    return complex(float(x)) if isinstance(x, Fraction) else complex(x)
+def _intake(names: str, *values, exact: bool = False) -> tuple:
+    """values as Fractions when exact is set and each is an int or a
+    Fraction; otherwise as finite complex numbers, each NaN or infinity an
+    InvalidParameterError naming its value (names holds one letter each)."""
+    if exact and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+                     for v in values):
+        return tuple(map(Fraction, values))
+    return tuple(map(_as_complex, values, names))
 
 
 def _finite(values: tuple, kind: str) -> tuple:
@@ -120,10 +118,7 @@ def _finite(values: tuple, kind: str) -> tuple:
 def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
     """sigma_k = sum_{r<k} (1/(a+r) + 1/(b+r) - 1/(r+1)) for k = 1..K."""
     _check_index(K, "K")
-    av, bv = _coerce_pair(a, b)
-    if not isinstance(av, Fraction):
-        # a NaN passes the pole test below, and an infinity contributes 0
-        av, bv = _as_complex(av, "a"), _as_complex(bv, "b")
+    av, bv = _intake("ab", a, b, exact=True)
     values = []
     acc = av * 0
     for r in range(K):
@@ -138,7 +133,7 @@ def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
 
 def c0(a: Number, b: Number) -> complex:
     """(Gamma(a+b)/(Gamma(a)Gamma(b))) * (psi(1) - psi(a) - psi(b))."""
-    return _c0(_DOUBLE, _numeric(a), _numeric(b))
+    return _c0(_DOUBLE, *_intake("ab", a, b))
 
 
 def _c0(ns: _Arith, a, b):
@@ -157,7 +152,7 @@ def _a_formulas(a, b):
 
 def a_coeffs(a: Number, b: Number) -> CoefficientTable:
     """The three printed inverse-power coefficients of the logarithmic case."""
-    av, bv = _coerce_pair(a, b)
+    av, bv = _intake("ab", a, b, exact=True)
     values = _a_formulas(av, bv)
     if not isinstance(av, Fraction):
         values = _finite(values, "A")
@@ -171,9 +166,10 @@ def c_coeffs() -> CoefficientTable:
 def g_poly(k: int, h: Number):
     """Shifted-expansion polynomials g_1..g_3; exact for exact h."""
     _check_index(k, "k", 1, 3)
-    exact = _is_exact(h)
-    poly = (_G_POLYS if exact else _G_FLOATS)[k - 1]
-    hv = Fraction(h) if exact else h
+    # a finite float stays a float: landau_nemes takes float(g_poly(k, h))
+    hv = (h if type(h) is float and math.isfinite(h)
+          else _intake("h", h, exact=True)[0])
+    poly = (_G_POLYS if isinstance(hv, Fraction) else _G_FLOATS)[k - 1]
     value = poly[-1]
     for coef in poly[-2::-1]:
         value = value * hv + coef
@@ -183,7 +179,7 @@ def g_poly(k: int, h: Number):
 def _lambda_coeffs(a: Number, b: Number) -> tuple:
     """Inverse-power coefficients lambda_1, lambda_2, ... of lambda_n: five
     printed for the (1/2, 1/2) pair, two for a general pair."""
-    av, bv = _numeric(a), _numeric(b)
+    av, bv = _intake("ab", a, b)
     if av == 0.5 and bv == 0.5:
         return _LAMBDA_HALF_FLOATS
     ab = av * bv
@@ -195,17 +191,12 @@ def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:
     """Truncated inverse-power estimate of lambda_n.
 
     The (1/2, 1/2) pair has five printed coefficients; the general pair only
-    two.  Orders beyond the printed depth raise DomainError rather than
-    silently extrapolating.
+    two.  Orders beyond the printed depth are refused rather than silently
+    extrapolated.
     """
     _check_index(n)
-    _check_index(order, "order", minimum=0)
     table = _lambda_coeffs(a, b)
-    if order > len(table):
-        pair = ("(1/2, 1/2)" if table is _LAMBDA_HALF_FLOATS
-                else "general parameters")
-        raise DomainError(f"order {order} exceeds the known depth "
-                          f"{len(table)} for {pair}")
+    _check_index(order, "order", 0, len(table))
     total = 1.0 + 0.0j
     for k in range(1, order + 1):
         total += table[k - 1] / float(n) ** k
@@ -216,22 +207,20 @@ def remainder_bound(n: int, M: int) -> float:
     """Upper bound on the truncation remainder of the order-M Landau form.
 
     Equals (4/pi^2) Gamma(M+1/2)^2 Gamma(n-M)/Gamma(n), which decays like
-    n^(-M); see the scaling check bound(2n,M)/bound(n,M) -> 2^(-M).
+    n^(-M); see the scaling check bound(2n,M)/bound(n,M) -> 2^(-M).  A bound
+    below the double range is reported as the smallest positive double,
+    which still bounds the remainder; one above it is a DomainError.
     """
     _check_index(n)
     _check_index(M, "M")
     if n <= M:
         raise DomainError(f"need n > M, got n = {n}, M = {M}")
-    value = gamma_ratio([n - M, M + 0.5, M + 0.5], [n])
-    return 4.0 / math.pi ** 2 * value.real
-
-
-def _check_asym_args(n, K) -> None:
-    # three A_k are printed: a deeper K is a request past the known depth
-    _check_index(n)
-    _check_index(K, "K", 0)
-    if K > 3:
-        raise DomainError(f"K must be in 0..3, got {K!r}")
+    lg = _log_gamma_ratio([n - M, M + 0.5, M + 0.5], [n])
+    if lg.real < _EXP_MIN:
+        return 5e-324
+    # max: a bound at the range's edge can round to 0 in the last product
+    return max(4.0 / math.pi ** 2 * exp_log(lg, "remainder_bound").real,
+               5e-324)
 
 
 def _a_correction(ns: _Arith, a, b, n: int, K: int, acc):
@@ -248,8 +237,9 @@ def asym_log(a: Number, b: Number, n: int, K: int) -> complex:
     (Gamma(a+b)/(Gamma(a)Gamma(b))) psi(n+a+b) + c_0(a,b)
     + (Gamma(a+b)/(Gamma(a)Gamma(b))) sum_{k<=K} (-1)^(k-1) A_k / n^k.
     """
-    _check_asym_args(n, K)
-    return _asym_log(_DOUBLE, _numeric(a), _numeric(b), n, K)
+    _check_index(n)
+    _check_index(K, "K", 0, 3)  # three A_k are printed
+    return _asym_log(_DOUBLE, *_intake("ab", a, b), n, K)
 
 
 def _asym_log(ns: _Arith, a, b, n: int, K: int):
@@ -266,7 +256,8 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
     + sum (-1)^(k-1) A_k/n^k.  The bracket's constant is psi(1)-psi(a)-psi(b),
     i.e. c_0(a,b) carried over with the prefactor Gamma(a)Gamma(b)/Gamma(a+b).
     """
-    _check_asym_args(n, K)
+    _check_index(n)
+    _check_index(K, "K", 0, 3)
     cls = classify_params(p)
     if cls.kind != NEGATIVE_INTEGER:
         raise WrongBranchError(
@@ -298,8 +289,11 @@ def rearranged_tail(a: Number, b: Number, n: int, M: int) -> complex:
     K = (M + 1) // 2
     if n <= K:
         raise DomainError(f"need n > K = {K}, got n = {n}")
-    av, bv = _numeric(a), _numeric(b)
+    av, bv = _intake("ab", a, b)
     w = n + av + bv
+    # (w)_r for r < K vanishes at w = 0, -1, ..., 2 - K
+    if nonpos_int_distance(w) <= POLE_TOL and round(w.real) > 1 - K:
+        raise PoleError(f"(n+a+b)_r pole: n + a + b = {w!r}")
     total = 0.0 + 0.0j
     poch = 1.0 + 0.0j      # (a)_r (b)_r / (n+a+b)_r
     falling = 1.0          # (n-1)(n-2)...(n-r)

@@ -4,8 +4,10 @@ Provides ``log_gamma`` / ``gamma`` / ``digamma`` for complex arguments, plus
 overflow-safe products of gamma ratios built on top of them
 (``gamma_ratio``).  ``exp_log``, which exponentiates a sum of logs, is the
 package's one range check: it refuses a result above or below the double
-range with ``DomainError``.  The implementation is
-deliberately free of external special-function libraries.
+range with ``DomainError``.  ``_as_complex`` and ``_check_index``, the
+intake checks of a parameter and of an integer, sit here below every
+layer.  The implementation is deliberately free of external
+special-function libraries.
 
 One Stirling kernel, ``_stirling``, answers log Gamma or psi for Im z >=
 0; the lower half plane is taken by conjugation, which makes the
@@ -92,7 +94,24 @@ _REFLECT = -4.0
 _EXP_MAX = 709.78
 _EXP_MIN = -745.1
 
-_MAX_BERNOULLI = 64
+# The largest int whose float is finite: float() of any larger int raises
+# OverflowError, so no index past it may reach the double routes.
+_MAX_INDEX = 2 ** 1024 - 2 ** 970 - 1
+
+
+def _check_index(value, name: str = "n", minimum: int = 1,
+                 maximum: int = _MAX_INDEX) -> int:
+    """value, when it is an int (not a bool) in minimum..maximum, by default
+    the largest int whose float is finite; InvalidParameterError otherwise."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and minimum <= value <= maximum):
+        return value
+    bounds = (f">= {minimum}" if maximum == _MAX_INDEX
+              else f"in {minimum}..{maximum}")
+    # not the repr of an int past the double range: hundreds of digits
+    got = (f"one of {value.bit_length()} bits, past the double range"
+           if isinstance(value, int) and value > _MAX_INDEX else repr(value))
+    raise InvalidParameterError(f"{name} must be an integer {bounds}, got {got}")
 
 
 def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
@@ -102,11 +121,7 @@ def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
     arithmetic.  ``count`` is capped at 64; beyond that the numbers grow
     factorially and nothing in this package needs them.
     """
-    # complexfn sits below params, so it checks its one count itself
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise InvalidParameterError("count must be a positive integer")
-    if count > _MAX_BERNOULLI:
-        raise InvalidParameterError(f"count must be <= {_MAX_BERNOULLI}")
+    _check_index(count, "count", 1, 64)
     top = 2 * count
     full = [Fraction(1)]
     for m in range(1, top + 1):
@@ -155,8 +170,8 @@ _PSI_RADII, _PSI_SERIES = _size_matched(
 
 
 def _as_complex(z: Number, name: str = "z") -> complex:
-    # complex() takes a Fraction through its __float__, the correctly
-    # rounded quotient.
+    # The package's one finite-number check.  complex() takes a Fraction
+    # through its __float__, the correctly rounded quotient.
     w = z if type(z) is complex else complex(z)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise InvalidParameterError(f"{name} must be finite, got {w!r}")
@@ -467,6 +482,11 @@ def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) ->
     argument go through _log_gamma_diff with their exact offsets instead.
     A ratio outside the double range is a DomainError.
     """
+    return exp_log(_log_gamma_ratio(numerators, denominators))
+
+
+def _log_gamma_ratio(numerators, denominators) -> complex:
+    # gamma_ratio's log, for a caller with its own rule outside the range
     nums = [_off_pole(v, "gamma_ratio") for v in numerators]
     dens = [_off_pole(v, "gamma_ratio") for v in denominators]
     total = 0.0 + 0.0j
@@ -477,4 +497,4 @@ def gamma_ratio(numerators: Sequence[Number], denominators: Sequence[Number]) ->
         total += _log_gamma(v)
     for v in dens[paired:]:
         total -= _log_gamma(v)
-    return exp_log(total)
+    return total

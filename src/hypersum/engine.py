@@ -36,15 +36,16 @@ from functools import partial
 from ._series import (_DEFAULT_TOL, Tolerance, _psi_bracket, _sum_alt_kernel,
                       _sum_hyp3f2, _sum_psi_kernel, finite_sum,
                       predicted_terms, sum_direct)
-from .complexfn import (_EXP_MIN, POLE_TOL, _log_gamma, _off_pole, exp_log,
-                        gamma_ratio, log_gamma, nonpos_int_distance)
+from .complexfn import (_EXP_MIN, POLE_TOL, _check_index, _log_gamma,
+                        _log_gamma_ratio, _off_pole, exp_log, gamma_ratio,
+                        log_gamma, nonpos_int_distance)
 from .errors import (DomainError, InvalidParameterError, Record,
                      WrongBranchError)
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     _check_index, _log_seq_ratios, classify, classify_params)
+                     _log_seq_ratios, classify, classify_params)
 
 __all__ = [
     "Tolerance",
@@ -473,5 +474,6 @@ def leading_term(p: ParamSet, n: int) -> complex:
         raise DomainError("no single leading term when Re s = 0 with s != 0")
     if s.real > 0.0:
         return gamma_ratio([c, s], [c - a, c - b])
-    growth = exp_log(-s * math.log(n), "n^(-s)")
-    return gamma_ratio([c], [a, b]) * growth / (-s)
+    # one exponent, as n^(-s) alone can leave the range the term is in
+    lg = _log_gamma_ratio([c], [a, b]) - s * math.log(n)
+    return exp_log(lg, "the leading term") / (-s)

@@ -30,7 +30,8 @@ class PoleError(HypersumError):
 
 
 class InvalidParameterError(HypersumError):
-    """Input violates a structural constraint (excluded value, bad count...)."""
+    """An input no route takes: a NaN, infinite or excluded parameter, or an
+    index, depth or count that is not an int in its range."""
 
 
 class DivergentSeriesError(HypersumError):
@@ -42,7 +43,8 @@ class WrongBranchError(HypersumError):
 
 
 class DomainError(HypersumError):
-    """Out-of-domain request for an otherwise well-formed operation."""
+    """A well-formed input a route cannot answer: a value past the double
+    range, an index below its validity window (n <= M), a sum past its cap."""
 
 
 class PrecisionUnavailableError(HypersumError):

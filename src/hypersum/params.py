@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .complexfn import (_as_complex, _log_gamma_diff, _off_pole, exp_log,
-                        nonpos_int_distance)
+from .complexfn import (_as_complex, _check_index, _log_gamma_diff,
+                        _off_pole, exp_log, nonpos_int_distance)
 from .errors import InvalidParameterError, Record
 
 __all__ = [
@@ -161,19 +161,6 @@ def classify_params(p: ParamSet) -> ExcessClass:
             warnings=tuple(warnings),
         )
     return ExcessClass(kind=NEGATIVE_INTEGER, m=m, warnings=tuple(warnings))
-
-
-def _check_index(value, name: str = "n", minimum: int = 1,
-                 maximum: int | None = None) -> int:
-    """value, when it is an int (not a bool) in minimum..maximum (no upper
-    limit when maximum is None); InvalidParameterError otherwise."""
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or value < minimum or (maximum is not None and value > maximum)):
-        bounds = (f">= {minimum}" if maximum is None
-                  else f"in {minimum}..{maximum}")
-        raise InvalidParameterError(
-            f"{name} must be an integer {bounds}, got {value!r}")
-    return value
 
 
 def _log_seq_ratios(n, a, b, *xs) -> list[complex]:

@@ -23,9 +23,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import coeffs, complexfn, engine, landau, oracle
-from .complexfn import EULER_GAMMA, nonpos_int_distance
+from .complexfn import EULER_GAMMA, _check_index, nonpos_int_distance
 from .errors import DomainError, Record
-from .params import ParamSet, _check_index
+from .params import ParamSet
 
 DEFAULT_SEED = 20260815
 _DEGENERATE_CASES = 50

@@ -170,26 +170,44 @@ class TestLandau:
         failed = [r for r in recs if "error" in r]
         assert [r["method"] for r in failed] == ["thm3"]
 
-    def test_bound_below_the_double_range_is_an_error_line(self, capsys):
+    def test_bound_below_the_double_range_is_the_least_double(self):
         # remainder_bound's gamma ratio underflows at this index and depth
-        rc, text = run_cli("landau", "-n", "1175361495472161", "--method",
+        # (Re log = -811.1); the value is in range, and the smallest
+        # positive double still bounds its remainder
+        rc, rec = run_json("landau", "-n", "1175361495472161", "--method",
                            "thm3", "--terms", "27")
-        assert rc == 1
-        assert text == ""
-        assert capsys.readouterr().err == (
-            "error: gamma_ratio lies below the double range: "
-            "Re log = -811.1\n")
+        assert rc == 0
+        assert rec["bound"] == 5e-324
+        _, shallow = run_json("landau", "-n", "1175361495472161", "--method",
+                              "thm3", "--terms", "20")
+        assert shallow["bound"] == pytest.approx(4.7e-267, rel=1e-2)
+        assert rec["value_re"] == shallow["value_re"] == pytest.approx(
+            12.1117409969, rel=1e-11)
 
-    def test_all_records_a_range_refusal(self):
+    def test_all_records_each_refusal(self):
         rc, recs = run_json("landau", "-n", "188180492708465792", "--method",
                             "all", "--terms", "22")
         assert rc == 0
         errors = {r["method"]: r["error"] for r in recs if "error" in r}
-        assert sorted(errors) == ["asym", "direct", "nemes", "thm3"]
-        assert errors["thm3"].startswith(
-            "gamma_ratio lies below the double range")
+        assert errors == {
+            "direct": "n must be an integer in 0..1000000, got "
+                      "188180492708465792",
+            "asym": "K must be an integer in 0..6, got 22",
+            "nemes": "K must be an integer in 0..3, got 22"}
         assert [r["method"] for r in recs if "error" not in r] == [
-            "watson", "ck"]
+            "watson", "ck", "thm3"]
+        assert recs[3]["bound"] == 5e-324
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "-a", "0.5", "-b", "0.25", "-c", "1.5"],
+        ["landau", "--method", "all"],
+    ], ids=["eval", "landau_all"])
+    def test_index_past_the_double_range_is_an_error_line(self, argv, capsys):
+        rc, _ = run_cli(*argv, "-n", str(10 ** 400))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     def test_out_of_range_shift(self):
         rc, _ = run_cli("landau", "-n", "5", "--method", "nemes", "--h", "2")

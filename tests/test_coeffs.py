@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -76,11 +77,14 @@ class TestAC:
         assert c_coeffs().values == GOLDEN_C
 
     def test_double_range(self):
-        # Past the double range A raises, as the engine does; exact inputs
-        # stay exact at any size.
-        for a, b in ((1e200, 1e200), (complex(1e200), 0.5), (math.inf, 0.5),
-                     (math.nan, 0.5)):
+        # Past the double range A raises, as the engine does; a non-finite
+        # input is a bad parameter, not a range fault; exact inputs stay
+        # exact at any size.
+        for a, b in ((1e200, 1e200), (complex(1e200), 0.5)):
             with pytest.raises(DomainError):
+                a_coeffs(a, b)
+        for a, b in ((math.inf, 0.5), (math.nan, 0.5)):
+            with pytest.raises(InvalidParameterError, match="a must be finite"):
                 a_coeffs(a, b)
         big = Fraction(10 ** 200)
         assert a_coeffs(big, big).values[0] == big * big - 2 * big
@@ -102,6 +106,12 @@ class TestG:
         for k in (4, 0, True, 1.0):
             with pytest.raises(InvalidParameterError):
                 g_poly(k, HALF)
+
+    def test_float_stays_float(self):
+        # landau_nemes takes float(g_poly(k, h))
+        assert type(g_poly(2, 0.75)) is float
+        assert g_poly(2, 0.75) == pytest.approx(float(g_poly(2, Fraction(3, 4))),
+                                                rel=1e-15)
 
 
 class TestLambdaSeries:
@@ -126,20 +136,26 @@ class TestLambdaSeries:
 
     def test_double_range(self):
         # The general pair's coefficients past the double range raise, as
-        # the engine does; so does the estimate built from them.
+        # the engine does; so does the estimate built from them.  A
+        # non-finite input is a bad parameter instead.
         from hypersum.coeffs import _lambda_coeffs
 
-        for a, b in ((1e200, 1e200), (Fraction(10 ** 200), 1), (math.nan, 0.5),
-                     (0.5, complex(0.0, math.inf))):
-            with pytest.raises(DomainError):
+        for a, b, error in ((1e200, 1e200, DomainError),
+                            (Fraction(10 ** 200), 1, DomainError),
+                            (math.nan, 0.5, InvalidParameterError),
+                            (0.5, complex(0.0, math.inf),
+                             InvalidParameterError)):
+            with pytest.raises(error):
                 _lambda_coeffs(a, b)
-            with pytest.raises(DomainError):
+            with pytest.raises(error):
                 lambda_series(a, b, 10, 1)
 
     def test_depth_caps(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^order must be an integer in 0\.\.5, got 6$"):
             lambda_series(0.5, 0.5, 10, 6)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^order must be an integer in 0\.\.2, got 3$"):
             lambda_series(0.25, 0.5, 10, 3)
 
 
@@ -156,6 +172,14 @@ class TestRemainderBound:
         with pytest.raises(DomainError):
             remainder_bound(10, 10)
 
+    def test_below_the_double_range_is_the_least_double(self):
+        # Gamma ratio at Re log -811.1 and about -1e3: still bounded above
+        # by the smallest positive double
+        assert remainder_bound(1175361495472162, 27) == 5e-324
+        assert remainder_bound(10**15, 30) == 5e-324
+        with pytest.raises(DomainError, match="above the double range"):
+            remainder_bound(400, 399)
+
 
 class TestAsymLog:
     def test_against_frozen_sum(self):
@@ -165,11 +189,12 @@ class TestAsymLog:
             assert abs(est - 1.8896625074153495) < budget
 
     def test_depth_cap(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^K must be an integer in 0\.\.3, got 4$"):
             asym_log(0.5, 0.5, 20, 4)
 
     def test_malformed_depth(self):
-        # a K that is no depth at all is a bad parameter, not a request
+        # a K that is no depth at all is refused by the same check as one
         # past the three printed A_k
         p = ParamSet(1.5, -0.25, 0.25)
         for K in (-1, True, 2.0):
@@ -215,3 +240,11 @@ class TestRearrangedTail:
     def test_domain(self):
         with pytest.raises(DomainError):
             rearranged_tail(0.5, 0.5, 4, 10)
+
+    def test_pole_of_the_pochhammer_denominator(self):
+        # (n+a+b)_r, r < K = 3, vanishes at n + a + b = 0 and -1
+        for a in (-10.5, -11.5, -10.5 + 1e-13):
+            with pytest.raises(PoleError, match="n\\+a\\+b"):
+                rearranged_tail(a, 0.5, 10, 6)
+        # farther left the factors it takes stay off zero
+        assert cmath.isfinite(rearranged_tail(-12.5, 0.5, 10, 6))

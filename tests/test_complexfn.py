@@ -140,6 +140,8 @@ class TestGammaRatio:
 class TestRangeRefusal:
     # exp_log is the package's one range check: a value past the double
     # range is a DomainError on every public route that exponentiates a log.
+    # The one exception is remainder_bound's bound below the range, which
+    # it reports as the smallest positive double (test_coeffs).
     def test_exp_log_names_the_side_and_the_value(self):
         with pytest.raises(DomainError, match=r"^X lies above the double "
                                               r"range: Re log = 710$"):
@@ -156,7 +158,7 @@ class TestRangeRefusal:
         lambda: asym_log(1000.5, 1000.25, 5, 1),
         lambda: asym_neg_int(ParamSet(1000.5, 1000.25, 1998.75), 5, 1),
         lambda: seq_factors(ParamSet(400.5, 400.5, 0.5), 10**6),
-        lambda: remainder_bound(10**15, 30),
+        lambda: remainder_bound(400, 399),
         lambda: leading_term(ParamSet(300.5, 300.5, 0.25), 10**6),
     ], ids=["gamma", "gamma_ratio", "c0", "asym_log", "asym_neg_int",
             "seq_factors", "remainder_bound", "leading_term"])
@@ -436,6 +438,14 @@ class TestBernoulli:
         # bool is an int subclass, but True is no count
         with pytest.raises(InvalidParameterError):
             bernoulli_numbers(True)
+
+    def test_count_cap_is_the_index_check(self):
+        assert len(bernoulli_numbers(64)) == 64
+        for bad in (0, 65):
+            with pytest.raises(InvalidParameterError,
+                               match=f"^count must be an integer in 1..64, "
+                                     f"got {bad}$"):
+                bernoulli_numbers(bad)
 
     def test_even_index_values(self):
         b = bernoulli_numbers(8)

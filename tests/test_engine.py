@@ -834,6 +834,20 @@ class TestLeadingTerm:
         got = leading_term(ParamSet(1.5, -0.25, 0.25), 50)
         assert rel(got, -41.731342083703645) < 1e-13
 
+    def test_one_exponent(self):
+        # n^(-s) alone is e^11411.8, past the double range, while the whole
+        # term's log is -404.2
+        p = ParamSet(1000.5, 1000.5, 0.25)
+        got = leading_term(p, 300)
+        with mp.workdps(40):
+            s = mp.mpf(0.25) - 2001
+            want = (mp.exp(mp.loggamma(0.25) - 2 * mp.loggamma(1000.5)
+                           - s * mp.log(300)) / -s)
+        assert rel(got, complex(want)) < 1e-11
+        # the whole log past the range still refuses
+        with pytest.raises(DomainError, match="leading term lies above"):
+            leading_term(ParamSet(300.5, 300.5, 0.25), 10**6)
+
     def test_tiny_real_excess_rejected(self):
         p = ParamSet(0.5, 0.5, 1.0 + 1e-12 + 0.5j)  # generic, Re s ~ 1e-12
         with pytest.raises(DomainError):

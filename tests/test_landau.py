@@ -112,6 +112,18 @@ class TestTheorem3:
         assert b > 0.0
         assert abs(v - G_50) <= b
 
+    def test_bound_below_the_double_range(self):
+        # remainder_bound's log is -811.1 here: the bound is reported as
+        # the smallest positive double, and the value still answers, as it
+        # does at M = 20 with a bound of 4.7e-267
+        n = 1175361495472162
+        value, bound = landau_theorem3(n, 27)
+        shallow, shallow_bound = landau_theorem3(n, 20)
+        assert bound == 5e-324
+        assert shallow_bound == pytest.approx(4.68e-267, rel=1e-2)
+        assert abs(value - shallow) <= 2e-15 * shallow
+        assert value == pytest.approx(12.1117409969, rel=1e-11)
+
     def test_bound_honest_across_depths(self):
         ref = landau_direct(100)
         for M in (3, 5, 8, 10):
@@ -170,7 +182,8 @@ class TestTheorem3:
         # a huge M is refused by the cap, never reaching gamma_ratio,
         # where Gamma(M + 1/2)^2 would overflow
         for n, M in ((51, 31), (2 * 10**6, 10**6)):
-            with pytest.raises(DomainError, match="M must be <= 30"):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^M must be an integer in 1\.\.30, got "):
                 landau_theorem3(n, M)
 
     def test_bound_is_remainder_bound(self):

@@ -12,6 +12,11 @@ itself loads on first use too; the oracle stays eager because the tracer
 looks it up in ``sys.modules``.  Those checks run in fresh interpreters,
 since this one has long since loaded mpmath.
 
+That AST check cannot see a builtin raised inside an operation, such as
+float() of an int past the double range, so every public route that takes
+an index, or a numeric parameter outside a ParamSet, is also called with an
+index past the double range and with NaN and infinite parameters.
+
 No code in the package or its tests may call mpmath's hyp3f2, which is
 wrong at unit argument for some parameters.
 
@@ -154,6 +159,78 @@ def test_every_raise_is_a_package_error():
                     and (issubclass(cls, HypersumError) or cls in allowed)):
                 strays.append(f"{path.name}:{node.lineno}")
     assert not strays, strays
+
+
+def _index_routes():
+    from hypersum import coeffs, engine, landau, params
+    p = params.ParamSet(0.5, 0.25, 1.5)
+    neg = params.ParamSet(1.5, -0.25, 0.25)
+    return {
+        "eval_auto": lambda n: engine.eval_auto(p, n),
+        "eval_generic": lambda n: engine.eval_generic(p, n),
+        "eval_log": lambda n: engine.eval_log(params.ParamSet(0.5, 0.5, 1), n),
+        "eval_pos_int": lambda n: engine.eval_pos_int(
+            params.ParamSet(0.5, 0.25, 2.75), n),
+        "eval_neg_int": lambda n: engine.eval_neg_int(neg, n),
+        "eval_conjectured": lambda n: engine.eval_conjectured(
+            params.ParamSet(1, 0.5, -0.5), n),
+        "leading_term": lambda n: engine.leading_term(neg, n),
+        "seq_factors": lambda n: params.seq_factors(p, n),
+        "landau_direct": landau.landau_direct,
+        "landau_watson": landau.landau_watson,
+        "landau_ck": landau.landau_ck,
+        "landau_theorem3": lambda n: landau.landau_theorem3(n, 10),
+        "landau_asymptotic": lambda n: landau.landau_asymptotic(n, 6),
+        "landau_watson_asymptotic": landau.landau_watson_asymptotic,
+        "landau_nemes": landau.landau_nemes,
+        "remainder_bound": lambda n: coeffs.remainder_bound(n, 3),
+        "asym_log": lambda n: coeffs.asym_log(0.5, 0.25, n, 2),
+        "asym_neg_int": lambda n: coeffs.asym_neg_int(neg, n, 2),
+        "lambda_series": lambda n: coeffs.lambda_series(0.5, 0.25, n, 2),
+        "rearranged_tail": lambda n: coeffs.rearranged_tail(0.5, 0.25, n, 4),
+    }
+
+
+@pytest.mark.parametrize("route", sorted(_index_routes()))
+def test_index_past_the_double_range_is_refused(route):
+    # an int whose float overflows is refused before any arithmetic; the
+    # largest int with a finite float passes the check
+    from hypersum.complexfn import _check_index
+    from hypersum.errors import InvalidParameterError
+    call = _index_routes()[route]
+    with pytest.raises(InvalidParameterError,
+                       match=r"^n must be an integer (>= [01]|in 0\.\.1000000), "
+                             r"got one of 1329 bits, past the double range$"):
+        call(10 ** 400)
+    top = _check_index(2 ** 1024 - 2 ** 970 - 1)
+    assert float(top) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(top + 1)
+
+
+def _coefficient_routes():
+    from hypersum import coeffs
+    return {
+        "sigma_coeffs": lambda a: coeffs.sigma_coeffs(a, 0.5, 2),
+        "c0": lambda a: coeffs.c0(a, 0.5),
+        "a_coeffs": lambda a: coeffs.a_coeffs(0.5, a),
+        "g_poly": lambda a: coeffs.g_poly(2, a),
+        "lambda_series": lambda a: coeffs.lambda_series(a, 0.5, 10, 2),
+        "asym_log": lambda a: coeffs.asym_log(0.5, a, 10, 2),
+        "rearranged_tail": lambda a: coeffs.rearranged_tail(a, 0.5, 10, 4),
+    }
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   complex(0.5, float("-inf"))],
+                         ids=["nan", "inf", "complex_inf"])
+@pytest.mark.parametrize("route", sorted(_coefficient_routes()))
+def test_non_finite_coefficient_parameter_is_refused(route, value):
+    # as ParamSet refuses it: no NaN answer, and no DomainError, which
+    # means a finite input whose values leave the double range
+    from hypersum.errors import InvalidParameterError
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        _coefficient_routes()[route](value)
 
 
 def test_no_code_calls_mpmaths_hyp3f2():
