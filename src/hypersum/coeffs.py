@@ -21,11 +21,11 @@ from typing import Union
 
 from ._series import finite_sum
 from .complexfn import (_EXP_MIN, EULER_GAMMA, POLE_TOL, _as_complex,
-                        _check_index, _log_gamma_ratio, digamma, exp_log,
-                        gamma_ratio, nonpos_int_distance)
+                        _check_index, digamma, exp_log, gamma_ratio,
+                        nonpos_int_distance)
 from .errors import DomainError, PoleError, Record, WrongBranchError
-from .params import (NEGATIVE_INTEGER, ParamSet, _log_seq_ratios,
-                     classify_params)
+from .params import (NEGATIVE_INTEGER, ParamSet, _log_gamma_shift,
+                     _log_seq_ratios, classify_params)
 
 __all__ = [
     "CoefficientTable",
@@ -115,6 +115,15 @@ def _finite(values: tuple, kind: str) -> tuple:
     return values
 
 
+def _power(x, k: int):
+    """x ** k, or inf where a float power passes the double range: a
+    correction term divided by it is then the 0 it rounds to."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.inf
+
+
 def sigma_coeffs(a: Number, b: Number, K: int) -> CoefficientTable:
     """sigma_k = sum_{r<k} (1/(a+r) + 1/(b+r) - 1/(r+1)) for k = 1..K."""
     _check_index(K, "K")
@@ -199,7 +208,7 @@ def lambda_series(a: Number, b: Number, n: int, order: int) -> complex:
     _check_index(order, "order", 0, len(table))
     total = 1.0 + 0.0j
     for k in range(1, order + 1):
-        total += table[k - 1] / float(n) ** k
+        total += table[k - 1] / _power(float(n), k)
     return total
 
 
@@ -215,8 +224,11 @@ def remainder_bound(n: int, M: int) -> float:
     _check_index(M, "M")
     if n <= M:
         raise DomainError(f"need n > M, got n = {n}, M = {M}")
-    lg = _log_gamma_ratio([n - M, M + 0.5, M + 0.5], [n])
-    if lg.real < _EXP_MIN:
+    # Gamma(n-M)/Gamma(n) from the exact offset -M: n - M and n rounded to
+    # double apart lose it past 2^53
+    half = math.lgamma(M + 0.5)
+    lg = _log_gamma_shift(n, complex(-M)).real + half + half
+    if lg < _EXP_MIN:
         return 5e-324
     # max: a bound at the range's edge can round to 0 in the last product
     return max(4.0 / math.pi ** 2 * exp_log(lg, "remainder_bound").real,
@@ -227,7 +239,7 @@ def _a_correction(ns: _Arith, a, b, n: int, K: int, acc):
     # acc + sum_{k<=K} (-1)^(k-1) A_k(a,b) / n^k
     A = _a_formulas(a, b)
     for k in range(1, K + 1):
-        acc += (-1) ** (k - 1) * A[k - 1] / ns.real(n) ** k
+        acc += (-1) ** (k - 1) * A[k - 1] / _power(ns.real(n), k)
     return acc
 
 

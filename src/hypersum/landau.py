@@ -37,7 +37,7 @@ from fractions import Fraction
 from . import coeffs
 from ._series import _DEFAULT_TOL, _majorant, _run, sum_psi_kernel
 from .complexfn import EULER_GAMMA, _check_index, digamma, exp_log
-from .errors import DomainError
+from .errors import DomainError, InvalidParameterError
 from .params import _log_seq_ratios
 
 __all__ = [
@@ -98,7 +98,7 @@ def landau_watson(n: int) -> float:
     if n < _FIRST_SERIES_INDEX:
         return landau_direct(n)
     ker = sum_psi_kernel(0.5, 0.5, n + 2.0)
-    pref = exp_log(_log_seq_ratios(n + 1, 0.5, 0.5, 1.0)[0]).real / _PI
+    pref = exp_log(_log_seq_ratios(n + 1.0, 0.5, 0.5, 1.0)[0]).real / _PI
     return pref * ker.value.real
 
 
@@ -162,10 +162,10 @@ def _asymptotic(ns: coeffs._Arith, n: int, K: int, c0):
     # psi(n+1)/pi + c0 + sum_{k<=K} (-1)^k C_k / (pi n^k), in the arithmetic
     # ns, where c0 is c_0(1/2, 1/2) in ns; the C_k have power-of-two
     # denominators.
-    total = ns.digamma(ns.real(n + 1)).real / ns.pi + c0
+    total = ns.digamma(ns.real(n) + 1).real / ns.pi + c0
     for k, ck in enumerate(coeffs.c_coeffs().values[:K], start=1):
         total += ((-1) ** k * (ns.real(ck.numerator) / ck.denominator)
-                  / (ns.pi * ns.real(n) ** k))
+                  / (ns.pi * coeffs._power(ns.real(n), k)))
     return total
 
 
@@ -180,10 +180,12 @@ def landau_nemes(n: int, h: float = 1.0, K: int = 3) -> float:
     _check_index(n, minimum=0)
     _check_index(K, "K", 0, 3)
     h = float(h)
+    if not math.isfinite(h):
+        raise InvalidParameterError(f"h must be finite, got {h!r}")
     if not 0.0 < h < 1.5:
         raise DomainError(f"h must lie in (0, 3/2), got {h!r}")
     u = n + h
     total = (math.log(u) + EULER_GAMMA + _LOG4) / _PI
     for k in range(1, K + 1):
-        total -= float(coeffs.g_poly(k, h)) / (_PI * u ** k)
+        total -= float(coeffs.g_poly(k, h)) / (_PI * coeffs._power(u, k))
     return total

@@ -9,13 +9,15 @@ so agreement between the two is meaningful evidence rather than a tautology.
 Partial sums run on Python integers in fixed point: the parameters become
 exact integers over one common denominator, and the term and the running sum
 are Gaussian integers scaled by a power of two, with a rounding bound beside
-them.  The scale grows until the bound proves the working precision; past a
-cap the sum raises PrecisionUnavailableError.  The Landau constants are such
-sums too.  ``compare`` also runs on integers: it measures a value against a
-reference exactly and rounds each error once.  Only gamma, digamma and the
-rounding of a sum to its mpc result use mpmath, imported by the functions
-that use it, so importing this module does not load it; no function but
-gamma_ref and digamma_ref enters an mpmath context.
+them.  The term ratio's numerator and denominator are stepped by their exact
+forward differences, so each equals the direct product of its factors.  The
+scale grows until the bound proves the working precision; past a cap the sum
+raises PrecisionUnavailableError.  The Landau constants are such sums too.
+``compare`` also runs on integers: it measures a value against a reference
+exactly and rounds each error once.  Only gamma, digamma and the rounding of
+a sum to its mpc result use mpmath, imported by the functions that use it,
+so importing this module does not load it; no function but gamma_ref and
+digamma_ref enters an mpmath context.
 
 Each quantity has one function, which takes its precision as ``digits``
 (default 40).  The working precision carries ten guard digits beyond what
@@ -139,38 +141,56 @@ def _fixed_point_pass(ar, ai, br, bi, cr, ci, d, n: int, scale: int):
     1.5), so bound == 0 means the sum is exact.  The bound is summed in
     floats; its relative rounding, about n 2**-53, is far inside the guard
     digits.
+
+    The ratio's numerator and denominator are polynomials in x = d k with
+    integer coefficients.  Each step advances them by their exact forward
+    differences, formed once before the loop, so every one equals the direct
+    product of the factors it stands for.
     """
     tr = sr = 1 << scale
     ti = si = 0
-    # ar, br, cr and dk run as d (a+k), d (b+k), d (c+k) and d (k+1)
-    dk = d
     err = bound = 0.0
     div = divmod
+    # f = x^m + s1 x^(m-1) + ... steps as f += f1, f1 += f2, ..., with its
+    # differences at step d starting at x = 0 as: for a quadratic
+    # f1 = d (d + s1), f2 = 2 d^2; for a cubic f1 = d (d^2 + s1 d + s2),
+    # f2 = 2 d^2 (3 d + s1) and the constant f3 = 6 d^3.
+    dd = d * d
     try:
         if ai == bi == ci == 0:
+            # num = d (a+k) d (b+k) and den = d (c+k) d (k+1)
+            num, num1 = ar * br, d * (d + ar + br)
+            den, den1 = cr * d, d * (2 * d + cr)
+            f2 = 2 * dd
             for _ in range(n - 1):
-                num = ar * br
                 if not num:
                     break  # a + k or b + k is 0: every later term is 0
-                den = cr * dk
                 tr, rem = div(tr * num, den)
                 sr += tr
                 err = err * abs(num / den) + (1.0 if rem else 0.0)
                 bound += err
-                ar += d
-                br += d
-                cr += d
-                dk += d
+                num += num1
+                num1 += f2
+                den += den1
+                den1 += f2
         else:
+            # ratio = (a+k)(b+k) conj(c+k) / (|c+k|^2 (k+1)) = p / q, with
+            # A = d a, B = d b and C = d conj c: p's s1 = A + B + C,
+            # s2 = AB + (A + B) C, and q's s1 = 2 cr + d, s2 = |C|^2 + 2 cr d
+            ur, ui = ar * br - ai * bi, ar * bi + ai * br
+            er, ei = ar + br, ai + bi
+            s1r, s1i = er + cr, ei - ci
+            c2 = cr * cr + ci * ci
+            pr, pi = ur * cr + ui * ci, ui * cr - ur * ci
+            pr1 = d * (dd + s1r * d + ur + er * cr + ei * ci)
+            pi1 = d * (s1i * d + ui + ei * cr - er * ci)
+            pr2, pi2 = 2 * dd * (3 * d + s1r), 2 * dd * s1i
+            f3 = 6 * dd * d
+            q, q1 = c2 * d, d * (2 * dd + 4 * cr * d + c2)
+            q2 = 4 * dd * (2 * d + cr)
             for _ in range(n - 1):
-                # ratio = (a+k)(b+k) conj(c+k) / (|c+k|^2 (k+1)) = p / q
-                ur = ar * br - ai * bi
-                ui = ar * bi + ai * br
-                pr = ur * cr + ui * ci
-                pi = ui * cr - ur * ci
                 if not (pr or pi):
                     break  # (a+k)(b+k) is 0
-                q = (cr * cr + ci * ci) * dk
                 xr = tr * pr - ti * pi
                 ti, ri = div(tr * pi + ti * pr, q)
                 tr, rr = div(xr, q)
@@ -182,10 +202,14 @@ def _fixed_point_pass(ar, ai, br, bi, cr, ci, d, n: int, scale: int):
                     ratio = math.hypot(pr / q, pi / q)
                 err = err * ratio + (1.5 if rr or ri else 0.0)
                 bound += err
-                ar += d
-                br += d
-                cr += d
-                dk += d
+                pr += pr1
+                pr1 += pr2
+                pr2 += f3
+                pi += pi1
+                pi1 += pi2
+                q += q1
+                q1 += q2
+                q2 += f3
     except OverflowError:  # a ratio past the float range
         bound = math.inf
     if not math.isfinite(bound):

@@ -7,7 +7,8 @@ degenerate negative-integer case where a or b is a positive integer <= m.
 The n-dependent prefactors of the expansions are omega_n = Gamma(n+a)
 Gamma(n+b) / (Gamma(n) Gamma(n+c)) and lambda_n, its value at c = a+b.
 _log_seq_ratios is the one place that forms their large gamma pairs, from
-the exact offsets, never from n+a rounded to double.
+the exact offsets, never from n+a rounded to double; _log_gamma_shift forms
+the one pair of the Landau remainder bound the same way.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ def _log_seq_ratios(n, a, b, *xs) -> list[complex]:
     """
     head = _log_gamma_diff(n, a, 0j)
     return [head + _log_gamma_diff(n, b, x) for x in xs]
+
+
+def _log_gamma_shift(n, x: complex) -> complex:
+    """log Gamma(n+x)/Gamma(n) for real n, from the exact offset x.  Nothing
+    is checked: n and n+x must keep off the poles."""
+    return _log_gamma_diff(n, x, 0j)
 
 
 def seq_factors(p: ParamSet, n: int) -> SeqFactors:

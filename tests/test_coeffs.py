@@ -150,6 +150,16 @@ class TestLambdaSeries:
             with pytest.raises(error):
                 lambda_series(a, b, 10, 1)
 
+    def test_inverse_powers_underflow_at_a_huge_index(self):
+        # n^k past the double range: each correction is the 0 it rounds to
+        from hypersum.complexfn import _MAX_INDEX
+
+        for n in (10 ** 300, _MAX_INDEX):
+            assert lambda_series(0.5, 0.25, n, 2) == 1.0
+            want = asym_log(0.5, 0.25, n, 0)
+            assert asym_log(0.5, 0.25, n, 2) == want
+            assert math.isfinite(want.real)
+
     def test_depth_caps(self):
         with pytest.raises(InvalidParameterError,
                            match=r"^order must be an integer in 0\.\.5, got 6$"):
@@ -179,6 +189,21 @@ class TestRemainderBound:
         assert remainder_bound(10**15, 30) == 5e-324
         with pytest.raises(DomainError, match="above the double range"):
             remainder_bound(400, 399)
+
+    def test_exact_offset_past_two_to_the_53(self):
+        # Gamma(n-M)/Gamma(n) from the offset -M itself: n - M and n rounded
+        # to double apart gave 4.5e-129 at the first n (under the true
+        # bound) and the constant 4/pi^2 Gamma(M+1/2)^2 = 33589 at the second
+        import mpmath as mp
+
+        for n, M in ((40648965799806026, 6), (10 ** 17, 6)):
+            with mp.workdps(40):
+                want = (4 / mp.pi ** 2 * mp.gamma(M + mp.mpf(0.5)) ** 2
+                        * mp.exp(mp.loggamma(n - M) - mp.loggamma(n)))
+            assert remainder_bound(n, M) == pytest.approx(float(want),
+                                                          rel=1e-12), n
+        assert repr(remainder_bound(21, 10)) == "0.7763755967634477"
+        assert repr(remainder_bound(12, 10)) == "13040.004523238875"
 
 
 class TestAsymLog:

@@ -280,6 +280,25 @@ class TestNemes:
         with pytest.raises(InvalidParameterError):
             landau_nemes(5, K=4)
 
+    def test_non_finite_shift_is_a_bad_parameter(self):
+        # as a non-finite parameter is everywhere else, not a DomainError
+        for h in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
+                landau_nemes(5, h)
+
+
+def test_inverse_power_routes_answer_at_a_huge_index():
+    # n^k past the double range and n + 1 past the ceiling are not formed:
+    # every correction underflows, and each route gives the log estimate
+    from hypersum.complexfn import _MAX_INDEX
+
+    for n in (10 ** 300, _MAX_INDEX):
+        want = (math.log(n) + EULER_GAMMA + 4.0 * math.log(2.0)) / math.pi
+        for got in (landau_asymptotic(n, 6), landau_asymptotic(n, 2),
+                    landau_nemes(n), landau_watson_asymptotic(n),
+                    landau_watson(n)):
+            assert rel(got, want) <= 4e-16, (n, got)
+
 
 class TestCrossRoute:
     def test_five_routes_at_fifty(self):

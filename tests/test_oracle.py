@@ -410,3 +410,102 @@ class TestFixedPointSum:
         rows, ok = verification.table_errors(40)
         assert ok and len(rows) == 6
         assert len(passes) == 6
+
+
+def _direct_product_pass(ar, ai, br, bi, cr, ci, d, n, scale):
+    # The fixed-point pass with the ratio's numerator and denominator formed
+    # as direct products at every step; oracle._fixed_point_pass steps them
+    # by exact differences and must match it bit for bit.
+    tr = sr = 1 << scale
+    ti = si = 0
+    dk = d
+    err = bound = 0.0
+    try:
+        if ai == bi == ci == 0:
+            for _ in range(n - 1):
+                num = ar * br
+                if not num:
+                    break
+                den = cr * dk
+                tr, rem = divmod(tr * num, den)
+                sr += tr
+                err = err * abs(num / den) + (1.0 if rem else 0.0)
+                bound += err
+                ar += d
+                br += d
+                cr += d
+                dk += d
+        else:
+            for _ in range(n - 1):
+                ur = ar * br - ai * bi
+                ui = ar * bi + ai * br
+                pr = ur * cr + ui * ci
+                pi = ui * cr - ur * ci
+                if not (pr or pi):
+                    break
+                q = (cr * cr + ci * ci) * dk
+                xr = tr * pr - ti * pi
+                ti, ri = divmod(tr * pi + ti * pr, q)
+                tr, rr = divmod(xr, q)
+                sr += tr
+                si += ti
+                try:
+                    ratio = math.hypot(pr, pi) / q
+                except OverflowError:
+                    ratio = math.hypot(pr / q, pi / q)
+                err = err * ratio + (1.5 if rr or ri else 0.0)
+                bound += err
+                ar += d
+                br += d
+                cr += d
+                dk += d
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise PrecisionUnavailableError("bound past the float range")
+    return sr, si, bound
+
+
+def _pass_outcome(fixed_point_pass, args):
+    try:
+        return fixed_point_pass(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_difference_steps_match_the_direct_products():
+    # Every integer the pass forms equals the direct product, so the sum, the
+    # bound, the early stop and each raised error are the same.
+    rng = random.Random(29)
+    triples = [_draw_triple(rng, kind)
+               for kind in ("real", "complex", "fraction", "int", "mixed")
+               for _ in range(6)]
+    triples += [
+        (-3.0, 0.5, 1.5),                      # a + 3 = 0: the early stop
+        (0.25 + 1j, -4, Fraction(7, 3)),       # b + 4 = 0, a complex
+        (1.5 - 2j, -2 + 0j, 0.5 + 1j),         # complex b with (b+2) = 0
+        (0.5, 0.5, -2.0),                      # c + 2 = 0: the pole
+        (0.5, 1j, -3 + 0j),                    # complex, c + 3 = 0
+        (Fraction(1, 2), Fraction(1, 2), 1),   # the Landau constants
+        (-2.0 + 2.0 ** -40, 1.0, 1.0),         # test_cancellation_escalates
+        (Fraction(-2) + Fraction(1, 3 * 2 ** 40), 1.0, 1.0),
+    ]
+    # integers of thousands of bits, their terms growing like 1e300^k: at
+    # 1e-300 + 1j p is past the float range, at 1e300 the bound is
+    extreme = [(1e-300 + 1j, 0.5, 1.5), (1e300, 0.5, 1.5)]
+    checked = 0
+    for (a, b, c), ns in ([(t, (1, 2, 3, 5, 100, 2000)) for t in triples]
+                          + [(t, (1, 2, 3, 5, 20)) for t in extreme]):
+        ratios = [p.as_integer_ratio()
+                  for p in oracle._exact(a, "a") + oracle._exact(b, "b")
+                  + oracle._exact(c, "c")]
+        d = math.lcm(*(den for _, den in ratios))
+        ints = [num * (d // den) for num, den in ratios]
+        for n in ns:
+            for scale in (193, 245):
+                args = (*ints, d, n, scale)
+                want = _pass_outcome(_direct_product_pass, args)
+                assert _pass_outcome(oracle._fixed_point_pass, args) == want, (
+                    a, b, c, n, scale)
+                checked += not isinstance(want, type)
+    assert checked > 300

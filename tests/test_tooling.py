@@ -196,7 +196,7 @@ def test_index_past_the_double_range_is_refused(route):
     # an int whose float overflows is refused before any arithmetic; the
     # largest int with a finite float passes the check
     from hypersum.complexfn import _check_index
-    from hypersum.errors import InvalidParameterError
+    from hypersum.errors import HypersumError, InvalidParameterError
     call = _index_routes()[route]
     with pytest.raises(InvalidParameterError,
                        match=r"^n must be an integer (>= [01]|in 0\.\.1000000), "
@@ -206,6 +206,12 @@ def test_index_past_the_double_range_is_refused(route):
     assert float(top) == sys.float_info.max
     with pytest.raises(OverflowError):
         float(top + 1)
+    # an index the ceiling admits is answered or refused by the package
+    for n in (top, 10 ** 300):
+        try:
+            call(n)
+        except HypersumError:
+            pass
 
 
 def _coefficient_routes():
