@@ -176,7 +176,8 @@ def _fixed_point_pass(ar, ai, br, bi, cr, ci, d, n: int, scale: int):
         else:
             # ratio = (a+k)(b+k) conj(c+k) / (|c+k|^2 (k+1)) = p / q, with
             # A = d a, B = d b and C = d conj c: p's s1 = A + B + C,
-            # s2 = AB + (A + B) C, and q's s1 = 2 cr + d, s2 = |C|^2 + 2 cr d
+            # s2 = AB + (A + B) C, and q's s1 = 2 cr + d, s2 = |C|^2 + 2 cr d;
+            # f3 is real, so p's imaginary part stops at a constant pi2
             ur, ui = ar * br - ai * bi, ar * bi + ai * br
             er, ei = ar + br, ai + bi
             s1r, s1i = er + cr, ei - ci
