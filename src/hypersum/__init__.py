@@ -9,24 +9,15 @@ independent routes, a truncation bound, and the published coefficient
 families.  An extended-precision oracle backs every claim;
 ``verification.run_all`` (or ``hypersum verify``) re-runs the whole battery.
 
-``import hypersum`` loads what evaluation and perfbench's tracer need; the
-property suite in ``verification`` loads on first use, when ``run_all`` or
-``CheckResult`` is first asked of this package or the module is imported.
+``import hypersum`` loads the evaluation path and the oracle, which
+perfbench's tracer looks up in ``sys.modules`` when it starts.  The Landau
+routes (``landau``), the coefficient families (``coeffs``) and the property
+suite (``verification``) load on first use: when one of their names, or the
+module itself, is first asked of this package, or the module is imported.
 """
 
-from .coeffs import (
-    CoefficientTable,
-    a_coeffs,
-    asym_log,
-    asym_neg_int,
-    c0,
-    c_coeffs,
-    g_poly,
-    lambda_series,
-    rearranged_tail,
-    remainder_bound,
-    sigma_coeffs,
-)
+import sys as _sys
+
 from .complexfn import (
     POLE_TOL,
     bernoulli_numbers,
@@ -55,15 +46,6 @@ from .errors import (
     PrecisionUnavailableError,
     WrongBranchError,
 )
-from .landau import (
-    landau_asymptotic,
-    landau_ck,
-    landau_direct,
-    landau_nemes,
-    landau_theorem3,
-    landau_watson,
-    landau_watson_asymptotic,
-)
 from .oracle import (
     DEFAULT_DIGITS,
     ErrorReport,
@@ -86,10 +68,21 @@ from .params import (
 
 __version__ = "0.1.0"
 
+# Exports that load on first use, each under the module that owns it; the
+# module names load on first use too.
+_LAZY = {
+    "coeffs": (
+        "CoefficientTable", "a_coeffs", "asym_log", "asym_neg_int", "c0",
+        "c_coeffs", "g_poly", "lambda_series", "rearranged_tail",
+        "remainder_bound", "sigma_coeffs"),
+    "landau": (
+        "landau_asymptotic", "landau_ck", "landau_direct", "landau_nemes",
+        "landau_theorem3", "landau_watson", "landau_watson_asymptotic"),
+    "verification": ("CheckResult", "run_all"),
+}
+_OWNERS = {name: module for module, names in _LAZY.items() for name in names}
+
 __all__ = [
-    "CoefficientTable", "a_coeffs", "asym_log", "asym_neg_int", "c0",
-    "c_coeffs", "g_poly", "lambda_series", "rearranged_tail",
-    "remainder_bound", "sigma_coeffs",
     "POLE_TOL", "bernoulli_numbers", "digamma", "gamma", "gamma_ratio",
     "log_gamma",
     "EvalReport", "Tolerance", "eval_auto", "eval_conjectured",
@@ -98,20 +91,25 @@ __all__ = [
     "DivergentSeriesError", "DomainError", "HypersumError",
     "InvalidParameterError", "PoleError", "PrecisionUnavailableError",
     "WrongBranchError",
-    "landau_asymptotic", "landau_ck", "landau_direct", "landau_nemes",
-    "landau_theorem3", "landau_watson", "landau_watson_asymptotic",
     "DEFAULT_DIGITS", "ErrorReport", "OracleValue", "compare", "digamma_ref",
     "gamma_ref", "landau_ref", "partial_sum_ref",
     "INTEGER_TOL", "NEAR_INTEGER_WARN", "ExcessClass", "ParamSet",
     "SeqFactors", "classify", "seq_factors",
-    "CheckResult", "run_all",
+    *_OWNERS,
     "__version__",
 ]
 
 
 def __getattr__(name):
-    # PEP 562: the two names of the property suite import it when asked for.
-    if name in ("CheckResult", "run_all"):
-        from . import verification
-        return getattr(verification, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: called only for a name this namespace lacks, and it binds
+    # none, so a function read while perfbench's tracer runs is never cached
+    # here as its wrapper.  `from . import` would test hasattr(package, name)
+    # and so call back into this hook; __import__ of the full name does not,
+    # and takes the import statement's path, which -X importtime reports.
+    module = _OWNERS.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)
+    owner = _sys.modules[qualified]
+    return owner if module == name else getattr(owner, name)

@@ -48,8 +48,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DomainError, InvalidParameterError, PoleError
 
@@ -65,7 +64,10 @@ __all__ = [
     "gamma_ratio",
 ]
 
-Number = Union[int, float, complex, Fraction]
+if TYPE_CHECKING:  # type-only, so that `import hypersum` skips fractions
+    from fractions import Fraction
+
+Number = Union[int, float, complex, "Fraction"]
 
 # Distance to a nonpositive integer below which an argument counts as a pole.
 POLE_TOL = 1e-12
@@ -121,6 +123,7 @@ def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
     arithmetic.  ``count`` is capped at 64; beyond that the numbers grow
     factorially and nothing in this package needs them.
     """
+    from fractions import Fraction
     _check_index(count, "count", 1, 64)
     top = 2 * count
     full = [Fraction(1)]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from numbers import Real
 
 from . import coeffs
 from ._series import _DEFAULT_TOL, _majorant, _run, sum_psi_kernel
@@ -179,7 +180,10 @@ def landau_nemes(n: int, h: float = 1.0, K: int = 3) -> float:
     """Shifted log estimate of G_n with polynomial corrections g_k(h)."""
     _check_index(n, minimum=0)
     _check_index(K, "K", 0, 3)
-    h = float(h)
+    if type(h) is not float:
+        if not isinstance(h, Real):
+            raise InvalidParameterError(f"h must be a real number, got {h!r}")
+        h = float(h)
     if not math.isfinite(h):
         raise InvalidParameterError(f"h must be finite, got {h!r}")
     if not 0.0 < h < 1.5:

@@ -27,9 +27,9 @@ is reported.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from numbers import Integral
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidParameterError, PrecisionUnavailableError, Record
 
@@ -44,7 +44,10 @@ __all__ = [
     "compare",
 ]
 
-Number = Union[int, float, complex, Fraction]
+if TYPE_CHECKING:  # type-only, so that `import hypersum` skips fractions
+    from fractions import Fraction
+
+Number = Union[int, float, complex, "Fraction"]
 
 DEFAULT_DIGITS = 40
 _MIN_DIGITS = 30
@@ -87,7 +90,9 @@ class ErrorReport(Record):
 def _exact(x: Number, name: str) -> tuple:
     """Real and imaginary parts of x as given (int, float or Fraction), after
     the type and finiteness checks; each is exact by its as_integer_ratio()."""
-    if isinstance(x, Fraction):
+    # no Fraction exists before fractions loads, so the check need not load it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return x, 0
     if isinstance(x, Integral):
         return int(x), 0
@@ -295,7 +300,7 @@ def landau_ref(n: int, digits: int | None = None) -> OracleValue:
         raise InvalidParameterError(
             f"n + 1 = {n + 1} exceeds the partial_sum limit "
             f"{_MAX_PARTIAL_SUM_N}")
-    half = (Fraction(1, 2), 0)
+    half = (0.5, 0)  # exact: its ratios are (1, 2) and (0, 1)
     value = _partial_sum(half, half, (1, 0), int(n) + 1, digits)
     return OracleValue(value=value, digits=digits)
 

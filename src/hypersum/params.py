@@ -13,8 +13,7 @@ the one pair of the Landau remainder bound the same way.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .complexfn import (_as_complex, _check_index, _log_gamma_diff,
                         _off_pole, exp_log, nonpos_int_distance)
@@ -36,7 +35,10 @@ __all__ = [
     "seq_factors",
 ]
 
-Number = Union[int, float, complex, Fraction]
+if TYPE_CHECKING:  # type-only, so that `import hypersum` skips fractions
+    from fractions import Fraction
+
+Number = Union[int, float, complex, "Fraction"]
 
 # Distance within which a value counts as the integer it rounds to.  Inputs
 # meant as exact rationals land within ~1e-15 of their value in double

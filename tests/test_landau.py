@@ -280,6 +280,18 @@ class TestNemes:
         with pytest.raises(InvalidParameterError):
             landau_nemes(5, K=4)
 
+    def test_shift_must_be_a_real_number(self):
+        for h in (1j, 1 + 0j, "1", None):
+            with pytest.raises(InvalidParameterError,
+                               match="^h must be a real number, got "):
+                landau_nemes(5, h)
+
+    def test_real_shift_answers_as_its_float(self):
+        for h, x in ((1, 1.0), (Fraction(1, 2), 0.5), (Fraction(1, 3), 1 / 3),
+                     (True, 1.0)):
+            assert landau_nemes(5, h) == landau_nemes(5, x), h
+        assert landau_nemes(5, 1.0) == 1.6236124917240125
+
     def test_non_finite_shift_is_a_bad_parameter(self):
         # as a non-finite parameter is everywhere else, not a DomainError
         for h in (math.nan, math.inf, -math.inf):

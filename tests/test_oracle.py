@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -64,6 +65,12 @@ class TestRequestValidation:
             with pytest.raises(InvalidParameterError):
                 landau_ref(n)
 
+    def test_unsupported_parameter_type(self):
+        for bad in (Decimal("0.5"), "0.5"):
+            with pytest.raises(InvalidParameterError, match=(
+                    f"^a has unsupported type {type(bad).__name__}$")):
+                partial_sum_ref(bad, 0.5, 1.0, 10)
+
     def test_nonfinite_argument(self):
         with pytest.raises(InvalidParameterError):
             gamma_ref(float("inf"))
@@ -122,6 +129,23 @@ class TestValues:
         ref = partial_sum_ref(Fraction(1, 3), Fraction(2, 3), 1, 20, digits=50)
         rep = engine.eval_log(params.ParamSet(1 / 3, 2 / 3, 1.0), 20)
         assert compare(rep.value, ref).rel_err < 1e-13
+
+    def test_fraction_parameters_sum_exactly(self):
+        # frozen: the proven sums rounded once at the default working
+        # precision, as (mantissa, exponent) of each part
+        def bits(ref):
+            return tuple(part.man_exp for part in (ref.value.real, ref.value.imag))
+
+        assert bits(partial_sum_ref(Fraction(1, 3), Fraction(-7, 5),
+                                    Fraction(9, 4), 50)) == (
+            (607835155340329285534945831012409076471751033845271, -169), (0, 0))
+        assert bits(partial_sum_ref(Fraction(1, 3), 0.5 + 1j,
+                                    Fraction(9, 4), 50)) == (
+            (93211640424050180325845751853892093194275994392561, -166),
+            (372058643091587158570011244718870338723657222746685, -170))
+        # landau_ref's float halves are exactly Fraction(1, 2)
+        assert bits(landau_ref(20)) == bits(partial_sum_ref(
+            Fraction(1, 2), Fraction(1, 2), 1, 21))
 
     def test_partial_sum_complex(self):
         ref = partial_sum_ref(0.5 + 1.0j, 0.25, 0.75 + 1.0j, 12)

@@ -7,10 +7,11 @@ benchmark runs.  The table is read from the source, not imported.
 
 Only the oracle and the verification suite use mpmath, and they import it
 on first use, so ``import hypersum`` and the commands that run on the
-double-precision expansions start without it.  The verification suite
-itself loads on first use too; the oracle stays eager because the tracer
-looks it up in ``sys.modules``.  Those checks run in fresh interpreters,
-since this one has long since loaded mpmath.
+double-precision expansions start without it.  The verification suite,
+the Landau routes and the coefficient families load on first use too; the
+oracle stays eager because the tracer looks it up in ``sys.modules``.  Those
+checks run in fresh interpreters, since this one has long since loaded
+mpmath.
 
 That AST check cannot see a builtin raised inside an operation, such as
 float() of an int past the double range, so every public route that takes
@@ -363,6 +364,77 @@ def test_suite_names_load_the_suite_on_first_use():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_lazy_exports_are_their_owners_objects():
+    proc = _python("-c", (
+        "import sys, hypersum\n"
+        "assert hypersum.landau.landau_ck(20) == 2.0316076374013132\n"
+        "assert hypersum.coeffs.c_coeffs().kind == 'C'\n"
+        "namespace = {}\n"
+        "exec('from hypersum import *', namespace)\n"
+        "assert set(hypersum.__all__) <= set(namespace)\n"
+        "for name in hypersum.__all__:\n"
+        "    value = namespace[name]\n"
+        "    assert value is getattr(hypersum, name), name\n"
+        "    owner = getattr(value, '__module__', '')\n"
+        "    if owner.startswith('hypersum.'):\n"
+        "        assert value is getattr(sys.modules[owner], name), name\n"
+        "for module in ('coeffs', 'landau', 'verification'):\n"
+        "    owner = getattr(hypersum, module)\n"
+        "    assert owner is sys.modules[f'hypersum.{module}']\n"
+        "    lazy = [name for name in hypersum.__all__\n"
+        "            if getattr(namespace[name], '__module__', '') == owner.__name__]\n"
+        "    assert lazy, module\n"
+        "    for name in lazy:\n"
+        "        assert namespace[name] is getattr(owner, name), name\n"))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_checks_parameters_without_loading_fractions():
+    proc = _python("-c", (
+        "import sys\n"
+        "from hypersum import oracle\n"
+        "from hypersum.errors import InvalidParameterError\n"
+        "assert oracle._exact(0.5 - 2j, 'a') == (0.5, -2.0)\n"
+        "assert oracle._exact(3, 'a') == (3, 0)\n"
+        "try:\n"
+        "    oracle._exact('0.5', 'a')\n"
+        "except InvalidParameterError as exc:\n"
+        "    assert str(exc) == 'a has unsupported type str', exc\n"
+        "else:\n"
+        "    raise SystemExit('a str parameter was accepted')\n"
+        "assert 'fractions' not in sys.modules\n"
+        "from fractions import Fraction\n"
+        "assert oracle._exact(Fraction(1, 3), 'a') == (Fraction(1, 3), 0)\n"
+        "from hypersum import bernoulli_numbers\n"
+        "assert all(type(b) is Fraction for b in bernoulli_numbers(3))\n"))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_names_read_in_a_running_tracer_leave_no_wrapper():
+    # perfbench starts its tracer after `import hypersum.cli`, which must
+    # load every TARGETS module, coeffs and landau among them.  The package
+    # hook binds none of the names it serves, so a name read while the
+    # tracer runs is not cached as its wrapper.
+    proc = _python("-c", (
+        "import sys, hypersum.cli\n"
+        "import hypersum\n"
+        "assert {'hypersum.coeffs', 'hypersum.landau', 'hypersum.oracle'}"
+        " <= set(sys.modules)\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "from tracer import Tracer, leftovers\n"
+        "with Tracer():\n"
+        "    for name in hypersum.__all__:\n"
+        "        getattr(hypersum, name)\n"
+        "assert not leftovers(), leftovers()\n"
+        "for name in hypersum.__all__:\n"
+        "    getattr(hypersum, name)\n"
+        "owners = {'hypersum.coeffs', 'hypersum.landau'}\n"
+        "bound = [name for name, value in vars(hypersum).items()\n"
+        "         if getattr(value, '__module__', None) in owners]\n"
+        "assert not bound, bound\n"))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # The records build on errors.Record: dataclasses and the inspect chain
     # it pulls in cost a third of the package import.
@@ -412,13 +484,19 @@ def test_modules_loaded_on_first_use_bind_no_tracer_target():
 
 
 def test_package_import_loads_exactly_these_modules():
-    # What `import hypersum` pays for: evaluation and the tracer's targets.
-    # A new eager import, or a new module on the import path, lands here.
+    # What `import hypersum` pays for: evaluation and the oracle.  coeffs and
+    # landau may load on first use, since the tracer starts only after
+    # `import hypersum.cli`, which imports both.  The oracle may not: cli
+    # does not import it, and the tracer looks every TARGETS module up in
+    # sys.modules when it starts.  fractions, and the decimal module it
+    # imports, load with coeffs and landau.  A new eager import, or a new
+    # module on the import path, lands here.
     loaded = _modules_after("import hypersum")
     assert {name for name in loaded if name.split(".")[0] == "hypersum"} == {
-        "hypersum", "hypersum._series", "hypersum.coeffs",
-        "hypersum.complexfn", "hypersum.engine", "hypersum.errors",
-        "hypersum.landau", "hypersum.oracle", "hypersum.params"}
+        "hypersum", "hypersum._series", "hypersum.complexfn",
+        "hypersum.engine", "hypersum.errors", "hypersum.oracle",
+        "hypersum.params"}
+    assert not {"fractions", "decimal"} & loaded
 
 
 # The commands that import the verification suite; every other one runs
