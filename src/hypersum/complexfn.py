@@ -67,7 +67,7 @@ __all__ = [
 if TYPE_CHECKING:  # type-only, so that `import hypersum` skips fractions
     from fractions import Fraction
 
-Number = Union[int, float, complex, "Fraction"]
+    Number = Union[int, float, complex, Fraction]
 
 # Distance to a nonpositive integer below which an argument counts as a pole.
 POLE_TOL = 1e-12

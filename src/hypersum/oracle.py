@@ -17,7 +17,11 @@ raises PrecisionUnavailableError.  The Landau constants are such sums too.
 exactly and rounds each error once.  Only gamma, digamma and the rounding of
 a sum to its mpc result use mpmath, imported by the functions that use it,
 so importing this module does not load it; no function but gamma_ref and
-digamma_ref enters an mpmath context.
+digamma_ref enters an mpmath context.  Nor does it load fractions: a
+Fraction parameter is recognised through sys.modules.  The package imports
+this module eagerly, unlike landau and coeffs: perfbench's tracer, which
+wraps partial_sum_ref and landau_ref, looks it up in sys.modules when it
+starts, and the CLI that perfbench imports first does not load it.
 
 Each quantity has one function, which takes its precision as ``digits``
 (default 40).  The working precision carries ten guard digits beyond what
@@ -47,7 +51,7 @@ __all__ = [
 if TYPE_CHECKING:  # type-only, so that `import hypersum` skips fractions
     from fractions import Fraction
 
-Number = Union[int, float, complex, "Fraction"]
+    Number = Union[int, float, complex, Fraction]
 
 DEFAULT_DIGITS = 40
 _MIN_DIGITS = 30

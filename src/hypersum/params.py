@@ -38,7 +38,7 @@ __all__ = [
 if TYPE_CHECKING:  # type-only, so that `import hypersum` skips fractions
     from fractions import Fraction
 
-Number = Union[int, float, complex, "Fraction"]
+    Number = Union[int, float, complex, Fraction]
 
 # Distance within which a value counts as the integer it rounds to.  Inputs
 # meant as exact rationals land within ~1e-15 of their value in double
