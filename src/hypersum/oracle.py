@@ -94,17 +94,18 @@ class ErrorReport(Record):
 def _exact(x: Number, name: str) -> tuple:
     """Real and imaginary parts of x as given (int, float or Fraction), after
     the type and finiteness checks; each is exact by its as_integer_ratio()."""
-    # no Fraction exists before fractions loads, so the check need not load it
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(x, fractions.Fraction):
-        return x, 0
-    if isinstance(x, Integral):
-        return int(x), 0
     if isinstance(x, complex):
         parts = (x.real, x.imag)
     elif isinstance(x, float):
         parts = (x, 0.0)
     else:
+        # no Fraction exists before fractions loads, so the check need not
+        # load it
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(x, fractions.Fraction):
+            return x, 0
+        if isinstance(x, Integral):
+            return int(x), 0
         raise InvalidParameterError(
             f"{name} has unsupported type {type(x).__name__}")
     if not all(map(math.isfinite, parts)):
