@@ -19,6 +19,9 @@ import argparse
 import json
 import sys
 
+# coeffs and landau at import, though the package loads them on first use:
+# perfbench imports this module before its tracer looks them up in
+# sys.modules
 from . import coeffs, engine, landau
 from .complexfn import _check_index
 from .engine import Tolerance

@@ -373,7 +373,6 @@ def test_lazy_exports_are_their_owners_objects():
         "assert hypersum.coeffs.c_coeffs().kind == 'C'\n"
         "namespace = {}\n"
         "exec('from hypersum import *', namespace)\n"
-        "assert set(hypersum.__all__) <= set(namespace)\n"
         "for name in hypersum.__all__:\n"
         "    value = namespace[name]\n"
         "    assert value is getattr(hypersum, name), name\n"
@@ -413,7 +412,6 @@ def test_lazy_names_read_in_a_running_tracer_leave_no_wrapper():
     # tracer runs is not cached as its wrapper.
     proc = _python("-c", (
         "import sys, hypersum.cli\n"
-        "import hypersum\n"
         "assert {'hypersum.coeffs', 'hypersum.landau', 'hypersum.oracle'}"
         " <= set(sys.modules)\n"
         "sys.path.insert(0, 'perfbench')\n"
