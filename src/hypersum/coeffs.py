@@ -5,10 +5,10 @@ A_k list, the g_k polynomials, the fixed C_k list) are kept exact when the
 inputs are ints or Fractions and fall back to complex arithmetic otherwise.
 Every numeric parameter enters through _intake, which refuses a NaN or an
 infinity with InvalidParameterError, and every integer through _check_index.
-The asymptotic forms at the bottom combine those coefficients with the
-digamma leading term; their truncation error decays in inverse powers of n.
-Each is written once over an _Arith namespace: the public functions run it
-in double precision, the verification suite in mpmath.
+The asymptotic forms at the bottom add those coefficients to the digamma
+leading term, with an error decaying in inverse powers of n.  Each is written
+once over an _Arith namespace and returns every depth 0..K from one pass: the
+public functions run it in double and take depth K, verification in mpmath.
 """
 
 from __future__ import annotations
@@ -235,12 +235,13 @@ def remainder_bound(n: int, M: int) -> float:
                5e-324)
 
 
-def _a_correction(ns: _Arith, a, b, n: int, K: int, acc):
-    # acc + sum_{k<=K} (-1)^(k-1) A_k(a,b) / n^k
-    A = _a_formulas(a, b)
+def _a_corrections(ns: _Arith, a, b, n: int, K: int, acc) -> list:
+    # acc + sum_{k<=j} (-1)^(k-1) A_k(a,b) / n^k for each depth j = 0..K
+    A, sums = _a_formulas(a, b), [acc]
     for k in range(1, K + 1):
         acc += (-1) ** (k - 1) * A[k - 1] / _power(ns.real(n), k)
-    return acc
+        sums.append(acc)
+    return sums
 
 
 def asym_log(a: Number, b: Number, n: int, K: int) -> complex:
@@ -251,13 +252,14 @@ def asym_log(a: Number, b: Number, n: int, K: int) -> complex:
     """
     _check_index(n)
     _check_index(K, "K", 0, 3)  # three A_k are printed
-    return _asym_log(_DOUBLE, *_intake("ab", a, b), n, K)
+    return _asym_log(_DOUBLE, *_intake("ab", a, b), n, K)[K]
 
 
-def _asym_log(ns: _Arith, a, b, n: int, K: int):
-    pref = ns.gamma_ratio([a + b], [a, b])
-    corr = _a_correction(ns, a, b, n, K, 0.0 + 0.0j)
-    return pref * ns.digamma(n + a + b) + _c0(ns, a, b) + pref * corr
+def _asym_log(ns: _Arith, a, b, n: int, K: int) -> list:
+    pref = ns.gamma_ratio([a + b], [a, b])  # c_0 as in _c0, on this pref
+    head = (pref * ns.digamma(n + a + b)
+            + pref * (-ns.euler - ns.digamma(a) - ns.digamma(b)))
+    return [head + pref * corr for corr in _a_corrections(ns, a, b, n, K, 0j)]
 
 
 def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
@@ -276,17 +278,15 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
             f"asym_neg_int needs a nondegenerate negative-integer excess, "
             f"got {cls.kind}"
         )
-    return _asym_neg_int(_DOUBLE, p.a, p.b, p.c, n, cls.m, K)
+    return _asym_neg_int(_DOUBLE, p.a, p.b, p.c, n, cls.m, K)[K]
 
 
-def _asym_neg_int(ns: _Arith, a, b, c, n: int, m: int, K: int):
+def _asym_neg_int(ns: _Arith, a, b, c, n: int, m: int, K: int) -> list:
     finite, _ = finite_sum(c - a, c - b, n + c, 1 - m, m)
     first = finite * ns.seq_ratio(n, a, b, c) * ns.gamma_ratio([c], [a, b]) / m
     bracket = ns.digamma(n + a + b) - ns.euler - ns.digamma(a) - ns.digamma(b)
-    bracket = _a_correction(ns, a, b, n, K, bracket)
-    sign = -1.0 if m % 2 else 1.0
-    second = sign * ns.gamma_ratio([c], [c - a, c - b, m + 1]) * bracket
-    return first + second
+    g = (-1.0 if m % 2 else 1.0) * ns.gamma_ratio([c], [c - a, c - b, m + 1])
+    return [first + g * br for br in _a_corrections(ns, a, b, n, K, bracket)]
 
 
 def rearranged_tail(a: Number, b: Number, n: int, M: int) -> complex:

@@ -174,8 +174,14 @@ _PSI_RADII, _PSI_SERIES = _size_matched(
 
 def _as_complex(z: Number, name: str = "z") -> complex:
     # The package's one finite-number check.  complex() takes a Fraction
-    # through its __float__, the correctly rounded quotient.
-    w = z if type(z) is complex else complex(z)
+    # through its __float__, the correctly rounded quotient, and would
+    # parse a str as a number, so text is refused before it.
+    if type(z) is complex:
+        w = z
+    elif isinstance(z, (str, bytes, bytearray)):
+        raise InvalidParameterError(f"{name} must be a number, got {z!r}")
+    else:
+        w = complex(z)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise InvalidParameterError(f"{name} must be finite, got {w!r}")
     return w

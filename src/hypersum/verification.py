@@ -106,8 +106,10 @@ def table_errors(digits: int | None = None):
     """Measure the 18 published truncation errors at `digits` digits.
 
     Each estimate is the shipped formula run in mpmath, and S_n is the
-    oracle's raw term-by-term sum.  Returns (rows, ok), ok when every cell
-    is within 1% of its printed value.  digits defaults to the oracle's 40.
+    oracle's raw term-by-term sum.  An asymptotic form returns every depth
+    up to K from one pass, so each row makes one call for its K = 1, 2, 3.
+    Returns (rows, ok), ok when every cell is within 1% of its printed
+    value.  digits defaults to the oracle's 40.
     """
     import mpmath as mp
     arith = _mp_arith()
@@ -121,12 +123,11 @@ def table_errors(digits: int | None = None):
             a, b, c = map(oracle._mp_of, (pa, pb, pc))
             if len(exact) == 2:
                 case = "logarithmic"
-                ests = [coeffs._asym_log(arith, a, b, n, K) for K in (1, 2, 3)]
+                ests = coeffs._asym_log(arith, a, b, n, 3)[1:]
             else:
                 case = "negative-integer"
                 m = int(mp.nint(a + b - c).real)
-                ests = [coeffs._asym_neg_int(arith, a, b, c, n, m, K)
-                        for K in (1, 2, 3)]
+                ests = coeffs._asym_neg_int(arith, a, b, c, n, m, 3)[1:]
             ref = oracle._partial_sum(pa, pb, pc, n, digits)
             errors = [float(abs(e - ref)) for e in ests]
             devs = [abs(e - p) / p for e, p in zip(errors, printed)]
@@ -153,11 +154,14 @@ def check_table_errors() -> CheckResult:
         rows, fine = table_errors(50)
         for row in rows:
             a, b, c = row.params
-            for K, dev, est in zip((1, 2, 3), row.devs, row.ests):
-                if row.case == "logarithmic":
-                    d = coeffs.asym_log(a, b, row.n, K)
-                else:
-                    d = coeffs.asym_neg_int(ParamSet(a, b, c), row.n, K)
+            if row.case == "logarithmic":
+                doubles = coeffs._asym_log(coeffs._DOUBLE, a, b, row.n, 3)
+            else:
+                m = round((a + b - c).real)
+                doubles = coeffs._asym_neg_int(coeffs._DOUBLE, a, b, c, row.n,
+                                               m, 3)
+            for K, dev, est, d in zip((1, 2, 3), row.devs, row.ests,
+                                      doubles[1:]):
                 if dev > worst:
                     worst, worst_cell = dev, f"{row.case} n={row.n} K={K}"
                 cross = max(cross, float(abs(d - est) / (1 + abs(est))))
@@ -369,9 +373,10 @@ def check_asymptotic_orders() -> CheckResult:
     # logarithmic-case expansion, order -(K+1)
     ns = (40, 80, 160)
     refs = {n: oracle.partial_sum_ref(1.0 / 3.0, 2.0 / 3.0, 1.0, n) for n in ns}
+    a, b = complex(1.0 / 3.0), complex(2.0 / 3.0)
+    ests = {n: coeffs._asym_log(coeffs._DOUBLE, a, b, n, 3) for n in ns}
     for K in (1, 2, 3):
-        errs = [oracle.compare(coeffs.asym_log(1.0 / 3.0, 2.0 / 3.0, n, K),
-                               refs[n]).abs_err for n in ns]
+        errs = [oracle.compare(ests[n][K], refs[n]).abs_err for n in ns]
         slope = _lsq_slope(ns, errs)
         if abs(slope + (K + 1)) > 0.2:
             ok = False

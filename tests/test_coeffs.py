@@ -1,11 +1,15 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersum import coeffs, oracle, verification
+from hypersum._series import finite_sum
 from hypersum.coeffs import (
     a_coeffs,
     asym_log,
@@ -66,6 +70,12 @@ class TestCZero:
     def test_symmetry(self):
         x, y = c0(0.75, 0.3), c0(0.3, 0.75)
         assert abs(x - y) <= 1e-13 * abs(x)
+
+    def test_text_is_refused(self):
+        for a, b in (("0.5", 0.5), (0.5, b"0.5")):
+            with pytest.raises(InvalidParameterError,
+                               match="must be a number, got "):
+                c0(a, b)
 
 
 class TestAC:
@@ -246,6 +256,91 @@ class TestAsymNegInt:
         # it overflows in the prefactor after about a second)
         with pytest.raises(DomainError, match="max_terms"):
             asym_neg_int(ParamSet(0.3, 0.4, 0.7 - 2e6), 100, 2)
+
+
+# Each asymptotic form at one depth K alone, over any _Arith: one pass of
+# _asym_log or _asym_neg_int must return these at every depth 0..K.
+
+def _one_depth_log(ns, a, b, n, K):
+    pref = ns.gamma_ratio([a + b], [a, b])
+    A = coeffs._a_formulas(a, b)
+    corr = 0.0 + 0.0j
+    for k in range(1, K + 1):
+        corr += (-1) ** (k - 1) * A[k - 1] / ns.real(n) ** k
+    return pref * ns.digamma(n + a + b) + coeffs._c0(ns, a, b) + pref * corr
+
+
+def _one_depth_neg_int(ns, a, b, c, n, m, K):
+    finite, _ = finite_sum(c - a, c - b, n + c, 1 - m, m)
+    first = finite * ns.seq_ratio(n, a, b, c) * ns.gamma_ratio([c], [a, b]) / m
+    A = coeffs._a_formulas(a, b)
+    bracket = ns.digamma(n + a + b) - ns.euler - ns.digamma(a) - ns.digamma(b)
+    for k in range(1, K + 1):
+        bracket += (-1) ** (k - 1) * A[k - 1] / ns.real(n) ** k
+    sign = -1.0 if m % 2 else 1.0
+    return first + sign * ns.gamma_ratio([c], [c - a, c - b, m + 1]) * bracket
+
+
+class TestDepthEntries:
+    # (a, b, n, m): real and complex pairs; c = a + b - m on the
+    # negative-integer form, none of them degenerate
+    DRAWS = ((0.3, 0.45, 20, 1), (1.5, 0.35, 50, 2), (-2.3, 4.15, 7, 3),
+             (0.5 + 1j, 0.25, 100, 2), (1.2 - 0.7j, -0.4 + 2.1j, 10 ** 5, 4))
+
+    def test_grid_rows_at_40_digits(self):
+        arith = verification._mp_arith()
+        rows = verification.LOG_ROWS + verification.NEG_ROWS
+        with mp.workdps(40):
+            for exact, n, _ in rows:
+                a, b, *c = (oracle._mp_of(verification._exact_pair(x))
+                            for x in exact)
+                if c:
+                    c, = c
+                    m = int(mp.nint(a + b - c).real)
+                    got = coeffs._asym_neg_int(arith, a, b, c, n, m, 3)
+                    want = [_one_depth_neg_int(arith, a, b, c, n, m, K)
+                            for K in range(4)]
+                else:
+                    got = coeffs._asym_log(arith, a, b, n, 3)
+                    want = [_one_depth_log(arith, a, b, n, K)
+                            for K in range(4)]
+                assert len(got) == 4
+                for K, (g, w) in enumerate(zip(got, want)):
+                    assert type(g) is type(w) and g == w, (exact, n, K)
+
+    def test_double_draws(self):
+        ns = coeffs._DOUBLE
+        for a, b, n, m in self.DRAWS:
+            a, b = complex(a), complex(b)
+            logs = coeffs._asym_log(ns, a, b, n, 3)
+            negs = coeffs._asym_neg_int(ns, a, b, a + b - m, n, m, 3)
+            p = ParamSet(a, b, a + b - m)
+            for K in range(4):
+                assert (repr(logs[K]) == repr(_one_depth_log(ns, a, b, n, K))
+                        == repr(asym_log(a, b, n, K))), (a, b, n, K)
+                assert (repr(negs[K])
+                        == repr(_one_depth_neg_int(ns, a, b, a + b - m, n, m,
+                                                   K))
+                        == repr(asym_neg_int(p, n, K))), (a, b, n, m, K)
+
+    def test_table_errors_forms_each_row_once(self, monkeypatch):
+        # one pass per grid row: 3 digammas (18 in all, against 54 for a
+        # pass per depth), one gamma ratio per logarithmic row and two per
+        # negative-integer row, one sequence ratio per negative-integer row
+        arith, counts = verification._mp_arith(), Counter()
+
+        def counted(name):
+            def call(*args):
+                counts[name] += 1
+                return getattr(arith, name)(*args)
+            return call
+
+        names = ("gamma_ratio", "digamma", "seq_ratio")
+        counting = arith._replace(**{name: counted(name) for name in names})
+        monkeypatch.setattr(verification, "_mp_arith", lambda: counting)
+        rows, ok = verification.table_errors()
+        assert ok and len(rows) == 6
+        assert counts == {"digamma": 18, "gamma_ratio": 9, "seq_ratio": 3}
 
 
 class TestRearrangedTail:

@@ -66,6 +66,13 @@ class TestGamma:
             with pytest.raises(PoleError):
                 gamma(z)
 
+    @pytest.mark.parametrize("text", ["2.5", b"2.5", bytearray(b"2.5")],
+                             ids=repr)
+    def test_text_is_refused(self, text):
+        with pytest.raises(InvalidParameterError,
+                           match="^z must be a number, got "):
+            gamma(text)
+
     @settings(max_examples=200, deadline=None)
     @given(strip)
     def test_recurrence(self, z):

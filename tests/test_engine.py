@@ -511,6 +511,13 @@ class TestOracleAtLargeIndex:
 
 
 class TestAuto:
+    def test_text_parameters_are_refused(self):
+        # "1.7" once answered as the number 1.7: the ParamSet eval_auto is
+        # given refuses it before any branch is chosen
+        with pytest.raises(InvalidParameterError,
+                           match="^c must be a number, got '1.7'$"):
+            eval_auto(ParamSet(0.5, 0.5, "1.7"), 20)
+
     def test_dispatch_matches_direct_calls(self):
         cases = (
             (ParamSet(2.0, 0.5, 4.25), 7, eval_generic, "direct_sum"),

@@ -85,12 +85,21 @@ class TestParamSet:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("bad, error", [
-        ("x", ValueError), (None, TypeError),
+        (None, TypeError),
         (10 ** 400, OverflowError), (Fraction(10 ** 400, 3), OverflowError),
     ], ids=repr)
     def test_conversion_errors_pass_through(self, bad, error):
         with pytest.raises(error):
             ParamSet(bad, 1.0, 2.0)
+
+    @pytest.mark.parametrize("text", ["x", "0.5", b"0.5", bytearray(b"0.5")],
+                             ids=repr)
+    def test_text_is_refused(self, text):
+        # complex() would read "0.5" as a number and refuse "x" or bytes
+        # with its own ValueError or TypeError
+        want = f"^b must be a number, got {re.escape(repr(text))}$"
+        with pytest.raises(InvalidParameterError, match=want):
+            ParamSet(0.5, text, 1.7)
 
 
 class TestClassify:
