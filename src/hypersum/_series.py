@@ -20,6 +20,9 @@ a term into parts, so they run unchanged on floats: when every parameter's
 imaginary part is zero, sum_direct, the 3F2 sum and the psi kernel pass
 the real parts, and the real part of each complex product and quotient
 then rounds exactly as the float operation does, so the bits are the same.
+The loops count k in a float, since CPython specialises float + float but
+not float + int; an int below 2**53 converts to a float exactly, so x + k
+rounds as it would with an int k.  Caps and terms_used stay ints.
 
 Stop rule: the first k whose proven tail bound is at most
 rel_tol * |partial sum|.  That bound is the tail part of est_error.  Every
@@ -103,14 +106,22 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
     DomainError when a term, the sum or its estimate overflows the double
     range.
     """
+    value, est = _sum_direct(a, b, c, n)
+    return SeriesResult(value=value, terms_used=n, est_error=est,
+                        hit_max=False)
+
+
+def _sum_direct(a: complex, b: complex, c: complex, n: int) -> tuple:
+    # sum_direct without its record: (value, est_error)
     if not (a.imag or b.imag or c.imag):
         a, b, c = a.real, b.real, c.real
     t = total = 1.0
     comp = 0.0
     peak = 1.0
     drift = 0.0
-    for k in range(n - 1):
-        t = t * (a + k) * (b + k) / ((c + k) * (k + 1))
+    k = 0.0
+    for _ in range(n - 1):
+        t = t * (a + k) * (b + k) / ((c + k) * (k + 1.0))
         u = total + t
         v = u - total
         comp += (total - (u - v)) + (t - v)
@@ -118,20 +129,20 @@ def sum_direct(a, b, c, n: int) -> SeriesResult:
         t_abs = abs(t)
         if t_abs > peak:
             peak = t_abs
-        drift += t_abs * (k + 1)
+        k += 1.0
+        drift += t_abs * k
     value = complex(total + comp)
     est = _estimate(0.0, peak, drift)
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise DomainError("S_n or a term of it lies outside the double "
                           "range: the direct sum overflowed")
-    return SeriesResult(value=value, terms_used=n, est_error=est,
-                        hit_max=False)
+    return value, est
 
 
 def finite_sum(x, y, u, v, count: int, tol: Tolerance = _DEFAULT_TOL):
     """Sum_{k<count} t_k and Sum_{k<count} |t_k| for the terminating
     t_k = (x)_k (y)_k / ((u)_k (v)_k) of the integer-excess branches, in
-    double precision or in any arithmetic that mixes with complex.
+    double precision or in mpmath, which takes the float counter exactly.
 
     Every finite sum of the package stops here at tol.max_terms: a count
     above it raises DomainError before any term is summed.
@@ -142,10 +153,12 @@ def finite_sum(x, y, u, v, count: int, tol: Tolerance = _DEFAULT_TOL):
     term = 1.0 + 0.0j
     total = term
     absum = 1.0
-    for k in range(count - 1):
+    k = 0.0
+    for _ in range(count - 1):
         term = term * (x + k) * (y + k) / ((u + k) * (v + k))
         total += term
         absum += abs(term)
+        k += 1.0
     return total, absum
 
 
@@ -227,9 +240,10 @@ def _unproven(first: int, last: int, tol: Tolerance) -> str:
 def _run(step, tol: Tolerance, start_k: int, first_term: complex,
          first_hyp: complex, majorant, rounding=None) -> SeriesResult:
     """Shared accumulation loop.  step(k) returns (t_{k+1}, h_{k+1}), the
-    term for index k+1 and its hypergeometric part; majorant comes from
-    _majorant.  rounding, when given, maps the number of terms summed to an
-    error the terms carry from their inputs, added to the estimate.
+    term for index k+1 and its hypergeometric part, for k given as a float;
+    majorant comes from _majorant.  rounding, when given, maps the number of
+    terms summed to an error the terms carry from their inputs, added to the
+    estimate.
 
     A series whose tail bound applies only past its last admissible index,
     start_k + max_terms - 1, cannot prove its tail: it raises DomainError
@@ -254,34 +268,38 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
     comp = 0.0
     t_abs = peak = abs(first_term)
     hyp = first_hyp
+    # k steers the loop against the int caps, which may pass 2**53; kf is
+    # k as a float, for arithmetic CPython specialises
     k = start_k
+    kf = start = float(start_k)
     hit_max = False
     tail = math.inf
     drift = 0.0
     while True:
         if k >= first:
             size = abs(total + comp)
-            if t_abs * (k + floor) <= scale * size:
+            if t_abs * (kf + floor) <= scale * size:
                 tail = bound(k, t_abs, abs(hyp))
                 if tail <= rel_tol * size:
                     break
         if k >= last:
             if k < first:
                 # first is last + 1: only a zero term ends the series here
-                if step(k)[1] != 0.0:
+                if step(kf)[1] != 0.0:
                     raise DomainError(_unproven(first, last, tol))
                 tail = 0.0
                 break
             tail = bound(k, t_abs, abs(hyp))
             hit_max = True
             break
-        term, hyp = step(k)
+        term, hyp = step(kf)
         if hyp == 0.0:
             # multiplicative updates: an exact zero terminates the series;
             # it contributed nothing, so it is not counted
             tail = 0.0
             break
         k += 1
+        kf += 1.0
         u = total + term
         v = u - total
         comp += (total - (u - v)) + (term - v)
@@ -289,7 +307,7 @@ def _run(step, tol: Tolerance, start_k: int, first_term: complex,
         t_abs = abs(term)
         if t_abs > peak:
             peak = t_abs
-        drift += t_abs * (k - start_k)
+        drift += t_abs * (kf - start)
     terms_used = k - start_k + 1
     est = _estimate(tail, peak, drift)
     if rounding is not None:
@@ -327,9 +345,10 @@ def _sum_hyp3f2(n1: complex, n2: complex, n3: complex, d1: complex,
         n1, n2, n3, d1, d2 = n1.real, n2.real, n3.real, d1.real, d2.real
     t = 1.0
 
-    def step(k: int) -> tuple:
+    def step(k: float) -> tuple:
         nonlocal t
-        t = t * (n1 + k) * (n2 + k) * (n3 + k) / ((d1 + k) * (d2 + k) * (k + 1))
+        t = (t * (n1 + k) * (n2 + k) * (n3 + k)
+             / ((d1 + k) * (d2 + k) * (k + 1.0)))
         return t, t
 
     majorant = _majorant((n1, n2, n3), (d1, d2, 1.0))
@@ -392,9 +411,9 @@ def _sum_psi_kernel(a: complex, b: complex, w: complex,
         a, b, w, br = a.real, b.real, w.real, br.real
     t = 1.0
 
-    def step(k: int) -> tuple:
+    def step(k: float) -> tuple:
         nonlocal t, br
-        t = t * (a + k) * (b + k) / ((w + k) * (k + 1))
+        t = t * (a + k) * (b + k) / ((w + k) * (k + 1.0))
         br = br + 1.0 / (w + k) + 1.0 / (1.0 + k) - 1.0 / (a + k) - 1.0 / (b + k)
         return t * br, t
 
@@ -428,11 +447,11 @@ def _sum_alt_kernel(a: complex, b: complex, w: complex,
     h = 1.0 / w
     s = 1.0 / a + 1.0 / b - 1.0
 
-    def step(k: int) -> tuple:
+    def step(k: float) -> tuple:
         nonlocal t, h, s
-        t = t * (a + k) * (b + k) / ((w + k) * (k + 1))
+        t = t * (a + k) * (b + k) / ((w + k) * (k + 1.0))
         h = h + 1.0 / (w + k)
-        s = s + 1.0 / (a + k) + 1.0 / (b + k) - 1.0 / (k + 1)
+        s = s + 1.0 / (a + k) + 1.0 / (b + k) - 1.0 / (k + 1.0)
         return t * (h - s), t
 
     # h - s = psi(w+k) - psi(a+k) + psi(1+k) - psi(b+k) minus its value at 0

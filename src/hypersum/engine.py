@@ -34,8 +34,8 @@ import math
 from functools import partial
 
 from ._series import (_DEFAULT_TOL, Tolerance, _psi_bracket, _sum_alt_kernel,
-                      _sum_hyp3f2, _sum_psi_kernel, finite_sum,
-                      predicted_terms, sum_direct)
+                      _sum_direct, _sum_hyp3f2, _sum_psi_kernel, finite_sum,
+                      predicted_terms)
 from .complexfn import (_EXP_MIN, POLE_TOL, _check_index, _log_gamma,
                         _log_gamma_ratio, _off_pole, exp_log, gamma_ratio,
                         log_gamma, nonpos_int_distance)
@@ -372,10 +372,15 @@ _BRANCHES = {
 
 
 # eval_auto's cost model, in units of one direct-sum term at the same
-# parameters.  Re-measured for the finite-only branches below (Python 3.11
-# on a shared 2-core x86-64 host, timeit best of 5, slope of sum_direct
-# between n = 20 and 70, 24 draws per fit): 0.31-0.41 us at real
-# parameters and 0.50-0.69 us at complex ones (the medians of ten fits).
+# parameters: 0.22-0.33 us at real parameters and 0.48-0.60 us at complex
+# ones (Python 3.11 on a shared 2-core x86-64 host, timeit best of 5, slope
+# of sum_direct between n = 20 and 70, 12 real and 12 complex draws with
+# 0.3 <= Re <= 7 and |Im| <= 3; the medians of ten fits, 0.23 and 0.49).
+# The constants below were fitted in older units: the series branches'
+# two when a term cost 0.55-0.93 us, the finite-only one at 0.31-0.41 us
+# (real) and 0.50-0.69 us (complex).  So at real parameters the direct sum
+# is now cheaper against the expansion than they assume; a refit moves
+# paths, and is left to a change of its own.
 # The series branches' body at n in {20, 40, 70, 100, 150, 250} (generic,
 # logarithmic and s = -2 draws, real and complex, |parameter| <= 7, 144
 # timings) cost, by least squares, 72 direct terms + 2.2 per predicted
@@ -450,9 +455,8 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     cls = classify_params(p)
     _check_index(n)
     if 2 <= n <= tol.max_terms and n < _expansion_cost(p, n, cls, tol):
-        res = sum_direct(p.a, p.b, p.c, n)
-        return EvalReport(res.value, cls, res.terms_used, res.est_error,
-                          cls.warnings, "direct_sum")
+        value, est = _sum_direct(p.a, p.b, p.c, n)
+        return EvalReport(value, cls, n, est, cls.warnings, "direct_sum")
     return _report(_BRANCHES[cls.kind], p, n, cls, tol)
 
 

@@ -20,9 +20,9 @@ converts so that all methods answer for the same constant.
 landau_watson_asymptotic(n) is landau_nemes(n, 1.0, 2), and c_0(1/2, 1/2)
 is the closed form (gamma + 4 log 2) / pi that landau_ck and landau_nemes
 write out.  One specialisation stays on purpose: landau_direct is
-sum_direct(1/2, 1/2, 1, n + 1) at half its cost (1.3 against 3.2 us at
-index 5, 179 against 353 us at 1,000; Python 3.11, timeit), and at index
-10^6 it errs by 9.5e-15 relative against 2.5e-14.
+sum_direct(1/2, 1/2, 1, n + 1) at two fifths to two thirds of its cost (1.05
+against 2.6 us at index 5, 143 against 228 us at 1,000; Python 3.11,
+timeit), and at index 10^6 it errs by 9.5e-15 relative against 2.5e-14.
 
 A value outside the double range is a DomainError, as everywhere in the
 package; landau_theorem3 reports a bound below it as 5e-324.
@@ -72,13 +72,14 @@ def _sigma_half(M: int) -> tuple:
 def landau_direct(n: int) -> float:
     """Direct sum of the defining series; exact up to summation roundoff."""
     _check_index(n, minimum=0, maximum=_MAX_DIRECT_N)
-    total = 0.0
+    # the k = 0 term, 1, starts the sum
+    total = t = 1.0
     comp = 0.0
-    t = 1.0
-    for k in range(n + 1):
-        if k:
-            r = (k - 0.5) / k
-            t *= r * r
+    k = 0.0
+    for _ in range(n):
+        k += 1.0
+        r = (k - 0.5) / k
+        t *= r * r
         fresh = total + t
         if abs(total) >= t:
             comp += (total - fresh) + t
@@ -116,7 +117,7 @@ def landau_ck(n: int) -> float:
     w = n + 1.5
     t = 0.25 / w
 
-    def step(k: int) -> tuple:
+    def step(k: float) -> tuple:
         nonlocal t
         t = t * (k + 0.5) ** 2 * k / ((k + 1.0) ** 2 * (w + k))
         return t, t
@@ -143,11 +144,14 @@ def landau_theorem3(n: int, M: int):
     if M >= 2:
         sigma = _sigma_half(M)
         lam = exp_log(_log_seq_ratios(n, 0.5, 0.5, 1.0)[0]).real
-        u = 0.25 / (n + 1.0)
+        n1 = n + 1.0
+        u = 0.25 / n1
         ksum = u * sigma[0]
-        for k in range(1, M - 1):
-            u = u * (k + 0.5) ** 2 / ((n + 1.0 + k) * (k + 1.0))
-            ksum += u * sigma[k]
+        k = 0.0
+        for sig in sigma[1:]:
+            k += 1.0
+            u = u * (k + 0.5) ** 2 / ((n1 + k) * (k + 1.0))
+            ksum += u * sig
         value -= lam * ksum / _PI
     return value, bound
 

@@ -11,8 +11,10 @@ exact integers over one common denominator, and the term and the running sum
 are Gaussian integers scaled by a power of two, with a rounding bound beside
 them.  The term ratio's numerator and denominator are stepped by their exact
 forward differences, so each equals the direct product of its factors.  The
-scale grows until the bound proves the working precision; past a cap the sum
-raises PrecisionUnavailableError.  The Landau constants are such sums too.
+scale grows until the bound proves the working precision.  Past a cap, a sum
+of at most _MAX_EXACT_N terms is summed exactly in Gaussian rationals and
+rounded once, and a longer one raises PrecisionUnavailableError.  The Landau
+constants are such sums too.
 ``compare`` also runs on integers: it measures a value against a reference
 exactly and rounds each error once.  Only gamma, digamma and the rounding of
 a sum to its mpc result use mpmath, imported by the functions that use it,
@@ -59,6 +61,9 @@ _MAX_DIGITS = 100_000
 _GUARD_DIGITS = 10
 _MAX_PARTIAL_SUM_N = 100_000
 _MAX_EXTRA_BITS = 1 << 16
+# largest n whose partial sum, when no fixed-point pass proves it, is summed
+# exactly in Gaussian rationals
+_MAX_EXACT_N = 200
 # least bits of the integer square root that compare rounds to a float
 _ROOT_BITS = 140
 
@@ -229,6 +234,37 @@ def _fixed_point_pass(ar, ai, br, bi, cr, ci, d, n: int, scale: int):
     return sr, si, bound
 
 
+def _exact_sum(ar, ai, br, bi, cr, ci, d, n: int) -> tuple:
+    """(sr, si, q): S_n = (sr + i si) / q exactly, q > 0.
+
+    The parameters are integers over the common denominator d, and the
+    ratio of term k+1 to term k is (A + x)(B + x) conj(C + x) over
+    |C + x|^2 d (k + 1), x = d k, with A = d a, B = d b and C = d c.  Each
+    term and the running sum are Gaussian integers over a positive integer,
+    reduced by their common divisor.
+    """
+    tr, ti, tq = 1, 0, 1
+    sr, si, q = 1, 0, 1
+    for k in range(n - 1):
+        x = d * k
+        xa, xb, xc = ar + x, br + x, cr + x
+        ur, ui = xa * xb - ai * bi, xa * bi + ai * xb
+        pr, pi = ur * xc + ui * ci, ui * xc - ur * ci
+        tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
+        if not (tr or ti):
+            break  # a + k or b + k is 0: every later term is 0
+        tq *= (xc * xc + ci * ci) * d * (k + 1)
+        g = math.gcd(tr, ti, tq)
+        tr, ti, tq = tr // g, ti // g, tq // g
+        lcm = math.lcm(q, tq)
+        sr = sr * (lcm // q) + tr * (lcm // tq)
+        si = si * (lcm // q) + ti * (lcm // tq)
+        q = lcm
+        g = math.gcd(sr, si, q)
+        sr, si, q = sr // g, si // g, q // g
+    return sr, si, q
+
+
 def _partial_sum(a, b, c, n: int, digits: int):
     """S_n at exact (re, im) parameters, to digits plus the guard digits.
 
@@ -236,9 +272,13 @@ def _partial_sum(a, b, c, n: int, digits: int):
     The bound in ulps hardly moves with the scale, so a retry adds the bits
     the last pass fell short plus a margin, at least doubling the extra bits.
     The result is the proven sum rounded once to the working precision.
+    Where no pass proves it, as for a sum that is exactly 0 (whose digits no
+    scale proves unless every step divides exactly), a sum of at most
+    _MAX_EXACT_N terms is summed exactly and rounded once.
     """
     import mpmath as mp
-    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+    from mpmath.libmp import (dps_to_prec, from_man_exp, from_rational,
+                              round_nearest)
     ratios = [p.as_integer_ratio() for p in a + b + c]
     (cr, cd), (ci, _) = ratios[4:]
     if ci == 0 and cd == 1 and 0 <= -cr < n - 1:
@@ -259,6 +299,11 @@ def _partial_sum(a, b, c, n: int, digits: int):
                  from_man_exp(si, -scale, work, round_nearest)))
         extra += max(shortfall + 32, extra)
         if extra > _MAX_EXTRA_BITS:
+            if n <= _MAX_EXACT_N:
+                sr, si, q = _exact_sum(*ints, d, n)
+                return mp.mp.make_mpc(
+                    (from_rational(sr, q, work, round_nearest),
+                     from_rational(si, q, work, round_nearest)))
             raise PrecisionUnavailableError(
                 f"{_MAX_EXTRA_BITS} extra bits do not prove {digits} "
                 "digits of the partial sum")

@@ -122,28 +122,38 @@ def classify(a: Number, b: Number, c: Number) -> ExcessClass:
     return classify_params(ParamSet(a, b, c))
 
 
+# The record of a warning-free generic or logarithmic triple: records are
+# immutable, so every such call can share one.
+_GENERIC_CLASS = ExcessClass(kind=GENERIC)
+_LOG_CLASS = ExcessClass(kind=LOGARITHMIC)
+
+
 def classify_params(p: ParamSet) -> ExcessClass:
     """classify() for a triple already validated as a ParamSet."""
     a, b, c = p.a, p.b, p.c
     s = c - a - b
-    warnings: list[str] = []
-    for name, shifted in (("a", c - a), ("b", c - b)):
-        dist = nonpos_int_distance(shifted)
-        if dist < INTEGER_TOL:
-            warnings.append(f"gamma_pole_c_minus_{name}")
-        elif dist < NEAR_INTEGER_WARN:
-            warnings.append(f"near_gamma_pole_c_minus_{name}")
+    warnings = ()
+    dist = nonpos_int_distance(c - a)
+    if dist < NEAR_INTEGER_WARN:
+        warnings = (_pole_warning(dist, "a"),)
+    dist = nonpos_int_distance(c - b)
+    if dist < NEAR_INTEGER_WARN:
+        warnings += (_pole_warning(dist, "b"),)
 
     m0 = round(s.real)
     dist = abs(s - m0)
     if dist >= INTEGER_TOL:
         if dist < NEAR_INTEGER_WARN:
-            warnings.append("near_integer_excess")
-        return ExcessClass(kind=GENERIC, warnings=tuple(warnings))
+            warnings += ("near_integer_excess",)
+        elif not warnings:
+            return _GENERIC_CLASS
+        return ExcessClass(kind=GENERIC, warnings=warnings)
     if m0 == 0:
-        return ExcessClass(kind=LOGARITHMIC, warnings=tuple(warnings))
+        if not warnings:
+            return _LOG_CLASS
+        return ExcessClass(kind=LOGARITHMIC, warnings=warnings)
     if m0 >= 1:
-        return ExcessClass(kind=POSITIVE_INTEGER, m=m0, warnings=tuple(warnings))
+        return ExcessClass(kind=POSITIVE_INTEGER, m=m0, warnings=warnings)
 
     m = -m0
     # Degenerate when a or b sits at a positive integer p <= m.  The largest
@@ -161,9 +171,17 @@ def classify_params(p: ParamSet) -> ExcessClass:
             m=m,
             p=best[0],
             which=best[1],
-            warnings=tuple(warnings),
+            warnings=warnings,
         )
-    return ExcessClass(kind=NEGATIVE_INTEGER, m=m, warnings=tuple(warnings))
+    return ExcessClass(kind=NEGATIVE_INTEGER, m=m, warnings=warnings)
+
+
+def _pole_warning(dist: float, name: str) -> str:
+    """The warning for c - name at distance dist < NEAR_INTEGER_WARN from a
+    pole of Gamma."""
+    if dist < INTEGER_TOL:
+        return f"gamma_pole_c_minus_{name}"
+    return f"near_gamma_pole_c_minus_{name}"
 
 
 def _log_seq_ratios(n, a, b, *xs) -> list[complex]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import fzero
 
 from hypersum import engine, landau, oracle, params, verification
 from hypersum.errors import InvalidParameterError, PrecisionUnavailableError
@@ -403,9 +404,40 @@ class TestFixedPointSum:
             assert _rel(got, want) <= 1e-45, (a, b, c, n)
             assert len(passes) >= 2, (a, b, c, n)
 
-    def test_unproven_zero_raises(self, passes):
+    def test_exact_zero_is_proven(self, passes):
         # 1 + 4/3 - 7/3 is exactly 0, but the thirds never divide exactly, so
-        # no scale proves a digit of it.
+        # no scale proves a digit of it; the exact sum does
+        value = partial_sum_ref(-2, Fraction(2, 5), Fraction(-3, 5), 3).value
+        assert value == 0 and value.real._mpf_ == value.imag._mpf_ == fzero
+        assert len(passes) > 1
+
+    def test_exact_sum_matches_the_proven_one(self, monkeypatch):
+        # with the first fixed-point pass unproven and no retry, each sum
+        # comes from the exact one, rounded once to the same precision
+        rng = random.Random(21)
+        cases = [(0.5, 0.5, 1.0, 200), (-3, Fraction(1, 3), 2.5 + 1j, 7)]
+        for i in range(40):
+            cases.append((complex(rng.uniform(-5.0, 5.0),
+                                  rng.uniform(-3.0, 3.0) if i % 2 else 0.0),
+                          Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                          complex(rng.uniform(0.1, 5.0),
+                                  rng.uniform(-2.0, 2.0) if i % 3 else 0.0),
+                          rng.randint(1, 60)))
+        want = [partial_sum_ref(*case).value for case in cases]
+        fixed_point_pass = oracle._fixed_point_pass
+
+        def unproven(*args):
+            sr, si, _ = fixed_point_pass(*args)
+            return sr, si, 2.0 ** 1000
+        monkeypatch.setattr(oracle, "_fixed_point_pass", unproven)
+        monkeypatch.setattr(oracle, "_MAX_EXTRA_BITS", 0)
+        for case, value in zip(cases, want):
+            got = partial_sum_ref(*case).value
+            assert got == value or _rel(got, value) <= 1e-49, case
+
+    def test_unproven_zero_raises(self, passes, monkeypatch):
+        # past the exact sum's cap, an unproven sum is refused
+        monkeypatch.setattr(oracle, "_MAX_EXACT_N", 2)
         with pytest.raises(PrecisionUnavailableError):
             partial_sum_ref(-2, Fraction(2, 5), Fraction(-3, 5), 3)
         assert len(passes) > 1

@@ -15,6 +15,7 @@ from hypersum.landau import landau_asymptotic, landau_direct, landau_nemes
 from hypersum.params import (
     INTEGER_TOL,
     NEAR_INTEGER_WARN,
+    ExcessClass,
     ParamSet,
     _check_index,
     classify,
@@ -152,6 +153,34 @@ class TestClassify:
     def test_near_gamma_pole_warns(self):
         cls = classify(2.0 + 1e-6, 0.5, 1.0)
         assert any("near_gamma_pole_c_minus_a" in w for w in cls.warnings)
+
+    @pytest.mark.parametrize("kind, triples", [
+        ("generic", [(0.5, 0.25, 1.5), (0.3 + 1j, 1.7, 2.2 - 0.5j)]),
+        ("logarithmic", [(0.5, 0.5, 1.0), (0.3 + 1j, 1.7, 2.0 + 1j)]),
+    ])
+    def test_warning_free_records_are_shared(self, kind, triples):
+        first, second = (classify(*t) for t in triples)
+        assert first == ExcessClass(kind=kind) and first.warnings == ()
+        assert second is first
+        with pytest.raises(AttributeError):
+            first.warnings = ("near_integer_excess",)
+        assert classify(*triples[0]).warnings == ()
+
+    @pytest.mark.parametrize("triple, kind, warnings", [
+        ((0.5, 0.25, 1.75 + 1e-6), "generic", ("near_integer_excess",)),
+        ((2.0 + 1e-6, 0.5, 1.0), "generic",
+         ("near_gamma_pole_c_minus_a",)),
+        ((0.5, -2.0 + 1e-6, -1.5 + 1e-6), "logarithmic",
+         ("near_gamma_pole_c_minus_a",)),
+        ((1.0 + 1e-6, 2.5, 0.5), "generic",
+         ("gamma_pole_c_minus_b", "near_integer_excess")),
+    ])
+    def test_warned_triples_get_their_own_record(self, triple, kind,
+                                                 warnings):
+        cls = classify(*triple)
+        assert cls == ExcessClass(kind=kind, warnings=warnings)
+        assert cls is not ExcessClass(kind=kind)
+        assert cls is not classify(*triple)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=-8, max_value=8),

@@ -13,7 +13,8 @@ from hypersum._series import (
     sum_hyp3f2,
     sum_psi_kernel,
 )
-from hypersum.coeffs import asym_log, asym_neg_int
+from hypersum.coeffs import (asym_log, asym_neg_int, rearranged_tail,
+                             remainder_bound)
 from hypersum.complexfn import (EULER_GAMMA, digamma, exp_log, gamma_ratio,
                                 log_gamma, nonpos_int_distance)
 from hypersum.engine import (Tolerance, eval_auto, eval_conjectured,
@@ -278,12 +279,55 @@ def _reference_direct(a, b, c, n):
                         False)
 
 
+def _reference_finite_sum(x, y, u, v, count):
+    term = 1.0 + 0.0j
+    total = term
+    absum = 1.0
+    for k in range(count - 1):
+        term = term * (x + k) * (y + k) / ((u + k) * (v + k))
+        total += term
+        absum += abs(term)
+    return total, absum
+
+
+def _reference_landau_direct(n):
+    total = comp = 0.0
+    t = 1.0
+    for k in range(n + 1):
+        if k:
+            r = (k - 0.5) / k
+            t *= r * r
+        fresh = total + t
+        if abs(total) >= t:
+            comp += (total - fresh) + t
+        else:
+            comp += (t - fresh) + total
+        total = fresh
+    return total + comp
+
+
+def _reference_theorem3(n, M):
+    value = (digamma(n + 1.0).real / math.pi + landau._C0_HALF
+             + rearranged_tail(0.5, 0.5, n, M).real / math.pi)
+    if M >= 2:
+        sigma = landau._sigma_half(M)
+        lam = exp_log(_log_seq_ratios(n, 0.5, 0.5, 1.0)[0]).real
+        u = 0.25 / (n + 1.0)
+        ksum = u * sigma[0]
+        for k in range(1, M - 1):
+            u = u * (k + 0.5) ** 2 / ((n + 1.0 + k) * (k + 1.0))
+            ksum += u * sigma[k]
+        value -= lam * ksum / math.pi
+    return value, remainder_bound(n, M)
+
+
 def _fields(res):
     # repr tells -0.0 from 0.0 and compares nan to nan; the type keeps a
-    # float result from a real-parameter loop apart from a complex one
+    # float result from a real-parameter loop apart from a complex one, and
+    # a float count from the int the reference loops keep
     if isinstance(res, SeriesResult):
         return (repr(res.value), type(res.value), res.terms_used,
-                repr(res.est_error), res.hit_max)
+                type(res.terms_used), repr(res.est_error), res.hit_max)
     return repr(res)
 
 
@@ -337,8 +381,47 @@ class TestInlinedLoops:
                 runs += isinstance(got, tuple)
             got = _fields(sum_direct(a, b, c, n))
             assert got == _fields(_reference_direct(a, b, c, n)), (a, b, c, n)
-            assert got[1] is complex
+            assert got[1] is complex and got[3] is int
         assert runs > 1000
+
+    def test_float_counters_match_int_counter_loops(self):
+        # the loops count in floats; an int below 2**53 converts exactly,
+        # so every sum keeps the bits of the int-counter loop
+        rng = random.Random(4)
+        for i in range(400):
+            x, y, u = (complex(rng.uniform(-6.0, 6.0),
+                               rng.uniform(-3.0, 3.0) if i % 2 else 0.0)
+                       for _ in range(3))
+            count = rng.randint(1, 60)
+            # the integer-excess branches pass an int v, _hyp_abs_sum 1.0
+            v = rng.choice((1, 1 - count, 1.0, complex(rng.uniform(0.5, 6.0))))
+            got = finite_sum(x, y, u, v, count)
+            assert repr(got) == repr(_reference_finite_sum(x, y, u, v, count))
+        with mp.workdps(40):
+            # table1 sums in mpmath
+            x, y, u = mp.mpc(0.3, 0.1), mp.mpc(-2.7), mp.mpc(40.2, 0.1)
+            got = finite_sum(x, y, u, -4, 5)
+            assert got == _reference_finite_sum(x, y, u, -4, 5)
+        for n in list(range(60)) + [1000, 54321]:
+            assert (repr(landau.landau_direct(n))
+                    == repr(_reference_landau_direct(n))), n
+        for n in (3, 7, 12, 31, 64, 1000, 10**6):
+            for M in range(1, min(n, 31)):
+                assert (repr(landau.landau_theorem3(n, M))
+                        == repr(_reference_theorem3(n, M))), (n, M)
+
+    def test_reports_count_in_ints(self):
+        # terms_used reaches the CLI's JSON: a float count would print 7.0
+        tol = Tolerance(1e-15, 3)
+        for a, b, c in ((0.3 + 0.2j, 1.7, 2.9), (0.3, 1.7, 2.0),
+                        (0.3, 1.7, 4.0), (0.3, 1.7, 1.0), (1.0, 1.7, 0.7)):
+            p = ParamSet(a, b, c)
+            paths = set()
+            for n in (5, 20, 500, 10**5):
+                for rep in (eval_auto(p, n), eval_auto(p, n, tol)):
+                    paths.add(rep.path)
+                    assert type(rep.terms_used) is int, (a, b, c, n)
+            assert paths == {"direct_sum", "expansion"}, (a, b, c)
 
     def test_terminating_sums_match_reference_loop(self, monkeypatch):
         # an exact zero term stops the loop; with excess -2 the tail
