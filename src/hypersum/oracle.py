@@ -237,31 +237,19 @@ def _fixed_point_pass(ar, ai, br, bi, cr, ci, d, n: int, scale: int):
 def _exact_sum(ar, ai, br, bi, cr, ci, d, n: int) -> tuple:
     """(sr, si, q): S_n = (sr + i si) / q exactly, q > 0.
 
-    The parameters are integers over the common denominator d, and the
-    ratio of term k+1 to term k is (A + x)(B + x) conj(C + x) over
-    |C + x|^2 d (k + 1), x = d k, with A = d a, B = d b and C = d c.  Each
-    term and the running sum are Gaussian integers over a positive integer,
-    reduced by their common divisor.
+    S_n = 1 + r_0 (1 + r_1 (... (1 + r_{n-2}))), from the innermost ratio
+    out.  With the parameters integers over the common denominator d and
+    x = d k, r_k = (A + x)(B + x) conj(C + x) / (|C + x|^2 d (k + 1)) for
+    A = d a, B = d b and C = d c.
     """
-    tr, ti, tq = 1, 0, 1
     sr, si, q = 1, 0, 1
-    for k in range(n - 1):
+    for k in reversed(range(n - 1)):
         x = d * k
         xa, xb, xc = ar + x, br + x, cr + x
         ur, ui = xa * xb - ai * bi, xa * bi + ai * xb
         pr, pi = ur * xc + ui * ci, ui * xc - ur * ci
-        tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
-        if not (tr or ti):
-            break  # a + k or b + k is 0: every later term is 0
-        tq *= (xc * xc + ci * ci) * d * (k + 1)
-        g = math.gcd(tr, ti, tq)
-        tr, ti, tq = tr // g, ti // g, tq // g
-        lcm = math.lcm(q, tq)
-        sr = sr * (lcm // q) + tr * (lcm // tq)
-        si = si * (lcm // q) + ti * (lcm // tq)
-        q = lcm
-        g = math.gcd(sr, si, q)
-        sr, si, q = sr // g, si // g, q // g
+        q *= (xc * xc + ci * ci) * d * (k + 1)
+        sr, si = q + pr * sr - pi * si, pr * si + pi * sr
     return sr, si, q
 
 
