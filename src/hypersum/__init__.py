@@ -9,11 +9,13 @@ independent routes, a truncation bound, and the published coefficient
 families.  An extended-precision oracle backs every claim;
 ``verification.run_all`` (or ``hypersum verify``) re-runs the whole battery.
 
-``import hypersum`` loads the evaluation path and the oracle, which
-perfbench's tracer looks up in ``sys.modules`` when it starts.  The Landau
-routes (``landau``), the coefficient families (``coeffs``) and the property
-suite (``verification``) load on first use: when one of their names, or the
-module itself, is first asked of this package, or the module is imported.
+``import hypersum`` loads the evaluation path alone.  The Landau routes
+(``landau``), the coefficient families (``coeffs``), the oracle (``oracle``)
+and the property suite (``verification``) load on first use: when one of
+their names, or the module itself, is first asked of this package, or the
+module is imported.  perfbench's tracer looks its modules up in
+``sys.modules`` when it starts, after ``import hypersum.cli``, so ``cli``
+imports ``coeffs``, ``landau`` and ``oracle`` at module level.
 """
 
 import sys as _sys
@@ -46,16 +48,6 @@ from .errors import (
     PrecisionUnavailableError,
     WrongBranchError,
 )
-from .oracle import (
-    DEFAULT_DIGITS,
-    ErrorReport,
-    OracleValue,
-    compare,
-    digamma_ref,
-    gamma_ref,
-    landau_ref,
-    partial_sum_ref,
-)
 from .params import (
     INTEGER_TOL,
     NEAR_INTEGER_WARN,
@@ -78,6 +70,9 @@ _LAZY = {
     "landau": (
         "landau_asymptotic", "landau_ck", "landau_direct", "landau_nemes",
         "landau_theorem3", "landau_watson", "landau_watson_asymptotic"),
+    "oracle": (
+        "DEFAULT_DIGITS", "ErrorReport", "OracleValue", "compare",
+        "digamma_ref", "gamma_ref", "landau_ref", "partial_sum_ref"),
     "verification": ("CheckResult", "run_all"),
 }
 _OWNERS = {name: module for module, names in _LAZY.items() for name in names}
@@ -91,8 +86,6 @@ __all__ = [
     "DivergentSeriesError", "DomainError", "HypersumError",
     "InvalidParameterError", "PoleError", "PrecisionUnavailableError",
     "WrongBranchError",
-    "DEFAULT_DIGITS", "ErrorReport", "OracleValue", "compare", "digamma_ref",
-    "gamma_ref", "landau_ref", "partial_sum_ref",
     "INTEGER_TOL", "NEAR_INTEGER_WARN", "ExcessClass", "ParamSet",
     "SeqFactors", "classify", "seq_factors",
     *_OWNERS,

@@ -19,10 +19,10 @@ import argparse
 import json
 import sys
 
-# coeffs and landau at import, though the package loads them on first use:
-# perfbench imports this module before its tracer looks them up in
-# sys.modules
-from . import coeffs, engine, landau
+# coeffs, landau and oracle at import, though the package loads them on
+# first use: perfbench imports this module before its tracer looks them up
+# in sys.modules
+from . import coeffs, engine, landau, oracle  # noqa: F401
 from .complexfn import _check_index
 from .engine import Tolerance
 from .errors import HypersumError

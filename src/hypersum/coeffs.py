@@ -306,6 +306,14 @@ def rearranged_tail(a: Number, b: Number, n: int, M: int) -> complex:
     # (w)_r for r < K vanishes at w = 0, -1, ..., 2 - K
     if nonpos_int_distance(w) <= POLE_TOL and round(w.real) > 1 - K:
         raise PoleError(f"(n+a+b)_r pole: n + a + b = {w!r}")
+    return _rearranged_tail(av, bv, n, M)
+
+
+def _rearranged_tail(av: complex, bv: complex, n: int, M: int) -> complex:
+    # rearranged_tail past its checks: needs n > K and n + a + b off the
+    # poles of (n+a+b)_r, r < K
+    K = (M + 1) // 2
+    w = n + av + bv
     total = 0.0 + 0.0j
     poch = 1.0 + 0.0j      # (a)_r (b)_r / (n+a+b)_r
     falling = 1.0          # (n-1)(n-2)...(n-r)

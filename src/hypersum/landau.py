@@ -137,10 +137,11 @@ def landau_theorem3(n: int, M: int):
     bound is the a-priori remainder bound, which decays like n^(-M).
     """
     _check_index(M, "M", 1, 30)
-    # remainder_bound checks n and n > M
+    # remainder_bound checks n and n > M >= K, and n + 1 is no pole, so the
+    # tail needs none of rearranged_tail's checks
     bound = coeffs.remainder_bound(n, M)
     value = (digamma(n + 1.0).real / _PI + _C0_HALF
-             + coeffs.rearranged_tail(0.5, 0.5, n, M).real / _PI)
+             + coeffs._rearranged_tail(0.5 + 0j, 0.5 + 0j, n, M).real / _PI)
     if M >= 2:
         sigma = _sigma_half(M)
         lam = exp_log(_log_seq_ratios(n, 0.5, 0.5, 1.0)[0]).real

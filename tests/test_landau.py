@@ -193,8 +193,8 @@ class TestTheorem3:
 
     def test_index_checks_per_call(self, monkeypatch):
         # the depth is checked here, n and n > M in remainder_bound; the
-        # only others are rearranged_tail's two and, on a cold call,
-        # sigma_coeffs' one
+        # only other is sigma_coeffs' one on a cold call, since the tail
+        # takes rearranged_tail's unchecked core
         calls = []
 
         def spy(*args, **kwargs):
@@ -206,10 +206,10 @@ class TestTheorem3:
         monkeypatch.setattr(landau, "_sigma_half",
                             functools.cache(landau._sigma_half.__wrapped__))
         landau_theorem3(51, 10)
-        assert len(calls) <= 6, calls
+        assert len(calls) <= 4, calls
         calls.clear()
         landau_theorem3(51, 10)
-        assert len(calls) <= 5, calls
+        assert len(calls) <= 3, calls
 
 
 class TestAsymptotic:

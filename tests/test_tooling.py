@@ -7,11 +7,11 @@ benchmark runs.  The table is read from the source, not imported.
 
 Only the oracle and the verification suite use mpmath, and they import it
 on first use, so ``import hypersum`` and the commands that run on the
-double-precision expansions start without it.  The verification suite,
-the Landau routes and the coefficient families load on first use too; the
-oracle stays eager because the tracer looks it up in ``sys.modules``.  Those
-checks run in fresh interpreters, since this one has long since loaded
-mpmath.
+double-precision expansions start without it.  The verification suite, the
+oracle, the Landau routes and the coefficient families load on first use
+too; the CLI imports every module the tracer wraps, since the tracer looks
+them up in ``sys.modules`` after importing it.  Those checks run in fresh
+interpreters, since this one has long since loaded mpmath.
 
 That AST check cannot see a builtin raised inside an operation, such as
 float() of an int past the double range, so every public route that takes
@@ -335,7 +335,7 @@ def _is_mpmath(name: str) -> bool:
 
 def test_import_leaves_mpmath_unloaded():
     loaded = _modules_after("import hypersum")
-    assert "hypersum.oracle" in loaded
+    assert "hypersum.oracle" not in loaded
     assert "hypersum.verification" not in loaded
     assert not any(map(_is_mpmath, loaded))
     # the suite, once imported, still defers mpmath to its first check
@@ -365,12 +365,15 @@ def test_suite_names_load_the_suite_on_first_use():
 
 
 def test_lazy_exports_are_their_owners_objects():
-    # landau and coeffs resolve on the package without an import of their
-    # own, and every name in __all__, lazy or not, is its owner's object.
+    # landau, coeffs and oracle resolve on the package without an import of
+    # their own, and every name in __all__, lazy or not, is its owner's
+    # object.
     proc = _python("-c", (
         "import sys, hypersum\n"
         "assert hypersum.landau.landau_ck(20) == 2.0316076374013132\n"
         "assert hypersum.coeffs.c_coeffs().kind == 'C'\n"
+        "ref = hypersum.partial_sum_ref(0.5, 0.5, 1.0, 3).as_complex()\n"
+        "assert ref == 1.390625, ref\n"
         "namespace = {}\n"
         "exec('from hypersum import *', namespace)\n"
         "for name in hypersum.__all__:\n"
@@ -379,7 +382,7 @@ def test_lazy_exports_are_their_owners_objects():
         "    owner = getattr(value, '__module__', '')\n"
         "    if owner.startswith('hypersum.'):\n"
         "        assert value is getattr(sys.modules[owner], name), name\n"
-        "for module in ('coeffs', 'landau', 'verification'):\n"
+        "for module in ('coeffs', 'landau', 'oracle', 'verification'):\n"
         "    assert getattr(hypersum, module) is sys.modules[f'hypersum.{module}']\n"))
     assert proc.returncode == 0, proc.stderr
 
@@ -407,13 +410,14 @@ def test_oracle_checks_parameters_without_loading_fractions():
 
 def test_lazy_names_read_in_a_running_tracer_leave_no_wrapper():
     # perfbench starts its tracer after `import hypersum.cli`, which must
-    # load every TARGETS module, coeffs and landau among them.  The package
-    # hook binds none of the names it serves, so a name read while the
-    # tracer runs is not cached as its wrapper.
+    # load every TARGETS module, the lazy coeffs, landau and oracle among
+    # them.  The package hook binds none of the names it serves, so a name
+    # read while the tracer runs is not cached as its wrapper.
+    required = sorted({f"hypersum.{module}" for module, _ in _tracer_targets()})
     proc = _python("-c", (
         "import sys, hypersum.cli\n"
-        "assert {'hypersum.coeffs', 'hypersum.landau', 'hypersum.oracle'}"
-        " <= set(sys.modules)\n"
+        f"missing = set({required!r}) - set(sys.modules)\n"
+        "assert not missing, missing\n"
         "sys.path.insert(0, 'perfbench')\n"
         "from tracer import Tracer, leftovers\n"
         "with Tracer():\n"
@@ -422,7 +426,7 @@ def test_lazy_names_read_in_a_running_tracer_leave_no_wrapper():
         "assert not leftovers(), leftovers()\n"
         "for name in hypersum.__all__:\n"
         "    getattr(hypersum, name)\n"
-        "owners = {'hypersum.coeffs', 'hypersum.landau'}\n"
+        "owners = {'hypersum.coeffs', 'hypersum.landau', 'hypersum.oracle'}\n"
         "bound = [name for name, value in vars(hypersum).items()\n"
         "         if getattr(value, '__module__', None) in owners]\n"
         "assert not bound, bound\n"))
@@ -478,19 +482,17 @@ def test_modules_loaded_on_first_use_bind_no_tracer_target():
 
 
 def test_package_import_loads_exactly_these_modules():
-    # What `import hypersum` pays for: evaluation and the oracle.  coeffs and
-    # landau may load on first use, since the tracer starts only after
-    # `import hypersum.cli`, which imports both.  The oracle may not: cli
-    # does not import it, and the tracer looks every TARGETS module up in
-    # sys.modules when it starts.  fractions, and the decimal module it
-    # imports, load with coeffs and landau.  A new eager import, or a new
-    # module on the import path, lands here.
+    # What `import hypersum` pays for: evaluation alone.  coeffs, landau and
+    # oracle load on first use, since the tracer, which looks every TARGETS
+    # module up in sys.modules, starts only after `import hypersum.cli`,
+    # which imports all three.  fractions, and the decimal module it
+    # imports, load with coeffs and landau; numbers with landau and oracle.
+    # A new eager import, or a new module on the import path, lands here.
     loaded = _modules_after("import hypersum")
     assert {name for name in loaded if name.split(".")[0] == "hypersum"} == {
         "hypersum", "hypersum._series", "hypersum.complexfn",
-        "hypersum.engine", "hypersum.errors", "hypersum.oracle",
-        "hypersum.params"}
-    assert not {"fractions", "decimal"} & loaded
+        "hypersum.engine", "hypersum.errors", "hypersum.params"}
+    assert not {"numbers", "fractions", "decimal"} & loaded
 
 
 # The commands that import the verification suite; every other one runs
