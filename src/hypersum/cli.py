@@ -26,7 +26,7 @@ from . import coeffs, engine, landau, oracle  # noqa: F401
 from .complexfn import _check_index
 from .engine import Tolerance
 from .errors import HypersumError
-from .params import LOGARITHMIC, ParamSet, classify, classify_params
+from .params import LOGARITHMIC, ParamSet, classify
 
 _FORM_MAP = {"psi": "psi_series", "alt": "alternative"}
 
@@ -83,8 +83,7 @@ def _report_record(rep: engine.EvalReport) -> dict:
 def _cmd_eval(args, out) -> int:
     pset = ParamSet(args.a, args.b, args.c)
     tol = Tolerance(rel_tol=args.tol) if args.tol is not None else Tolerance()
-    if (args.form is not None
-            and classify_params(pset).kind == LOGARITHMIC):
+    if args.form is not None and pset.branch.kind == LOGARITHMIC:
         rep = engine.eval_log(pset, args.n, tol, form=_FORM_MAP[args.form])
     else:
         rep = engine.eval_auto(pset, args.n, tol)

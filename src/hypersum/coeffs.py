@@ -25,7 +25,7 @@ from .complexfn import (_EXP_MIN, EULER_GAMMA, POLE_TOL, _as_complex,
                         nonpos_int_distance)
 from .errors import DomainError, PoleError, Record, WrongBranchError
 from .params import (NEGATIVE_INTEGER, ParamSet, _log_gamma_shift,
-                     _log_seq_ratios, classify_params)
+                     _log_seq_ratios)
 
 __all__ = [
     "CoefficientTable",
@@ -272,7 +272,7 @@ def asym_neg_int(p: ParamSet, n: int, K: int) -> complex:
     """
     _check_index(n)
     _check_index(K, "K", 0, 3)
-    cls = classify_params(p)
+    cls = p.branch
     if cls.kind != NEGATIVE_INTEGER:
         raise WrongBranchError(
             f"asym_neg_int needs a nondegenerate negative-integer excess, "

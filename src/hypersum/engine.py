@@ -2,7 +2,8 @@
 
 Each eval_* routine implements one convergent rearrangement of the truncated
 Gauss series at unit argument, selected by the integer character of the
-parametric excess s = c - a - b; eval_auto routes on classify_params().  All
+parametric excess s = c - a - b; eval_auto routes on the branch that
+ParamSet decided when it was built (ParamSet.branch).  All
 series stop where a tail bound proven from their parameters meets a shared
 Tolerance, and that bound is the tail part of the error estimate.  The
 identity S_1 = 1 is returned directly in every branch.
@@ -36,16 +37,15 @@ from functools import partial
 from ._series import (_DEFAULT_TOL, Tolerance, _psi_bracket, _sum_alt_kernel,
                       _sum_direct, _sum_hyp3f2, _sum_psi_kernel, finite_sum,
                       predicted_terms)
-from .complexfn import (_EXP_MIN, POLE_TOL, _check_index, _log_gamma,
-                        _log_gamma_ratio, _off_pole, exp_log, gamma_ratio,
-                        log_gamma, nonpos_int_distance)
+from .complexfn import (_EXP_MIN, _check_index, _log_gamma, _log_gamma_ratio,
+                        _off_pole, exp_log, gamma_ratio, log_gamma)
 from .errors import (DomainError, InvalidParameterError, Record,
                      WrongBranchError)
 # classify itself is unused here but stays reachable as engine.classify,
 # a name callers outside the package look up.
 from .params import (DEGENERATE_NEG_INTEGER, GENERIC, INTEGER_TOL, LOGARITHMIC,
                      NEGATIVE_INTEGER, POSITIVE_INTEGER, ExcessClass, ParamSet,
-                     _log_seq_ratios, classify, classify_params)
+                     _log_seq_ratios, classify)
 
 __all__ = [
     "Tolerance",
@@ -113,35 +113,32 @@ class EvalReport(Record):
         d["path"] = path
 
 
-def _require(cls: ExcessClass, kind: str, op: str) -> None:
-    if cls.kind != kind:
+def _checked(p: ParamSet, n, kind: str, op: str) -> None:
+    got = p.branch.kind
+    if got != kind:
         hint = ""
-        if kind == NEGATIVE_INTEGER and cls.kind == DEGENERATE_NEG_INTEGER:
+        if kind == NEGATIVE_INTEGER and got == DEGENERATE_NEG_INTEGER:
             hint = " (degenerate case: route to eval_conjectured)"
         raise WrongBranchError(f"{op} needs excess class {kind}, "
-                               f"got {cls.kind}{hint}")
-
-
-def _checked(p: ParamSet, n, kind: str, op: str) -> ExcessClass:
-    cls = classify_params(p)
-    _require(cls, kind, op)
+                               f"got {got}{hint}")
     _check_index(n)
-    return cls
 
 
-def _report(body, p: ParamSet, n: int, cls: ExcessClass,
-            tol: Tolerance) -> EvalReport:
+def _report(body, p: ParamSet, n: int, tol: Tolerance) -> EvalReport:
     """Run a branch body and report the sum of its pieces.
 
     S_1 = 1 needs no body.  A body returns (pieces, terms_used, hit_max),
     each piece a (value, error) pair from _piece.  The warnings are the
-    classification's, then "max_terms_reached" when a series hit its cap.
+    branch's, then "max_terms_reached" when a series hit its cap.
     A value or estimate that is not finite is no answer: DomainError.
+    A real triple's S_n is real: the imaginary rounding of the complex
+    prefactors is dropped, which moves the value no farther from S_n.
     """
+    cls = p.branch
     warnings = cls.warnings
     if n == 1:
         return EvalReport(1.0 + 0.0j, cls, 1, 0.0, warnings)
-    pieces, terms_used, hit_max = body(p, n, cls, tol)
+    pieces, terms_used, hit_max = body(p, n, tol)
     value = None
     est = 0.0
     for piece, err in pieces:
@@ -154,6 +151,8 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise DomainError(f"S_n = {value!r} with est_error {est!r}: the "
                           f"expansion gave no finite answer and error bound")
+    if not (p.a.imag or p.b.imag or p.c.imag):
+        value = complex(value.real, 0.0)
     if hit_max:
         warnings += ("max_terms_reached",)
     return EvalReport(value, cls, terms_used, est, warnings)
@@ -164,15 +163,15 @@ def _report(body, p: ParamSet, n: int, cls: ExcessClass,
 # params._log_seq_ratios (which forms the large gamma pairs from the exact
 # offsets); log Gamma(c) is shared where two pieces need it.
 #
-# The bodies run on a ParamSet and its classification, which already prove
-# most of what the kernel's public functions check: a, b and c are finite
-# and INTEGER_TOL (more than POLE_TOL) from every pole, and so are n+a, n+c
-# and n; a generic s keeps INTEGER_TOL from every integer, and the generic
-# tail's exact excess is n >= 2.  So they call the unchecked private
-# kernels there, and keep the checks that can change an answer: the pole
-# test on c-a and c-b that drops a piece, the checked log_gamma on a+b and
-# on the positive-integer branch's c-a and c-b, and one test on n+a+b: a
-# pole test, or Re(n+a+b) >= 1 on the positive-integer branch.
+# The bodies run on a ParamSet, which already proves most of what the
+# kernel's public functions check: a, b and c are finite and INTEGER_TOL
+# (more than POLE_TOL) from every pole, and so are n+a, n+c and n; a generic
+# s keeps INTEGER_TOL from every integer, and the generic tail's exact
+# excess is n >= 2.  Its gamma_pole is the one pole test on c-a and c-b: it
+# drops a piece, or refuses the positive-integer branch as log_gamma would.
+# So the bodies call the unchecked private kernels, and keep only checks of
+# their own: the checked log_gamma on a+b, and one test on n+a+b, a pole
+# test or, on the positive-integer branch, Re(n+a+b) >= 1.
 
 
 def _piece(lg: complex, size: float, x=1.0, x_err: float = 0.0,
@@ -206,25 +205,16 @@ def eval_generic(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalRepo
     zero (reciprocal-gamma pole) and the tail series terminates on its own;
     classification flags this with a gamma_pole warning rather than refusing.
     """
-    return _report(_generic, p, n, _checked(p, n, GENERIC, "eval_generic"),
-                   tol)
+    _checked(p, n, GENERIC, "eval_generic")
+    return _report(_generic, p, n, tol)
 
 
-def _gamma_pole(p: ParamSet) -> bool:
-    """Whether c-a or c-b lies within POLE_TOL of a pole of Gamma, where
-    the pieces divided by Gamma(c-a) Gamma(c-b) are zero."""
-    return min(nonpos_int_distance(p.c - p.a),
-               nonpos_int_distance(p.c - p.b)) <= POLE_TOL
-
-
-def _generic(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
-    a, b, c = p.a, p.b, p.c
-    s = p.s
+def _generic(p: ParamSet, n: int, tol: Tolerance) -> tuple:
+    a, b, c, s, ca, cb = p.a, p.b, p.c, p.s, p.ca, p.cb
     lg_c, lg_a, lg_b = _log_gamma(c), _log_gamma(a), _log_gamma(b)
     # the Gauss piece Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) is zero at
     # a pole of 1/Gamma, and then S_n is the tail alone
-    ca, cb = c - a, c - b
-    if _gamma_pole(p):
+    if p.gamma_pole:
         pieces = ()
     else:
         lg_s, lg_ca, lg_cb = _log_gamma(s), _log_gamma(ca), _log_gamma(cb)
@@ -247,13 +237,13 @@ def eval_log(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL,
     form="alternative" splits off the psi(n+a+b) + c_0 head so the remaining
     bracket h_k - sigma_k tends to a constant.  The two agree to est_error.
     """
-    cls = _checked(p, n, LOGARITHMIC, "eval_log")
+    _checked(p, n, LOGARITHMIC, "eval_log")
     if form not in ("psi_series", "alternative"):
         raise InvalidParameterError(f"unknown form {form!r}")
-    return _report(partial(_log, form=form), p, n, cls, tol)
+    return _report(partial(_log, form=form), p, n, tol)
 
 
-def _log(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance,
+def _log(p: ParamSet, n: int, tol: Tolerance,
          form: str = "psi_series") -> tuple:
     a, b = p.a, p.b
     w = _off_pole(n + a + b, "gamma_ratio")
@@ -280,14 +270,13 @@ def eval_pos_int(p: ParamSet, n: int) -> EvalReport:
     Needs Re(n+a+b) >= 1: the sum divides by (n+a+b)_k, which vanishes at
     the poles of Gamma(n+a+b) and amplifies the rounding of a+b near them.
     """
-    return _report(_pos_int, p, n,
-                   _checked(p, n, POSITIVE_INTEGER, "eval_pos_int"),
-                   _DEFAULT_TOL)
+    _checked(p, n, POSITIVE_INTEGER, "eval_pos_int")
+    return _report(_pos_int, p, n, _DEFAULT_TOL)
 
 
-def _pos_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
+def _pos_int(p: ParamSet, n: int, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
-    m = cls.m
+    m = p.branch.m
     w = n + a + b
     if w.real < 1.0:
         raise DomainError(f"Re(n+a+b) = {w.real:.6g} < 1: the expansion "
@@ -296,8 +285,11 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
                           f"when n <= max_terms")
     total, absum = finite_sum(a, b, w, 1, m, tol)
     log_lambda, = _log_seq_ratios(n, a, b, a + b)
-    lg_c, lg_s = _log_gamma(c), _log_gamma(c - a - b)
-    lg_ca, lg_cb = log_gamma(c - a), log_gamma(c - b)
+    lg_c, lg_s = _log_gamma(c), _log_gamma(p.s)
+    if p.gamma_pole:  # log_gamma's PoleError, on c-a or else on c-b
+        for z in (p.ca, p.cb):
+            _off_pole(z, "log_gamma")
+    lg_ca, lg_cb = _log_gamma(p.ca), _log_gamma(p.cb)
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_s) + abs(lg_ca)
             + abs(lg_cb))
     piece = _piece(log_lambda + lg_c + lg_s - lg_ca - lg_cb, size, total,
@@ -307,8 +299,8 @@ def _pos_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
 
 def eval_neg_int(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     """Excess s = -m, neither a nor b in {1..m}: finite sum plus psi-series."""
-    return _report(_neg_int, p, n,
-                   _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int"), tol)
+    _checked(p, n, NEGATIVE_INTEGER, "eval_neg_int")
+    return _report(_neg_int, p, n, tol)
 
 
 def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
@@ -325,20 +317,20 @@ def eval_conjectured(p: ParamSet, n: int) -> EvalReport:
     on, (1-m)_k not for k < m.  Likewise for b = p.  The body drops the
     tail within POLE_TOL of that pole, and sums m-p+1 terms at exactly p.
     """
-    return _report(_neg_int, p, n,
-                   _checked(p, n, DEGENERATE_NEG_INTEGER, "eval_conjectured"),
-                   _DEFAULT_TOL)
+    _checked(p, n, DEGENERATE_NEG_INTEGER, "eval_conjectured")
+    return _report(_neg_int, p, n, _DEFAULT_TOL)
 
 
-def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
+def _neg_int(p: ParamSet, n: int, tol: Tolerance) -> tuple:
     a, b, c = p.a, p.b, p.c
+    cls = p.branch
     m = cls.m
     # at s = -m, a-m and b-m are c-b and c-a; (p-m)_k is 0 from k = m-p+1 on
     exact = cls.p is not None and getattr(p, cls.which) == cls.p
     count = m - cls.p + 1 if exact else m
     finite, absum = finite_sum(a - m, b - m, n + c, 1 - m, count, tol)
     # on the degenerate line the tail's 1/(Gamma(c-a) Gamma(c-b)) is zero
-    pole = _gamma_pole(p)
+    pole = p.gamma_pole
     if pole:
         log_omega, = _log_seq_ratios(n, a, b, c)
     else:
@@ -350,8 +342,8 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
                   finite, absum=absum, d=m)
     if pole:
         return (head,), count, False
-    lg_ca, lg_cb, lg_m = (_log_gamma(c - a), _log_gamma(c - b),
-                          math.lgamma(m + 1))
+    lg_ca, lg_cb = _log_gamma(p.ca), _log_gamma(p.cb)
+    lg_m = math.lgamma(m + 1)
     ker = _sum_psi_kernel(a, b, w, tol)
     size = (_pair_size(n, a, b, a + b) + abs(lg_c) + abs(lg_ca) + abs(lg_cb)
             + lg_m)
@@ -361,7 +353,7 @@ def _neg_int(p: ParamSet, n: int, cls: ExcessClass, tol: Tolerance) -> tuple:
     return (head, tail), m + ker.terms_used, ker.hit_max
 
 
-# The branch bodies behind eval_auto, on the classification it made once.
+# The branch bodies behind eval_auto, keyed by the ParamSet's branch.
 _BRANCHES = {
     GENERIC: _generic,
     LOGARITHMIC: _log,
@@ -396,20 +388,20 @@ _SERIES_TERM_COST = 2.2
 _FINITE_FIXED_COST = 32.6
 
 
-def _expansion_cost(p: ParamSet, n: int, cls: ExcessClass,
-                    tol: Tolerance) -> float:
+def _expansion_cost(p: ParamSet, n: int, tol: Tolerance) -> float:
     """What the branch's expansion costs at n, in direct-sum terms: its
     fixed cost, one per finite-sum term and _SERIES_TERM_COST per predicted
     series term; infinite where it cannot answer."""
+    cls = p.branch
     kind = cls.kind
-    a, b, c = p.a, p.b, p.c
+    a, b = p.a, p.b
     if kind == POSITIVE_INTEGER:
         if (n + a + b).real < 1.0:
             return math.inf
         return _FINITE_FIXED_COST + cls.m
     # _neg_int drops the tail on a pole; a negative-integer input keeps
     # INTEGER_TOL from the poles and from {1..m}, so it never meets one
-    if kind == DEGENERATE_NEG_INTEGER and _gamma_pole(p):
+    if kind == DEGENERATE_NEG_INTEGER and p.gamma_pole:
         return _FINITE_FIXED_COST + (cls.m - cls.p + 1)
     fixed = _EXPANSION_FIXED_COST
     if kind in (NEGATIVE_INTEGER, DEGENERATE_NEG_INTEGER):
@@ -419,7 +411,7 @@ def _expansion_cost(p: ParamSet, n: int, cls: ExcessClass,
         return fixed + _SERIES_TERM_COST
     if kind == GENERIC:
         need = (predicted_terms(n + 1, tol.rel_tol)
-                * (1.0 + max(abs(c - a), abs(c - b))))
+                * (1.0 + max(abs(p.ca), abs(p.cb))))
     else:
         need = (predicted_terms(n + 2, tol.rel_tol)
                 * (1.0 + max(abs(a), abs(b))))
@@ -442,8 +434,8 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     past max_terms the expansion answers or refuses.  The positive-integer
     branch's finite sum divides by (n+a+b)_k, which can vanish only when
     Re(n+a+b) < 1; there the direct sum answers within max_terms.  A
-    degenerate input whose tail does not vanish (_gamma_pole) is priced as
-    a negative-integer one.
+    degenerate input whose tail does not vanish (ParamSet.gamma_pole false)
+    is priced as a negative-integer one.
 
     A series whose proven tail bound holds only from an index past its
     term cap, and which does not end on a zero term within the cap, cannot
@@ -452,12 +444,12 @@ def eval_auto(p: ParamSet, n: int, tol: Tolerance = _DEFAULT_TOL) -> EvalReport:
     summing max_terms terms toward a NaN or infinite error bar.
     No answer is returned with a non-finite value or est_error.
     """
-    cls = classify_params(p)
     _check_index(n)
-    if 2 <= n <= tol.max_terms and n < _expansion_cost(p, n, cls, tol):
+    if 2 <= n <= tol.max_terms and n < _expansion_cost(p, n, tol):
+        cls = p.branch
         value, est = _sum_direct(p.a, p.b, p.c, n)
         return EvalReport(value, cls, n, est, cls.warnings, "direct_sum")
-    return _report(_BRANCHES[cls.kind], p, n, cls, tol)
+    return _report(_BRANCHES[p.branch.kind], p, n, tol)
 
 
 def leading_term(p: ParamSet, n: int) -> complex:
@@ -469,15 +461,13 @@ def leading_term(p: ParamSet, n: int) -> complex:
     is refused.
     """
     _check_index(n)
-    cls = classify_params(p)
-    a, b, c = p.a, p.b, p.c
-    s = p.s
-    if cls.kind == LOGARITHMIC:
+    a, b, c, s = p.a, p.b, p.c, p.s
+    if p.branch.kind == LOGARITHMIC:
         return gamma_ratio([a + b], [a, b]) * math.log(n)
-    if cls.kind == GENERIC and abs(s.real) < INTEGER_TOL:
+    if p.branch.kind == GENERIC and abs(s.real) < INTEGER_TOL:
         raise DomainError("no single leading term when Re s = 0 with s != 0")
     if s.real > 0.0:
-        return gamma_ratio([c, s], [c - a, c - b])
+        return gamma_ratio([c, s], [p.ca, p.cb])
     # one exponent, as n^(-s) alone can leave the range the term is in
     lg = _log_gamma_ratio([c], [a, b]) - s * math.log(n)
     return exp_log(lg, "the leading term") / (-s)

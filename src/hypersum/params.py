@@ -4,6 +4,9 @@ The value of the excess s = c - a - b decides which expansion evaluates the
 partial sum: generic s, the logarithmic case s = 0, positive-integer s (a
 finite sum), negative-integer s (finite sum plus a psi-series), or the
 degenerate negative-integer case where a or b is a positive integer <= m.
+ParamSet decides the branch once, when it is built, and keeps it with s,
+c - a, c - b and their pole test; classify(a, b, c) is that branch.
+
 The n-dependent prefactors of the expansions are omega_n = Gamma(n+a)
 Gamma(n+b) / (Gamma(n) Gamma(n+c)) and lambda_n, its value at c = a+b.
 _log_seq_ratios is the one place that forms their large gamma pairs, from
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Union
 
-from .complexfn import (_as_complex, _check_index, _log_gamma_diff,
-                        _off_pole, exp_log, nonpos_int_distance)
+from .complexfn import (POLE_TOL, _as_complex, _check_index,
+                        _log_gamma_diff, _off_pole, exp_log,
+                        nonpos_int_distance)
 from .errors import InvalidParameterError, Record
 
 __all__ = [
@@ -31,7 +35,6 @@ __all__ = [
     "ExcessClass",
     "SeqFactors",
     "classify",
-    "classify_params",
     "seq_factors",
 ]
 
@@ -61,19 +64,26 @@ class ParamSet(Record):
 
     None of a, b, c may lie within INTEGER_TOL of zero or a negative integer;
     at such points the series coefficients (or the sum itself) degenerate.
+    Besides a, b and c the record holds ca = c - a, cb = c - b, the excess
+    s = ca - b (the bits of c - a - b), gamma_pole, whether c - a or c - b
+    lies within POLE_TOL of a pole of Gamma (where every piece divided by
+    Gamma(c-a) Gamma(c-b) is zero), and branch, the triple's ExcessClass.
+    Equality, hashing and the repr read a, b and c alone.
     """
 
     _fields = ("a", "b", "c")
 
     def __init__(self, a: Number, b: Number, c: Number):
         d = self.__dict__
-        d["a"] = _parameter(a, "a")
-        d["b"] = _parameter(b, "b")
-        d["c"] = _parameter(c, "c")
-
-    @property
-    def s(self) -> complex:
-        return self.c - self.a - self.b
+        d["a"] = a = _parameter(a, "a")
+        d["b"] = b = _parameter(b, "b")
+        d["c"] = c = _parameter(c, "c")
+        d["ca"] = ca = c - a
+        d["cb"] = cb = c - b
+        d["s"] = s = ca - b
+        dist_a, dist_b = nonpos_int_distance(ca), nonpos_int_distance(cb)
+        d["gamma_pole"] = dist_a <= POLE_TOL or dist_b <= POLE_TOL
+        d["branch"] = _branch(a, b, s, dist_a, dist_b)
 
 
 def _parameter(z: Number, name: str) -> complex:
@@ -119,7 +129,7 @@ class SeqFactors(Record):
 
 def classify(a: Number, b: Number, c: Number) -> ExcessClass:
     """Classify the excess s = c-a-b of a (validated) parameter triple."""
-    return classify_params(ParamSet(a, b, c))
+    return ParamSet(a, b, c).branch
 
 
 # The record of a warning-free generic or logarithmic triple: records are
@@ -128,17 +138,15 @@ _GENERIC_CLASS = ExcessClass(kind=GENERIC)
 _LOG_CLASS = ExcessClass(kind=LOGARITHMIC)
 
 
-def classify_params(p: ParamSet) -> ExcessClass:
-    """classify() for a triple already validated as a ParamSet."""
-    a, b, c = p.a, p.b, p.c
-    s = c - a - b
+def _branch(a: complex, b: complex, s: complex, dist_a: float,
+            dist_b: float) -> ExcessClass:
+    """The ExcessClass of a triple with excess s, whose c - a and c - b lie
+    dist_a and dist_b from the poles of Gamma."""
     warnings = ()
-    dist = nonpos_int_distance(c - a)
-    if dist < NEAR_INTEGER_WARN:
-        warnings = (_pole_warning(dist, "a"),)
-    dist = nonpos_int_distance(c - b)
-    if dist < NEAR_INTEGER_WARN:
-        warnings += (_pole_warning(dist, "b"),)
+    if dist_a < NEAR_INTEGER_WARN:
+        warnings = (_pole_warning(dist_a, "a"),)
+    if dist_b < NEAR_INTEGER_WARN:
+        warnings += (_pole_warning(dist_b, "b"),)
 
     m0 = round(s.real)
     dist = abs(s - m0)

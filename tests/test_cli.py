@@ -48,6 +48,17 @@ class TestEval:
         assert rec["est_error"] < 1e-12
         assert rec["warnings"] == []
 
+    def test_real_triple_prints_a_real_value(self):
+        # a near-integer-excess case whose prefactors are exponentiated
+        # from complex logs: the real triple still answers with Im 0
+        rc, rec = run_json("eval", "-a", "7.10666871332937",
+                           "-b=-23.99945823483209", "-c=-14.892817802899073",
+                           "-n", "1000")
+        assert rc == 0
+        assert rec["branch"] == "generic" and rec["path"] == "expansion"
+        assert rec["warnings"] == ["near_integer_excess"]
+        assert rec["value_im"] == 0.0
+
     def test_landau_partial_sum(self):
         # S_2(1/2,1/2;1) is the second Landau constant.
         rc, rec = run_json("eval", "-a", "0.5", "-b", "0.5", "-c", "1",

@@ -1,4 +1,6 @@
 import cmath
+import io
+import json
 import math
 import os
 import pathlib
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersum import coeffs, params
+from hypersum import cli, coeffs, complexfn, params
 from hypersum.complexfn import nonpos_int_distance
 from hypersum.engine import (
     EvalReport,
@@ -29,10 +31,11 @@ from hypersum.engine import (
 from hypersum.errors import (
     DomainError,
     InvalidParameterError,
+    PoleError,
     WrongBranchError,
 )
 from hypersum.oracle import compare, partial_sum_ref
-from hypersum.params import ParamSet, _log_seq_ratios, classify_params
+from hypersum.params import ParamSet, _log_seq_ratios
 
 
 def rel(x, want):
@@ -246,7 +249,7 @@ class TestConjectured:
         p = ParamSet(1.0, 0.5, -0.5)  # s = -2, a = 1 <= m
         rep = eval_conjectured(p, 10)
         assert rel(rep.value, -80.0) < 1e-12
-        assert rep.warnings == params.classify_params(p).warnings
+        assert rep.warnings == p.branch.warnings
 
     def test_wrong_branch(self):
         with pytest.raises(WrongBranchError):
@@ -295,7 +298,7 @@ class TestConjectured:
         # prices the psi kernel it runs, so n = 50 is cheaper summed directly
         c = a + b - m
         p = ParamSet(a, b, c)
-        assert params.classify_params(p).kind == "degenerate_negative_integer"
+        assert p.branch.kind == "degenerate_negative_integer"
         for n in (50, 200, 1000):
             ref = partial_sum_ref(a, b, c, n)
             auto, expansion = eval_auto(p, n), eval_conjectured(p, n)
@@ -821,7 +824,7 @@ class TestErrorBarProperty:
         # every branch, real and complex, on the expansion path: the true
         # error against the oracle stays within est_error
         kind, p, n = draw
-        assert classify_params(p).kind == kind
+        assert p.branch.kind == kind
         rep = eval_auto(p, n)
         assume(rep.path == "expansion")
         err = compare(rep.value, partial_sum_ref(p.a, p.b, p.c, n))
@@ -865,3 +868,119 @@ class TestLeadingTerm:
         l40 = leading_term(p, 40).real
         l80 = leading_term(p, 80).real
         assert (l80 - l40) == pytest.approx(math.log(2.0) / math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("triple", [
+        (2.0, 0.5, 4.25),           # Re s > 0: the Gauss value
+        (1.5, -0.25, 0.25),         # s = -1
+        (0.8 + 0.3j, 1.5, 0.9),     # Re s < 0, complex
+        (2.3, 1.9, 2.2),            # s = -2
+        (1.0 / 3.0, 2.0 / 3.0, 1.0),  # s = 0
+        (0.5, 0.5, 1.0),            # s = 0
+    ], ids=repr)
+    def test_leads_the_sum_at_large_n(self, triple):
+        # |S_n / leading term - 1| falls at each step up to n = 10^12, until
+        # it reaches the double-precision floor; at s = 0 it falls like
+        # 1/log n, since S_n = leading term + a constant + o(1)
+        p = ParamSet(*triple)
+        ns = (10**3, 10**6, 10**9, 10**12)
+        gaps = [abs(eval_auto(p, n).value / leading_term(p, n) - 1)
+                for n in ns]
+        for earlier, later in zip(gaps, gaps[1:]):
+            assert later < max(earlier, 1e-14), gaps
+        if p.branch.kind == "logarithmic":
+            scaled = [g * math.log(n) for g, n in zip(gaps, ns)]
+            assert max(scaled) < 1.01 * min(scaled), gaps
+        else:
+            assert gaps[-1] < 1e-10, gaps
+
+
+class TestRealTriples:
+    @staticmethod
+    def _draws():
+        rng = random.Random(1)
+        for _ in range(4000):
+            a, b, c = (rng.uniform(-20.0, 20.0) for _ in range(3))
+            yield a, b, c, rng.choice((150, 1000, 10**5))
+
+    def test_real_triples_answer_real(self):
+        # S_n of a real triple is real: the imaginary rounding of the
+        # complex prefactors is dropped on every path, and the bar, which
+        # covered the whole complex value, still holds against the oracle
+        checked = 0
+        for a, b, c, n in self._draws():
+            rep = eval_auto(ParamSet(a, b, c), n)
+            assert rep.value.imag == 0.0, (a, b, c, n)
+            if n <= 1000:
+                err = compare(rep.value, partial_sum_ref(a, b, c, n))
+                assert err.abs_err <= rep.est_error, (a, b, c, n)
+                checked += 1
+        assert checked > 2000
+
+
+def _pole_tests(monkeypatch, call) -> int:
+    """How many times call() measures a distance to the poles of Gamma:
+    nonpos_int_distance is counted wherever a package module binds it."""
+    original = complexfn.nonpos_int_distance
+    count = 0
+
+    def counted(z):
+        nonlocal count
+        count += 1
+        return original(z)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hypersum":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    call()
+    return count
+
+
+class TestOnePoleTestPerArgument:
+    # ParamSet tests a, b, c, c - a and c - b once each; only the
+    # logarithmic body adds tests of its own, on a + b and n + a + b, and
+    # the negative-integer body one on n + a + b
+    @pytest.mark.parametrize("triple, n, path, tests", [
+        ((0.3 + 0.2j, 1.7, 0.9), 10**4, "expansion", 5),
+        ((0.3 + 0.2j, 1.7, 0.9), 5, "direct_sum", 5),
+        ((0.5, 0.5, 1.0), 10**4, "expansion", 7),
+        ((0.5, 0.5, 1.0), 5, "direct_sum", 5),
+        ((2.0, 0.5, 4.5), 1000, "expansion", 5),
+        ((2.0, 0.5, 4.5), 5, "direct_sum", 5),
+        ((4.0 / 3.0, 1.0 / 3.0, -7.0 / 3.0), 10**4, "expansion", 6),
+        ((4.0 / 3.0, 1.0 / 3.0, -7.0 / 3.0), 5, "direct_sum", 5),
+        ((1.0, 0.5, -0.5), 1000, "expansion", 5),
+        ((1.0, 0.5, -0.5), 5, "direct_sum", 5),
+    ], ids=repr)
+    def test_eval_auto(self, monkeypatch, triple, n, path, tests):
+        reps = []
+        got = _pole_tests(monkeypatch,
+                          lambda: reps.append(eval_auto(ParamSet(*triple), n)))
+        assert reps[0].path == path
+        assert got == tests
+
+    def test_eval_form_classifies_once(self, monkeypatch):
+        out = io.StringIO()
+        got = _pole_tests(monkeypatch, lambda: cli.run(
+            ["eval", "-a", "0.5", "-b", "0.5", "-c", "1", "-n", "1000",
+             "--form", "alt"], out=out))
+        assert json.loads(out.getvalue())["path"] == "expansion"
+        assert got == 7
+
+    @pytest.mark.parametrize("triple, pole", [
+        ((0.7, -2.0 + 1e-9, 0.7 + 5e-13), "c - a"),
+        ((-2.0 + 1e-9, 0.7, 0.7 + 5e-13), "c - b"),
+    ], ids=repr)
+    def test_positive_integer_refuses_a_pole_from_the_record(self, triple,
+                                                             pole):
+        # s lies within INTEGER_TOL of 2 and c - a (or c - b) within
+        # POLE_TOL of 0: the Gauss factor 1/Gamma(c - a) is zero there
+        p = ParamSet(*triple)
+        assert p.branch.kind == "positive_integer" and p.gamma_pole
+        z = p.ca if pole == "c - a" else p.cb
+        for call in (lambda: eval_pos_int(p, 1000),
+                     lambda: eval_auto(p, 1000)):
+            with pytest.raises(PoleError) as info:
+                call()
+            assert str(info.value) == f"log_gamma pole at z = {z!r}"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersum.coeffs import g_poly
-from hypersum.complexfn import gamma_ratio
+from hypersum.complexfn import POLE_TOL, gamma_ratio, nonpos_int_distance
 from hypersum.engine import eval_auto
 from hypersum.errors import InvalidParameterError
 from hypersum.landau import landau_asymptotic, landau_direct, landau_nemes
@@ -41,6 +41,25 @@ class TestParamSet:
         p = ParamSet(1.0, 2.0, 3.5)
         with pytest.raises(AttributeError):
             p.a = 2.0
+
+    @pytest.mark.parametrize("triple", [
+        (1.5, -0.25, 0.25), (0.3 + 1j, 1.7, 2.2 - 0.5j), (2.0, 0.5, 1.0),
+        (1.0, 0.5, -0.5), (0.7, -2.0 + 1e-9, 0.7 + 5e-13),
+    ], ids=repr)
+    def test_derived_arguments(self, triple):
+        # formed once, with the bits the routes formed before: s is
+        # c - a - b, gamma_pole the pole test on c - a and c - b
+        p = ParamSet(*triple)
+        a, b, c = p.a, p.b, p.c
+        assert repr((p.ca, p.cb, p.s)) == repr((c - a, c - b, c - a - b))
+        assert p.gamma_pole == (min(nonpos_int_distance(c - a),
+                                    nonpos_int_distance(c - b)) <= POLE_TOL)
+        assert p.branch == classify(*triple)
+        # equality, hashing and the repr read a, b and c alone
+        assert repr(p) == f"ParamSet(a={a!r}, b={b!r}, c={c!r})"
+        assert p == ParamSet(*triple) and hash(p) == hash(ParamSet(*triple))
+        with pytest.raises(AttributeError):
+            p.s = 0j
 
     @pytest.mark.parametrize("value, want", [
         (1, 1 + 0j), (True, 1 + 0j), (2.5, 2.5 + 0j),
