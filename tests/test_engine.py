@@ -895,19 +895,15 @@ class TestLeadingTerm:
 
 
 class TestRealTriples:
-    @staticmethod
-    def _draws():
-        rng = random.Random(1)
-        for _ in range(4000):
-            a, b, c = (rng.uniform(-20.0, 20.0) for _ in range(3))
-            yield a, b, c, rng.choice((150, 1000, 10**5))
-
     def test_real_triples_answer_real(self):
         # S_n of a real triple is real: the imaginary rounding of the
         # complex prefactors is dropped on every path, and the bar, which
         # covered the whole complex value, still holds against the oracle
+        rng = random.Random(1)
         checked = 0
-        for a, b, c, n in self._draws():
+        for _ in range(4000):
+            a, b, c = (rng.uniform(-20.0, 20.0) for _ in range(3))
+            n = rng.choice((150, 1000, 10**5))
             rep = eval_auto(ParamSet(a, b, c), n)
             assert rep.value.imag == 0.0, (a, b, c, n)
             if n <= 1000:
@@ -938,9 +934,9 @@ def _pole_tests(monkeypatch, call) -> int:
 
 
 class TestOnePoleTestPerArgument:
-    # ParamSet tests a, b, c, c - a and c - b once each; only the
-    # logarithmic body adds tests of its own, on a + b and n + a + b, and
-    # the negative-integer body one on n + a + b
+    # ParamSet tests a, b, c, c - a and c - b once each.  Only two bodies
+    # add tests of their own: the logarithmic one on a + b and n + a + b,
+    # the negative-integer one on n + a + b.
     @pytest.mark.parametrize("triple, n, path, tests", [
         ((0.3 + 0.2j, 1.7, 0.9), 10**4, "expansion", 5),
         ((0.3 + 0.2j, 1.7, 0.9), 5, "direct_sum", 5),
